@@ -23,11 +23,12 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import expfam, inference, kernels, likelihood, meta, metrics, tasks
+from . import expfam, inference, kernels, likelihood, meta, metrics, seeding, tasks
 from .errors import ConfigError, MdgpcError, OverlappingSplits, ParseError
 from .expfam import GaussianMoments
 from .inference import InnerConfig
@@ -37,19 +38,6 @@ from .seeding import derive_seed, rng_for
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-# Seed-stream tags (first derivation key after the run seed). Streams 1-6
-# are claimed by meta.train / meta.compare_outer; everything here is
-# disjoint from those.
-STREAM_COMPARE_MC = 11
-STREAM_COMPARE_EP = 12
-STREAM_TRAIN_EP = 9
-STREAM_EVAL_EP = 10
-STREAM_COMPARE_OUTER = 20
-STREAM_GEN_DATA = 30
-STREAM_VERIFY = 40
-STREAM_EXTRACTOR = 99
-STREAM_TRAIN_EXTRACTOR = 100
 
 
 def default_config() -> dict:
@@ -262,10 +250,11 @@ def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
-def _episode_source(cfg: dict, stream: int, split: str, base_seed=None):
-    """Episode factory keyed by index; synthetic unless data.path is set."""
+def _episode_sources(cfg: dict, split: str):
+    """Check the task and data config (loading data.path once) and return
+    make(stream, seed): an episode factory keyed by index, synthetic unless
+    data.path is set."""
     t = cfg["task"]
-    seed = cfg["seed"] if base_seed is None else base_seed
     if cfg["data"]["path"] is not None:
         ds = tasks.load_csv_dataset(cfg["data"]["path"])
         splits = cfg["data"]["splits"]
@@ -277,7 +266,7 @@ def _episode_source(cfg: dict, stream: int, split: str, base_seed=None):
             raise ConfigError(
                 f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}"
             )
-        return lambda i: tasks.sample_episode_from_dataset(
+        return lambda stream, seed: lambda i: tasks.sample_episode_from_dataset(
             ds, pool, t["C"], t["L"], t["M"], seed=derive_seed(seed, stream, i)
         )
     shift = t["domain_shift"]
@@ -289,9 +278,11 @@ def _episode_source(cfg: dict, stream: int, split: str, base_seed=None):
         prototype_scale=t["tau"],
         within_scale=t["sigma_w"],
         domain_shift=None if shift is None else (shift[0], shift[1]),
-        seed=seed,
+        seed=cfg["seed"],
     )
-    return lambda i: tasks.gen_episode(gen_cfg, seed=derive_seed(seed, stream, i))
+    return lambda stream, seed: lambda i: tasks.gen_episode(
+        gen_cfg, seed=derive_seed(seed, stream, i)
+    )
 
 
 def _checkpoint_dict(kernel: kernels.DeepKernel, cfg: dict) -> dict:
@@ -349,7 +340,6 @@ def _load_checkpoint(path) -> dict:
 
 
 def cmd_gen_data(cfg: dict) -> int:
-    out = _prepare_output(cfg)
     g = cfg["gen_data"]
     t = cfg["task"]
     X, labels = tasks.gen_dataset(
@@ -358,8 +348,9 @@ def cmd_gen_data(cfg: dict) -> int:
         t["D"],
         t["tau"],
         t["sigma_w"],
-        seed=derive_seed(cfg["seed"], STREAM_GEN_DATA),
+        seed=derive_seed(cfg["seed"], seeding.STREAM_GEN_DATA),
     )
+    out = _prepare_output(cfg)
     path = out / g["filename"]
     tasks.save_csv_dataset(path, X, labels)
     print(f"wrote {path} ({X.shape[0]} rows, {g['classes']} classes)")
@@ -367,11 +358,12 @@ def cmd_gen_data(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    out = _prepare_output(cfg)
-    kern = _build_kernel(cfg, derive_seed(cfg["seed"], STREAM_TRAIN_EXTRACTOR))
-    source = _episode_source(cfg, STREAM_TRAIN_EP, "train")
     o = cfg["outer"]
     inn = cfg["inner"]
+    if o["epochs"] < 0:
+        raise ConfigError("outer.epochs must be >= 0")
+    kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
+    source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
         epochs=o["epochs"],
         episodes_per_epoch=o["episodes_per_epoch"],
@@ -386,8 +378,7 @@ def cmd_train(cfg: dict) -> int:
         inner_method="MD",
         seed=cfg["seed"],
     )
-    if o["epochs"] < 0:
-        raise ConfigError("outer.epochs must be >= 0")
+    out = _prepare_output(cfg)
     kern, history = meta.train(kern, source, train_cfg)
     _write_csv(
         out / "outer_trace.csv",
@@ -406,9 +397,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
-    out = _prepare_output(cfg)
-    doc = _load_checkpoint(checkpoint_path)
-    kern = _kernel_from_checkpoint(doc)
+    kern = _kernel_from_checkpoint(_load_checkpoint(checkpoint_path))
     if kern.n_classes != cfg["task"]["C"]:
         raise ConfigError(
             f"checkpoint holds {kern.n_classes} per-class kernels "
@@ -423,19 +412,16 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
             f"eval.batches = {ev['batches']} must divide eval.episodes = "
             f"{ev['episodes']}"
         )
-    source = _episode_source(cfg, STREAM_EVAL_EP, "test")
+    source = _episode_sources(cfg, "test")(seeding.STREAM_EVAL_EP, cfg["seed"])
+    inner = InnerConfig(
+        rho=einn["rho"],
+        steps=einn["steps"],
+        mc=McConfig(samples=einn["mc_samples"], seed=0),
+    )
+    pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
+    out = _prepare_output(cfg)
     result = meta.evaluate(
-        kern,
-        source,
-        ev["episodes"],
-        InnerConfig(
-            rho=einn["rho"],
-            steps=einn["steps"],
-            mc=McConfig(samples=einn["mc_samples"], seed=0),
-        ),
-        McConfig(samples=ev["pred_samples"], seed=0),
-        seed=cfg["seed"],
-        n_jobs=n_jobs,
+        kern, source, ev["episodes"], inner, pred_mc, seed=cfg["seed"], n_jobs=n_jobs
     )
     groups = result.accuracies.reshape(ev["batches"], -1).mean(axis=1)
     if ev["batches"] > 1:
@@ -475,31 +461,31 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 
 
 def cmd_compare_inner(cfg: dict) -> int:
-    out = _prepare_output(cfg)
     ci = cfg["compare_inner"]
     if ci["episodes"] < 1:
         raise ConfigError("compare_inner.episodes must be >= 1")
-    source = _episode_source(cfg, STREAM_COMPARE_EP, "train")
+    source = _episode_sources(cfg, "train")(seeding.STREAM_COMPARE_EP, cfg["seed"])
+    kerns = [
+        _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
+        for i in range(1, ci["episodes"] + 1)
+    ]
+    inner_tpl = InnerConfig(
+        rho=ci["rate"], steps=ci["steps"], mc=McConfig(samples=ci["mc_samples"])
+    )
+    out = _prepare_output(cfg)
     rows = []
     wins = 0
-    for i in range(1, ci["episodes"] + 1):
+    for i, kern in enumerate(kerns, start=1):
         episode = source(i)
-        kern = _build_kernel(cfg, derive_seed(cfg["seed"], STREAM_EXTRACTOR, i))
         Z, _ = kernels.extract(kern.extractor, episode.support_x)
         grams = [kernels.gram(b, Z) for b in kern.base]
-        inner = InnerConfig(
-            rho=ci["rate"],
-            steps=ci["steps"],
-            mc=McConfig(
-                samples=ci["mc_samples"],
-                seed=derive_seed(cfg["seed"], STREAM_COMPARE_MC, i),
-            ),
-        )
+        seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_MC, i)
+        inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
         finals = {}
         for method in ("MD", "GD"):
-            _, trace = inference.run_inner(method, grams, episode.support_y, inner)
-            rows.extend([method, i, r.step, float(r.elbo)] for r in trace)
-            finals[method] = trace[-1].elbo
+            _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
+            rows.extend([method, i, step, value] for step, value in enumerate(elbos))
+            finals[method] = elbos[-1]
         wins += finals["MD"] >= finals["GD"]
     _write_csv(out / "inner_trace.csv", ["method", "episode", "step", "elbo"], rows)
     print(
@@ -511,17 +497,18 @@ def cmd_compare_inner(cfg: dict) -> int:
 
 
 def cmd_compare_outer(cfg: dict) -> int:
-    out = _prepare_output(cfg)
     co = cfg["compare_outer"]
     if co["seeds"] < 1:
         raise ConfigError("compare_outer.seeds must be >= 1")
-    rows = []
-    wins = 0
+    train_sources = _episode_sources(cfg, "train")
+    monitor_sources = _episode_sources(cfg, "test")
+    runs = []
     for s in range(1, co["seeds"] + 1):
-        run_seed = derive_seed(cfg["seed"], STREAM_COMPARE_OUTER, s)
-        kern = _build_kernel(cfg, derive_seed(run_seed, 0))
-        train_src = _episode_source(cfg, 8, "train", base_seed=run_seed)
-        monitor_src = _episode_source(cfg, 7, "test", base_seed=run_seed)
+        run_seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_OUTER, s)
+        kern_seed = derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR)
+        kern = _build_kernel(cfg, kern_seed)
+        train_src = train_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
+        monitor_src = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
         run_cfg = meta.CompareOuterConfig(
             iterations=co["iterations"],
             inner_steps=co["inner_steps"],
@@ -532,6 +519,11 @@ def cmd_compare_outer(cfg: dict) -> int:
             pred_samples=co["pred_samples"],
             seed=run_seed,
         )
+        runs.append((kern, train_src, monitor_src, run_cfg))
+    out = _prepare_output(cfg)
+    rows = []
+    wins = 0
+    for s, (kern, train_src, monitor_src, run_cfg) in enumerate(runs, start=1):
         run_rows = meta.compare_outer(kern, train_src, monitor_src, run_cfg)
         rows.extend(
             [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]
@@ -565,7 +557,7 @@ def _random_moments(rng, n: int) -> GaussianMoments:
 def _check_roundtrip(seed: int) -> float:
     worst = 0.0
     for i in range(5):
-        mom = _random_moments(rng_for(derive_seed(seed, STREAM_VERIFY, 1, i)), 4)
+        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 1, i), 4)
         back = expfam.natural_to_moments(expfam.moments_to_natural(mom))
         worst = max(
             worst,
@@ -578,7 +570,7 @@ def _check_roundtrip(seed: int) -> float:
 def _check_fenchel(seed: int) -> float:
     worst = 0.0
     for i in range(5):
-        mom = _random_moments(rng_for(derive_seed(seed, STREAM_VERIFY, 2, i)), 4)
+        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 2, i), 4)
         nat = expfam.moments_to_natural(mom)
         mu = expfam.moments_to_mean(mom)
         gap = expfam.log_partition(nat) + expfam.neg_entropy(mu) - expfam.pairing(nat, mu)
@@ -589,7 +581,7 @@ def _check_fenchel(seed: int) -> float:
 def _check_bregman_kl(seed: int) -> float:
     worst = 0.0
     for i in range(5):
-        rng = rng_for(derive_seed(seed, STREAM_VERIFY, 3, i))
+        rng = rng_for(seed, seeding.STREAM_VERIFY, 3, i)
         q, p = _random_moments(rng, 3), _random_moments(rng, 3)
         breg = expfam.bregman_h(expfam.moments_to_mean(q), expfam.moments_to_mean(p))
         worst = max(worst, abs(breg - expfam.gaussian_kl(q, p)))
@@ -600,7 +592,7 @@ def _check_log_partition_grad(seed: int, fd_step: float) -> float:
     """Central FD of A over minimal natural coordinates vs dual coordinates."""
     worst = 0.0
     for i in range(3):
-        mom = _random_moments(rng_for(derive_seed(seed, STREAM_VERIFY, 4, i)), 3)
+        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 4, i), 3)
         nat = expfam.moments_to_natural(mom)
         coords = expfam.natural_to_coords(nat)
         n = mom.m.shape[0]
@@ -628,7 +620,7 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
     draws would leave an O(1/sqrt(S)) gap between the pathwise difference
     quotient and the analytic integrand forms.
     """
-    rng = rng_for(derive_seed(seed, STREAM_VERIFY, 5))
+    rng = rng_for(seed, seeding.STREAM_VERIFY, 5)
     c = 3
     m = rng.standard_normal(c)
     v = 0.5 + rng.random(c)
@@ -662,7 +654,7 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
 
 
 def _check_conjugate_step(seed: int) -> float:
-    rng = rng_for(derive_seed(seed, STREAM_VERIFY, 7))
+    rng = rng_for(seed, seeding.STREAM_VERIFY, 7)
     n, c = 3, 2
     Z = rng.standard_normal((n, 2))
     base = kernels.BaseKernelConfig("RBF")
@@ -701,14 +693,14 @@ def _tiny_instance(seed: int):
 
 
 def _check_ngd(cfg: dict) -> tuple:
-    v = cfg["verify"]
+    v, seed = cfg["verify"], cfg["seed"]
     worst_dev, worst_rho = 0.0, 0.0
     for i in range(v["instances"]):
-        grams, Y = _tiny_instance(derive_seed(cfg["seed"], STREAM_VERIFY, 8, i))
+        grams, Y = _tiny_instance(derive_seed(seed, seeding.STREAM_VERIFY, 8, i))
         inner = InnerConfig(
             rho=0.5,
             steps=2,
-            mc=McConfig(samples=64, seed=derive_seed(cfg["seed"], STREAM_VERIFY, 9, i)),
+            mc=McConfig(64, derive_seed(seed, seeding.STREAM_VERIFY, 9, i)),
         )
         report = inference.ngd_verify(
             grams, Y, inner, fd_step=v["fd_step"], gh_nodes=v["gh_nodes"]
@@ -719,7 +711,6 @@ def _check_ngd(cfg: dict) -> tuple:
 
 
 def cmd_verify(cfg: dict) -> int:
-    out = _prepare_output(cfg)
     seed = cfg["seed"]
     fd_step = cfg["verify"]["fd_step"]
     ngd_dev, rho_dev = _check_ngd(cfg)
@@ -733,6 +724,7 @@ def cmd_verify(cfg: dict) -> int:
         ("ngd_equivalence", ngd_dev, cfg["verify"]["tolerance"]),
         ("rate_invariance", rho_dev, 1e-9),
     ]
+    out = _prepare_output(cfg)
     report = []
     all_ok = True
     for name, deviation, tol in checks:

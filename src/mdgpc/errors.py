@@ -68,6 +68,3 @@ class InsufficientClasses(MdgpcError):
 class InsufficientRows(MdgpcError):
     """Not enough rows in some class to form an episode."""
 
-
-class VerificationFailure(MdgpcError):
-    """A self-verification check exceeded its tolerance."""

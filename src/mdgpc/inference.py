@@ -21,16 +21,18 @@ W = sqrt(-2 beta) and B = I + W K W, which never inverts K and yields the
 prior exactly at zero sites.
 
 A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
-storage for L) optimizes the same ELBO for the convergence comparisons, and
-`ngd_verify` checks the mirror-descent direction against a finite-difference
-natural gradient built from the Fisher matrix of the exponential family.
+storage for L) optimizes the same ELBO for the convergence comparisons.
+`inner_states` drives either update, and both states reduce q to the per-class
+terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}) that prediction and the outer
+gradient use. `ngd_verify` checks the mirror-descent direction against a
+finite-difference natural gradient built from the Fisher matrix of the
+exponential family.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import expfam, likelihood
 from .errors import (
@@ -49,12 +51,12 @@ __all__ = [
     "VariationalState",
     "GdState",
     "InnerConfig",
-    "TraceRecord",
     "md_init",
     "md_step",
     "gd_init",
     "gd_step",
     "elbo",
+    "inner_states",
     "run_inner",
     "ngd_verify",
     "k_eff",
@@ -100,6 +102,19 @@ class VariationalState:
     def n_points(self) -> int:
         return self.sites.alpha.shape[1]
 
+    def kinv_terms(self) -> list:
+        """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}).
+
+        Woodbury form: core = W B^{-1} W and u = alpha - W B^{-1} W (K alpha).
+        """
+        terms = []
+        for g, alpha, beta in zip(self.prior, self.sites.alpha, self.sites.beta):
+            W, LB, K = site_factor(g, beta)
+            core = W[:, None] * chol_solve(LB, np.diag(W))
+            u = alpha - W * chol_solve(LB, W * (K @ alpha))
+            terms.append((u, core))
+        return terms
+
 
 @dataclass
 class GdState:
@@ -115,6 +130,15 @@ class GdState:
             GaussianMoments(m, L @ L.T) for m, L in zip(self.m_list, self.chol_list)
         ]
 
+    def kinv_terms(self) -> list:
+        """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
+        terms = []
+        for g, mom in zip(self.prior, self.moments):
+            Kinv = chol_solve(g.chol, np.eye(mom.dim))
+            Kinv = 0.5 * (Kinv + Kinv.T)
+            terms.append((Kinv @ mom.m, Kinv - Kinv @ mom.Sigma @ Kinv))
+        return terms
+
 
 @dataclass(frozen=True)
 class InnerConfig:
@@ -129,13 +153,6 @@ class InnerConfig:
             raise DegenerateInput(f"rho must be in (0, 1], got {self.rho}")
         if self.steps < 0:
             raise DegenerateInput(f"steps must be >= 0, got {self.steps}")
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    method: str
-    step: int
-    elbo: float
 
 
 def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray:
@@ -247,11 +264,8 @@ def refresh_moments(state: VariationalState) -> VariationalState:
 
 def gd_init(prior_grams: list) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
-    m_list, chol_list = [], []
-    for g in prior_grams:
-        L, _ = spd_cholesky(k_eff(g))
-        m_list.append(np.zeros(L.shape[0]))
-        chol_list.append(L)
+    m_list = [np.zeros(g.chol.shape[0]) for g in prior_grams]
+    chol_list = [g.chol for g in prior_grams]
     return GdState(m_list=m_list, chol_list=chol_list, prior=list(prior_grams))
 
 
@@ -278,11 +292,10 @@ def gd_step(
     eye = np.eye(n)
     new_m, new_chol = [], []
     for i, g in enumerate(state.prior):
-        Kchol, _ = spd_cholesky(k_eff(g))
         m, L = state.m_list[i], state.chol_list[i]
-        grad_m = g_m[:, i] - chol_solve(Kchol, m)
-        Kinv = chol_solve(Kchol, eye)
-        Sinv = scipy.linalg.cho_solve((L, True), eye)
+        grad_m = g_m[:, i] - chol_solve(g.chol, m)
+        Kinv = chol_solve(g.chol, eye)
+        Sinv = chol_solve(L, eye)
         GSig = np.diag(g_v[:, i]) - 0.5 * (Kinv - Sinv)
         GSig = 0.5 * (GSig + GSig.T)
         GL = np.tril(2.0 * GSig @ L)
@@ -295,6 +308,16 @@ def gd_step(
     return GdState(m_list=new_m, chol_list=new_chol, prior=state.prior)
 
 
+def _elbo_of(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
+    """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`."""
+    n = moments[0].dim
+    m_mat, v_mat = marginal_mats(moments)
+    total = lik.expected_loglik(m_mat, v_mat, Y)
+    for mom, g in zip(moments, prior_grams):
+        total -= expfam.gaussian_kl(mom, GaussianMoments(np.zeros(n), k_eff(g)))
+    return float(total)
+
+
 def elbo(state, Y: np.ndarray, mc: McConfig, lik=None) -> float:
     """ELBO estimate: sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c)."""
     moments = state.moments
@@ -302,32 +325,39 @@ def elbo(state, Y: np.ndarray, mc: McConfig, lik=None) -> float:
     Y = _validate_labels(Y, n, c)
     if lik is None:
         lik = SoftmaxLikelihood.from_seed(mc, n, c)
-    m_mat, v_mat = marginal_mats(moments)
-    total = lik.expected_loglik(m_mat, v_mat, Y)
-    for mom, g in zip(moments, state.prior):
-        total -= expfam.gaussian_kl(mom, GaussianMoments(np.zeros(n), k_eff(g)))
-    return float(total)
+    return _elbo_of(moments, state.prior, Y, lik)
 
 
-def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
-    """Run `steps` inner updates, recording the ELBO after each.
+def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
+    """Yield the prior state, then the state after each of `steps` updates.
 
-    The trace is evaluated with one fixed draw set (seed cfg.mc.seed) so
-    successive records are comparable; gradient draws are fresh per step.
-    Returns (final_state, [TraceRecord]) with steps + 1 records.
+    Gradient draws are fresh per step (seeded by cfg.mc.seed and the step
+    index), so the sequence is deterministic in its inputs.
     """
     method = method.upper()
     if method not in ("MD", "GD"):
         raise DegenerateInput(f"unknown inner method {method!r}")
     state = md_init(prior_grams) if method == "MD" else gd_init(prior_grams)
-    n, c = prior_grams[0].K.shape[0], len(prior_grams)
-    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
-    trace = [TraceRecord(method, 0, elbo(state, Y, cfg.mc, lik=eval_lik))]
     step_fn = md_step if method == "MD" else gd_step
+    yield state
     for t in range(1, cfg.steps + 1):
         state = step_fn(state, Y, cfg, step_index=t)
-        trace.append(TraceRecord(method, t, elbo(state, Y, cfg.mc, lik=eval_lik)))
-    return state, trace
+        yield state
+
+
+def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
+    """Run the inner loop, recording the ELBO of every state it visits.
+
+    The ELBO is evaluated with one fixed draw set (seed cfg.mc.seed) so
+    successive values are comparable. Returns (final_state, elbos) with
+    steps + 1 values, the first at the prior.
+    """
+    n, c = prior_grams[0].K.shape[0], len(prior_grams)
+    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
+    elbos = []
+    for state in inner_states(method, prior_grams, Y, cfg):
+        elbos.append(elbo(state, Y, cfg.mc, lik=eval_lik))
+    return state, elbos
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +391,7 @@ def _objective_at(coords, state, Y, lik, n, c):
         p = expfam.sym_coord_count(n)
         nat = expfam.coords_to_natural(coords[i * p : (i + 1) * p], n)
         moments.append(expfam.natural_to_moments(nat))
-    m_mat, v_mat = marginal_mats(moments)
-    total = lik.expected_loglik(m_mat, v_mat, Y)
-    for mom, g in zip(moments, state.prior):
-        total -= expfam.gaussian_kl(mom, GaussianMoments(np.zeros(n), k_eff(g)))
-    return float(total)
+    return _elbo_of(moments, state.prior, Y, lik)
 
 
 def ngd_verify(

@@ -17,11 +17,10 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
-from . import inference, kernels, metrics, model
+from . import inference, kernels, metrics, model, seeding
 from .errors import DimensionMismatch, ShapeMismatch
-from .inference import InnerConfig, VariationalState
+from .inference import InnerConfig
 from .kernels import BaseKernelConfig, DeepKernel, FeatureExtractor
 from .likelihood import McConfig
 from .seeding import derive_seed
@@ -94,26 +93,11 @@ def outer_grad(fit: model.FittedEpisode) -> np.ndarray:
     kernel = fit.kernel
     dZ_total = np.zeros_like(fit.features)
     kernel_grads = []
-    for c in range(kernel.n_classes):
-        g = fit.grams[c]
-        if isinstance(fit.state, VariationalState):
-            alpha = fit.state.sites.alpha[c]
-            beta = fit.state.sites.beta[c]
-            W, LB, K = inference.site_factor(g, beta)
-            # K^{-1} - K^{-1} Sigma K^{-1} = W B^{-1} W
-            Wsol = scipy.linalg.cho_solve((LB, True), np.diag(W))
-            core = W[:, None] * Wsol
-            u = alpha - W * scipy.linalg.cho_solve((LB, True), W * (K @ alpha))
-        else:
-            mom = fit.state.moments[c]
-            eye = np.eye(mom.dim)
-            Kinv = scipy.linalg.cho_solve((g.chol, True), eye)
-            Kinv = 0.5 * (Kinv + Kinv.T)
-            core = Kinv - Kinv @ mom.Sigma @ Kinv
-            u = Kinv @ mom.m
+    for c, (u, core) in enumerate(fit.terms):
+        # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1})
         G_K = -0.5 * (core - np.outer(u, u))
         G_K = 0.5 * (G_K + G_K.T)
-        dZ, dparams = kernels.gram_backward(kernel.base[c], g, G_K)
+        dZ, dparams = kernels.gram_backward(kernel.base[c], fit.grams[c], G_K)
         dZ_total += dZ
         kernel_grads.append(dparams)
     wgrads, bgrads = kernels.extractor_backward(kernel.extractor, fit.cache, dZ_total)
@@ -190,23 +174,15 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
         for _k in range(cfg.episodes_per_epoch):
             it += 1
             episode = task_source(it)
-            inner = replace(
-                cfg.inner,
-                mc=replace(cfg.inner.mc, seed=derive_seed(cfg.seed, 1, it)),
-            )
+            inner_seed = derive_seed(cfg.seed, seeding.STREAM_INNER_MC, it)
+            inner = replace(cfg.inner, mc=replace(cfg.inner.mc, seed=inner_seed))
             fit = model.fit_episode(
-                kernel,
-                episode.support_x,
-                episode.support_y,
-                inner,
-                method=cfg.inner_method,
-                record_trace=False,
+                kernel, episode.support_x, episode.support_y, inner, cfg.inner_method
             )
             objective = inference.elbo(fit.state, episode.support_y, inner.mc)
+            pred_seed = derive_seed(cfg.seed, seeding.STREAM_TRAIN_PRED, it)
             pred = model.predict_labels(
-                fit,
-                episode.query_x,
-                replace(cfg.pred_mc, seed=derive_seed(cfg.seed, 2, it)),
+                fit, episode.query_x, replace(cfg.pred_mc, seed=pred_seed)
             )
             y_idx = np.argmax(episode.query_y, axis=1)
             query_ce = metrics.nll(pred.probs, y_idx)
@@ -238,6 +214,14 @@ class CompareOuterConfig:
     pred_samples: int = 512
     seed: int = 0
 
+    def __post_init__(self):
+        McConfig(samples=self.pred_samples)  # fail here, not mid-run
+        self.inner_config()
+
+    def inner_config(self) -> InnerConfig:
+        """Inner-loop settings of training and monitor fits (draw seed 0)."""
+        return InnerConfig(self.inner_rate, self.inner_steps, McConfig(self.mc_samples))
+
 
 def compare_outer(
     kernel: DeepKernel, task_source, monitor_source, cfg: CompareOuterConfig
@@ -253,31 +237,18 @@ def compare_outer(
     variant per iteration, including iteration 0 at the shared
     initialization.
     """
-    inner_tpl = InnerConfig(
-        rho=cfg.inner_rate,
-        steps=cfg.inner_steps,
-        mc=McConfig(samples=cfg.mc_samples, seed=0),
-    )
+    inner_tpl = cfg.inner_config()
 
     def monitor(kern: DeepKernel, method: str) -> tuple[float, float]:
         ces, accs = [], []
         for j in range(1, cfg.monitor_episodes + 1):
             ep = monitor_source(j)
-            inner = replace(
-                inner_tpl, mc=replace(inner_tpl.mc, seed=derive_seed(cfg.seed, 5, j))
-            )
-            fit = model.fit_episode(
-                kern,
-                ep.support_x,
-                ep.support_y,
-                inner,
-                method=method,
-                record_trace=False,
-            )
+            seed = derive_seed(cfg.seed, seeding.STREAM_MONITOR_INNER, j)
+            inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
+            fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
+            pred_seed = derive_seed(cfg.seed, seeding.STREAM_MONITOR_PRED, j)
             pred = model.predict_labels(
-                fit,
-                ep.query_x,
-                McConfig(samples=cfg.pred_samples, seed=derive_seed(cfg.seed, 6, j)),
+                fit, ep.query_x, McConfig(samples=cfg.pred_samples, seed=pred_seed)
             )
             y_idx = np.argmax(ep.query_y, axis=1)
             ces.append(metrics.nll(pred.probs, y_idx))
@@ -294,17 +265,9 @@ def compare_outer(
         rows.append({"method": method, "iter": 0, "query_ce": ce, "query_acc": acc})
         for it in range(1, cfg.iterations + 1):
             ep = task_source(it)
-            inner = replace(
-                inner_tpl, mc=replace(inner_tpl.mc, seed=derive_seed(cfg.seed, 1, it))
-            )
-            fit = model.fit_episode(
-                kern,
-                ep.support_x,
-                ep.support_y,
-                inner,
-                method=method,
-                record_trace=False,
-            )
+            seed = derive_seed(cfg.seed, seeding.STREAM_INNER_MC, it)
+            inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
+            fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
             grad = outer_grad(fit)
             flat, st = adam_step(flat, grad, st, lr)
             kern = unflatten_hypers(flat, kern)
@@ -325,12 +288,6 @@ class EvalResult:
     def accuracy_mean(self) -> float:
         return float(np.mean(self.accuracies))
 
-    @property
-    def accuracy_stderr(self) -> float:
-        if self.accuracies.size < 2:
-            return 0.0
-        return float(np.std(self.accuracies, ddof=1) / np.sqrt(self.accuracies.size))
-
 
 def evaluate(
     kernel: DeepKernel,
@@ -350,18 +307,13 @@ def evaluate(
 
     def eval_one(i: int):
         episode = task_source(i)
-        inner = replace(
-            inner_cfg, mc=replace(inner_cfg.mc, seed=derive_seed(seed, 3, i))
-        )
-        fit = model.fit_episode(
-            kernel,
-            episode.support_x,
-            episode.support_y,
-            inner,
-            record_trace=False,
-        )
+        inner_seed = derive_seed(seed, seeding.STREAM_EVAL_INNER, i)
+        inner = replace(inner_cfg, mc=replace(inner_cfg.mc, seed=inner_seed))
+        fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
         pred = model.predict_labels(
-            fit, episode.query_x, replace(pred_mc, seed=derive_seed(seed, 4, i))
+            fit,
+            episode.query_x,
+            replace(pred_mc, seed=derive_seed(seed, seeding.STREAM_EVAL_PRED, i)),
         )
         y_idx = np.argmax(episode.query_y, axis=1)
         return metrics.accuracy(pred.probs, y_idx), pred.probs, y_idx

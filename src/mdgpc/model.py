@@ -1,26 +1,31 @@
 """Episode-level model: fit the variational posterior, predict query labels.
 
 Fitting runs the inner loop on the support set of an episode with per-class
-Gram matrices from the deep kernel. Prediction uses the standard sparse-site
-form of the GP posterior at a query point x*:
+Gram matrices from the deep kernel, then reduces the posterior q^c =
+N(m^c, Sigma^c) to the two terms every consumer needs:
 
-    mu*^c   = k*' K^{-1} m^c
-    sig*^2c = k** - k*' K^{-1} k* + k*' K^{-1} Sigma^c K^{-1} k*
-            = k** - (W k*)' B^{-1} (W k*)
+    u^c    = K^{-1} m^c
+    core^c = K^{-1} - K^{-1} Sigma^c K^{-1}
 
-with W = sqrt(-2 beta), B = I + W K W, so zero sites give back the prior
-predictive exactly. Class label probabilities are Monte Carlo averages of
-the softmax over independent per-class predictive normals.
+Both are computed by the state itself (site form for mirror descent, dense
+form for gradient descent), so prediction does not depend on how q was
+reached. The GP posterior at a query point x* is then
+
+    mu*^c   = k*' u^c
+    sig*^2c = k** - k*' core^c k*
+
+and zero sites (core = 0) give back the prior predictive exactly. Class
+label probabilities are Monte Carlo averages of the softmax over
+independent per-class predictive normals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import inference, kernels
 from .errors import DimensionMismatch
-from .inference import GdState, InnerConfig, VariationalState
+from .inference import InnerConfig
 from .likelihood import McConfig, normal_draws
 
 __all__ = ["FittedEpisode", "PredictiveDist", "fit_episode", "predict_latent", "predict_labels"]
@@ -36,7 +41,7 @@ class FittedEpisode:
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
     support_y: np.ndarray
-    trace: list
+    terms: list  # per-class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,9 @@ def fit_episode(
     support_y: np.ndarray,
     cfg: InnerConfig,
     method: str = "MD",
-    record_trace: bool = True,
 ) -> FittedEpisode:
-    """Extract features, build per-class Grams, run the inner loop."""
+    """Extract features, build per-class Grams, run the inner loop and keep
+    the final posterior's per-class (u, core) terms."""
     support_y = np.asarray(support_y, dtype=float)
     if support_y.ndim != 2 or support_y.shape[1] != kernel.n_classes:
         raise DimensionMismatch(
@@ -69,18 +74,8 @@ def fit_episode(
         )
     Z, cache = kernels.extract(kernel.extractor, support_x)
     grams = [kernels.gram(base, Z) for base in kernel.base]
-    if record_trace:
-        state, trace = inference.run_inner(method, grams, support_y, cfg)
-    else:
-        trace = []
-        if method.upper() == "MD":
-            state = inference.md_init(grams)
-            for t in range(1, cfg.steps + 1):
-                state = inference.md_step(state, support_y, cfg, step_index=t)
-        else:
-            state = inference.gd_init(grams)
-            for t in range(1, cfg.steps + 1):
-                state = inference.gd_step(state, support_y, cfg, step_index=t)
+    for state in inference.inner_states(method, grams, support_y, cfg):
+        pass
     return FittedEpisode(
         kernel=kernel,
         state=state,
@@ -88,7 +83,7 @@ def fit_episode(
         features=Z,
         cache=cache,
         support_y=support_y,
-        trace=trace,
+        terms=state.kinv_terms(),
     )
 
 
@@ -98,28 +93,12 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     n_classes = fit.kernel.n_classes
     mu = np.empty((Zq.shape[0], n_classes))
     var = np.empty((Zq.shape[0], n_classes))
-    for c in range(n_classes):
+    for c, (u, core) in enumerate(fit.terms):
         base, g = fit.kernel.base[c], fit.grams[c]
         kx = kernels.cross_gram(base, Zq, fit.features, center=g.center)
         kdiag = kernels.gram_diag(base, Zq, center=g.center)
-        if isinstance(fit.state, VariationalState):
-            alpha = fit.state.sites.alpha[c]
-            beta = fit.state.sites.beta[c]
-            W, LB, K = inference.site_factor(g, beta)
-            # u = K^{-1} m = alpha - W B^{-1} W (K alpha)
-            u = alpha - W * scipy.linalg.cho_solve((LB, True), W * (K @ alpha))
-            mu[:, c] = kx @ u
-            R = kx * W[None, :]
-            S = scipy.linalg.cho_solve((LB, True), R.T)
-            var[:, c] = kdiag - np.sum(R.T * S, axis=0)
-        else:
-            mom = fit.state.moments[c]
-            Kchol = g.chol
-            A = scipy.linalg.cho_solve((Kchol, True), kx.T)  # K^{-1} k*
-            mu[:, c] = kx @ scipy.linalg.cho_solve((Kchol, True), mom.m)
-            var[:, c] = (
-                kdiag - np.sum(kx.T * A, axis=0) + np.sum(A * (mom.Sigma @ A), axis=0)
-            )
+        mu[:, c] = kx @ u
+        var[:, c] = kdiag - np.sum((kx @ core) * kx, axis=1)
     return mu, var
 
 

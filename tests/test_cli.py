@@ -289,6 +289,7 @@ class TestExitCodes:
             "eval.episodes=3",
         )
         assert rc == 1
+        assert not (tmp_path / "e").exists()
 
     def test_checkpoint_class_count_mismatch(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {"outer": {"epochs": 0}})
@@ -304,6 +305,23 @@ class TestExitCodes:
             "task.C=2",
         )
         assert rc == 1
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, override, rc",
+        [
+            ("train", "outer.epochs=-1", 1),
+            ("train", "kernel.net_dims=[3, 4]", 1),
+            ("compare-inner", "compare_inner.episodes=0", 1),
+            ("compare-outer", "compare_outer.seeds=0", 1),
+            ("compare-outer", "compare_outer.inner_rate=0", 2),
+        ],
+    )
+    def test_rejected_config_writes_nothing(self, tmp_path, cmd, override, rc):
+        cfg_path = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert run(cmd, cfg_path, out, "--set", override) == rc
+        assert not out.exists()
 
     def test_overlapping_splits(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {"gen_data": {"filename": "pool.csv"}})

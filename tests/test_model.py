@@ -57,12 +57,16 @@ class TestPriorPredictive:
 
 
 class TestConditioning:
-    def test_site_form_matches_dense_formula(self):
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_site_form_matches_dense_formula(self, method):
         # mu* = k*' K^{-1} m,  var* = k** - k*' K^{-1} k* + k*' K^{-1} S K^{-1} k*
+        # for either posterior representation, after steps have moved q
         kern = make_kernel()
         ep = make_episode(3)
-        cfg = InnerConfig(rho=0.7, steps=4, mc=McConfig(64, 5))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+        rho = 0.7 if method == "MD" else 0.05
+        cfg = InnerConfig(rho=rho, steps=4, mc=McConfig(64, 5))
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, method=method)
+        assert not np.allclose(fit.state.moments[0].m, 0.0)
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
         for c in range(5):
@@ -117,21 +121,15 @@ class TestLabelProbs:
 
 
 class TestFitOptions:
-    def test_record_trace_off_matches_states(self):
+    def test_fit_final_state_matches_run_inner(self):
         kern = make_kernel()
         ep = make_episode(30)
         cfg = InnerConfig(rho=0.6, steps=4, mc=McConfig(32, 3))
-        with_trace = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
-        without = model.fit_episode(
-            kern, ep.support_x, ep.support_y, cfg, record_trace=False
-        )
-        assert len(with_trace.trace) == 5 and without.trace == []
-        np.testing.assert_array_equal(
-            with_trace.state.sites.alpha, without.state.sites.alpha
-        )
-        np.testing.assert_array_equal(
-            with_trace.state.sites.beta, without.state.sites.beta
-        )
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+        state, elbos = inference.run_inner("MD", fit.grams, ep.support_y, cfg)
+        assert len(elbos) == 5
+        np.testing.assert_array_equal(fit.state.sites.alpha, state.sites.alpha)
+        np.testing.assert_array_equal(fit.state.sites.beta, state.sites.beta)
 
     def test_label_shape_mismatch_rejected(self):
         kern = make_kernel()
