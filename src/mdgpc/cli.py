@@ -15,13 +15,15 @@ therefore produce byte-identical outputs. Subcommands:
                    inner loops, monitored by query cross-entropy
     verify         numerical identity checks with measured deviations
 
-Exit status: 0 success, 1 configuration or I/O error, 2 numerical failure,
-3 verification failure.
+Exit status: 0 success, 1 invalid input (:class:`~mdgpc.errors.InputError`),
+2 numerical failure (:class:`~mdgpc.errors.NumericalError`), 3 verification
+failure.
 """
 
 import argparse
 import copy
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expfam, inference, kernels, likelihood, meta, metrics, seeding, tasks
-from .errors import ConfigError, MdgpcError, OverlappingSplits, ParseError
+from .errors import InputError, NumericalError
 from .expfam import GaussianMoments
 from .inference import InnerConfig
 from .likelihood import GaussianSiteLikelihood, McConfig
@@ -101,53 +103,61 @@ _NULLABLE = {
 }
 
 
+def _finite_number(x) -> bool:
+    """True for an int or a finite float; JSON's NaN and Infinity are not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
+
+
 def _coerce_leaf(path: str, default, value):
     if value is None:
         if path in _NULLABLE:
             return None
-        raise ConfigError(f"config key '{path}' may not be null")
+        raise InputError(f"config key '{path}' may not be null")
     if path == "task.domain_shift":
         if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"'{path}' must be a {_NULLABLE[path]}")
+            raise InputError(f"'{path}' must be a {_NULLABLE[path]}")
+        if not all(map(_finite_number, value)):
+            raise InputError(f"'{path}' entries must be finite numbers")
         return [float(value[0]), float(value[1])]
     if path == "data.path":
         if not isinstance(value, str):
-            raise ConfigError(f"'{path}' must be a {_NULLABLE[path]}")
+            raise InputError(f"'{path}' must be a {_NULLABLE[path]}")
         return value
     if isinstance(default, bool) or isinstance(value, bool):
-        raise ConfigError(f"config key '{path}' has no boolean form")
+        raise InputError(f"config key '{path}' has no boolean form")
     if isinstance(default, float):
         if not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{path}' expects a number")
+            raise InputError(f"config key '{path}' expects a number")
+        if not _finite_number(value):
+            raise InputError(f"config key '{path}' must be finite, got {value}")
         return float(value)
     if isinstance(default, int):
         if not isinstance(value, int):
-            raise ConfigError(f"config key '{path}' expects an integer")
+            raise InputError(f"config key '{path}' expects an integer")
         return int(value)
     if isinstance(default, str):
         if not isinstance(value, str):
-            raise ConfigError(f"config key '{path}' expects a string")
+            raise InputError(f"config key '{path}' expects a string")
         return value
     if isinstance(default, list):
         if not isinstance(value, list):
-            raise ConfigError(f"config key '{path}' expects a list")
-        out = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"config key '{path}' expects numeric entries")
-            out.append(int(item) if isinstance(item, int) else float(item))
-        return out
-    raise ConfigError(f"config key '{path}' has unsupported type")
+            raise InputError(f"config key '{path}' expects a list")
+        if not all(map(_finite_number, value)):
+            raise InputError(f"config key '{path}' expects finite numeric entries")
+        return [item if isinstance(item, int) else float(item) for item in value]
+    raise InputError(f"config key '{path}' has unsupported type")
 
 
 def _merge_into(dst: dict, src, prefix: str = "") -> None:
     if not isinstance(src, dict):
         where = prefix[:-1] if prefix else "top level"
-        raise ConfigError(f"config section '{where}' must be an object")
+        raise InputError(f"config section '{where}' must be an object")
     for key, value in src.items():
         path = prefix + str(key)
         if key not in dst:
-            raise ConfigError(f"unknown config key '{path}'")
+            raise InputError(f"unknown config key '{path}'")
         if isinstance(dst[key], dict):
             _merge_into(dst[key], value, path + ".")
         else:
@@ -160,11 +170,11 @@ def load_config(path) -> dict:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            raise InputError(f"cannot read config file {path}: {exc}") from exc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
         _merge_into(cfg, doc)
     return cfg
 
@@ -174,11 +184,11 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     bare-string fallback."""
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
+            raise InputError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
         if not key:
-            raise ConfigError(f"override {item!r} has an empty key")
+            raise InputError(f"override {item!r} has an empty key")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -214,7 +224,7 @@ def _prepare_output(cfg: dict) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
+        raise InputError(f"cannot create output dir {out}: {exc}") from exc
     _write_json(out / "resolved_config.json", cfg)
     return out
 
@@ -222,22 +232,15 @@ def _prepare_output(cfg: dict) -> Path:
 def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
     kc = cfg["kernel"]
     sc = kc["init_scales"]
-    if kc["kind"] not in kernels.KERNEL_KINDS:
-        raise ConfigError(
-            f"kernel.kind must be one of {sorted(kernels.KERNEL_KINDS)}, "
-            f"got {kc['kind']!r}"
-        )
-    dims = [int(d) for d in kc["net_dims"]]
-    if len(dims) < 2:
-        raise ConfigError("kernel.net_dims needs at least input and output sizes")
-    if dims[0] != cfg["task"]["D"]:
-        raise ConfigError(
-            f"kernel.net_dims[0] = {dims[0]} must equal task.D = {cfg['task']['D']}"
-        )
     for name in ("weight_std", "length_scale", "output_scale", "offset"):
         if sc[name] <= 0:
-            raise ConfigError(f"kernel.init_scales.{name} must be positive")
+            raise InputError(f"kernel.init_scales.{name} must be positive")
+    dims = [int(d) for d in kc["net_dims"]]
     fe = kernels.init_extractor(dims, seed=extractor_seed, weight_std=sc["weight_std"])
+    if dims[0] != cfg["task"]["D"]:
+        raise InputError(
+            f"kernel.net_dims[0] = {dims[0]} must equal task.D = {cfg['task']['D']}"
+        )
     base = [
         kernels.BaseKernelConfig(
             kc["kind"],
@@ -255,20 +258,6 @@ def _episode_sources(cfg: dict, split: str):
     make(stream, seed): an episode factory keyed by index, synthetic unless
     data.path is set."""
     t = cfg["task"]
-    if cfg["data"]["path"] is not None:
-        ds = tasks.load_csv_dataset(cfg["data"]["path"])
-        splits = cfg["data"]["splits"]
-        tasks.check_disjoint_splits(splits["train"], splits["test"])
-        pool = [int(c) for c in splits[split]]
-        if not pool:
-            raise ConfigError(f"data.splits.{split} is empty")
-        if ds.X.shape[1] != t["D"]:
-            raise ConfigError(
-                f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}"
-            )
-        return lambda stream, seed: lambda i: tasks.sample_episode_from_dataset(
-            ds, pool, t["C"], t["L"], t["M"], seed=derive_seed(seed, stream, i)
-        )
     shift = t["domain_shift"]
     gen_cfg = tasks.TaskGenConfig(
         n_classes=t["C"],
@@ -280,6 +269,20 @@ def _episode_sources(cfg: dict, split: str):
         domain_shift=None if shift is None else (shift[0], shift[1]),
         seed=cfg["seed"],
     )
+    if cfg["data"]["path"] is not None:
+        ds = tasks.load_csv_dataset(cfg["data"]["path"])
+        splits = cfg["data"]["splits"]
+        tasks.check_disjoint_splits(splits["train"], splits["test"])
+        pool = [int(c) for c in splits[split]]
+        if not pool:
+            raise InputError(f"data.splits.{split} is empty")
+        if ds.X.shape[1] != t["D"]:
+            raise InputError(
+                f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}"
+            )
+        return lambda stream, seed: lambda i: tasks.sample_episode_from_dataset(
+            ds, pool, t["C"], t["L"], t["M"], seed=derive_seed(seed, stream, i)
+        )
     return lambda stream, seed: lambda i: tasks.gen_episode(
         gen_cfg, seed=derive_seed(seed, stream, i)
     )
@@ -303,28 +306,52 @@ def _checkpoint_dict(kernel: kernels.DeepKernel, cfg: dict) -> dict:
     }
 
 
-def _kernel_from_checkpoint(doc: dict) -> kernels.DeepKernel:
-    version = doc.get("format_version")
+def _checkpoint_arrays(doc: dict, key: str, sizes: list) -> list:
+    """doc[key] as one float array per entry of sizes, or an InputError
+    naming the key."""
+    items = doc.get(key)
+    if not (
+        isinstance(items, list)
+        and len(items) == len(sizes)
+        and all(isinstance(v, list) and len(v) == n for v, n in zip(items, sizes))
+        and all(_finite_number(x) for v in items for x in v)
+    ):
+        raise InputError(f"checkpoint key '{key}' must hold lists of {sizes} finite numbers")
+    return [np.asarray(v, dtype=float) for v in items]
+
+
+def _kernel_from_checkpoint(doc) -> kernels.DeepKernel:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
+        raise InputError(
             f"checkpoint format_version {version!r} unsupported, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    dims = [int(d) for d in doc["layer_dims"]]
-    weights = [
-        np.asarray(flat, dtype=float).reshape(dims[i], dims[i + 1])
-        for i, flat in enumerate(doc["weights"])
-    ]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+    dims = doc.get("layer_dims")
+    if not isinstance(dims, list) or len(dims) < 2 or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise InputError("checkpoint key 'layer_dims' must list >= 2 positive integers")
+    shapes = list(zip(dims[:-1], dims[1:]))
+    flat = _checkpoint_arrays(doc, "weights", [a * b for a, b in shapes])
+    weights = [w.reshape(shape) for w, shape in zip(flat, shapes)]
+    biases = _checkpoint_arrays(doc, "biases", [b for _, b in shapes])
     fe = kernels.FeatureExtractor(layer_dims=dims, weights=weights, biases=biases)
-    base = [
-        kernels.BaseKernelConfig(
-            entry["kind"], **{k: float(v) for k, v in entry["raws"].items()}
-        )
-        for entry in doc["kernels"]
-    ]
-    if not base:
-        raise ConfigError("checkpoint lists no per-class kernels")
+    entries = doc.get("kernels")
+    if not isinstance(entries, list) or not entries:
+        raise InputError("checkpoint key 'kernels' must be a non-empty list")
+    base = []
+    for i, entry in enumerate(entries):
+        entry = entry if isinstance(entry, dict) else {}
+        b = kernels.BaseKernelConfig(entry.get("kind"))
+        raws = entry.get("raws")
+        if not (
+            isinstance(raws, dict)
+            and sorted(raws) == sorted(b.raw_names())
+            and all(map(_finite_number, raws.values()))
+        ):
+            raise InputError(f"checkpoint key 'kernels' entry {i} needs raws {b.raw_names()}")
+        base.append(replace(b, **{k: float(v) for k, v in raws.items()}))
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
@@ -332,16 +359,18 @@ def _load_checkpoint(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
 
 
 def cmd_gen_data(cfg: dict) -> int:
     g = cfg["gen_data"]
     t = cfg["task"]
+    if g["filename"] in ("", "..") or Path(g["filename"]).name != g["filename"]:
+        raise InputError(f"gen_data.filename {g['filename']!r} must be a plain file name")
     X, labels = tasks.gen_dataset(
         g["classes"],
         g["rows_per_class"],
@@ -361,7 +390,7 @@ def cmd_train(cfg: dict) -> int:
     o = cfg["outer"]
     inn = cfg["inner"]
     if o["epochs"] < 0:
-        raise ConfigError("outer.epochs must be >= 0")
+        raise InputError("outer.epochs must be >= 0")
     kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
     source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
@@ -399,16 +428,23 @@ def cmd_train(cfg: dict) -> int:
 def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
     kern = _kernel_from_checkpoint(_load_checkpoint(checkpoint_path))
     if kern.n_classes != cfg["task"]["C"]:
-        raise ConfigError(
+        raise InputError(
             f"checkpoint holds {kern.n_classes} per-class kernels "
             f"but task.C = {cfg['task']['C']}"
+        )
+    if kern.extractor.layer_dims[0] != cfg["task"]["D"]:
+        raise InputError(
+            f"checkpoint network takes {kern.extractor.layer_dims[0]} inputs "
+            f"but task.D = {cfg['task']['D']}"
         )
     ev = cfg["eval"]
     einn = cfg["eval_inner"]
     if ev["episodes"] < 1:
-        raise ConfigError("eval.episodes must be >= 1")
+        raise InputError("eval.episodes must be >= 1")
+    if ev["bins"] < 1:
+        raise InputError("eval.bins must be >= 1")
     if ev["batches"] < 1 or ev["episodes"] % ev["batches"] != 0:
-        raise ConfigError(
+        raise InputError(
             f"eval.batches = {ev['batches']} must divide eval.episodes = "
             f"{ev['episodes']}"
         )
@@ -463,7 +499,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
     if ci["episodes"] < 1:
-        raise ConfigError("compare_inner.episodes must be >= 1")
+        raise InputError("compare_inner.episodes must be >= 1")
     source = _episode_sources(cfg, "train")(seeding.STREAM_COMPARE_EP, cfg["seed"])
     kerns = [
         _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
@@ -499,7 +535,7 @@ def cmd_compare_inner(cfg: dict) -> int:
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
     if co["seeds"] < 1:
-        raise ConfigError("compare_outer.seeds must be >= 1")
+        raise InputError("compare_outer.seeds must be >= 1")
     train_sources = _episode_sources(cfg, "train")
     monitor_sources = _episode_sources(cfg, "test")
     runs = []
@@ -713,6 +749,10 @@ def _check_ngd(cfg: dict) -> tuple:
 def cmd_verify(cfg: dict) -> int:
     seed = cfg["seed"]
     fd_step = cfg["verify"]["fd_step"]
+    if fd_step <= 0:
+        raise InputError("verify.fd_step must be positive")
+    if cfg["verify"]["gh_nodes"] < 1 or cfg["verify"]["instances"] < 1:
+        raise InputError("verify.gh_nodes and verify.instances must be >= 1")
     ngd_dev, rho_dev = _check_ngd(cfg)
     checks = [
         ("expfam_roundtrip", _check_roundtrip(seed), 1e-8),
@@ -783,23 +823,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.set)
+        if cfg["seed"] < 0:
+            raise InputError("seed must be >= 0")
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":
             if args.parallel_episodes < 1:
-                raise ConfigError("--parallel-episodes must be >= 1")
+                raise InputError("--parallel-episodes must be >= 1")
             return cmd_eval(cfg, args.checkpoint, args.parallel_episodes)
         if args.command == "compare-inner":
             return cmd_compare_inner(cfg)
         if args.command == "compare-outer":
             return cmd_compare_outer(cfg)
         return cmd_verify(cfg)
-    except (ConfigError, ParseError, OverlappingSplits) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MdgpcError as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

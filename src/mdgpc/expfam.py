@@ -35,7 +35,7 @@ natural-gradient descent on natural parameters.
 
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
-:class:`~mdgpc.errors.NotPositiveDefinite`.
+:class:`~mdgpc.errors.NumericalError`.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import InputError, NumericalError
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
@@ -60,12 +60,13 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
 
     Raises
     ------
-    NotPositiveDefinite
-        If no jitter in the ladder yields a successful factorization.
+    NumericalError
+        If ``a`` has a non-finite entry, or no jitter in the ladder yields a
+        successful factorization.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
+        raise InputError(f"expected square matrix, got shape {a.shape}")
     jitter = 0.0
     while True:
         try:
@@ -74,11 +75,12 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
         except scipy.linalg.LinAlgError:
             jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
             if jitter > JITTER_MAX:
-                raise NotPositiveDefinite(
+                raise NumericalError(
                     f"matrix of shape {a.shape} not positive definite "
-                    f"(jitter ladder exhausted at {JITTER_MAX:g})",
-                    jitter_tried=JITTER_MAX,
+                    f"(jitter ladder exhausted at {JITTER_MAX:g})"
                 ) from None
+        except ValueError:  # scipy's finite check; must follow its LinAlgError subclass
+            raise NumericalError(f"matrix of shape {a.shape} has non-finite entries") from None
 
 
 def chol_logdet(chol_lower: np.ndarray) -> float:
@@ -94,10 +96,10 @@ def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+        raise InputError(f"{name} must be square, got shape {a.shape}")
     dev = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if dev > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise DimensionMismatch(f"{name} not symmetric (max asymmetry {dev:.3e})")
+        raise InputError(f"{name} not symmetric (max asymmetry {dev:.3e})")
     return 0.5 * (a + a.T)
 
 
@@ -112,9 +114,7 @@ class GaussianMoments:
         m = np.asarray(self.m, dtype=float).reshape(-1)
         Sigma = _check_symmetric(self.Sigma, "Sigma")
         if Sigma.shape[0] != m.shape[0]:
-            raise DimensionMismatch(
-                f"m has length {m.shape[0]} but Sigma is {Sigma.shape}"
-            )
+            raise InputError(f"m has length {m.shape[0]} but Sigma is {Sigma.shape}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "Sigma", Sigma)
 
@@ -134,7 +134,7 @@ class GaussianNatural:
         theta1 = np.asarray(self.theta1, dtype=float).reshape(-1)
         Theta2 = _check_symmetric(self.Theta2, "Theta2")
         if Theta2.shape[0] != theta1.shape[0]:
-            raise DimensionMismatch(
+            raise InputError(
                 f"theta1 has length {theta1.shape[0]} but Theta2 is {Theta2.shape}"
             )
         object.__setattr__(self, "theta1", theta1)
@@ -156,9 +156,7 @@ class FullMeanParams:
         mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
         Mu2 = _check_symmetric(self.Mu2, "Mu2")
         if Mu2.shape[0] != mu1.shape[0]:
-            raise DimensionMismatch(
-                f"mu1 has length {mu1.shape[0]} but Mu2 is {Mu2.shape}"
-            )
+            raise InputError(f"mu1 has length {mu1.shape[0]} but Mu2 is {Mu2.shape}")
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "Mu2", Mu2)
 
@@ -182,9 +180,7 @@ class PointMeanParams:
         mu1 = np.asarray(self.mu1, dtype=float)
         mu2 = np.asarray(self.mu2, dtype=float)
         if mu1.shape != mu2.shape:
-            raise DimensionMismatch(
-                f"mu1 shape {mu1.shape} != mu2 shape {mu2.shape}"
-            )
+            raise InputError(f"mu1 shape {mu1.shape} != mu2 shape {mu2.shape}")
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
 
@@ -265,7 +261,7 @@ def bregman_h(mu: FullMeanParams, mu_prime: FullMeanParams) -> float:
 def gaussian_kl(q: GaussianMoments, p: GaussianMoments) -> float:
     """KL( N(m_q, S_q) || N(m_p, S_p) ) via Cholesky factors of S_p, S_q."""
     if q.dim != p.dim:
-        raise DimensionMismatch(f"dimension mismatch {q.dim} vs {p.dim}")
+        raise InputError(f"dimension mismatch {q.dim} vs {p.dim}")
     n = q.dim
     Lp, _ = spd_cholesky(p.Sigma)
     Lq, _ = spd_cholesky(q.Sigma)
@@ -310,7 +306,7 @@ def coords_to_natural(t: np.ndarray, n: int) -> GaussianNatural:
     """Inverse of :func:`natural_to_coords` for dimension n."""
     t = np.asarray(t, dtype=float)
     if t.shape[0] != sym_coord_count(n):
-        raise DimensionMismatch(
+        raise InputError(
             f"expected {sym_coord_count(n)} coordinates for n={n}, got {t.shape[0]}"
         )
     theta1 = t[:n]

@@ -35,13 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import expfam, likelihood
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    IllConditionedFisher,
-    NotOneHot,
-    NotPositiveDefinite,
-)
+from .errors import InputError, NumericalError
 from .expfam import GaussianMoments, chol_solve, spd_cholesky
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
@@ -77,11 +71,9 @@ class SiteParams:
         alpha = np.asarray(self.alpha, dtype=float)
         beta = np.asarray(self.beta, dtype=float)
         if alpha.shape != beta.shape or alpha.ndim != 2:
-            raise DimensionMismatch(
-                f"alpha shape {alpha.shape}, beta shape {beta.shape}"
-            )
+            raise InputError(f"alpha shape {alpha.shape}, beta shape {beta.shape}")
         if np.any(beta > 0.0):
-            raise DegenerateInput("site beta must be <= 0")
+            raise InputError("site beta must be <= 0")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -150,19 +142,17 @@ class InnerConfig:
 
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
-            raise DegenerateInput(f"rho must be in (0, 1], got {self.rho}")
+            raise InputError(f"rho must be in (0, 1], got {self.rho}")
         if self.steps < 0:
-            raise DegenerateInput(f"steps must be >= 0, got {self.steps}")
+            raise InputError(f"steps must be >= 0, got {self.steps}")
 
 
 def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (n_points, n_classes):
-        raise DimensionMismatch(
-            f"labels shape {Y.shape}, expected {(n_points, n_classes)}"
-        )
+        raise InputError(f"labels shape {Y.shape}, expected {(n_points, n_classes)}")
     if not np.all((Y == 0.0) | (Y == 1.0)) or not np.all(Y.sum(axis=1) == 1.0):
-        raise NotOneHot("label rows must be one-hot")
+        raise InputError("label rows must be one-hot")
     return Y
 
 
@@ -201,14 +191,14 @@ def marginal_mats(moments: list):
     m_mat = np.stack([mom.m for mom in moments], axis=1)
     v_mat = np.stack([np.diag(mom.Sigma) for mom in moments], axis=1)
     if np.any(v_mat <= 0.0):
-        raise DegenerateInput("non-positive marginal variance in state")
+        raise NumericalError("non-positive marginal variance in state")
     return m_mat, v_mat
 
 
 def md_init(prior_grams: list) -> VariationalState:
     """Zero sites; the posterior starts at the prior."""
     if not prior_grams:
-        raise DegenerateInput("need at least one class")
+        raise InputError("need at least one class")
     n = prior_grams[0].K.shape[0]
     c = len(prior_grams)
     sites = SiteParams(alpha=np.zeros((c, n)), beta=np.zeros((c, n)))
@@ -336,7 +326,7 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     """
     method = method.upper()
     if method not in ("MD", "GD"):
-        raise DegenerateInput(f"unknown inner method {method!r}")
+        raise InputError(f"unknown inner method {method!r}")
     state = md_init(prior_grams) if method == "MD" else gd_init(prior_grams)
     step_fn = md_step if method == "MD" else gd_step
     yield state
@@ -420,7 +410,7 @@ def ngd_verify(
     Y = _validate_labels(Y, n, c)
     if lik is None:
         if c != 2:
-            raise DegenerateInput("default node set covers the binary case only")
+            raise InputError("default node set covers the binary case only")
         eps, w = likelihood.gauss_hermite_draws(gh_nodes, c)
         lik = SoftmaxLikelihood(eps, w)
 
@@ -469,13 +459,13 @@ def ngd_verify(
         fisher = 0.5 * (fisher + fisher.T)
         try:
             Lf, _ = spd_cholesky(fisher)
-        except NotPositiveDefinite as exc:
-            raise IllConditionedFisher(
+        except NumericalError as exc:
+            raise NumericalError(
                 f"finite-difference Fisher for class {i} not factorizable"
             ) from exc
         cond = (np.max(np.diag(Lf)) / max(np.min(np.diag(Lf)), 1e-300)) ** 2
         if not math.isfinite(cond) or cond > 1e14:
-            raise IllConditionedFisher(
+            raise NumericalError(
                 f"finite-difference Fisher for class {i} too ill-conditioned"
             )
         ngd_dir[block] = chol_solve(Lf, grad_theta[block])

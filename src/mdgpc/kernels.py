@@ -22,13 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyInput,
-    ShapeMismatch,
-    StaleCache,
-)
+from .errors import InputError, NumericalError
 from .expfam import spd_cholesky
 
 KERNEL_KINDS = ("COS", "RBF", "POL1", "POL2")
@@ -44,7 +38,7 @@ def softplus_inv(y):
     # inverse of log(1 + e^x); y must be positive
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
-        raise DegenerateInput("softplus_inv requires positive input")
+        raise InputError("softplus_inv requires positive input")
     return y + np.log(-np.expm1(-y))
 
 
@@ -70,14 +64,13 @@ class FeatureExtractor:
     biases: list
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise DimensionMismatch("need at least input and output dims")
+        _check_layer_dims(self.layer_dims)
         if len(self.weights) != self.n_layers or len(self.biases) != self.n_layers:
-            raise ShapeMismatch("weights/biases do not match layer_dims")
+            raise InputError("weights/biases do not match layer_dims")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             want = (self.layer_dims[l], self.layer_dims[l + 1])
             if w.shape != want or b.shape != (want[1],):
-                raise ShapeMismatch(
+                raise InputError(
                     f"layer {l}: weight shape {w.shape}, bias shape {b.shape}, "
                     f"expected {want}"
                 )
@@ -87,8 +80,14 @@ class FeatureExtractor:
         return len(self.layer_dims) - 1
 
 
+def _check_layer_dims(layer_dims) -> None:
+    if len(layer_dims) < 2 or min(layer_dims) < 1:
+        raise InputError(f"layer dims {list(layer_dims)} need input and output sizes >= 1")
+
+
 def init_extractor(layer_dims, seed: int, weight_std: float = 1.0) -> FeatureExtractor:
     """He-style initialization scaled by weight_std; zero biases."""
+    _check_layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -111,11 +110,11 @@ def extract(fe: FeatureExtractor, X: np.ndarray):
     """Run the network on rows of X; returns (Z, cache)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatch(f"X must be (N, D), got shape {X.shape}")
+        raise InputError(f"X must be (N, D), got shape {X.shape}")
     if X.shape[0] == 0:
-        raise EmptyInput("no rows to extract features from")
+        raise InputError("no rows to extract features from")
     if X.shape[1] != fe.layer_dims[0]:
-        raise ShapeMismatch(
+        raise InputError(
             f"input dim {X.shape[1]} != network input dim {fe.layer_dims[0]}"
         )
     acts, pres = [X], []
@@ -131,13 +130,13 @@ def extract(fe: FeatureExtractor, X: np.ndarray):
 def extractor_backward(fe: FeatureExtractor, cache: ForwardCache, dZ: np.ndarray):
     """Backpropagate dZ = dL/dZ; returns (weight_grads, bias_grads)."""
     if cache.layer_dims != fe.layer_dims:
-        raise StaleCache(
+        raise InputError(
             f"cache built for dims {cache.layer_dims}, network has {fe.layer_dims}"
         )
     dZ = np.asarray(dZ, dtype=float)
     want = (cache.acts[0].shape[0], fe.layer_dims[-1])
     if dZ.shape != want:
-        raise ShapeMismatch(f"dZ shape {dZ.shape}, expected {want}")
+        raise InputError(f"dZ shape {dZ.shape}, expected {want}")
     wgrads = [None] * fe.n_layers
     bgrads = [None] * fe.n_layers
     gz = dZ  # gradient w.r.t. pre-activation of the output layer
@@ -168,7 +167,7 @@ class BaseKernelConfig:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise DegenerateInput(
+            raise InputError(
                 f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}"
             )
 
@@ -228,7 +227,7 @@ class GramResult:
 def _cos_normalize(Zc: np.ndarray):
     norms = np.sqrt(np.sum(Zc * Zc, axis=1))
     if np.any(norms < _NORM_FLOOR):
-        raise DegenerateInput("zero-norm feature row after centering (COS kernel)")
+        raise NumericalError("zero-norm feature row after centering (COS kernel)")
     return Zc / norms[:, None], norms
 
 
@@ -245,9 +244,9 @@ def gram(base: BaseKernelConfig, Z: np.ndarray) -> GramResult:
     """Gram matrix of the base kernel on feature rows Z, plus its factor."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
-        raise DimensionMismatch(f"Z must be (N, d), got shape {Z.shape}")
+        raise InputError(f"Z must be (N, d), got shape {Z.shape}")
     if Z.shape[0] == 0:
-        raise EmptyInput("empty feature batch")
+        raise InputError("empty feature batch")
     s = base.output_scale
     center = None
     if base.kind == "COS":
@@ -274,7 +273,7 @@ def gram_backward(base: BaseKernelConfig, res: GramResult, dK: np.ndarray):
     Z = res.cached_features
     dK = np.asarray(dK, dtype=float)
     if dK.shape != res.K.shape:
-        raise ShapeMismatch(f"dK shape {dK.shape} != K shape {res.K.shape}")
+        raise InputError(f"dK shape {dK.shape} != K shape {res.K.shape}")
     G = 0.5 * (dK + dK.T)
     s = base.output_scale
     grads = {}
@@ -323,7 +322,7 @@ def cross_gram(
     s = base.output_scale
     if base.kind == "COS":
         if center is None:
-            raise DegenerateInput("COS cross_gram needs the support centering mean")
+            raise InputError("COS cross_gram needs the support centering mean")
         Uq, _ = _cos_normalize(Zq - center)
         Us, _ = _cos_normalize(Zs - center)
         return s * (Uq @ Us.T)
@@ -339,7 +338,7 @@ def gram_diag(base: BaseKernelConfig, Zq: np.ndarray, center=None) -> np.ndarray
     s = base.output_scale
     if base.kind == "COS":
         if center is None:
-            raise DegenerateInput("COS gram_diag needs the support centering mean")
+            raise InputError("COS gram_diag needs the support centering mean")
         _cos_normalize(Zq - center)  # raises on degenerate rows
         return np.full(Zq.shape[0], s)
     if base.kind == "RBF":

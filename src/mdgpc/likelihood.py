@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NotOneHot
+from .errors import InputError
 
 __all__ = [
     "McConfig",
@@ -55,16 +55,16 @@ class McConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise DegenerateInput(f"samples must be >= 1, got {self.samples}")
+            raise InputError(f"samples must be >= 1, got {self.samples}")
 
 
 def check_one_hot(y: np.ndarray) -> np.ndarray:
     """Validate a one-hot label vector (entries in {0,1}, exactly one 1)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        raise NotOneHot(f"label must be a vector, got shape {y.shape}")
+        raise InputError(f"label must be a vector, got shape {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)) or int(np.sum(y)) != 1:
-        raise NotOneHot(f"not a one-hot vector: {y!r}")
+        raise InputError(f"not a one-hot vector: {y!r}")
     return y
 
 
@@ -79,7 +79,7 @@ def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
     y = check_one_hot(y)
     f = np.asarray(f, dtype=float)
     if f.shape != y.shape:
-        raise DimensionMismatch(f"f shape {f.shape} != y shape {y.shape}")
+        raise InputError(f"f shape {f.shape} != y shape {y.shape}")
     return float(np.sum(y * _log_softmax(f)))
 
 
@@ -110,16 +110,16 @@ def _prepare_batch(m, v, eps):
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
-        raise DimensionMismatch(
+        raise InputError(
             f"marginals must be (N, C) arrays, got {m.shape} and {v.shape}"
         )
     if np.any(v < 0.0):
-        raise DegenerateInput("negative marginal variance")
+        raise InputError("negative marginal variance")
     eps = np.asarray(eps, dtype=float)
     if eps.ndim == 2:  # shared node set (S, C) broadcast over points
         eps = eps[:, None, :]
     if eps.ndim != 3 or eps.shape[2] != m.shape[1]:
-        raise DimensionMismatch(f"draws shape {eps.shape} incompatible with {m.shape}")
+        raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
     return m, v, eps
 
 
@@ -229,9 +229,9 @@ class GaussianSiteLikelihood:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape != b.shape or a.ndim != 2:
-            raise DimensionMismatch("a, b must both be (N, C)")
+            raise InputError("a, b must both be (N, C)")
         if np.any(b > 0.0):
-            raise DegenerateInput("quadratic site coefficients must be <= 0")
+            raise InputError("quadratic site coefficients must be <= 0")
         self.a = a
         self.b = b
 

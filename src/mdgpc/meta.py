@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import inference, kernels, metrics, model, seeding
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import InputError
 from .inference import InnerConfig
 from .kernels import BaseKernelConfig, DeepKernel, FeatureExtractor
 from .likelihood import McConfig
@@ -65,7 +65,7 @@ def unflatten_hypers(flat: np.ndarray, template: DeepKernel) -> DeepKernel:
     flat = np.asarray(flat, dtype=float)
     expected = flatten_hypers(template).shape[0]
     if flat.shape[0] != expected:
-        raise ShapeMismatch(f"flat vector has {flat.shape[0]} entries, expected {expected}")
+        raise InputError(f"flat vector has {flat.shape[0]} entries, expected {expected}")
     pos = 0
     weights, biases = [], []
     fe = template.extractor
@@ -140,7 +140,7 @@ def adam_step(
 ) -> tuple[np.ndarray, AdamState]:
     """One maximizing Adam update with per-coordinate learning rates."""
     if flat.shape != grad.shape or flat.shape != st.m.shape:
-        raise DimensionMismatch("adam operands disagree in shape")
+        raise InputError("adam operands disagree in shape")
     t = st.t + 1
     m = ADAM_BETA1 * st.m + (1.0 - ADAM_BETA1) * grad
     v = ADAM_BETA2 * st.v + (1.0 - ADAM_BETA2) * grad * grad
@@ -215,6 +215,11 @@ class CompareOuterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.iterations < 0 or self.monitor_episodes < 1:
+            raise InputError(
+                f"need iterations >= 0 and monitor_episodes >= 1, "
+                f"got {self.iterations} and {self.monitor_episodes}"
+            )
         McConfig(samples=self.pred_samples)  # fail here, not mid-run
         self.inner_config()
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, EmptyInput
+from .errors import InputError
 
 __all__ = ["CalibrationTable", "accuracy", "nll", "reliability_table", "ece", "mce"]
 
@@ -23,17 +23,17 @@ def _validate(probs: np.ndarray, y_true: np.ndarray):
     probs = np.asarray(probs, dtype=float)
     y_true = np.asarray(y_true, dtype=int)
     if probs.ndim != 2:
-        raise DimensionMismatch(f"probs must be (M, C), got shape {probs.shape}")
+        raise InputError(f"probs must be (M, C), got shape {probs.shape}")
     if probs.shape[0] == 0:
-        raise EmptyInput("no predictions")
+        raise InputError("no predictions")
     if y_true.shape != (probs.shape[0],):
-        raise DimensionMismatch(
+        raise InputError(
             f"y_true shape {y_true.shape} does not match {probs.shape[0]} predictions"
         )
     if np.any(y_true < 0) or np.any(y_true >= probs.shape[1]):
-        raise DegenerateInput("true label outside [0, C)")
+        raise InputError("true label outside [0, C)")
     if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-        raise DegenerateInput("probability rows must be nonnegative and sum to 1")
+        raise InputError("probability rows must be nonnegative and sum to 1")
     return probs, y_true
 
 
@@ -71,7 +71,7 @@ class CalibrationTable:
 def reliability_table(probs: np.ndarray, y_true: np.ndarray, bins: int = 15) -> CalibrationTable:
     probs, y_true = _validate(probs, y_true)
     if bins < 1:
-        raise DegenerateInput(f"bins must be >= 1, got {bins}")
+        raise InputError(f"bins must be >= 1, got {bins}")
     conf = probs.max(axis=1)
     correct = (np.argmax(probs, axis=1) == y_true).astype(float)
     edges = np.arange(1, bins + 1) / bins

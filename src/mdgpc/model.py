@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference, kernels
-from .errors import DimensionMismatch
+from .errors import InputError
 from .inference import InnerConfig
 from .likelihood import McConfig, normal_draws
 
@@ -68,7 +68,7 @@ def fit_episode(
     the final posterior's per-class (u, core) terms."""
     support_y = np.asarray(support_y, dtype=float)
     if support_y.ndim != 2 or support_y.shape[1] != kernel.n_classes:
-        raise DimensionMismatch(
+        raise InputError(
             f"support labels shape {support_y.shape} does not match "
             f"{kernel.n_classes} kernel classes"
         )

@@ -11,19 +11,15 @@ a class subset without replacement and relabeled 0..C-1 in sampled order.
 """
 
 import csv
+import io
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    EmptyInput,
-    InsufficientClasses,
-    InsufficientRows,
-    OverlappingSplits,
-    ParseError,
-)
+from .errors import InputError
 from .seeding import rng_for
 
 __all__ = [
@@ -60,17 +56,17 @@ class TaskGenConfig:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise InsufficientClasses(f"need >= 2 classes, got {self.n_classes}")
+            raise InputError(f"need >= 2 classes, got {self.n_classes}")
         if self.shots < 1 or self.queries < 1 or self.dim < 1:
-            raise DegenerateInput("shots, queries and dim must all be >= 1")
+            raise InputError("shots, queries and dim must all be >= 1")
         if self.prototype_scale < 0 or self.within_scale < 0:
-            raise DegenerateInput("scales must be nonnegative")
+            raise InputError("scales must be nonnegative")
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DegenerateInput("label outside [0, n_classes)")
+        raise InputError("label outside [0, n_classes)")
     out = np.zeros((labels.shape[0], n_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
@@ -120,7 +116,11 @@ def gen_dataset(
 ):
     """Pooled dataset with one fixed prototype per class id."""
     if n_classes < 2:
-        raise InsufficientClasses(f"need >= 2 classes, got {n_classes}")
+        raise InputError(f"need >= 2 classes, got {n_classes}")
+    if rows_per_class < 1 or dim < 1:
+        raise InputError("rows_per_class and dim must both be >= 1")
+    if prototype_scale < 0 or within_scale < 0:
+        raise InputError("scales must be nonnegative")
     rng = rng_for(seed)
     protos = prototype_scale * rng.standard_normal((n_classes, dim))
     X = np.vstack(
@@ -158,37 +158,43 @@ def save_csv_dataset(path, X: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_csv_dataset(path) -> DatasetSource:
-    """Parse a f0..f{D-1},label CSV; schema violations raise ParseError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    """Parse a f0..f{D-1},label CSV; schema violations raise InputError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read data file {path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    d = len(header) - 1
+    if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
+        raise InputError(f"{path}: header {header!r} does not match f0..f{{D-1}},label")
+    rows, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 1:
+            raise InputError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path}: empty file") from None
-        d = len(header) - 1
-        if d < 1 or header != [f"f{i}" for i in range(d)] + ["label"]:
-            raise ParseError(f"{path}: header {header!r} does not match f0..f{{D-1}},label")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[:d]])
-                lab = float(row[d])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if lab != int(lab):
-                raise ParseError(f"{path}:{lineno}: non-integer label {row[d]!r}")
-            labels.append(int(lab))
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            col = next(h for h, v in zip(header, values) if not math.isfinite(v))
+            raise InputError(f"{path}:{lineno}: non-finite value in column {col}")
+        if values[d] != int(values[d]):
+            raise InputError(f"{path}:{lineno}: non-integer label {row[d]!r}")
+        rows.append(values[:d])
+        labels.append(int(values[d]))
     if not rows:
-        raise EmptyInput(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     return DatasetSource(X=np.array(rows), labels=np.array(labels, dtype=int))
 
 
 def check_disjoint_splits(train_classes, test_classes) -> None:
     overlap = sorted(set(map(int, train_classes)) & set(map(int, test_classes)))
     if overlap:
-        raise OverlappingSplits(f"classes {overlap} appear in both splits")
+        raise InputError(f"classes {overlap} appear in both splits")
 
 
 def sample_episode_from_dataset(
@@ -203,9 +209,9 @@ def sample_episode_from_dataset(
     pool = [int(cid) for cid in class_pool]
     missing = [cid for cid in pool if ds.rows_for(cid).size == 0]
     if missing:
-        raise InsufficientClasses(f"classes {missing} not present in dataset")
+        raise InputError(f"classes {missing} not present in dataset")
     if len(pool) < n_way:
-        raise InsufficientClasses(f"pool has {len(pool)} classes, need {n_way}")
+        raise InputError(f"pool has {len(pool)} classes, need {n_way}")
     rng = rng_for(seed)
     chosen = rng.choice(np.array(pool), size=n_way, replace=False)
     sup_x, q_x = [], []
@@ -213,9 +219,7 @@ def sample_episode_from_dataset(
     for cid in chosen:
         rows = ds.rows_for(int(cid))
         if rows.size < need:
-            raise InsufficientRows(
-                f"class {int(cid)} has {rows.size} rows, needs {need}"
-            )
+            raise InputError(f"class {int(cid)} has {rows.size} rows, needs {need}")
         pick = rng.choice(rows, size=need, replace=False)
         sup_x.append(ds.X[pick[:shots]])
         q_x.append(ds.X[pick[shots:]])

@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: config handling, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdgpc import cli, meta, tasks
-from mdgpc.errors import ConfigError
+from mdgpc.errors import InputError
 from mdgpc.seeding import derive_seed
 
 BASE = {
@@ -65,7 +71,7 @@ class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"task": {"shots": 5}}')
-        with pytest.raises(ConfigError, match="unknown config key 'task.shots'"):
+        with pytest.raises(InputError, match="unknown config key 'task.shots'"):
             cli.load_config(path)
 
     def test_type_checks(self, tmp_path):
@@ -79,7 +85,7 @@ class TestConfigHandling:
         ]:
             path = tmp_path / "bad.json"
             path.write_text(body)
-            with pytest.raises(ConfigError, match=msg):
+            with pytest.raises(InputError, match=msg):
                 cli.load_config(path)
 
     def test_int_promotes_to_float(self, tmp_path):
@@ -94,7 +100,7 @@ class TestConfigHandling:
         path2 = write_cfg(tmp_path, {"task": {"domain_shift": None}}, name="c2.json")
         assert cli.load_config(path2)["task"]["domain_shift"] is None
         path3 = write_cfg(tmp_path, {"task": {"domain_shift": [1.0]}}, name="c3.json")
-        with pytest.raises(ConfigError, match="pair"):
+        with pytest.raises(InputError, match="pair"):
             cli.load_config(path3)
 
     def test_overrides_json_and_string_fallback(self):
@@ -115,11 +121,11 @@ class TestConfigHandling:
         assert cfg["data"]["path"] == "pool.csv"
 
     def test_override_errors(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(InputError, match="unknown config key"):
             cli.apply_overrides(cli.load_config(None), ["no.such.key=1"])
-        with pytest.raises(ConfigError, match="key=value"):
+        with pytest.raises(InputError, match="key=value"):
             cli.apply_overrides(cli.load_config(None), ["seed"])
-        with pytest.raises(ConfigError, match="empty key"):
+        with pytest.raises(InputError, match="empty key"):
             cli.apply_overrides(cli.load_config(None), ["=3"])
 
     def test_checkpoint_roundtrip(self):
@@ -139,8 +145,30 @@ class TestConfigHandling:
         cfg["kernel"]["net_dims"] = [4, 8, 6]
         doc = cli._checkpoint_dict(cli._build_kernel(cfg, 0), cfg)
         doc["format_version"] = 2
-        with pytest.raises(ConfigError, match="format_version"):
+        with pytest.raises(InputError, match="format_version"):
             cli._kernel_from_checkpoint(doc)
+
+    @pytest.mark.parametrize(
+        "key, patch",
+        [
+            ("layer_dims", {"layer_dims": None}),
+            ("layer_dims", {"layer_dims": [4, 0, 6]}),
+            ("weights", {"weights": []}),
+            ("weights", {"weights": [[0.0] * 32, [0.0] * 47]}),
+            ("weights", {"weights": [[float("nan")] * 32, [0.0] * 48]}),
+            ("biases", {"biases": [[0.0] * 8, [0.0] * 8]}),
+            ("kernels", {"kernels": []}),
+            ("kernels", {"kernels": [{"kind": "RBF", "raws": {}}]}),
+        ],
+    )
+    def test_malformed_checkpoint_names_key(self, key, patch):
+        cfg = cli.default_config()
+        cfg["task"]["D"] = 4
+        cfg["kernel"]["net_dims"] = [4, 8, 6]
+        doc = cli._checkpoint_dict(cli._build_kernel(cfg, 0), cfg)
+        doc.update(patch)
+        with pytest.raises(InputError, match=f"checkpoint key '{key}'"):
+            cli._kernel_from_checkpoint(json.loads(json.dumps(doc)))
 
 
 class TestPipeline:
@@ -308,20 +336,63 @@ class TestExitCodes:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
+        "override, msg",
+        [("task.D=2", "takes 4 inputs but task.D = 2"), ("eval.bins=0", "eval.bins")],
+    )
+    def test_rejected_eval_config_writes_nothing(self, tmp_path, capsys, override, msg):
+        cfg_path = write_cfg(tmp_path, {"outer": {"epochs": 0}})
+        out = tmp_path / "out"
+        assert run("train", cfg_path, out) == 0
+        ckpt = str(out / "checkpoint.json")
+        rc = run("eval", cfg_path, tmp_path / "e", "--checkpoint", ckpt, "--set", override)
+        assert rc == 1
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_checkpoint_without_contents(self, tmp_path, capsys):
+        ckpt = tmp_path / "c.json"
+        ckpt.write_text('{"format_version": 1}')
+        rc = run("eval", write_cfg(tmp_path), tmp_path / "e", "--checkpoint", str(ckpt))
+        assert rc == 1
+        assert "checkpoint key 'layer_dims'" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    # Every row now expects 1; the rc column keeps the ids of the first rows.
+    @pytest.mark.parametrize(
         "cmd, override, rc",
         [
             ("train", "outer.epochs=-1", 1),
             ("train", "kernel.net_dims=[3, 4]", 1),
             ("compare-inner", "compare_inner.episodes=0", 1),
             ("compare-outer", "compare_outer.seeds=0", 1),
-            ("compare-outer", "compare_outer.inner_rate=0", 2),
+            ("compare-outer", "compare_outer.inner_rate=0", 1),
+            ("compare-outer", "compare_outer.iterations=-1", 1),
+            ("compare-outer", "compare_outer.monitor_episodes=0", 1),
+            ("train", "inner.rho=2.0", 1),
+            ("train", "task.L=0", 1),
+            ("train", "inner.mc_samples=0", 1),
+            ("train", "task.C=1", 1),
+            ("train", "data.path={tmp}/header_only.csv", 1),
+            ("train", "data.path={tmp}/nan_cell.csv", 1),
+            ("train", "task.tau=NaN", 1),
+            ("train", "kernel.init_scales.length_scale=Infinity", 1),
+            ("train", "seed=-1", 1),
+            ("gen-data", "gen_data.rows_per_class=-1", 1),
+            ("verify", "verify.gh_nodes=0", 1),
+            ("verify", "verify.fd_step=0", 1),
+            ("verify", "verify.instances=0", 1),
+            ("gen-data", "gen_data.filename=sub/pool.csv", 1),
         ],
     )
-    def test_rejected_config_writes_nothing(self, tmp_path, cmd, override, rc):
-        cfg_path = write_cfg(tmp_path)
+    def test_rejected_config_writes_nothing(self, tmp_path, capsys, cmd, override, rc):
+        (tmp_path / "header_only.csv").write_text("f0,f1,f2,f3,label\n")
+        (tmp_path / "nan_cell.csv").write_text("f0,f1,f2,f3,label\n1.0,nan,0.0,0.0,0\n")
+        cfg_path = write_cfg(tmp_path, {"data": {"splits": {"train": [0], "test": [1]}}})
         out = tmp_path / "o"
-        assert run(cmd, cfg_path, out, "--set", override) == rc
+        assert run(cmd, cfg_path, out, "--set", override.format(tmp=tmp_path)) == rc
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_overlapping_splits(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {"gen_data": {"filename": "pool.csv"}})
@@ -339,7 +410,76 @@ class TestExitCodes:
         assert run("train", cfg_path, tmp_path / "o") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        cfg_path = write_cfg(tmp_path, {"inner": {"rho": 2.0}})
-        rc = run("train", cfg_path, tmp_path / "o")
+        # valid input whose POL1 Gram is too large for the jitter ladder
+        rc = cli.main(
+            [
+                "train",
+                "--set",
+                f"output_dir={tmp_path / 'o'}",
+                "--set",
+                "kernel.kind=POL1",
+                "--set",
+                "kernel.init_scales.output_scale=1e14",
+                "--set",
+                "outer.episodes_per_epoch=2",
+            ]
+        )
         assert rc == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "jitter ladder exhausted" in err
+
+
+def numeric_leaves(doc: dict, prefix: str = ""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from numeric_leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + key
+
+
+# Config sections each fuzzed subcommand reads.
+FUZZ_SECTIONS = {
+    "train": ("seed", "task", "kernel", "inner", "outer", "eval"),
+    "gen-data": ("seed", "task", "gen_data"),
+}
+# Small and non-finite values only: large ones would allocate huge arrays or
+# run for a very long time.
+FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity"]
+
+
+def fuzz_overrides(cmd: str):
+    keys = [
+        key
+        for key in sorted(numeric_leaves(cli.default_config()))
+        if key.split(".")[0] in FUZZ_SECTIONS[cmd]
+    ]
+    pair = st.tuples(st.sampled_from(keys), st.sampled_from(FUZZ_VALUES))
+    return st.tuples(st.just(cmd), st.lists(pair, min_size=1, max_size=2))
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(case=st.sampled_from(sorted(FUZZ_SECTIONS)).flatmap(fuzz_overrides))
+def test_cli_fuzz_exits_cleanly(case):
+    """Every override ends in exit 0, 1 or 2 and never in a traceback; exit 1
+    leaves no output directory and exit 0 writes strict JSON."""
+    cmd, overrides = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        cfg_path = write_cfg(Path(tmp), {"outer": {"episodes_per_epoch": 1}})
+        argv = [cmd, "--config", str(cfg_path), "--set", f"output_dir={out}"]
+        for key, value in overrides:
+            argv += ["--set", f"{key}={value}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert rc == 0 or lines[-1].startswith(("error: ", "numerical failure: ")[rc - 1])
+        assert rc != 1 or not out.exists()
+        if rc == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=reject_constant)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgpc import expfam
-from mdgpc.errors import DimensionMismatch, NotPositiveDefinite
+from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import (
     FullMeanParams,
     GaussianMoments,
@@ -85,7 +85,7 @@ class TestConversions:
 
     def test_asymmetric_rejected(self):
         bad = np.array([[1.0, 0.5], [0.3, 1.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="not symmetric"):
             GaussianMoments(np.zeros(2), bad)
 
     def test_point_mean_params_views(self):
@@ -193,5 +193,9 @@ class TestSpdCholesky:
         np.testing.assert_allclose(L @ L.T, np.outer(u, u) + jitter * np.eye(3), atol=1e-10)
 
     def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NumericalError, match="jitter ladder exhausted"):
             spd_cholesky(np.diag([1.0, -5.0]))
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            spd_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import inference, kernels, likelihood, tasks
-from mdgpc.errors import DegenerateInput, NotOneHot
+from mdgpc.errors import InputError
 from mdgpc.inference import (
     InnerConfig,
     elbo,
@@ -107,7 +107,7 @@ class TestInitAndCombine:
         grams = toy_grams(10)
         state = md_init(grams)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(8, 0))
-        with pytest.raises(NotOneHot):
+        with pytest.raises(InputError, match="one-hot"):
             md_step(state, np.full((5, 3), 0.5), cfg)
 
 
@@ -227,7 +227,7 @@ class TestRunInner:
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="unknown inner method"):
             run_inner("SGD", grams, Y, InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0)))
 
     def test_deterministic(self):
@@ -290,7 +290,7 @@ class TestNgdEquivalence:
     def test_multiclass_requires_explicit_likelihood(self):
         grams = toy_grams(301, n=3, c=3)
         Y = toy_labels(301, 3, 3)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="binary case only"):
             ngd_verify(grams, Y, InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0)))
 
     def test_gaussian_likelihood_direction_reaches_conjugate_target(self):

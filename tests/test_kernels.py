@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import kernels
-from mdgpc.errors import DegenerateInput, EmptyInput, ShapeMismatch, StaleCache
+from mdgpc.errors import InputError
 from mdgpc.kernels import (
     BaseKernelConfig,
     cross_gram,
@@ -55,19 +55,19 @@ class TestExtractor:
 
     def test_empty_input(self):
         fe = init_extractor([4, 8, 3], seed=0)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="no rows"):
             extract(fe, np.empty((0, 4)))
 
     def test_dim_mismatch(self):
         fe = init_extractor([4, 8, 3], seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError, match="input dim 5"):
             extract(fe, np.zeros((3, 5)))
 
     def test_stale_cache(self):
         fe = init_extractor([4, 8, 3], seed=0)
         other = init_extractor([4, 6, 3], seed=0)
         _, cache = extract(other, np.zeros((2, 4)))
-        with pytest.raises(StaleCache):
+        with pytest.raises(InputError, match="cache built for dims"):
             extractor_backward(fe, cache, np.zeros((2, 3)))
 
     def test_backward_fd(self):
@@ -224,7 +224,7 @@ class TestGramBackward:
 
 class TestConfig:
     def test_unknown_kind(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="unknown kernel kind"):
             BaseKernelConfig("MATERN")
 
     def test_raw_names_per_kind(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import likelihood
-from mdgpc.errors import DegenerateInput, DimensionMismatch, NotOneHot
+from mdgpc.errors import InputError
 from mdgpc.expfam import PointMeanParams
 from mdgpc.likelihood import (
     GaussianSiteLikelihood,
@@ -48,11 +48,11 @@ class TestPointEvaluations:
         assert np.isfinite(log_softmax_lik(one_hot(1, 2), f))
 
     def test_check_one_hot_rejects(self):
-        with pytest.raises(NotOneHot):
+        with pytest.raises(InputError, match="not a one-hot"):
             check_one_hot(np.array([0.5, 0.5]))
-        with pytest.raises(NotOneHot):
+        with pytest.raises(InputError, match="not a one-hot"):
             check_one_hot(np.array([0.0, 0.0]))
-        with pytest.raises(NotOneHot):
+        with pytest.raises(InputError, match="not a one-hot"):
             check_one_hot(np.array([2.0, 0.0]))
 
 
@@ -224,9 +224,9 @@ class TestLikelihoodObjects:
         np.testing.assert_allclose(g_v, np.broadcast_to(b, m.shape), atol=0)
 
     def test_gaussian_site_rejects_positive_quadratic(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="coefficients must be <= 0"):
             GaussianSiteLikelihood(np.zeros((2, 2)), np.full((2, 2), 0.1))
 
     def test_gaussian_site_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="must both be"):
             GaussianSiteLikelihood(np.zeros((2, 2)), np.zeros((3, 2)))

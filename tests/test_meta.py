@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import expfam, inference, kernels, meta, model, tasks
-from mdgpc.errors import DimensionMismatch, ShapeMismatch
+from mdgpc.errors import InputError
 from mdgpc.expfam import GaussianMoments
 from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import McConfig
@@ -58,7 +58,7 @@ class TestFlatten:
     def test_wrong_length_rejected(self):
         kern = small_kernel(2)
         flat = meta.flatten_hypers(kern)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError, match="flat vector has"):
             meta.unflatten_hypers(flat[:-1], kern)
 
     def test_layout_net_first_then_raws(self):
@@ -137,7 +137,7 @@ class TestAdam:
         assert st.t == 2
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="adam operands"):
             meta.adam_step(
                 np.zeros(3), np.zeros(4), meta.AdamState.zeros(3), np.full(3, 0.1)
             )

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgpc import metrics
-from mdgpc.errors import DegenerateInput, DimensionMismatch, EmptyInput
+from mdgpc.errors import InputError
 
 ECE_TWO_BIN = 0.15000000000000002
 MCE_TWO_BIN = 0.30000000000000004
@@ -122,27 +122,27 @@ class TestProperties:
 
 class TestValidation:
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="nonnegative and sum to 1"):
             metrics.accuracy(np.array([[0.5, 0.4]]), np.array([0]))
 
     def test_negative_probability_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="nonnegative and sum to 1"):
             metrics.accuracy(np.array([[-0.1, 1.1]]), np.array([0]))
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="no predictions"):
             metrics.accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_label_out_of_range(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="true label outside"):
             metrics.nll(np.array([[0.5, 0.5]]), np.array([2]))
 
     def test_shape_mismatches(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="probs must be"):
             metrics.accuracy(np.array([0.5, 0.5]), np.array([0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="y_true shape"):
             metrics.accuracy(np.array([[0.5, 0.5]]), np.array([0, 1]))
 
     def test_bad_bin_count(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="bins must be >= 1"):
             metrics.reliability_table(np.array([[0.5, 0.5]]), np.array([0]), bins=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import inference, kernels, model, tasks
-from mdgpc.errors import DimensionMismatch
+from mdgpc.errors import InputError
 from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
@@ -134,7 +134,7 @@ class TestFitOptions:
     def test_label_shape_mismatch_rejected(self):
         kern = make_kernel()
         ep = make_episode(31)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="support labels shape"):
             model.fit_episode(
                 kern, ep.support_x, ep.support_y[:, :3], InnerConfig(steps=0)
             )

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from mdgpc import tasks
-from mdgpc.errors import (
-    DegenerateInput,
-    EmptyInput,
-    InsufficientClasses,
-    InsufficientRows,
-    OverlappingSplits,
-    ParseError,
-)
+from mdgpc.errors import InputError
 from mdgpc.tasks import TaskGenConfig
 
 
@@ -83,15 +76,15 @@ class TestGenEpisode:
         np.testing.assert_allclose(shifted.query_x, 0.5 * plain.query_x, atol=1e-15)
 
     def test_config_validation(self):
-        with pytest.raises(InsufficientClasses):
+        with pytest.raises(InputError, match="need >= 2 classes"):
             TaskGenConfig(n_classes=1)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="must all be >= 1"):
             TaskGenConfig(shots=0)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="nonnegative"):
             TaskGenConfig(prototype_scale=-1.0)
 
     def test_one_hot_rejects_out_of_range(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InputError, match="label outside"):
             tasks.one_hot(np.array([0, 3]), 3)
 
 
@@ -107,8 +100,16 @@ class TestGenDataset:
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_too_few_classes(self):
-        with pytest.raises(InsufficientClasses):
+        with pytest.raises(InputError, match="need >= 2 classes"):
             tasks.gen_dataset(1, 5, 4, 3.0, 0.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "rows, dim, scale, msg",
+        [(-1, 4, 3.0, "rows_per_class"), (5, 0, 3.0, "dim"), (5, 4, -1.0, "nonnegative")],
+    )
+    def test_bad_pool_shape_rejected(self, rows, dim, scale, msg):
+        with pytest.raises(InputError, match=msg):
+            tasks.gen_dataset(3, rows, dim, scale, 0.5, seed=0)
 
 
 class TestCsvRoundTrip:
@@ -135,31 +136,45 @@ class TestCsvErrors:
         return path
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(EmptyInput, match="empty file"):
+        with pytest.raises(InputError, match="empty file"):
             tasks.load_csv_dataset(self.write(tmp_path, ""))
 
     def test_header_only(self, tmp_path):
-        with pytest.raises(EmptyInput, match="no data rows"):
+        with pytest.raises(InputError, match="no data rows"):
             tasks.load_csv_dataset(self.write(tmp_path, "f0,f1,label\n"))
 
     def test_bad_header(self, tmp_path):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(InputError, match="header"):
             tasks.load_csv_dataset(self.write(tmp_path, "x0,x1,label\n1,2,0\n"))
 
     def test_wrong_field_count_reports_line(self, tmp_path):
         text = "f0,f1,label\n1.0,2.0,0\n1.0,2.0\n"
-        with pytest.raises(ParseError, match=r":3: expected 3 fields"):
+        with pytest.raises(InputError, match=r":3: expected 3 fields"):
             tasks.load_csv_dataset(self.write(tmp_path, text))
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
         text = "f0,f1,label\n1.0,abc,0\n"
-        with pytest.raises(ParseError, match=r":2:"):
+        with pytest.raises(InputError, match=r":2:"):
             tasks.load_csv_dataset(self.write(tmp_path, text))
 
     def test_non_integer_label(self, tmp_path):
         text = "f0,f1,label\n1.0,2.0,1.5\n"
-        with pytest.raises(ParseError, match="non-integer label"):
+        with pytest.raises(InputError, match="non-integer label"):
             tasks.load_csv_dataset(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "row, col", [("1.0,nan,0", "f1"), ("inf,2.0,0", "f0"), ("1.0,2.0,nan", "label")]
+    )
+    def test_non_finite_cell_reports_line(self, tmp_path, row, col):
+        text = f"f0,f1,label\n1.0,2.0,0\n{row}\n"
+        with pytest.raises(InputError, match=rf":3: non-finite value in column {col}"):
+            tasks.load_csv_dataset(self.write(tmp_path, text))
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read data file"):
+            tasks.load_csv_dataset(tmp_path / "missing.csv")
+        with pytest.raises(InputError, match="cannot read data file"):
+            tasks.load_csv_dataset(tmp_path)
 
 
 class TestSplitsAndSampling:
@@ -171,7 +186,7 @@ class TestSplitsAndSampling:
         tasks.check_disjoint_splits([0, 1, 2], [3, 4, 5])
 
     def test_overlapping_splits_raise(self):
-        with pytest.raises(OverlappingSplits, match=r"\[2\]"):
+        with pytest.raises(InputError, match=r"classes \[2\] appear in both splits"):
             tasks.check_disjoint_splits([0, 1, 2], [2, 3])
 
     def test_sampled_episode_structure(self):
@@ -216,15 +231,15 @@ class TestSplitsAndSampling:
 
     def test_pool_too_small(self):
         ds = self.dataset()
-        with pytest.raises(InsufficientClasses):
+        with pytest.raises(InputError, match="pool has 2 classes"):
             tasks.sample_episode_from_dataset(ds, [0, 1], 3, 2, 2, seed=0)
 
     def test_unknown_class_in_pool(self):
         ds = self.dataset()
-        with pytest.raises(InsufficientClasses, match=r"\[9\]"):
+        with pytest.raises(InputError, match=r"classes \[9\] not present"):
             tasks.sample_episode_from_dataset(ds, [0, 1, 9], 3, 2, 2, seed=0)
 
     def test_not_enough_rows(self):
         ds = self.dataset()  # 8 rows per class
-        with pytest.raises(InsufficientRows):
+        with pytest.raises(InputError, match="has 8 rows, needs 9"):
             tasks.sample_episode_from_dataset(ds, [0, 1, 2], 3, 5, 4, seed=0)
