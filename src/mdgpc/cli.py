@@ -104,10 +104,14 @@ _NULLABLE = {
 
 
 def _finite_number(x) -> bool:
-    """True for an int or a finite float; JSON's NaN and Infinity are not."""
+    """True for a number that is a finite float: not JSON's NaN or Infinity,
+    and not an integer beyond the float range."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
-    return isinstance(x, int) or math.isfinite(x)
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _coerce_leaf(path: str, default, value):
@@ -131,7 +135,8 @@ def _coerce_leaf(path: str, default, value):
         if not isinstance(value, (int, float)):
             raise InputError(f"config key '{path}' expects a number")
         if not _finite_number(value):
-            raise InputError(f"config key '{path}' must be finite, got {value}")
+            shown = value if isinstance(value, float) else "an integer beyond the float range"
+            raise InputError(f"config key '{path}' must be finite, got {shown}")
         return float(value)
     if isinstance(default, int):
         if not isinstance(value, int):
@@ -173,7 +178,7 @@ def load_config(path) -> dict:
             raise InputError(f"cannot read config file {path}: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers too long for int()
             raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
         _merge_into(cfg, doc)
     return cfg
@@ -191,7 +196,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
             raise InputError(f"override {item!r} has an empty key")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long for int()
             value = raw
         patch = value
         for part in reversed(key.split(".")):

@@ -233,25 +233,6 @@ def md_step(
     return VariationalState(sites=sites, moments=moments, prior=state.prior)
 
 
-def refresh_moments(state: VariationalState) -> VariationalState:
-    """Recompute cached moments from the naturals by direct dense solves.
-
-    Independent algebra from the Woodbury path in md_step; used to check
-    that the iterate sequence does not depend on the cache.
-    """
-    moments = []
-    for i, g in enumerate(state.prior):
-        K = k_eff(g)
-        prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
-        prec = prec - 2.0 * np.diag(state.sites.beta[i])
-        Lp, _ = spd_cholesky(0.5 * (prec + prec.T))
-        Sigma = chol_solve(Lp, np.eye(K.shape[0]))
-        moments.append(
-            GaussianMoments(chol_solve(Lp, state.sites.alpha[i]), 0.5 * (Sigma + Sigma.T))
-        )
-    return VariationalState(sites=state.sites, moments=moments, prior=state.prior)
-
-
 def gd_init(prior_grams: list) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
     m_list = [np.zeros(g.chol.shape[0]) for g in prior_grams]
@@ -322,7 +303,10 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     """Yield the prior state, then the state after each of `steps` updates.
 
     Gradient draws are fresh per step (seeded by cfg.mc.seed and the step
-    index), so the sequence is deterministic in its inputs.
+    index), so the sequence is deterministic in its inputs. A step that
+    fails numerically or leaves non-finite moments raises NumericalError
+    naming the method and the step; numpy's floating-point warnings are
+    silenced inside the step, since this check reports the failure.
     """
     method = method.upper()
     if method not in ("MD", "GD"):
@@ -331,7 +315,17 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     step_fn = md_step if method == "MD" else gd_step
     yield state
     for t in range(1, cfg.steps + 1):
-        state = step_fn(state, Y, cfg, step_index=t)
+        with np.errstate(all="ignore"):
+            try:
+                state = step_fn(state, Y, cfg, step_index=t)
+            except NumericalError as exc:
+                raise NumericalError(f"{method} step {t}: {exc}") from exc
+            finite = all(
+                np.isfinite(mom.m).all() and np.isfinite(mom.Sigma).all()
+                for mom in state.moments
+            )
+        if not finite:
+            raise NumericalError(f"{method} step {t}: non-finite posterior moments")
         yield state
 
 

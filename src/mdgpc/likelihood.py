@@ -22,6 +22,13 @@ Estimators accept explicit draws ``eps`` and optional ``weights`` so tests
 and the equivalence verifier can substitute deterministic weighted node
 sets (Gauss-Hermite, binary case) for seeded Monte Carlo draws; both then
 evaluate the same functional on common numbers.
+
+Every Monte Carlo softmax (these estimators and the label probabilities of
+:func:`~mdgpc.model.predict_labels`) goes through `_softmax_terms`, which
+lays the logits out (S, C, N): each class is an (S, N) slice, so reductions
+over the few classes are elementwise operations on whole slices instead of
+many short last-axis reductions, and the mean over draws still reduces a
+leading axis. Results equal the (S, N, C) formulas bit for bit.
 """
 
 from dataclasses import dataclass
@@ -32,10 +39,8 @@ from .errors import InputError
 
 __all__ = [
     "McConfig",
-    "log_softmax_lik",
     "mc_expected_loglik",
     "grad_mv",
-    "grad_mean_params",
     "batch_expected_loglik",
     "batch_grads_mv",
     "normal_draws",
@@ -66,21 +71,6 @@ def check_one_hot(y: np.ndarray) -> np.ndarray:
     if not np.all((y == 0.0) | (y == 1.0)) or int(np.sum(y)) != 1:
         raise InputError(f"not a one-hot vector: {y!r}")
     return y
-
-
-def _log_softmax(f: np.ndarray) -> np.ndarray:
-    fmax = np.max(f, axis=-1, keepdims=True)
-    stable = f - fmax
-    return stable - np.log(np.sum(np.exp(stable), axis=-1, keepdims=True))
-
-
-def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
-    """log p(y | f) = y . f - logsumexp(f) for a one-hot y."""
-    y = check_one_hot(y)
-    f = np.asarray(f, dtype=float)
-    if f.shape != y.shape:
-        raise InputError(f"f shape {f.shape} != y shape {y.shape}")
-    return float(np.sum(y * _log_softmax(f)))
 
 
 def normal_draws(seed: int, shape: tuple) -> np.ndarray:
@@ -123,6 +113,50 @@ def _prepare_batch(m, v, eps):
     return m, v, eps
 
 
+def _leading_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis in the order np.sum uses along a contiguous
+    last axis of the same length, so the bits match that layout: one running
+    sum below 8 terms, eight running sums combined pairwise up to 128, and
+    halving (first half a multiple of 8) beyond."""
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _leading_sum(rows[:half]) + _leading_sum(rows[half:])
+    if n < 8:
+        total = rows[0]
+        for row in rows[1:]:
+            total = total + row
+        return total
+    stop = n - n % 8
+    acc = rows[:8].copy()
+    for i in range(8, stop, 8):
+        acc += rows[i : i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in rows[stop:]:
+        total = total + row
+    return total
+
+
+def _softmax_terms(m, sd, eps):
+    """Softmax pieces of f = m + sd * eps, laid out (S, C, N).
+
+    m, sd: (N, C); eps: (S, N, C), or (S, 1, C) for one node set shared by
+    all points. Returns (stable, e, total): stable = f - max_c f and
+    e = exp(stable), both (S, C, N) and fresh, so callers may overwrite them
+    in place, and total = sum_c e, (S, 1, N). The class max is exact in any
+    order and `_leading_sum` keeps numpy's order, so every value equals its
+    last-axis counterpart bit for bit. In-place updates keep the number of
+    fresh (S, C, N) buffers, and the page faults of filling them, low.
+    """
+    stable = np.empty((eps.shape[0],) + m.T.shape)
+    np.multiply(sd.T, eps.swapaxes(1, 2), out=stable)
+    stable += m.T
+    stable -= np.maximum.reduce(stable, axis=1, keepdims=True)
+    e = np.exp(stable)
+    return stable, e, _leading_sum(e.swapaxes(0, 1))[:, None, :]
+
+
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     """Sum over points of the estimated E[log p(y_n | f_n)].
 
@@ -130,8 +164,10 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     (uniform). With weights, the estimate is sum_s w_s log p(y | f^(s)).
     """
     m, v, eps = _prepare_batch(m, v, eps)
-    f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
-    ll = np.sum(np.asarray(Y, dtype=float)[None, :, :] * _log_softmax(f), axis=2)
+    log_p, _, total = _softmax_terms(m, np.sqrt(v), eps)
+    log_p -= np.log(total)
+    log_p *= np.asarray(Y, dtype=float).T
+    ll = _leading_sum(log_p.swapaxes(0, 1))  # (S, N)
     if weights is None:
         return float(np.sum(np.mean(ll, axis=0)))
     return float(np.sum(np.asarray(weights, dtype=float) @ ll))
@@ -140,17 +176,22 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
 def batch_grads_mv(m, v, Y, eps, weights=None):
     """Estimated (g_m, g_v) for every point at once; each of shape (N, C)."""
     m, v, eps = _prepare_batch(m, v, eps)
-    f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
-    p = np.exp(_log_softmax(f))
-    Y = np.asarray(Y, dtype=float)
+    p, q, total = _softmax_terms(m, np.sqrt(v), eps)
+    p -= np.log(total)
+    np.exp(p, out=p)  # softmax as exp(log-softmax)
+    np.multiply(p, p, out=q)
+    q -= p
     if weights is None:
-        g_m = Y - np.mean(p, axis=0)
-        g_v = 0.5 * np.mean(p * p - p, axis=0)
+        p_bar = np.mean(p, axis=0)
+        q_bar = np.mean(q, axis=0)
     else:
         w = np.asarray(weights, dtype=float)
-        g_m = Y - np.einsum("s,snc->nc", w, p)
-        g_v = 0.5 * np.einsum("s,snc->nc", w, p * p - p)
-    return g_m, g_v
+        p_bar = np.einsum("s,scn->cn", w, p)
+        q_bar = np.einsum("s,scn->cn", w, q)
+    g_m = np.asarray(Y, dtype=float) - p_bar.T
+    # row-major (N, C), like the (S, N, C) formulas return, so downstream BLAS calls
+    # see the same strides
+    return np.ascontiguousarray(g_m), np.ascontiguousarray(0.5 * q_bar.T)
 
 
 def _point_eps(pm_mean, mc: McConfig, eps):
@@ -182,16 +223,6 @@ def grad_mv(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None):
         pm.mean[None, :], pm.variance[None, :], y[None, :], eps[:, None, :], weights
     )
     return g_m[0], g_v[0]
-
-
-def grad_mean_params(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None):
-    """Gradients w.r.t. per-point mean parameters (mu1, mu2).
-
-    d_mu1 = g_m - 2 g_v * m and d_mu2 = g_v; the inverse chain rule of
-    (m, v) -> (mu1, mu2) = (m, v + m^2).
-    """
-    g_m, g_v = grad_mv(pm, y, mc, eps=eps, weights=weights)
-    return g_m - 2.0 * g_v * pm.mean, g_v
 
 
 class SoftmaxLikelihood:

@@ -134,6 +134,11 @@ class TrainConfig:
     inner_method: str = "MD"
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("lr_net", "lr_kernel"):
+            if getattr(self, name) < 0.0:
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def adam_step(
     flat: np.ndarray, grad: np.ndarray, st: AdamState, lr: np.ndarray
@@ -220,6 +225,8 @@ class CompareOuterConfig:
                 f"need iterations >= 0 and monitor_episodes >= 1, "
                 f"got {self.iterations} and {self.monitor_episodes}"
             )
+        if self.outer_lr < 0.0:
+            raise InputError(f"outer_lr must be >= 0, got {self.outer_lr}")
         McConfig(samples=self.pred_samples)  # fail here, not mid-run
         self.inner_config()
 

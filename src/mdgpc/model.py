@@ -26,7 +26,7 @@ import numpy as np
 from . import inference, kernels
 from .errors import InputError
 from .inference import InnerConfig
-from .likelihood import McConfig, normal_draws
+from .likelihood import McConfig, _softmax_terms, normal_draws
 
 __all__ = ["FittedEpisode", "PredictiveDist", "fit_episode", "predict_latent", "predict_labels"]
 
@@ -106,8 +106,7 @@ def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> Pre
     """Monte Carlo softmax probabilities from the latent predictive."""
     mu, var = predict_latent(fit, query_x)
     eps = normal_draws(mc.seed, (mc.samples, mu.shape[0], mu.shape[1]))
-    f = mu[None] + np.sqrt(np.maximum(var, 0.0))[None] * eps
-    fmax = f.max(axis=2, keepdims=True)
-    e = np.exp(f - fmax)
-    probs = np.mean(e / e.sum(axis=2, keepdims=True), axis=0)
+    _, e, total = _softmax_terms(mu, np.sqrt(np.maximum(var, 0.0)), eps)
+    e /= total
+    probs = np.ascontiguousarray(np.mean(e, axis=0).T)
     return PredictiveDist(mu=mu, var=var, probs=probs)

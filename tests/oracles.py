@@ -1,0 +1,81 @@
+"""Reference formulas that only the tests use.
+
+The softmax formulas reduce over a last class axis, (S, N, C), the way the
+package computed them before its class-leading kernel; the tests hold the
+package to these bit for bit. `refresh_moments` recomputes a mirror-descent
+state's moments by dense solves, independent of the Woodbury path.
+"""
+
+import numpy as np
+
+from mdgpc.errors import InputError
+from mdgpc.expfam import GaussianMoments, chol_solve, spd_cholesky
+from mdgpc.inference import VariationalState, k_eff
+from mdgpc.likelihood import _prepare_batch, check_one_hot, grad_mv
+
+
+def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:
+    fmax = np.max(f, axis=-1, keepdims=True)
+    stable = f - fmax
+    return stable - np.log(np.sum(np.exp(stable), axis=-1, keepdims=True))
+
+
+def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
+    """log p(y | f) = y . f - logsumexp(f) for a one-hot y."""
+    y = check_one_hot(y)
+    f = np.asarray(f, dtype=float)
+    if f.shape != y.shape:
+        raise InputError(f"f shape {f.shape} != y shape {y.shape}")
+    return float(np.sum(y * last_axis_log_softmax(f)))
+
+
+def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
+    m, v, eps = _prepare_batch(m, v, eps)
+    f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
+    ll = np.sum(np.asarray(Y, dtype=float)[None, :, :] * last_axis_log_softmax(f), axis=2)
+    if weights is None:
+        return float(np.sum(np.mean(ll, axis=0)))
+    return float(np.sum(np.asarray(weights, dtype=float) @ ll))
+
+
+def batch_grads_mv(m, v, Y, eps, weights=None):
+    m, v, eps = _prepare_batch(m, v, eps)
+    f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
+    p = np.exp(last_axis_log_softmax(f))
+    Y = np.asarray(Y, dtype=float)
+    if weights is None:
+        return Y - np.mean(p, axis=0), 0.5 * np.mean(p * p - p, axis=0)
+    w = np.asarray(weights, dtype=float)
+    return Y - np.einsum("s,snc->nc", w, p), 0.5 * np.einsum("s,snc->nc", w, p * p - p)
+
+
+def label_probs(mu, var, eps) -> np.ndarray:
+    """Monte Carlo softmax probabilities, (M, C), as predict_labels defines them."""
+    f = mu[None] + np.sqrt(np.maximum(var, 0.0))[None] * eps
+    e = np.exp(f - f.max(axis=2, keepdims=True))
+    return np.mean(e / e.sum(axis=2, keepdims=True), axis=0)
+
+
+def grad_mean_params(pm, y: np.ndarray, mc, eps=None, weights=None):
+    """Gradients w.r.t. per-point mean parameters (mu1, mu2).
+
+    d_mu1 = g_m - 2 g_v * m and d_mu2 = g_v; the inverse chain rule of
+    (m, v) -> (mu1, mu2) = (m, v + m^2).
+    """
+    g_m, g_v = grad_mv(pm, y, mc, eps=eps, weights=weights)
+    return g_m - 2.0 * g_v * pm.mean, g_v
+
+
+def refresh_moments(state: VariationalState) -> VariationalState:
+    """Recompute cached moments from the naturals by direct dense solves."""
+    moments = []
+    for i, g in enumerate(state.prior):
+        K = k_eff(g)
+        prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
+        prec = prec - 2.0 * np.diag(state.sites.beta[i])
+        Lp, _ = spd_cholesky(0.5 * (prec + prec.T))
+        Sigma = chol_solve(Lp, np.eye(K.shape[0]))
+        moments.append(
+            GaussianMoments(chol_solve(Lp, state.sites.alpha[i]), 0.5 * (Sigma + Sigma.T))
+        )
+    return VariationalState(sites=state.sites, moments=moments, prior=state.prior)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,10 @@ class TestExitCodes:
             ("verify", "verify.fd_step=0", 1),
             ("verify", "verify.instances=0", 1),
             ("gen-data", "gen_data.filename=sub/pool.csv", 1),
+            ("train", "task.tau={huge}", 1),
+            ("train", "outer.lr_net=-1", 1),
+            ("train", "outer.lr_kernel=-1", 1),
+            ("compare-outer", "compare_outer.outer_lr=-1", 1),
         ],
     )
     def test_rejected_config_writes_nothing(self, tmp_path, capsys, cmd, override, rc):
@@ -389,7 +394,8 @@ class TestExitCodes:
         (tmp_path / "nan_cell.csv").write_text("f0,f1,f2,f3,label\n1.0,nan,0.0,0.0,0\n")
         cfg_path = write_cfg(tmp_path, {"data": {"splits": {"train": [0], "test": [1]}}})
         out = tmp_path / "o"
-        assert run(cmd, cfg_path, out, "--set", override.format(tmp=tmp_path)) == rc
+        override = override.format(tmp=tmp_path, huge="1" + "0" * 400)
+        assert run(cmd, cfg_path, out, "--set", override) == rc
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -428,6 +434,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "jitter ladder exhausted" in err
 
+    def test_diverging_inner_loop_names_step(self, tmp_path, capsys):
+        # sigma_w = 0 makes the GD baseline overflow at its second step; the
+        # step guard stops it there, before any numpy warning is printed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(
+                ["compare-inner", "--set", f"output_dir={tmp_path / 'o'}", "--set", "task.sigma_w=0"]
+            )
+        assert rc == 2 and not caught
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: GD step 2: ")
+
 
 def numeric_leaves(doc: dict, prefix: str = ""):
     for key, value in doc.items():
@@ -441,7 +459,10 @@ def numeric_leaves(doc: dict, prefix: str = ""):
 FUZZ_SECTIONS = {
     "train": ("seed", "task", "kernel", "inner", "outer", "eval"),
     "gen-data": ("seed", "task", "gen_data"),
+    "compare-inner": ("seed", "task", "kernel", "compare_inner"),
+    "verify": ("seed", "verify"),
 }
+FAILURE_PREFIX = {1: "error: ", 2: "numerical failure: "}
 # Small and non-finite values only: large ones would allocate huge arrays or
 # run for a very long time.
 FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity"]
@@ -464,8 +485,9 @@ def reject_constant(name):
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(case=st.sampled_from(sorted(FUZZ_SECTIONS)).flatmap(fuzz_overrides))
 def test_cli_fuzz_exits_cleanly(case):
-    """Every override ends in exit 0, 1 or 2 and never in a traceback; exit 1
-    leaves no output directory and exit 0 writes strict JSON."""
+    """Every override ends in exit 0, 1 or 2 (or 3, a failed verify check)
+    and never in a traceback. Exit 1 and 2 print exactly one stderr line and
+    no warning, exit 1 leaves no output directory, and written JSON is strict."""
     cmd, overrides = case
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
@@ -474,12 +496,17 @@ def test_cli_fuzz_exits_cleanly(case):
         for key, value in overrides:
             argv += ["--set", f"{key}={value}"]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            caught = stack.enter_context(warnings.catch_warnings(record=True))
+            warnings.simplefilter("always")
             rc = cli.main(argv)
-        assert rc in (0, 1, 2)
-        lines = err.getvalue().splitlines()
-        assert rc == 0 or lines[-1].startswith(("error: ", "numerical failure: ")[rc - 1])
+        assert rc in (0, 1, 2) or (rc, cmd) == (3, "verify")
+        if rc in FAILURE_PREFIX:
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert len(lines) == 1 and lines[0].startswith(FAILURE_PREFIX[rc])
         assert rc != 1 or not out.exists()
-        if rc == 0:
+        if rc in (0, 3):
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=reject_constant)

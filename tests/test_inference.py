@@ -15,11 +15,11 @@ from mdgpc.inference import (
     md_step,
     ngd_verify,
     posterior_from_sites,
-    refresh_moments,
     run_inner,
 )
 from mdgpc.likelihood import GaussianSiteLikelihood, McConfig
 from mdgpc.seeding import derive_seed
+from oracles import refresh_moments
 
 
 def toy_grams(seed: int, n: int = 5, c: int = 3, kind: str = "RBF"):

@@ -1,9 +1,10 @@
 """Softmax expected log-likelihood estimators and their gradients."""
 
 import numpy as np
+import oracles
 import pytest
 
-from mdgpc import likelihood
+from mdgpc import likelihood, model
 from mdgpc.errors import InputError
 from mdgpc.expfam import PointMeanParams
 from mdgpc.likelihood import (
@@ -14,12 +15,11 @@ from mdgpc.likelihood import (
     batch_grads_mv,
     check_one_hot,
     gauss_hermite_draws,
-    grad_mean_params,
     grad_mv,
-    log_softmax_lik,
     mc_expected_loglik,
     normal_draws,
 )
+from oracles import grad_mean_params, log_softmax_lik
 
 LOGLIK_10_0_0 = -9.079573746717529e-05  # log softmax at f = (10, 0, 0), class 0
 
@@ -196,6 +196,46 @@ class TestGradients:
                     )
                 fd = (vals[0] - vals[1]) / (2 * h)
                 assert abs(fd - exact) <= 1e-4 * max(1.0, abs(exact))
+
+
+class TestClassLeadingKernel:
+    """The class-leading softmax equals the last-axis formulas bit for bit."""
+
+    @staticmethod
+    def case(c: int, n: int):
+        rng = np.random.default_rng(100 + c)
+        s = 33
+        # per-point scales from 1e-2 to 1e3, so logits reach about +-1e3
+        m = rng.uniform(-1.0, 1.0, (n, c)) * 10.0 ** rng.integers(-2, 4, (n, 1))
+        v = rng.random((n, c)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+        Y = np.eye(c)[rng.integers(0, c, size=n)]
+        eps = normal_draws(c, (s, n, c))
+        w = rng.random(s)
+        nodes = max(1, int(1024 ** (1.0 / c)))
+        eps_gh, w_gh = gauss_hermite_draws(nodes, c)
+        draw_sets = [(eps, None), (eps, w / w.sum()), (eps_gh, w_gh)]
+        return m, v, Y, draw_sets
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("c", [2, 5, 8, 10, 20])
+    def test_grads_and_loglik_match(self, c, n):
+        m, v, Y, draw_sets = self.case(c, n)
+        for eps, w in draw_sets:
+            got, want = batch_grads_mv(m, v, Y, eps, w), oracles.batch_grads_mv(m, v, Y, eps, w)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert batch_expected_loglik(m, v, Y, eps, w) == oracles.batch_expected_loglik(
+                m, v, Y, eps, w
+            )
+
+    @pytest.mark.parametrize("c", [2, 5, 8, 10, 20])
+    def test_label_probs_match(self, c, monkeypatch):
+        m, v, _, _ = self.case(c, 7)
+        var = v - 0.1  # some negative predictive variances, clamped to 0
+        monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m, var))
+        mc = McConfig(samples=33, seed=4)
+        probs = model.predict_labels(None, None, mc).probs
+        eps = normal_draws(mc.seed, (mc.samples,) + m.shape)
+        assert np.array_equal(probs, oracles.label_probs(m, var, eps))
 
 
 class TestLikelihoodObjects:
