@@ -15,9 +15,9 @@ therefore produce byte-identical outputs. Subcommands:
                    inner loops, monitored by query cross-entropy
     verify         numerical identity checks with measured deviations
 
-Exit status: 0 success, 1 invalid input (:class:`~mdgpc.errors.InputError`),
-2 numerical failure (:class:`~mdgpc.errors.NumericalError`), 3 verification
-failure.
+Exit status: 0 success, 1 invalid input (:class:`~mdgpc.errors.InputError`)
+or out of memory, 2 numerical failure (:class:`~mdgpc.errors.NumericalError`),
+3 verification failure.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from .errors import InputError, NumericalError
 from .expfam import GaussianMoments
 from .inference import InnerConfig
 from .likelihood import GaussianSiteLikelihood, McConfig
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed, rng_for, with_draw_seed
 
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
@@ -394,22 +394,16 @@ def cmd_gen_data(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     o = cfg["outer"]
     inn = cfg["inner"]
-    if o["epochs"] < 0:
-        raise InputError("outer.epochs must be >= 0")
+    if o["epochs"] < 0 or o["episodes_per_epoch"] < 0:  # both, since -1 * -1 = 1
+        raise InputError("outer.epochs and outer.episodes_per_epoch must be >= 0")
     kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
     source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
-        epochs=o["epochs"],
-        episodes_per_epoch=o["episodes_per_epoch"],
+        episodes=o["epochs"] * o["episodes_per_epoch"],
         lr_net=o["lr_net"],
         lr_kernel=o["lr_kernel"],
-        inner=InnerConfig(
-            rho=inn["rho"],
-            steps=inn["steps"],
-            mc=McConfig(samples=inn["mc_samples"], seed=0),
-        ),
+        inner=InnerConfig(inn["rho"], inn["steps"], McConfig(inn["mc_samples"])),
         pred_mc=McConfig(samples=cfg["eval"]["pred_samples"], seed=0),
-        inner_method="MD",
         seed=cfg["seed"],
     )
     out = _prepare_output(cfg)
@@ -454,11 +448,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
             f"{ev['episodes']}"
         )
     source = _episode_sources(cfg, "test")(seeding.STREAM_EVAL_EP, cfg["seed"])
-    inner = InnerConfig(
-        rho=einn["rho"],
-        steps=einn["steps"],
-        mc=McConfig(samples=einn["mc_samples"], seed=0),
-    )
+    inner = InnerConfig(einn["rho"], einn["steps"], McConfig(einn["mc_samples"]))
     pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
     out = _prepare_output(cfg)
     result = meta.evaluate(
@@ -520,8 +510,7 @@ def cmd_compare_inner(cfg: dict) -> int:
         episode = source(i)
         Z, _ = kernels.extract(kern.extractor, episode.support_x)
         grams = [kernels.gram(b, Z) for b in kern.base]
-        seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_MC, i)
-        inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
+        inner = with_draw_seed(inner_tpl, cfg["seed"], seeding.STREAM_COMPARE_MC, i)
         finals = {}
         for method in ("MD", "GD"):
             _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
@@ -539,8 +528,8 @@ def cmd_compare_inner(cfg: dict) -> int:
 
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
-    if co["seeds"] < 1:
-        raise InputError("compare_outer.seeds must be >= 1")
+    if co["seeds"] < 1 or co["monitor_episodes"] < 1 or co["iterations"] < 0:
+        raise InputError("compare_outer needs seeds, monitor_episodes >= 1 and iterations >= 0")
     train_sources = _episode_sources(cfg, "train")
     monitor_sources = _episode_sources(cfg, "test")
     runs = []
@@ -550,14 +539,12 @@ def cmd_compare_outer(cfg: dict) -> int:
         kern = _build_kernel(cfg, kern_seed)
         train_src = train_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
         monitor_src = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
-        run_cfg = meta.CompareOuterConfig(
-            iterations=co["iterations"],
-            inner_steps=co["inner_steps"],
-            inner_rate=co["inner_rate"],
-            outer_lr=co["outer_lr"],
-            monitor_episodes=co["monitor_episodes"],
-            mc_samples=co["mc_samples"],
-            pred_samples=co["pred_samples"],
+        run_cfg = meta.TrainConfig(
+            episodes=co["iterations"],
+            lr_net=co["outer_lr"],
+            lr_kernel=co["outer_lr"],
+            inner=InnerConfig(co["inner_rate"], co["inner_steps"], McConfig(co["mc_samples"])),
+            pred_mc=McConfig(co["pred_samples"]),
             seed=run_seed,
         )
         runs.append((kern, train_src, monitor_src, run_cfg))
@@ -565,7 +552,7 @@ def cmd_compare_outer(cfg: dict) -> int:
     rows = []
     wins = 0
     for s, (kern, train_src, monitor_src, run_cfg) in enumerate(runs, start=1):
-        run_rows = meta.compare_outer(kern, train_src, monitor_src, run_cfg)
+        run_rows = meta.compare_outer(kern, train_src, monitor_src, run_cfg, co["monitor_episodes"])
         rows.extend(
             [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]
             for r in run_rows
@@ -758,6 +745,8 @@ def cmd_verify(cfg: dict) -> int:
         raise InputError("verify.fd_step must be positive")
     if cfg["verify"]["gh_nodes"] < 1 or cfg["verify"]["instances"] < 1:
         raise InputError("verify.gh_nodes and verify.instances must be >= 1")
+    if cfg["verify"]["tolerance"] < 0:
+        raise InputError("verify.tolerance must be >= 0")
     ngd_dev, rho_dev = _check_ngd(cfg)
     checks = [
         ("expfam_roundtrip", _check_roundtrip(seed), 1e-8),
@@ -849,6 +838,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

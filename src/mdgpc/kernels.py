@@ -158,6 +158,7 @@ class BaseKernelConfig:
     """One base kernel: kind plus raw (pre-softplus) scalar parameters.
 
     length_scale applies to RBF, offset to POL; output_scale to all kinds.
+    Scales are numpy floats: an overflowing power is inf, not OverflowError.
     """
 
     kind: str
@@ -173,15 +174,15 @@ class BaseKernelConfig:
 
     @property
     def length_scale(self) -> float:
-        return float(softplus(self.length_scale_raw))
+        return softplus(self.length_scale_raw)
 
     @property
     def offset(self) -> float:
-        return float(softplus(self.offset_raw))
+        return softplus(self.offset_raw)
 
     @property
     def output_scale(self) -> float:
-        return float(softplus(self.output_scale_raw))
+        return softplus(self.output_scale_raw)
 
     @property
     def degree(self) -> int:

@@ -14,26 +14,27 @@ separate learning rates for network weights and base-kernel parameters.
 """
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+import contextlib
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference, kernels, metrics, model, seeding
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .inference import InnerConfig
-from .kernels import BaseKernelConfig, DeepKernel, FeatureExtractor
+from .kernels import DeepKernel, FeatureExtractor
 from .likelihood import McConfig
-from .seeding import derive_seed
+from .seeding import with_draw_seed
 
 __all__ = [
     "AdamState",
     "TrainConfig",
-    "CompareOuterConfig",
     "flatten_hypers",
     "unflatten_hypers",
     "net_param_count",
     "outer_grad",
     "adam_step",
+    "outer_steps",
     "train",
     "evaluate",
     "compare_outer",
@@ -125,19 +126,25 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 1
-    episodes_per_epoch: int = 100
+    """Settings of the outer loop: one Adam step per training episode."""
+
+    episodes: int = 100
     lr_net: float = 1e-3
     lr_kernel: float = 1e-4
     inner: InnerConfig = InnerConfig(rho=1.0, steps=3)
     pred_mc: McConfig = McConfig(samples=512, seed=0)
-    inner_method: str = "MD"
     seed: int = 0
 
     def __post_init__(self):
+        if self.episodes < 0:
+            raise InputError(f"episodes must be >= 0, got {self.episodes}")
         for name in ("lr_net", "lr_kernel"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+    def inner_at(self, it: int) -> InnerConfig:
+        """Inner-loop settings of training episode `it`, with its own draws."""
+        return with_draw_seed(self.inner, self.seed, seeding.STREAM_INNER_MC, it)
 
 
 def adam_step(
@@ -155,138 +162,101 @@ def adam_step(
     return new, AdamState(m=m, v=v, t=t)
 
 
-def lr_vector(kernel: DeepKernel, lr_net: float, lr_kernel: float) -> np.ndarray:
-    n_net = net_param_count(kernel.extractor)
-    n_total = flatten_hypers(kernel).shape[0]
-    lr = np.full(n_total, lr_kernel)
-    lr[:n_net] = lr_net
-    return lr
+@contextlib.contextmanager
+def _named_failures(where: str):
+    """Prefix a NumericalError with `where`. numpy's floating-point warnings
+    are silenced, since the finite checks report the failure instead."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except NumericalError as exc:
+            raise NumericalError(f"{where}: {exc}") from exc
 
 
-def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
-    """Episodic outer loop: fit, differentiate the prior term, Adam update.
+def _query_probs(fit: model.FittedEpisode, episode, pred_mc: McConfig):
+    """(class probabilities, true label indices) of the episode's queries."""
+    pred = model.predict_labels(fit, episode.query_x, pred_mc)
+    if not np.isfinite(pred.probs).all():
+        raise NumericalError("non-finite query probabilities")
+    return pred.probs, np.argmax(episode.query_y, axis=1)
 
-    task_source(i) must return episode i (deterministic in i). Returns the
-    trained kernel and one history row per episode with the outer objective
-    (episode ELBO at the fitted posterior) and query monitoring metrics.
+
+def outer_steps(kernel: DeepKernel, task_source, cfg: TrainConfig, method: str):
+    """The outer loop: yield (it, episode, fit, updated kernel) per episode.
+
+    For it = 1..cfg.episodes: fit task_source(it) with the `method` inner
+    loop and cfg.inner_at(it), then take one Adam step along the outer
+    gradient. A failed fit, or a step to non-finite hyperparameters, raises
+    NumericalError naming the method and the episode.
     """
     flat = flatten_hypers(kernel)
     st = AdamState.zeros(flat.shape[0])
-    lr = lr_vector(kernel, cfg.lr_net, cfg.lr_kernel)
+    lr = np.full(flat.shape[0], cfg.lr_kernel)
+    lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
+    for it in range(1, cfg.episodes + 1):
+        episode, inner = task_source(it), cfg.inner_at(it)
+        with _named_failures(f"{method} episode {it}"):
+            fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner, method)
+            flat, st = adam_step(flat, outer_grad(fit), st, lr)
+            if not np.isfinite(flat).all():
+                raise NumericalError("outer step left non-finite hyperparameters")
+        kernel = unflatten_hypers(flat, kernel)
+        yield it, episode, fit, kernel
+
+
+def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
+    """Meta-train with the mirror-descent inner loop.
+
+    Returns the trained kernel and one history row per episode with the
+    outer objective (episode ELBO at the fitted posterior) and query
+    monitoring metrics.
+    """
     history = []
-    it = 0
-    for _epoch in range(cfg.epochs):
-        for _k in range(cfg.episodes_per_epoch):
-            it += 1
-            episode = task_source(it)
-            inner_seed = derive_seed(cfg.seed, seeding.STREAM_INNER_MC, it)
-            inner = replace(cfg.inner, mc=replace(cfg.inner.mc, seed=inner_seed))
-            fit = model.fit_episode(
-                kernel, episode.support_x, episode.support_y, inner, cfg.inner_method
-            )
-            objective = inference.elbo(fit.state, episode.support_y, inner.mc)
-            pred_seed = derive_seed(cfg.seed, seeding.STREAM_TRAIN_PRED, it)
-            pred = model.predict_labels(
-                fit, episode.query_x, replace(cfg.pred_mc, seed=pred_seed)
-            )
-            y_idx = np.argmax(episode.query_y, axis=1)
-            query_ce = metrics.nll(pred.probs, y_idx)
-            query_acc = metrics.accuracy(pred.probs, y_idx)
-            history.append(
-                {
-                    "iter": it,
-                    "objective": objective,
-                    "query_ce": query_ce,
-                    "query_acc": query_acc,
-                }
-            )
-            grad = outer_grad(fit)
-            flat, st = adam_step(flat, grad, st, lr)
-            kernel = unflatten_hypers(flat, kernel)
+    for it, episode, fit, kernel in outer_steps(kernel, task_source, cfg, "MD"):
+        pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_TRAIN_PRED, it)
+        with _named_failures(f"MD episode {it}"):
+            objective = inference.elbo(fit.state, episode.support_y, cfg.inner_at(it).mc)
+            probs, y_idx = _query_probs(fit, episode, pred_mc)
+        ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
+        history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})
     return kernel, history
 
 
-@dataclass(frozen=True)
-class CompareOuterConfig:
-    """Settings for the paired outer-loop convergence run."""
-
-    iterations: int = 30
-    inner_steps: int = 2
-    inner_rate: float = 0.02
-    outer_lr: float = 1e-3
-    monitor_episodes: int = 8
-    mc_samples: int = 64
-    pred_samples: int = 512
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 0 or self.monitor_episodes < 1:
-            raise InputError(
-                f"need iterations >= 0 and monitor_episodes >= 1, "
-                f"got {self.iterations} and {self.monitor_episodes}"
-            )
-        if self.outer_lr < 0.0:
-            raise InputError(f"outer_lr must be >= 0, got {self.outer_lr}")
-        McConfig(samples=self.pred_samples)  # fail here, not mid-run
-        self.inner_config()
-
-    def inner_config(self) -> InnerConfig:
-        """Inner-loop settings of training and monitor fits (draw seed 0)."""
-        return InnerConfig(self.inner_rate, self.inner_steps, McConfig(self.mc_samples))
-
-
 def compare_outer(
-    kernel: DeepKernel, task_source, monitor_source, cfg: CompareOuterConfig
+    kernel: DeepKernel, task_source, monitor_source, cfg: TrainConfig, monitor_episodes: int
 ) -> list[dict]:
     """Meta-train twice from one initialization, inner loop MD then GD.
 
     Both variants see the same episode sequence, the same inner-loop draw
-    seeds and the same single Adam rate on every hyperparameter, so the only
-    difference is the inner update rule. Progress is monitored with the
-    predictive-likelihood loss: refit a fixed bank of held-out episodes with
-    the current hyperparameters (same step count and rate as training) and
-    average the query cross-entropy and accuracy. One row is emitted per
-    variant per iteration, including iteration 0 at the shared
-    initialization.
+    seeds and the same Adam rates, so the only difference is the inner
+    update rule. Progress is monitored with the predictive-likelihood loss:
+    refit a fixed bank of `monitor_episodes` held-out episodes with the
+    current hyperparameters (same inner settings as training) and average
+    the query cross-entropy and accuracy. One row is emitted per variant per
+    iteration, including iteration 0 at the shared initialization.
     """
-    inner_tpl = cfg.inner_config()
+    if monitor_episodes < 1:
+        raise InputError(f"monitor_episodes must be >= 1, got {monitor_episodes}")
 
-    def monitor(kern: DeepKernel, method: str) -> tuple[float, float]:
+    def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
-        for j in range(1, cfg.monitor_episodes + 1):
+        for j in range(1, monitor_episodes + 1):
             ep = monitor_source(j)
-            seed = derive_seed(cfg.seed, seeding.STREAM_MONITOR_INNER, j)
-            inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
-            fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
-            pred_seed = derive_seed(cfg.seed, seeding.STREAM_MONITOR_PRED, j)
-            pred = model.predict_labels(
-                fit, ep.query_x, McConfig(samples=cfg.pred_samples, seed=pred_seed)
-            )
-            y_idx = np.argmax(ep.query_y, axis=1)
-            ces.append(metrics.nll(pred.probs, y_idx))
-            accs.append(metrics.accuracy(pred.probs, y_idx))
-        return float(np.mean(ces)), float(np.mean(accs))
+            inner = with_draw_seed(cfg.inner, cfg.seed, seeding.STREAM_MONITOR_INNER, j)
+            pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_MONITOR_PRED, j)
+            with _named_failures(f"{method} iteration {it}, monitor episode {j}"):
+                fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
+                probs, y_idx = _query_probs(fit, ep, pred_mc)
+            ces.append(metrics.nll(probs, y_idx))
+            accs.append(metrics.accuracy(probs, y_idx))
+        ce, acc = float(np.mean(ces)), float(np.mean(accs))
+        return {"method": method, "iter": it, "query_ce": ce, "query_acc": acc}
 
     rows = []
     for method in ("MD", "GD"):
-        flat = flatten_hypers(kernel)
-        st = AdamState.zeros(flat.shape[0])
-        lr = np.full(flat.shape[0], cfg.outer_lr)
-        kern = kernel
-        ce, acc = monitor(kern, method)
-        rows.append({"method": method, "iter": 0, "query_ce": ce, "query_acc": acc})
-        for it in range(1, cfg.iterations + 1):
-            ep = task_source(it)
-            seed = derive_seed(cfg.seed, seeding.STREAM_INNER_MC, it)
-            inner = replace(inner_tpl, mc=replace(inner_tpl.mc, seed=seed))
-            fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
-            grad = outer_grad(fit)
-            flat, st = adam_step(flat, grad, st, lr)
-            kern = unflatten_hypers(flat, kern)
-            ce, acc = monitor(kern, method)
-            rows.append(
-                {"method": method, "iter": it, "query_ce": ce, "query_acc": acc}
-            )
+        rows.append(monitor(kernel, method, 0))
+        for it, _, _, kern in outer_steps(kernel, task_source, cfg, method):
+            rows.append(monitor(kern, method, it))
     return rows
 
 
@@ -319,16 +289,12 @@ def evaluate(
 
     def eval_one(i: int):
         episode = task_source(i)
-        inner_seed = derive_seed(seed, seeding.STREAM_EVAL_INNER, i)
-        inner = replace(inner_cfg, mc=replace(inner_cfg.mc, seed=inner_seed))
-        fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
-        pred = model.predict_labels(
-            fit,
-            episode.query_x,
-            replace(pred_mc, seed=derive_seed(seed, seeding.STREAM_EVAL_PRED, i)),
-        )
-        y_idx = np.argmax(episode.query_y, axis=1)
-        return metrics.accuracy(pred.probs, y_idx), pred.probs, y_idx
+        inner = with_draw_seed(inner_cfg, seed, seeding.STREAM_EVAL_INNER, i)
+        eval_mc = with_draw_seed(pred_mc, seed, seeding.STREAM_EVAL_PRED, i)
+        with _named_failures(f"MD episode {i}"):
+            fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
+            probs, y_idx = _query_probs(fit, episode, eval_mc)
+        return metrics.accuracy(probs, y_idx), probs, y_idx
 
     indices = range(1, n_episodes + 1)
     if n_jobs > 1:

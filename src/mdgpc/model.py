@@ -40,7 +40,6 @@ class FittedEpisode:
     grams: list  # per-class GramResult on support features
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
-    support_y: np.ndarray
     terms: list  # per-class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
 
 
@@ -82,7 +81,6 @@ def fit_episode(
         grams=grams,
         features=Z,
         cache=cache,
-        support_y=support_y,
         terms=state.kinv_terms(),
     )
 

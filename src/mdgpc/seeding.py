@@ -5,6 +5,8 @@ Every stochastic component takes an integer seed; independent substreams
 keys so reruns are bit-identical and streams never alias.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 # Seed-stream tags: the first derivation key after a run seed. Each tag names
@@ -41,3 +43,11 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     if key:
         return np.random.default_rng(derive_seed(seed, *key))
     return np.random.default_rng(int(seed))
+
+
+def with_draw_seed(cfg, seed: int, stream: int, i: int):
+    """cfg (an McConfig, or a config with one as .mc) drawing from substream (stream, i)."""
+    draw_seed = derive_seed(seed, stream, i)
+    if hasattr(cfg, "mc"):
+        return replace(cfg, mc=replace(cfg.mc, seed=draw_seed))
+    return replace(cfg, seed=draw_seed)

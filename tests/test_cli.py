@@ -387,6 +387,8 @@ class TestExitCodes:
             ("train", "outer.lr_net=-1", 1),
             ("train", "outer.lr_kernel=-1", 1),
             ("compare-outer", "compare_outer.outer_lr=-1", 1),
+            ("train", "outer.episodes_per_epoch=-1", 1),
+            ("verify", "verify.tolerance=-1", 1),
         ],
     )
     def test_rejected_config_writes_nothing(self, tmp_path, capsys, cmd, override, rc):
@@ -446,6 +448,54 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: GD step 2: ")
 
+    @pytest.mark.parametrize(
+        "cmd, overrides, prefix",
+        [
+            # Adam writes NaN hyperparameters after the second GD-inner episode
+            (
+                "compare-outer",
+                ["kernel.init_scales.length_scale=1e-8"],
+                "GD episode 2: outer step left non-finite hyperparameters",
+            ),
+            # the squared length scale underflows to 0 in the first Gram
+            ("train", ["kernel.init_scales.length_scale=1e-300"], "MD episode 1: "),
+            # the squared length scale overflows; the GD monitor fit diverges
+            (
+                "compare-outer",
+                ["kernel.init_scales.length_scale=1e300"],
+                "GD iteration 0, monitor episode 1: GD step 2: ",
+            ),
+            # the GD monitor fit predicts NaN, which must not reach the CSV
+            (
+                "compare-outer",
+                ["kernel.init_scales.output_scale=1e-300", "compare_outer.iterations=0"],
+                "GD iteration 0, monitor episode 1: non-finite query probabilities",
+            ),
+        ],
+    )
+    def test_outer_loop_failure_names_episode(self, tmp_path, capsys, cmd, overrides, prefix):
+        argv = [arg for item in overrides for arg in ("--set", item)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(cmd, write_cfg(tmp_path), tmp_path / "o", *argv)
+        assert rc == 2 and not caught
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: " + prefix)
+
+    # 10**15 rows or draws need more memory than a 47-bit address space holds,
+    # so the allocation fails at once, whatever the host allows
+    @pytest.mark.parametrize(
+        "cmd, override",
+        [
+            ("gen-data", "gen_data.rows_per_class=1000000000000000"),
+            ("train", "inner.mc_samples=1000000000000000"),
+        ],
+    )
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, cmd, override):
+        assert run(cmd, write_cfg(tmp_path), tmp_path / "o", "--set", override) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+
 
 def numeric_leaves(doc: dict, prefix: str = ""):
     for key, value in doc.items():
@@ -458,8 +508,10 @@ def numeric_leaves(doc: dict, prefix: str = ""):
 # Config sections each fuzzed subcommand reads.
 FUZZ_SECTIONS = {
     "train": ("seed", "task", "kernel", "inner", "outer", "eval"),
+    "eval": ("seed", "task", "eval_inner", "eval"),
     "gen-data": ("seed", "task", "gen_data"),
     "compare-inner": ("seed", "task", "kernel", "compare_inner"),
+    "compare-outer": ("seed", "task", "kernel", "compare_outer"),
     "verify": ("seed", "verify"),
 }
 FAILURE_PREFIX = {1: "error: ", 2: "numerical failure: "}
@@ -482,9 +534,17 @@ def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+@pytest.fixture(scope="module")
+def base_checkpoint(tmp_path_factory):
+    """A checkpoint trained once at the BASE config, for fuzzing eval."""
+    tmp = tmp_path_factory.mktemp("base_train")
+    assert run("train", write_cfg(tmp), tmp / "o") == 0
+    return tmp / "o" / "checkpoint.json"
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(case=st.sampled_from(sorted(FUZZ_SECTIONS)).flatmap(fuzz_overrides))
-def test_cli_fuzz_exits_cleanly(case):
+def test_cli_fuzz_exits_cleanly(base_checkpoint, case):
     """Every override ends in exit 0, 1 or 2 (or 3, a failed verify check)
     and never in a traceback. Exit 1 and 2 print exactly one stderr line and
     no warning, exit 1 leaves no output directory, and written JSON is strict."""
@@ -493,6 +553,8 @@ def test_cli_fuzz_exits_cleanly(case):
         out = Path(tmp) / "o"
         cfg_path = write_cfg(Path(tmp), {"outer": {"episodes_per_epoch": 1}})
         argv = [cmd, "--config", str(cfg_path), "--set", f"output_dir={out}"]
+        if cmd == "eval":
+            argv += ["--checkpoint", str(base_checkpoint)]
         for key, value in overrides:
             argv += ["--set", f"{key}={value}"]
         err = io.StringIO()

@@ -1,10 +1,12 @@
 """Outer loop: hyper flattening, episode gradient, Adam, training, evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mdgpc import expfam, inference, kernels, meta, model, tasks
-from mdgpc.errors import InputError
+from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import GaussianMoments
 from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import McConfig
@@ -144,12 +146,11 @@ class TestAdam:
 
 
 class TestTrain:
-    def cfg(self, epochs=1, episodes=3):
+    def cfg(self, episodes=3, lr=1e-3):
         return meta.TrainConfig(
-            epochs=epochs,
-            episodes_per_epoch=episodes,
-            lr_net=1e-3,
-            lr_kernel=1e-4,
+            episodes=episodes,
+            lr_net=lr,
+            lr_kernel=lr / 10,
             inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(32, 0)),
             pred_mc=McConfig(samples=64, seed=0),
             seed=11,
@@ -166,14 +167,14 @@ class TestTrain:
 
     def test_zero_epochs_leaves_kernel_unchanged(self):
         kern = small_kernel(11)
-        trained, history = meta.train(kern, small_source(11), self.cfg(epochs=0))
+        trained, history = meta.train(kern, small_source(11), self.cfg(episodes=0))
         np.testing.assert_array_equal(
             meta.flatten_hypers(trained), meta.flatten_hypers(kern)
         )
         assert history == []
 
     def test_history_rows_and_keys(self):
-        _, history = meta.train(small_kernel(12), small_source(12), self.cfg(epochs=2))
+        _, history = meta.train(small_kernel(12), small_source(12), self.cfg(episodes=6))
         assert len(history) == 6
         assert [row["iter"] for row in history] == [1, 2, 3, 4, 5, 6]
         assert set(history[0]) == {"iter", "objective", "query_ce", "query_acc"}
@@ -184,8 +185,7 @@ class TestTrain:
         ep = small_source(13)(1)
         src = lambda i: ep
         cfg = meta.TrainConfig(
-            epochs=1,
-            episodes_per_epoch=40,
+            episodes=40,
             lr_net=1e-3,
             lr_kernel=1e-3,
             inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(64, 0)),
@@ -196,6 +196,20 @@ class TestTrain:
         first = np.mean([r["objective"] for r in history[:5]])
         last = np.mean([r["objective"] for r in history[-5:]])
         assert last > first
+
+    def test_negative_episode_count_rejected(self):
+        with pytest.raises(InputError, match="episodes must be >= 0"):
+            meta.TrainConfig(episodes=-1)
+
+    def test_overflowing_adam_rate_names_the_episode(self):
+        # a rate near the float maximum moves the hyperparameters by about
+        # 1e308 in the first step, so the fit of episode 2 overflows; the
+        # error names that episode, and no numpy warning is printed first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="^MD episode 2: "):
+                meta.train(small_kernel(14), small_source(14), self.cfg(lr=1e308))
+        assert not caught
 
 
 class TestEvaluate:
@@ -225,21 +239,25 @@ class TestEvaluate:
 class TestCompareOuter:
     def test_row_structure_and_determinism(self):
         kern = small_kernel(30)
-        cfg = meta.CompareOuterConfig(
-            iterations=2,
-            inner_steps=2,
-            inner_rate=0.05,
-            outer_lr=1e-3,
-            monitor_episodes=2,
-            mc_samples=16,
-            pred_samples=32,
+        cfg = meta.TrainConfig(
+            episodes=2,
+            lr_net=1e-3,
+            lr_kernel=1e-3,
+            inner=InnerConfig(rho=0.05, steps=2, mc=McConfig(16)),
+            pred_mc=McConfig(32),
             seed=5,
         )
-        rows = meta.compare_outer(kern, small_source(30), small_source(31), cfg)
-        assert len(rows) == 2 * (cfg.iterations + 1)
+        rows = meta.compare_outer(kern, small_source(30), small_source(31), cfg, 2)
+        assert len(rows) == 2 * (cfg.episodes + 1)
         assert [r["method"] for r in rows] == ["MD"] * 3 + ["GD"] * 3
         assert [r["iter"] for r in rows] == [0, 1, 2, 0, 1, 2]
         # both variants start from the same initialization but monitor with
         # method-specific refits, so iter-0 rows can differ between methods
-        again = meta.compare_outer(kern, small_source(30), small_source(31), cfg)
+        again = meta.compare_outer(kern, small_source(30), small_source(31), cfg, 2)
         assert rows == again
+
+    def test_empty_monitor_bank_rejected(self):
+        with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
+            meta.compare_outer(
+                small_kernel(32), small_source(32), small_source(33), meta.TrainConfig(), 0
+            )
