@@ -30,12 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expfam, inference, kernels, likelihood, meta, metrics, seeding, tasks
-from .errors import InputError, NumericalError
-from .expfam import GaussianMoments
+from . import inference, kernels, meta, metrics, seeding, tasks, verify
+from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
-from .likelihood import GaussianSiteLikelihood, McConfig
-from .seeding import derive_seed, rng_for, with_draw_seed
+from .likelihood import McConfig
+from .seeding import derive_seed, with_draw_seed
 
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
@@ -508,14 +507,15 @@ def cmd_compare_inner(cfg: dict) -> int:
     wins = 0
     for i, kern in enumerate(kerns, start=1):
         episode = source(i)
-        Z, _ = kernels.extract(kern.extractor, episode.support_x)
-        grams = [kernels.gram(b, Z) for b in kern.base]
         inner = with_draw_seed(inner_tpl, cfg["seed"], seeding.STREAM_COMPARE_MC, i)
         finals = {}
-        for method in ("MD", "GD"):
-            _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
-            rows.extend([method, i, step, value] for step, value in enumerate(elbos))
-            finals[method] = elbos[-1]
+        with named_failures(f"episode {i}"):
+            Z, _ = kernels.extract(kern.extractor, episode.support_x)
+            grams = [kernels.gram(b, Z) for b in kern.base]
+            for method in ("MD", "GD"):
+                _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
+                rows.extend([method, i, step, value] for step, value in enumerate(elbos))
+                finals[method] = elbos[-1]
         wins += finals["MD"] >= finals["GD"]
     _write_csv(out / "inner_trace.csv", ["method", "episode", "step", "elbo"], rows)
     print(
@@ -576,188 +576,15 @@ def cmd_compare_outer(cfg: dict) -> int:
     return 0
 
 
-def _random_moments(rng, n: int) -> GaussianMoments:
-    a = rng.standard_normal((n, n))
-    sigma = a @ a.T + 0.5 * n * np.eye(n)
-    return GaussianMoments(rng.standard_normal(n), sigma)
-
-
-def _check_roundtrip(seed: int) -> float:
-    worst = 0.0
-    for i in range(5):
-        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 1, i), 4)
-        back = expfam.natural_to_moments(expfam.moments_to_natural(mom))
-        worst = max(
-            worst,
-            float(np.max(np.abs(back.m - mom.m))),
-            float(np.max(np.abs(back.Sigma - mom.Sigma))),
-        )
-    return worst
-
-
-def _check_fenchel(seed: int) -> float:
-    worst = 0.0
-    for i in range(5):
-        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 2, i), 4)
-        nat = expfam.moments_to_natural(mom)
-        mu = expfam.moments_to_mean(mom)
-        gap = expfam.log_partition(nat) + expfam.neg_entropy(mu) - expfam.pairing(nat, mu)
-        worst = max(worst, abs(gap))
-    return worst
-
-
-def _check_bregman_kl(seed: int) -> float:
-    worst = 0.0
-    for i in range(5):
-        rng = rng_for(seed, seeding.STREAM_VERIFY, 3, i)
-        q, p = _random_moments(rng, 3), _random_moments(rng, 3)
-        breg = expfam.bregman_h(expfam.moments_to_mean(q), expfam.moments_to_mean(p))
-        worst = max(worst, abs(breg - expfam.gaussian_kl(q, p)))
-    return worst
-
-
-def _check_log_partition_grad(seed: int, fd_step: float) -> float:
-    """Central FD of A over minimal natural coordinates vs dual coordinates."""
-    worst = 0.0
-    for i in range(3):
-        mom = _random_moments(rng_for(seed, seeding.STREAM_VERIFY, 4, i), 3)
-        nat = expfam.moments_to_natural(mom)
-        coords = expfam.natural_to_coords(nat)
-        n = mom.m.shape[0]
-        grad_fd = np.empty_like(coords)
-        for j in range(coords.shape[0]):
-            h = fd_step * max(1.0, abs(coords[j]))
-            up, dn = coords.copy(), coords.copy()
-            up[j] += h
-            dn[j] -= h
-            grad_fd[j] = (
-                expfam.log_partition(expfam.coords_to_natural(up, n))
-                - expfam.log_partition(expfam.coords_to_natural(dn, n))
-            ) / (2.0 * h)
-        exact = expfam.mean_to_dual_coords(expfam.moments_to_mean(mom))
-        rel = np.max(np.abs(grad_fd - exact)) / max(1.0, float(np.max(np.abs(exact))))
-        worst = max(worst, float(rel))
-    return worst
-
-
-def _check_likelihood_grads(seed: int, fd_step: float) -> float:
-    """CRN finite differences of the expected log-likelihood vs (g_m, g_v).
-
-    Uses a fixed Gauss-Hermite node set as the common draws so both sides
-    are exact quadratures of the same smooth expectation; plain Monte Carlo
-    draws would leave an O(1/sqrt(S)) gap between the pathwise difference
-    quotient and the analytic integrand forms.
-    """
-    rng = rng_for(seed, seeding.STREAM_VERIFY, 5)
-    c = 3
-    m = rng.standard_normal(c)
-    v = 0.5 + rng.random(c)
-    y = np.zeros(c)
-    y[0] = 1.0
-    pm = expfam.PointMeanParams(mu1=m, mu2=v + m * m)
-    eps, weights = likelihood.gauss_hermite_draws(16, c)
-    mc = McConfig(samples=eps.shape[0], seed=0)
-    g_m, g_v = likelihood.grad_mv(pm, y, mc, eps=eps, weights=weights)
-    worst = 0.0
-    for j in range(c):
-        for which in ("m", "v"):
-            mm, vv = m.copy(), v.copy()
-            h = fd_step
-            vals = []
-            for sgn in (1.0, -1.0):
-                if which == "m":
-                    mm[j] = m[j] + sgn * h
-                else:
-                    vv[j] = v[j] + sgn * h
-                shifted = expfam.PointMeanParams(mu1=mm, mu2=vv + mm * mm)
-                vals.append(
-                    likelihood.mc_expected_loglik(
-                        shifted, y, mc, eps=eps, weights=weights
-                    )
-                )
-            fd = (vals[0] - vals[1]) / (2.0 * h)
-            exact = g_m[j] if which == "m" else g_v[j]
-            worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
-    return worst
-
-
-def _check_conjugate_step(seed: int) -> float:
-    rng = rng_for(seed, seeding.STREAM_VERIFY, 7)
-    n, c = 3, 2
-    Z = rng.standard_normal((n, 2))
-    base = kernels.BaseKernelConfig("RBF")
-    grams = [kernels.gram(base, Z) for _ in range(c)]
-    a = rng.standard_normal((n, c))
-    b = -0.1 - 0.4 * rng.random((n, c))
-    lik = GaussianSiteLikelihood(a, b)
-    state = inference.md_init(grams)
-    Y = np.zeros((n, c))
-    Y[:, 0] = 1.0
-    stepped = inference.md_step(
-        state, Y, InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0)), lik=lik
-    )
-    worst = 0.0
-    for i, g in enumerate(grams):
-        K = inference.k_eff(g)
-        prec = np.linalg.inv(K) - 2.0 * np.diag(b[:, i])
-        sigma = np.linalg.inv(prec)
-        mean = sigma @ a[:, i]
-        worst = max(
-            worst,
-            float(np.max(np.abs(stepped.moments[i].Sigma - sigma))),
-            float(np.max(np.abs(stepped.moments[i].m - mean))),
-        )
-    return worst
-
-
-def _tiny_instance(seed: int):
-    gen_cfg = tasks.TaskGenConfig(n_classes=2, shots=1, queries=1, dim=2, seed=seed)
-    episode = tasks.gen_episode(gen_cfg, seed=seed)
-    base = kernels.BaseKernelConfig(
-        "RBF", length_scale_raw=float(kernels.softplus_inv(3.0))
-    )
-    grams = [kernels.gram(base, episode.support_x) for _ in range(2)]
-    return grams, episode.support_y
-
-
-def _check_ngd(cfg: dict) -> tuple:
-    v, seed = cfg["verify"], cfg["seed"]
-    worst_dev, worst_rho = 0.0, 0.0
-    for i in range(v["instances"]):
-        grams, Y = _tiny_instance(derive_seed(seed, seeding.STREAM_VERIFY, 8, i))
-        inner = InnerConfig(
-            rho=0.5,
-            steps=2,
-            mc=McConfig(64, derive_seed(seed, seeding.STREAM_VERIFY, 9, i)),
-        )
-        report = inference.ngd_verify(
-            grams, Y, inner, fd_step=v["fd_step"], gh_nodes=v["gh_nodes"]
-        )
-        worst_dev = max(worst_dev, report["deviation"])
-        worst_rho = max(worst_rho, report["rho_deviation"])
-    return worst_dev, worst_rho
-
-
 def cmd_verify(cfg: dict) -> int:
-    seed = cfg["seed"]
-    fd_step = cfg["verify"]["fd_step"]
-    if fd_step <= 0:
+    v = cfg["verify"]
+    if v["fd_step"] <= 0:
         raise InputError("verify.fd_step must be positive")
-    if cfg["verify"]["gh_nodes"] < 1 or cfg["verify"]["instances"] < 1:
+    if v["gh_nodes"] < 1 or v["instances"] < 1:
         raise InputError("verify.gh_nodes and verify.instances must be >= 1")
-    if cfg["verify"]["tolerance"] < 0:
+    if v["tolerance"] < 0:
         raise InputError("verify.tolerance must be >= 0")
-    ngd_dev, rho_dev = _check_ngd(cfg)
-    checks = [
-        ("expfam_roundtrip", _check_roundtrip(seed), 1e-8),
-        ("fenchel_equality", _check_fenchel(seed), 1e-8),
-        ("bregman_equals_kl", _check_bregman_kl(seed), 1e-8),
-        ("log_partition_grad_fd", _check_log_partition_grad(seed, fd_step), 1e-4),
-        ("likelihood_grads_fd", _check_likelihood_grads(seed, fd_step), 1e-4),
-        ("conjugate_step_exact", _check_conjugate_step(seed), 1e-8),
-        ("ngd_equivalence", ngd_dev, cfg["verify"]["tolerance"]),
-        ("rate_invariance", rho_dev, 1e-9),
-    ]
+    checks = verify.run(cfg["seed"], v["instances"], v["fd_step"], v["gh_nodes"], v["tolerance"])
     out = _prepare_output(cfg)
     report = []
     all_ok = True

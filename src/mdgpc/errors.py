@@ -10,8 +10,13 @@ the CLI reports it:
   status 2, message ``numerical failure: ...``.
 
 A new check raises whichever class describes its cause; nothing else has
-to change for it to reach the right exit status.
+to change for it to reach the right exit status. :func:`named_failures`
+prefixes a NumericalError with where it happened.
 """
+
+import contextlib
+
+import numpy as np
 
 
 class MdgpcError(Exception):
@@ -24,3 +29,14 @@ class InputError(MdgpcError):
 
 class NumericalError(MdgpcError):
     """Valid input, but the computation failed (exit status 2)."""
+
+
+@contextlib.contextmanager
+def named_failures(where: str):
+    """Prefix a NumericalError with `where`. numpy's floating-point warnings
+    are silenced, since the finite checks report the failure instead."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except NumericalError as exc:
+            raise NumericalError(f"{where}: {exc}") from exc

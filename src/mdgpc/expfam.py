@@ -165,34 +165,6 @@ class FullMeanParams:
         return self.mu1.shape[0]
 
 
-@dataclass(frozen=True)
-class PointMeanParams:
-    """Per-point diagonal mean parameters mu1 = m_n, mu2 = v_n + m_n^2.
-
-    Holds elementwise arrays; entries are independent scalar-Gaussian
-    mean parameters, one per (point, class) pair.
-    """
-
-    mu1: np.ndarray
-    mu2: np.ndarray
-
-    def __post_init__(self):
-        mu1 = np.asarray(self.mu1, dtype=float)
-        mu2 = np.asarray(self.mu2, dtype=float)
-        if mu1.shape != mu2.shape:
-            raise InputError(f"mu1 shape {mu1.shape} != mu2 shape {mu2.shape}")
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.mu1
-
-    @property
-    def variance(self) -> np.ndarray:
-        return self.mu2 - self.mu1**2
-
-
 def moments_to_natural(mom: GaussianMoments) -> GaussianNatural:
     """(m, Sigma) -> (Sigma^{-1} m, -1/2 Sigma^{-1})."""
     L, _ = spd_cholesky(mom.Sigma)
@@ -273,53 +245,3 @@ def gaussian_kl(q: GaussianMoments, p: GaussianMoments) -> float:
     return 0.5 * (
         trace_term + float(sol @ sol) - n + chol_logdet(Lp) - chol_logdet(Lq)
     )
-
-
-# ---------------------------------------------------------------------------
-# Minimal coordinates on the symmetric family.
-#
-# Theta2 is symmetric, so a minimal coordinate system uses the basis
-# {e_i e_i'} for the diagonal and {e_i e_j' + e_j e_i', i < j} for the
-# off-diagonal. Natural coordinates t are the matrix entries on and above
-# the diagonal; the dual mean coordinates s satisfy <theta, mu> = t . s,
-# which doubles off-diagonal entries of Mu2. These coordinates are what the
-# finite-difference Fisher in the NGD equivalence check is built on.
-# ---------------------------------------------------------------------------
-
-
-def sym_coord_count(n: int) -> int:
-    """Number of minimal coordinates for dimension n: n + n(n+1)/2."""
-    return n + (n * (n + 1)) // 2
-
-
-def _triu_indices(n: int):
-    return np.triu_indices(n)
-
-
-def natural_to_coords(nat: GaussianNatural) -> np.ndarray:
-    """Stack (theta1, upper-triangle of Theta2) into a coordinate vector."""
-    iu = _triu_indices(nat.dim)
-    return np.concatenate([nat.theta1, nat.Theta2[iu]])
-
-
-def coords_to_natural(t: np.ndarray, n: int) -> GaussianNatural:
-    """Inverse of :func:`natural_to_coords` for dimension n."""
-    t = np.asarray(t, dtype=float)
-    if t.shape[0] != sym_coord_count(n):
-        raise InputError(
-            f"expected {sym_coord_count(n)} coordinates for n={n}, got {t.shape[0]}"
-        )
-    theta1 = t[:n]
-    Theta2 = np.zeros((n, n))
-    iu = _triu_indices(n)
-    Theta2[iu] = t[n:]
-    Theta2 = Theta2 + np.triu(Theta2, 1).T
-    return GaussianNatural(theta1=theta1, Theta2=Theta2)
-
-
-def mean_to_dual_coords(mu: FullMeanParams) -> np.ndarray:
-    """Dual coordinates s with <theta, mu> = t . s (off-diagonals doubled)."""
-    n = mu.dim
-    scaled = 2.0 * mu.Mu2 - np.diag(np.diag(mu.Mu2))
-    iu = _triu_indices(n)
-    return np.concatenate([mu.mu1, scaled[iu]])

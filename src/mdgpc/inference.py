@@ -24,18 +24,15 @@ A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
 storage for L) optimizes the same ELBO for the convergence comparisons.
 `inner_states` drives either update, and both states reduce q to the per-class
 terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}) that prediction and the outer
-gradient use. `ngd_verify` checks the mirror-descent direction against a
-finite-difference natural gradient built from the Fisher matrix of the
-exponential family.
+gradient use.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import expfam, likelihood
-from .errors import InputError, NumericalError
+from . import expfam
+from .errors import InputError, NumericalError, named_failures
 from .expfam import GaussianMoments, chol_solve, spd_cholesky
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
@@ -52,7 +49,6 @@ __all__ = [
     "elbo",
     "inner_states",
     "run_inner",
-    "ngd_verify",
     "k_eff",
     "site_factor",
     "posterior_from_sites",
@@ -315,17 +311,13 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     step_fn = md_step if method == "MD" else gd_step
     yield state
     for t in range(1, cfg.steps + 1):
-        with np.errstate(all="ignore"):
-            try:
-                state = step_fn(state, Y, cfg, step_index=t)
-            except NumericalError as exc:
-                raise NumericalError(f"{method} step {t}: {exc}") from exc
-            finite = all(
+        with named_failures(f"{method} step {t}"):
+            state = step_fn(state, Y, cfg, step_index=t)
+            if not all(
                 np.isfinite(mom.m).all() and np.isfinite(mom.Sigma).all()
                 for mom in state.moments
-            )
-        if not finite:
-            raise NumericalError(f"{method} step {t}: non-finite posterior moments")
+            ):
+                raise NumericalError("non-finite posterior moments")
         yield state
 
 
@@ -342,135 +334,3 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     for state in inner_states(method, prior_grams, Y, cfg):
         elbos.append(elbo(state, Y, cfg.mc, lik=eval_lik))
     return state, elbos
-
-
-# ---------------------------------------------------------------------------
-# mirror-descent / natural-gradient equivalence check
-# ---------------------------------------------------------------------------
-
-
-def _state_coords(state: VariationalState) -> np.ndarray:
-    """Natural coordinates of the full per-class posterior, concatenated."""
-    parts = []
-    for i, g in enumerate(state.prior):
-        K = k_eff(g)
-        Kinv = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
-        Kinv = 0.5 * (Kinv + Kinv.T)
-        nat = expfam.GaussianNatural(
-            theta1=state.sites.alpha[i],
-            Theta2=-0.5 * Kinv + np.diag(state.sites.beta[i]),
-        )
-        parts.append(expfam.natural_to_coords(nat))
-    return np.concatenate(parts)
-
-
-def _md_direction(state, Y, cfg, lik, rho: float) -> np.ndarray:
-    stepped = md_step(state, Y, replace(cfg, rho=rho), lik=lik)
-    return (_state_coords(stepped) - _state_coords(state)) / rho
-
-
-def _objective_at(coords, state, Y, lik, n, c):
-    moments = []
-    for i in range(c):
-        p = expfam.sym_coord_count(n)
-        nat = expfam.coords_to_natural(coords[i * p : (i + 1) * p], n)
-        moments.append(expfam.natural_to_moments(nat))
-    return _elbo_of(moments, state.prior, Y, lik)
-
-
-def ngd_verify(
-    prior_grams: list,
-    Y: np.ndarray,
-    cfg: InnerConfig,
-    lik=None,
-    warmup_steps: int = 2,
-    fd_step: float = 1e-4,
-    gh_nodes: int = 40,
-) -> dict:
-    """Check that the mirror step equals the natural-gradient step.
-
-    Computes (a) the mirror-descent direction (theta_{t+1} - theta_t) / rho
-    in minimal natural coordinates and (b) [grad^2 A]^{-1} grad_theta ELBO
-    with the gradient by central finite differences of the ELBO and the
-    Fisher by central finite differences of the map theta -> mu, then
-    reports the maximum componentwise deviation relative to the direction
-    scale. Both sides evaluate the same expected-log-likelihood functional
-    on a common deterministic node set (Gauss-Hermite; binary case), so the
-    deviation reflects finite-difference error only.
-
-    Intended for tiny instances (N <= 3 per class, C = 2).
-    """
-    n, c = prior_grams[0].K.shape[0], len(prior_grams)
-    Y = _validate_labels(Y, n, c)
-    if lik is None:
-        if c != 2:
-            raise InputError("default node set covers the binary case only")
-        eps, w = likelihood.gauss_hermite_draws(gh_nodes, c)
-        lik = SoftmaxLikelihood(eps, w)
-
-    state = md_init(prior_grams)
-    for t in range(warmup_steps):
-        state = md_step(state, Y, replace(cfg, rho=0.5), lik=lik)
-
-    md_dir = _md_direction(state, Y, cfg, lik, rho=1.0)
-    md_dir_small = _md_direction(state, Y, cfg, lik, rho=0.1)
-    scale = max(np.max(np.abs(md_dir)), 1e-12)
-    rho_deviation = float(np.max(np.abs(md_dir - md_dir_small)) / scale)
-
-    coords0 = _state_coords(state)
-    p = expfam.sym_coord_count(n)
-
-    def fd_grad(fun, x0, dim):
-        g = np.zeros(dim)
-        for k in range(dim):
-            h = fd_step * max(1.0, abs(x0[k]))
-            xp, xm = x0.copy(), x0.copy()
-            xp[k] += h
-            xm[k] -= h
-            g[k] = (fun(xp) - fun(xm)) / (2.0 * h)
-        return g
-
-    grad_theta = fd_grad(
-        lambda x: _objective_at(x, state, Y, lik, n, c), coords0, c * p
-    )
-
-    ngd_dir = np.zeros_like(grad_theta)
-    for i in range(c):
-        block = slice(i * p, (i + 1) * p)
-        t0 = coords0[block]
-
-        def dual_of(t):
-            mom = expfam.natural_to_moments(expfam.coords_to_natural(t, n))
-            return expfam.mean_to_dual_coords(expfam.moments_to_mean(mom))
-
-        fisher = np.zeros((p, p))
-        for k in range(p):
-            h = fd_step * max(1.0, abs(t0[k]))
-            tp, tm = t0.copy(), t0.copy()
-            tp[k] += h
-            tm[k] -= h
-            fisher[:, k] = (dual_of(tp) - dual_of(tm)) / (2.0 * h)
-        fisher = 0.5 * (fisher + fisher.T)
-        try:
-            Lf, _ = spd_cholesky(fisher)
-        except NumericalError as exc:
-            raise NumericalError(
-                f"finite-difference Fisher for class {i} not factorizable"
-            ) from exc
-        cond = (np.max(np.diag(Lf)) / max(np.min(np.diag(Lf)), 1e-300)) ** 2
-        if not math.isfinite(cond) or cond > 1e14:
-            raise NumericalError(
-                f"finite-difference Fisher for class {i} too ill-conditioned"
-            )
-        ngd_dir[block] = chol_solve(Lf, grad_theta[block])
-
-    denom = max(np.max(np.abs(md_dir)), np.max(np.abs(ngd_dir)), 1e-12)
-    deviation = float(np.max(np.abs(md_dir - ngd_dir)) / denom)
-    return {
-        "deviation": deviation,
-        "rho_deviation": rho_deviation,
-        "md_direction": md_dir,
-        "ngd_direction": ngd_dir,
-        "n_coords": int(c * p),
-        "state": state,
-    }

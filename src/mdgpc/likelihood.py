@@ -39,15 +39,12 @@ from .errors import InputError
 
 __all__ = [
     "McConfig",
-    "mc_expected_loglik",
-    "grad_mv",
     "batch_expected_loglik",
     "batch_grads_mv",
     "normal_draws",
     "gauss_hermite_draws",
     "SoftmaxLikelihood",
     "GaussianSiteLikelihood",
-    "check_one_hot",
 ]
 
 
@@ -61,16 +58,6 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
-
-
-def check_one_hot(y: np.ndarray) -> np.ndarray:
-    """Validate a one-hot label vector (entries in {0,1}, exactly one 1)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InputError(f"label must be a vector, got shape {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)) or int(np.sum(y)) != 1:
-        raise InputError(f"not a one-hot vector: {y!r}")
-    return y
 
 
 def normal_draws(seed: int, shape: tuple) -> np.ndarray:
@@ -192,37 +179,6 @@ def batch_grads_mv(m, v, Y, eps, weights=None):
     # row-major (N, C), like the (S, N, C) formulas return, so downstream BLAS calls
     # see the same strides
     return np.ascontiguousarray(g_m), np.ascontiguousarray(0.5 * q_bar.T)
-
-
-def _point_eps(pm_mean, mc: McConfig, eps):
-    if eps is None:
-        eps = normal_draws(mc.seed, (mc.samples, pm_mean.shape[0]))
-    return eps
-
-
-def mc_expected_loglik(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None) -> float:
-    """Estimated E[log p(y | f)] for a single point marginal.
-
-    pm carries per-class mean and variance vectors (see
-    :class:`~mdgpc.expfam.PointMeanParams`); draws come from mc.seed unless
-    an explicit (S, C) node set eps (with optional weights) is given.
-    """
-    y = check_one_hot(y)
-    eps = _point_eps(pm.mean, mc, eps)
-    return batch_expected_loglik(
-        pm.mean[None, :], pm.variance[None, :], y[None, :], eps[:, None, :], weights
-    )
-
-
-def grad_mv(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None):
-    """Estimated (g_m, g_v) for a single point, common draws with
-    :func:`mc_expected_loglik` when given the same eps or mc."""
-    y = check_one_hot(y)
-    eps = _point_eps(pm.mean, mc, eps)
-    g_m, g_v = batch_grads_mv(
-        pm.mean[None, :], pm.variance[None, :], y[None, :], eps[:, None, :], weights
-    )
-    return g_m[0], g_v[0]
 
 
 class SoftmaxLikelihood:

@@ -14,13 +14,12 @@ separate learning rates for network weights and base-kernel parameters.
 """
 
 import concurrent.futures
-import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference, kernels, metrics, model, seeding
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
 from .kernels import DeepKernel, FeatureExtractor
 from .likelihood import McConfig
@@ -162,17 +161,6 @@ def adam_step(
     return new, AdamState(m=m, v=v, t=t)
 
 
-@contextlib.contextmanager
-def _named_failures(where: str):
-    """Prefix a NumericalError with `where`. numpy's floating-point warnings
-    are silenced, since the finite checks report the failure instead."""
-    with np.errstate(all="ignore"):
-        try:
-            yield
-        except NumericalError as exc:
-            raise NumericalError(f"{where}: {exc}") from exc
-
-
 def _query_probs(fit: model.FittedEpisode, episode, pred_mc: McConfig):
     """(class probabilities, true label indices) of the episode's queries."""
     pred = model.predict_labels(fit, episode.query_x, pred_mc)
@@ -195,7 +183,7 @@ def outer_steps(kernel: DeepKernel, task_source, cfg: TrainConfig, method: str):
     lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
     for it in range(1, cfg.episodes + 1):
         episode, inner = task_source(it), cfg.inner_at(it)
-        with _named_failures(f"{method} episode {it}"):
+        with named_failures(f"{method} episode {it}"):
             fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner, method)
             flat, st = adam_step(flat, outer_grad(fit), st, lr)
             if not np.isfinite(flat).all():
@@ -214,7 +202,7 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
     history = []
     for it, episode, fit, kernel in outer_steps(kernel, task_source, cfg, "MD"):
         pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_TRAIN_PRED, it)
-        with _named_failures(f"MD episode {it}"):
+        with named_failures(f"MD episode {it}"):
             objective = inference.elbo(fit.state, episode.support_y, cfg.inner_at(it).mc)
             probs, y_idx = _query_probs(fit, episode, pred_mc)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
@@ -244,7 +232,7 @@ def compare_outer(
             ep = monitor_source(j)
             inner = with_draw_seed(cfg.inner, cfg.seed, seeding.STREAM_MONITOR_INNER, j)
             pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_MONITOR_PRED, j)
-            with _named_failures(f"{method} iteration {it}, monitor episode {j}"):
+            with named_failures(f"{method} iteration {it}, monitor episode {j}"):
                 fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
                 probs, y_idx = _query_probs(fit, ep, pred_mc)
             ces.append(metrics.nll(probs, y_idx))
@@ -291,7 +279,7 @@ def evaluate(
         episode = task_source(i)
         inner = with_draw_seed(inner_cfg, seed, seeding.STREAM_EVAL_INNER, i)
         eval_mc = with_draw_seed(pred_mc, seed, seeding.STREAM_EVAL_PRED, i)
-        with _named_failures(f"MD episode {i}"):
+        with named_failures(f"MD episode {i}"):
             fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
             probs, y_idx = _query_probs(fit, episode, eval_mc)
         return metrics.accuracy(probs, y_idx), probs, y_idx

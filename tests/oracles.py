@@ -4,14 +4,17 @@ The softmax formulas reduce over a last class axis, (S, N, C), the way the
 package computed them before its class-leading kernel; the tests hold the
 package to these bit for bit. `refresh_moments` recomputes a mirror-descent
 state's moments by dense solves, independent of the Woodbury path.
+`dual_coords_to_mean` inverts the dual minimal coordinates of
+:mod:`mdgpc.verify`.
 """
 
 import numpy as np
 
 from mdgpc.errors import InputError
-from mdgpc.expfam import GaussianMoments, chol_solve, spd_cholesky
+from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, spd_cholesky
 from mdgpc.inference import VariationalState, k_eff
-from mdgpc.likelihood import _prepare_batch, check_one_hot, grad_mv
+from mdgpc.likelihood import _prepare_batch
+from mdgpc.verify import check_one_hot, grad_mv
 
 
 def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:
@@ -79,3 +82,14 @@ def refresh_moments(state: VariationalState) -> VariationalState:
             GaussianMoments(chol_solve(Lp, state.sites.alpha[i]), 0.5 * (Sigma + Sigma.T))
         )
     return VariationalState(sites=state.sites, moments=moments, prior=state.prior)
+
+
+def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:
+    """Inverse of mean_to_dual_coords: off-diagonal entries are halved."""
+    mu1 = t[:n]
+    mat = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    mat[iu] = t[n:]
+    mu2 = 0.5 * (mat + mat.T)
+    mu2[np.diag_indices(n)] = np.diag(mat)
+    return FullMeanParams(mu1, mu2)

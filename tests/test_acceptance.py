@@ -13,39 +13,17 @@ import numpy as np
 import oracles
 import pytest
 
-from mdgpc import cli, expfam, inference, kernels, likelihood, meta, metrics, model, tasks
-from mdgpc.expfam import FullMeanParams, GaussianMoments, PointMeanParams
+from mdgpc import cli, expfam, inference, kernels, likelihood, meta, metrics, model, tasks, verify
+from mdgpc.expfam import GaussianMoments
 from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import GaussianSiteLikelihood, McConfig
 from mdgpc.seeding import derive_seed
+from mdgpc.verify import PointMeanParams, random_moments, tiny_instance
+from oracles import dual_coords_to_mean
 
 
 def from_mv(m, v) -> PointMeanParams:
     return PointMeanParams(mu1=np.asarray(m, float), mu2=np.asarray(v, float) + np.asarray(m, float) ** 2)
-
-
-def dual_coords_to_mean(s: np.ndarray, n: int) -> FullMeanParams:
-    iu = np.triu_indices(n)
-    U = np.zeros((n, n))
-    U[iu] = s[n:]
-    off = U - np.diag(np.diag(U))
-    Mu2 = np.diag(np.diag(U)) + 0.5 * off + 0.5 * off.T
-    return FullMeanParams(mu1=s[:n], Mu2=Mu2)
-
-
-def random_moments(rng, n: int) -> GaussianMoments:
-    a = rng.standard_normal((n, n))
-    return GaussianMoments(rng.standard_normal(n), a @ a.T + 0.5 * n * np.eye(n))
-
-
-def tiny_instance(seed: int):
-    cfg = tasks.TaskGenConfig(n_classes=2, shots=1, queries=1, dim=2, seed=seed)
-    ep = tasks.gen_episode(cfg, seed=seed)
-    base = kernels.BaseKernelConfig(
-        "RBF", length_scale_raw=float(kernels.softplus_inv(3.0))
-    )
-    grams = [kernels.gram(base, ep.support_x) for _ in range(2)]
-    return grams, ep.support_y
 
 
 def read_csv(path):
@@ -60,8 +38,7 @@ def test_criterion_01_mirror_step_equals_natural_gradient_step(tmp_path):
     worst = 0.0
     for i in range(10):
         grams, Y = tiny_instance(200 + i)
-        cfg = InnerConfig(rho=0.5, steps=2, mc=McConfig(64, derive_seed(1, i)))
-        report = inference.ngd_verify(grams, Y, cfg)
+        report = verify.ngd_verify(grams, Y)
         worst = max(worst, report["deviation"])
     elapsed = time.monotonic() - start
     print(f"criterion 1: max deviation {worst:.3e} (tol 1e-3), {elapsed:.1f} s (limit 30 s)")
@@ -130,7 +107,7 @@ def test_criterion_03_likelihood_gradient_identities():
         m = r.standard_normal(3)
         v = 0.5 + r.random(3)
         y = np.eye(3)[seed % 3]
-        g_m, g_v = likelihood.grad_mv(from_mv(m, v), y, mc, eps=eps, weights=w)
+        g_m, g_v = verify.grad_mv(from_mv(m, v), y, mc, eps=eps, weights=w)
         h = 1e-5
         for k in range(3):
             for target, grad in (("m", g_m), ("v", g_v)):
@@ -143,8 +120,8 @@ def test_criterion_03_likelihood_gradient_identities():
                     uv[k] += h
                     dv[k] -= h
                 fd = (
-                    likelihood.mc_expected_loglik(from_mv(up, uv), y, mc, eps=eps, weights=w)
-                    - likelihood.mc_expected_loglik(from_mv(dn, dv), y, mc, eps=eps, weights=w)
+                    verify.mc_expected_loglik(from_mv(up, uv), y, mc, eps=eps, weights=w)
+                    - verify.mc_expected_loglik(from_mv(dn, dv), y, mc, eps=eps, weights=w)
                 ) / (2 * h)
                 worst = max(worst, abs(grad[k] - fd))
         # (c) mean-parameter chain identity, exact, plus direct FD in (mu1, mu2)
@@ -163,8 +140,8 @@ def test_criterion_03_likelihood_gradient_identities():
                     mu2[k] += h
                     nu2[k] -= h
                 fd = (
-                    likelihood.mc_expected_loglik(PointMeanParams(mu1, mu2), y, mc, eps=eps, weights=w)
-                    - likelihood.mc_expected_loglik(PointMeanParams(nu1, nu2), y, mc, eps=eps, weights=w)
+                    verify.mc_expected_loglik(PointMeanParams(mu1, mu2), y, mc, eps=eps, weights=w)
+                    - verify.mc_expected_loglik(PointMeanParams(nu1, nu2), y, mc, eps=eps, weights=w)
                 ) / (2 * h)
                 grad = d1[k] if which == 1 else d2[k]
                 worst = max(worst, abs(grad - fd))
@@ -302,8 +279,8 @@ def test_criterion_07_exponential_family_identities():
         ) - expfam.gaussian_kl(mom, other)
         worst_id = max(worst_id, abs(gap))
 
-        t0 = expfam.natural_to_coords(nat)
-        dual = expfam.mean_to_dual_coords(mu)
+        t0 = verify.natural_to_coords(nat)
+        dual = verify.mean_to_dual_coords(mu)
         p = t0.shape[0]
         h = 1e-6
         for k in range(p):
@@ -311,8 +288,8 @@ def test_criterion_07_exponential_family_identities():
             up[k] += h
             dn[k] -= h
             fd = (
-                expfam.log_partition(expfam.coords_to_natural(up, n))
-                - expfam.log_partition(expfam.coords_to_natural(dn, n))
+                expfam.log_partition(verify.coords_to_natural(up, n))
+                - expfam.log_partition(verify.coords_to_natural(dn, n))
             ) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - dual[k]) / max(1.0, abs(dual[k])))
         s0 = dual

@@ -446,7 +446,7 @@ class TestExitCodes:
             )
         assert rc == 2 and not caught
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure: GD step 2: ")
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: episode 1: GD step 2: ")
 
     @pytest.mark.parametrize(
         "cmd, overrides, prefix",
@@ -471,6 +471,10 @@ class TestExitCodes:
                 ["kernel.init_scales.output_scale=1e-300", "compare_outer.iterations=0"],
                 "GD iteration 0, monitor episode 1: non-finite query probabilities",
             ),
+            # the scaled features overflow in the pairwise distances of the first Gram
+            ("compare-inner", ["kernel.init_scales.weight_std=1e100"], "episode 1: "),
+            # a finite-difference step of 1e300 leaves a precision indefinite
+            ("verify", ["verify.fd_step=1e300"], "ngd_equivalence instance 0: "),
         ],
     )
     def test_outer_loop_failure_names_episode(self, tmp_path, capsys, cmd, overrides, prefix):
@@ -515,9 +519,10 @@ FUZZ_SECTIONS = {
     "verify": ("seed", "verify"),
 }
 FAILURE_PREFIX = {1: "error: ", 2: "numerical failure: "}
-# Small and non-finite values only: large ones would allocate huge arrays or
-# run for a very long time.
-FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity"]
+# No large integer: one would allocate huge arrays or run for a very long
+# time. A float literal such as 1e300 is rejected by every integer (size) key,
+# so the extreme floats only reach scales, rates and steps.
+FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity", "1e-300", "1e300"]
 
 
 def fuzz_overrides(cmd: str):
@@ -542,7 +547,7 @@ def base_checkpoint(tmp_path_factory):
     return tmp / "o" / "checkpoint.json"
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=st.sampled_from(sorted(FUZZ_SECTIONS)).flatmap(fuzz_overrides))
 def test_cli_fuzz_exits_cleanly(base_checkpoint, case):
     """Every override ends in exit 0, 1 or 2 (or 3, a failed verify check)

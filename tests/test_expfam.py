@@ -5,28 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgpc import expfam
+from mdgpc import expfam, verify
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import (
-    FullMeanParams,
     GaussianMoments,
     GaussianNatural,
-    PointMeanParams,
     bregman_h,
-    coords_to_natural,
     gaussian_kl,
     log_partition,
-    mean_to_dual_coords,
     mean_to_moments,
     moments_to_mean,
     moments_to_natural,
-    natural_to_coords,
     natural_to_moments,
     neg_entropy,
     pairing,
     spd_cholesky,
+)
+from mdgpc.verify import (
+    PointMeanParams,
+    coords_to_natural,
+    mean_to_dual_coords,
+    natural_to_coords,
     sym_coord_count,
 )
+from oracles import dual_coords_to_mean
 
 HALF_LOG_2PI = 0.9189385332046727
 NEG_HALF_LOG_2PIE = -1.4189385332046727
@@ -34,20 +36,7 @@ KL_STD_VS_VAR4 = 0.3181471805599453  # 0.5 * (1/4 - 1 + log 4)
 
 
 def random_moments(seed: int, n: int) -> GaussianMoments:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    return GaussianMoments(rng.standard_normal(n), a @ a.T + 0.5 * n * np.eye(n))
-
-
-def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:
-    """Inverse of mean_to_dual_coords: off-diagonal entries are halved."""
-    mu1 = t[:n]
-    mat = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    mat[iu] = t[n:]
-    mu2 = 0.5 * (mat + mat.T)
-    mu2[np.diag_indices(n)] = np.diag(mat)
-    return FullMeanParams(mu1, mu2)
+    return verify.random_moments(np.random.default_rng(seed), n)
 
 
 class TestConversions:

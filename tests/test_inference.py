@@ -1,8 +1,14 @@
 """Inner-loop inference: mirror descent in site form, GD baseline, verifier."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdgpc
 from mdgpc import inference, kernels, likelihood, tasks
 from mdgpc.errors import InputError
 from mdgpc.inference import (
@@ -13,12 +19,12 @@ from mdgpc.inference import (
     k_eff,
     md_init,
     md_step,
-    ngd_verify,
     posterior_from_sites,
     run_inner,
 )
 from mdgpc.likelihood import GaussianSiteLikelihood, McConfig
 from mdgpc.seeding import derive_seed
+from mdgpc.verify import ngd_verify, tiny_instance
 from oracles import refresh_moments
 
 
@@ -263,35 +269,24 @@ class TestRunInner:
 
 
 class TestNgdEquivalence:
-    def tiny_instance(self, seed: int):
-        cfg = tasks.TaskGenConfig(n_classes=2, shots=1, queries=1, dim=2, seed=seed)
-        ep = tasks.gen_episode(cfg, seed=seed)
-        base = kernels.BaseKernelConfig(
-            "RBF", length_scale_raw=float(kernels.softplus_inv(3.0))
-        )
-        grams = [kernels.gram(base, ep.support_x) for _ in range(2)]
-        return grams, ep.support_y
-
     def test_direction_matches_fisher_preconditioned_gradient(self):
         worst = 0.0
         for i in range(5):
-            grams, Y = self.tiny_instance(200 + i)
-            cfg = InnerConfig(rho=0.5, steps=2, mc=McConfig(64, derive_seed(1, i)))
-            report = ngd_verify(grams, Y, cfg)
+            grams, Y = tiny_instance(200 + i)
+            report = ngd_verify(grams, Y)
             worst = max(worst, report["deviation"])
         assert worst <= 1e-3
 
     def test_direction_invariant_to_rate(self):
-        grams, Y = self.tiny_instance(300)
-        cfg = InnerConfig(rho=0.5, steps=2, mc=McConfig(64, 17))
-        report = ngd_verify(grams, Y, cfg)
+        grams, Y = tiny_instance(300)
+        report = ngd_verify(grams, Y)
         assert report["rho_deviation"] <= 1e-9
 
     def test_multiclass_requires_explicit_likelihood(self):
         grams = toy_grams(301, n=3, c=3)
         Y = toy_labels(301, 3, 3)
         with pytest.raises(InputError, match="binary case only"):
-            ngd_verify(grams, Y, InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0)))
+            ngd_verify(grams, Y)
 
     def test_gaussian_likelihood_direction_reaches_conjugate_target(self):
         # with constant site gradients, the natural-gradient direction from
@@ -302,6 +297,17 @@ class TestNgdEquivalence:
         b = -0.2 - 0.3 * rng.random((3, 2))
         lik = GaussianSiteLikelihood(a, b)
         Y = toy_labels(302, 3, 2)
-        cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0))
-        report = ngd_verify(grams, Y, cfg, lik=lik, warmup_steps=0)
+        report = ngd_verify(grams, Y, lik=lik, warmup_steps=0)
         assert report["deviation"] <= 1e-3
+
+
+def test_runtime_modules_do_not_import_verify():
+    # the verification layer sits on top of the runtime core, never inside it
+    code = (
+        "import sys, mdgpc.inference, mdgpc.model, mdgpc.meta; "
+        "assert 'mdgpc.verify' not in sys.modules"
+    )
+    src = str(Path(mdgpc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

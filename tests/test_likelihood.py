@@ -6,19 +6,16 @@ import pytest
 
 from mdgpc import likelihood, model
 from mdgpc.errors import InputError
-from mdgpc.expfam import PointMeanParams
 from mdgpc.likelihood import (
     GaussianSiteLikelihood,
     McConfig,
     SoftmaxLikelihood,
     batch_expected_loglik,
     batch_grads_mv,
-    check_one_hot,
     gauss_hermite_draws,
-    grad_mv,
-    mc_expected_loglik,
     normal_draws,
 )
+from mdgpc.verify import PointMeanParams, check_one_hot, grad_mv, mc_expected_loglik
 from oracles import grad_mean_params, log_softmax_lik
 
 LOGLIK_10_0_0 = -9.079573746717529e-05  # log softmax at f = (10, 0, 0), class 0
