@@ -36,12 +36,22 @@ natural-gradient descent on natural parameters.
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
 :class:`~mdgpc.errors.NumericalError`.
+
+The three SPD kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs``
+solves with a factor and ``dtrtrs`` does the triangular solves of
+:func:`gaussian_kl`. These are the routines behind ``scipy.linalg.cholesky``,
+``cho_solve`` and ``solve_triangular``, so the results are bit for bit the
+same, without scipy's per-call wrapper cost. The finite checks that scipy's
+``check_finite`` made live here instead: :func:`spd_cholesky` tests its
+input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
+difference (its factors come from :func:`spd_cholesky`). A non-finite
+operand raises :class:`~mdgpc.errors.NumericalError`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import InputError, NumericalError
 
@@ -49,6 +59,11 @@ JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
 
 _SYMMETRY_TOL = 1e-10
+
+
+def _check_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{name} of shape {x.shape} has non-finite entries")
 
 
 def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -67,20 +82,21 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected square matrix, got shape {a.shape}")
+    _check_finite(a, "matrix")
     jitter = 0.0
     while True:
-        try:
-            target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            return scipy.linalg.cholesky(target, lower=True), jitter
-        except scipy.linalg.LinAlgError:
-            jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
-            if jitter > JITTER_MAX:
-                raise NumericalError(
-                    f"matrix of shape {a.shape} not positive definite "
-                    f"(jitter ladder exhausted at {JITTER_MAX:g})"
-                ) from None
-        except ValueError:  # scipy's finite check; must follow its LinAlgError subclass
-            raise NumericalError(f"matrix of shape {a.shape} has non-finite entries") from None
+        target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+        L, info = dpotrf(target, lower=1, clean=1)
+        if info == 0:
+            return L, jitter
+        if info < 0:
+            raise NumericalError(f"dpotrf rejected argument {-info} for shape {a.shape}")
+        jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
+        if jitter > JITTER_MAX:
+            raise NumericalError(
+                f"matrix of shape {a.shape} not positive definite "
+                f"(jitter ladder exhausted at {JITTER_MAX:g})"
+            )
 
 
 def chol_logdet(chol_lower: np.ndarray) -> float:
@@ -90,7 +106,26 @@ def chol_logdet(chol_lower: np.ndarray) -> float:
 
 def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given the lower Cholesky factor of A."""
-    return scipy.linalg.cho_solve((chol_lower, True), b)
+    b = np.asarray(b, dtype=float)
+    if b.shape[:1] != chol_lower.shape[:1]:
+        raise InputError(f"factor of shape {chol_lower.shape} and right-hand side {b.shape}")
+    _check_finite(chol_lower, "Cholesky factor")
+    _check_finite(b, "right-hand side")
+    x, info = dpotrs(chol_lower, b, lower=1)
+    if info != 0:
+        raise NumericalError(f"dpotrs rejected argument {-info}")
+    return x
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for lower-triangular L, as scipy's solve_triangular orders it."""
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1)
+    else:  # dtrtrs reads Fortran order: solve the transposed system
+        x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info != 0:
+        raise NumericalError(f"dtrtrs failed with info {info}")
+    return x
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
@@ -117,6 +152,18 @@ class GaussianMoments:
             raise InputError(f"m has length {m.shape[0]} but Sigma is {Sigma.shape}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "Sigma", Sigma)
+
+    @classmethod
+    def _symmetric(cls, m: np.ndarray, Sigma: np.ndarray) -> "GaussianMoments":
+        """Wrap a 1-D float m and a bitwise-symmetric Sigma the package just built.
+
+        Skips the symmetry check, which could not fire: the check returns
+        0.5 (S + S'), and that equals S bit for bit when S = S'.
+        """
+        mom = object.__new__(cls)
+        object.__setattr__(mom, "m", m)
+        object.__setattr__(mom, "Sigma", Sigma)
+        return mom
 
     @property
     def dim(self) -> int:
@@ -230,17 +277,31 @@ def bregman_h(mu: FullMeanParams, mu_prime: FullMeanParams) -> float:
     )
 
 
-def gaussian_kl(q: GaussianMoments, p: GaussianMoments) -> float:
-    """KL( N(m_q, S_q) || N(m_p, S_p) ) via Cholesky factors of S_p, S_q."""
-    if q.dim != p.dim:
-        raise InputError(f"dimension mismatch {q.dim} vs {p.dim}")
+def gaussian_kl(
+    q: GaussianMoments, p: GaussianMoments | None = None, *, p_chol: np.ndarray | None = None
+) -> float:
+    """KL( N(m_q, S_q) || N(m_p, S_p) ) via Cholesky factors of S_p, S_q.
+
+    Pass either p, or p_chol: the lower factor that :func:`spd_cholesky`
+    returned for the covariance of a zero-mean p, which is then not factored
+    again.
+    """
+    if (p is None) == (p_chol is None):
+        raise InputError("gaussian_kl needs exactly one of p and p_chol")
     n = q.dim
-    Lp, _ = spd_cholesky(p.Sigma)
+    p_dim = p_chol.shape[0] if p is None else p.dim
+    if n != p_dim:
+        raise InputError(f"dimension mismatch {n} vs {p_dim}")
+    if p is None:
+        Lp, diff = p_chol, q.m
+    else:
+        Lp, _ = spd_cholesky(p.Sigma)
+        diff = q.m - p.m
     Lq, _ = spd_cholesky(q.Sigma)
-    diff = q.m - p.m
-    sol = scipy.linalg.solve_triangular(Lp, diff, lower=True)
+    _check_finite(diff, "mean difference")
+    sol = _solve_lower(Lp, diff)
     # tr(S_p^{-1} S_q) = || L_p^{-1} L_q ||_F^2
-    w = scipy.linalg.solve_triangular(Lp, Lq, lower=True)
+    w = _solve_lower(Lp, Lq)
     trace_term = float(np.sum(w * w))
     return 0.5 * (
         trace_term + float(sol @ sol) - n + chol_logdet(Lp) - chol_logdet(Lq)

@@ -25,9 +25,16 @@ storage for L) optimizes the same ELBO for the convergence comparisons.
 `inner_states` drives either update, and both states reduce q to the per-class
 terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}) that prediction and the outer
 gradient use.
+
+The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
+computes everything that depends on it alone once: K + jitter I, its
+Cholesky factor and K^{-1}. The steps, the ELBO's KL to the prior and
+`kinv_terms` read these read-only arrays instead of factoring or inverting
+K again. Moments the package builds itself are symmetric bit for bit and
+skip the public constructor's symmetry check.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,24 +113,27 @@ class VariationalState:
 
 @dataclass
 class GdState:
-    """Gradient-ascent state: per-class mean and Cholesky factor of Sigma."""
+    """Gradient-ascent state: per-class mean and Cholesky factor of Sigma.
+
+    The per-class moments (m, L L') are built once, with the state.
+    """
 
     m_list: list  # list of (N,) arrays
     chol_list: list  # list of (N, N) lower-triangular factors
     prior: list
+    moments: list = field(init=False)  # list[GaussianMoments], one per class
 
-    @property
-    def moments(self) -> list:
-        return [
-            GaussianMoments(m, L @ L.T) for m, L in zip(self.m_list, self.chol_list)
+    def __post_init__(self):
+        self.moments = [
+            GaussianMoments._symmetric(m, _symmetrize(L @ L.T))
+            for m, L in zip(self.m_list, self.chol_list)
         ]
 
     def kinv_terms(self) -> list:
         """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
         terms = []
         for g, mom in zip(self.prior, self.moments):
-            Kinv = chol_solve(g.chol, np.eye(mom.dim))
-            Kinv = 0.5 * (Kinv + Kinv.T)
+            Kinv = _symmetrize(g.kinv)
             terms.append((Kinv @ mom.m, Kinv - Kinv @ mom.Sigma @ Kinv))
         return terms
 
@@ -154,15 +164,16 @@ def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray
 
 def k_eff(gram_res) -> np.ndarray:
     """Prior covariance actually used: K plus the jitter that made it SPD."""
-    K = gram_res.K
-    if gram_res.jitter_used:
-        K = K + gram_res.jitter_used * np.eye(K.shape[0])
-    return K
+    return gram_res.k_eff
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.T)
 
 
 def site_factor(gram_res, beta_c: np.ndarray):
     """W = sqrt(-2 beta) and the Cholesky factor of B = I + W K W."""
-    K = k_eff(gram_res)
+    K = gram_res.k_eff
     W = np.sqrt(-2.0 * np.minimum(beta_c, 0.0))
     B = np.eye(K.shape[0]) + (W[:, None] * K) * W[None, :]
     LB, _ = spd_cholesky(B)
@@ -179,7 +190,7 @@ def posterior_from_sites(gram_res, alpha_c: np.ndarray, beta_c: np.ndarray):
     Sigma = K - KW @ expfam.chol_solve(LB, KW.T)
     Sigma = 0.5 * (Sigma + Sigma.T)
     m = Sigma @ alpha_c
-    return GaussianMoments(m=m, Sigma=Sigma)
+    return GaussianMoments._symmetric(m, Sigma)
 
 
 def marginal_mats(moments: list):
@@ -198,7 +209,7 @@ def md_init(prior_grams: list) -> VariationalState:
     n = prior_grams[0].K.shape[0]
     c = len(prior_grams)
     sites = SiteParams(alpha=np.zeros((c, n)), beta=np.zeros((c, n)))
-    moments = [GaussianMoments(np.zeros(n), k_eff(g)) for g in prior_grams]
+    moments = [GaussianMoments._symmetric(np.zeros(n), g.k_eff) for g in prior_grams]
     return VariationalState(sites=sites, moments=moments, prior=list(prior_grams))
 
 
@@ -261,9 +272,8 @@ def gd_step(
     for i, g in enumerate(state.prior):
         m, L = state.m_list[i], state.chol_list[i]
         grad_m = g_m[:, i] - chol_solve(g.chol, m)
-        Kinv = chol_solve(g.chol, eye)
         Sinv = chol_solve(L, eye)
-        GSig = np.diag(g_v[:, i]) - 0.5 * (Kinv - Sinv)
+        GSig = np.diag(g_v[:, i]) - 0.5 * (g.kinv - Sinv)
         GSig = 0.5 * (GSig + GSig.T)
         GL = np.tril(2.0 * GSig @ L)
         # ascent in (off-diagonal L, log-diagonal L, m)
@@ -277,11 +287,10 @@ def gd_step(
 
 def _elbo_of(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
     """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`."""
-    n = moments[0].dim
     m_mat, v_mat = marginal_mats(moments)
     total = lik.expected_loglik(m_mat, v_mat, Y)
     for mom, g in zip(moments, prior_grams):
-        total -= expfam.gaussian_kl(mom, GaussianMoments(np.zeros(n), k_eff(g)))
+        total -= expfam.gaussian_kl(mom, p_chol=g.chol)
     return float(total)
 
 

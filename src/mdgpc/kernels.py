@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expfam import spd_cholesky
+from .expfam import chol_solve, spd_cholesky
 
 KERNEL_KINDS = ("COS", "RBF", "POL1", "POL2")
 
@@ -213,15 +213,21 @@ class DeepKernel:
 class GramResult:
     """Gram matrix with the jitter that made it factorizable.
 
-    K is the raw kernel matrix; chol satisfies chol @ chol.T =
-    K + jitter_used * I. center is the feature mean used by COS centering
-    (None for other kinds) and is reused for query points at prediction.
+    K is the raw kernel matrix; k_eff = K + jitter_used * I is the prior
+    covariance the inner loops use, chol its lower Cholesky factor and kinv
+    the solve chol_solve(chol, I), unsymmetrized. They are computed once per
+    Gram, since the prior is fixed for a whole episode, and are read-only, so
+    no step can alter them for the steps after it. center is the feature mean
+    used by COS centering (None for other kinds) and is reused for query
+    points at prediction.
     """
 
     K: np.ndarray
     jitter_used: float
     cached_features: np.ndarray
     chol: np.ndarray
+    k_eff: np.ndarray
+    kinv: np.ndarray
     center: Optional[np.ndarray] = None
 
 
@@ -261,7 +267,15 @@ def gram(base: BaseKernelConfig, Z: np.ndarray) -> GramResult:
         K = s * (Z @ Z.T + base.offset) ** base.degree
     K = 0.5 * (K + K.T)
     L, jitter = spd_cholesky(K)
-    return GramResult(K=K, jitter_used=jitter, cached_features=Z, chol=L, center=center)
+    # the same sum spd_cholesky factored on its last try
+    k_eff = K + jitter * np.eye(K.shape[0]) if jitter else K
+    kinv = chol_solve(L, np.eye(K.shape[0]))
+    for arr in (K, L, k_eff, kinv):
+        arr.flags.writeable = False
+    return GramResult(
+        K=K, jitter_used=jitter, cached_features=Z, chol=L, k_eff=k_eff, kinv=kinv,
+        center=center,
+    )
 
 
 def gram_backward(base: BaseKernelConfig, res: GramResult, dK: np.ndarray):

@@ -150,9 +150,7 @@ def _state_coords(state) -> np.ndarray:
     """Natural coordinates of the full per-class posterior, concatenated."""
     parts = []
     for i, g in enumerate(state.prior):
-        K = k_eff(g)
-        Kinv = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
-        Kinv = 0.5 * (Kinv + Kinv.T)
+        Kinv = 0.5 * (g.kinv + g.kinv.T)
         nat = GaussianNatural(
             theta1=state.sites.alpha[i],
             Theta2=-0.5 * Kinv + np.diag(state.sites.beta[i]),

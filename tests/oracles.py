@@ -5,12 +5,17 @@ package computed them before its class-leading kernel; the tests hold the
 package to these bit for bit. `refresh_moments` recomputes a mirror-descent
 state's moments by dense solves, independent of the Woodbury path.
 `dual_coords_to_mean` inverts the dual minimal coordinates of
-:mod:`mdgpc.verify`.
+:mod:`mdgpc.verify`. `scipy_spd_cholesky`, `scipy_chol_solve` and
+`scipy_gaussian_kl` are the package's SPD kernels as written on
+``scipy.linalg`` before they called LAPACK directly; the tests hold the
+direct calls to them bit for bit.
 """
 
 import numpy as np
+import scipy.linalg
 
-from mdgpc.errors import InputError
+from mdgpc.errors import InputError, NumericalError
+from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
 from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, spd_cholesky
 from mdgpc.inference import VariationalState, k_eff
 from mdgpc.likelihood import _prepare_batch
@@ -93,3 +98,34 @@ def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:
     mu2 = 0.5 * (mat + mat.T)
     mu2[np.diag_indices(n)] = np.diag(mat)
     return FullMeanParams(mu1, mu2)
+
+
+def scipy_spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected square matrix, got shape {a.shape}")
+    jitter = 0.0
+    while True:
+        try:
+            target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+            return scipy.linalg.cholesky(target, lower=True), jitter
+        except scipy.linalg.LinAlgError:
+            jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
+            if jitter > JITTER_MAX:
+                raise NumericalError("jitter ladder exhausted") from None
+
+
+def scipy_chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return scipy.linalg.cho_solve((chol_lower, True), b)
+
+
+def scipy_gaussian_kl(q: GaussianMoments, p: GaussianMoments) -> float:
+    n = q.dim
+    Lp, _ = scipy_spd_cholesky(p.Sigma)
+    Lq, _ = scipy_spd_cholesky(q.Sigma)
+    sol = scipy.linalg.solve_triangular(Lp, q.m - p.m, lower=True)
+    w = scipy.linalg.solve_triangular(Lp, Lq, lower=True)
+    trace_term = float(np.sum(w * w))
+    return 0.5 * (
+        trace_term + float(sol @ sol) - n + chol_logdet(Lp) - chol_logdet(Lq)
+    )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from mdgpc.expfam import (
     GaussianMoments,
     GaussianNatural,
     bregman_h,
+    chol_solve,
     gaussian_kl,
     log_partition,
     mean_to_moments,
@@ -28,7 +30,7 @@ from mdgpc.verify import (
     natural_to_coords,
     sym_coord_count,
 )
-from oracles import dual_coords_to_mean
+from oracles import dual_coords_to_mean, scipy_chol_solve, scipy_gaussian_kl, scipy_spd_cholesky
 
 HALF_LOG_2PI = 0.9189385332046727
 NEG_HALF_LOG_2PIE = -1.4189385332046727
@@ -188,3 +190,48 @@ class TestSpdCholesky:
     def test_non_finite_raises(self):
         with pytest.raises(NumericalError, match="non-finite entries"):
             spd_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            chol_solve(np.eye(2), np.array([np.nan, 1.0]))
+        q = GaussianMoments(np.array([np.nan, 0.0]), np.eye(2))
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            gaussian_kl(q, GaussianMoments(np.zeros(2), np.eye(2)))
+
+
+def spd_matrix(seed: int, n: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+class TestLapackPath:
+    """The direct LAPACK calls against their scipy.linalg forms, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    def test_factor_and_solve_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n)
+        rank_one = np.outer(u, u)
+        assert n == 1 or spd_cholesky(rank_one)[1] > 0.0  # climbs the jitter ladder
+        for a in (spd_matrix(n, n), rank_one):
+            L, jitter = spd_cholesky(a)
+            L_ref, jitter_ref = scipy_spd_cholesky(a)
+            assert jitter == jitter_ref
+            assert np.array_equal(L, L_ref)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
+                assert np.array_equal(chol_solve(L, b), scipy_chol_solve(L, b))
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    def test_kl_matches_scipy(self, n):
+        rng = np.random.default_rng(n + 50)
+        q = GaussianMoments(rng.standard_normal(n), spd_matrix(n + 1, n))
+        p = GaussianMoments(rng.standard_normal(n), spd_matrix(n + 2, n))
+        assert gaussian_kl(q, p) == scipy_gaussian_kl(q, p)
+        prior = GaussianMoments(np.zeros(n), p.Sigma)
+        Lp, _ = spd_cholesky(p.Sigma)
+        assert gaussian_kl(q, p_chol=Lp) == scipy_gaussian_kl(q, prior)
+
+    def test_triangular_solve_matches_scipy_in_either_layout(self):
+        L, _ = spd_cholesky(spd_matrix(7, 25))
+        b = np.random.default_rng(8).standard_normal((25, 4))
+        for factor in (L, np.ascontiguousarray(L)):
+            ref = scipy.linalg.solve_triangular(factor, b, lower=True)
+            assert np.array_equal(expfam._solve_lower(factor, b), ref)

@@ -64,6 +64,17 @@ class TestInitAndCombine:
             np.testing.assert_allclose(mom.Sigma, k_eff(g), atol=0)
         assert np.all(state.sites.alpha == 0.0) and np.all(state.sites.beta == 0.0)
 
+    def test_built_covariances_are_bitwise_symmetric(self):
+        # the precondition for skipping the public constructor's symmetry check
+        grams = toy_grams(2)
+        Y = toy_labels(2, 5, 3)
+        md = md_init(grams)
+        gd = gd_init(grams)
+        stepped = [md_step(md, Y, InnerConfig(rho=0.5)), gd_step(gd, Y, InnerConfig(rho=0.1))]
+        for state in [md, gd, *stepped]:
+            for mom in state.moments:
+                assert np.array_equal(mom.Sigma, mom.Sigma.T)
+
     def test_combine_identity_dense(self):
         # posterior precision = prior precision - 2 diag(beta),
         # posterior precision @ mean = alpha

@@ -5,6 +5,7 @@ import pytest
 
 from mdgpc import kernels
 from mdgpc.errors import InputError
+from mdgpc.expfam import chol_solve, spd_cholesky
 from mdgpc.kernels import (
     BaseKernelConfig,
     cross_gram,
@@ -149,6 +150,22 @@ class TestGramForward:
         Z = rng.standard_normal((6, 2))
         res = gram(base_for("COS"), Z)
         assert res.jitter_used > 0.0
+
+    @pytest.mark.parametrize("kind", ["COS", "RBF"])
+    def test_cached_prior_is_refactored_prior(self, kind):
+        # COS on 6 points in 2 dims takes jitter; the cache must still equal a
+        # fresh factor and solve of K + jitter I, bit for bit
+        res = gram(base_for(kind), np.random.default_rng(5).standard_normal((6, 2)))
+        assert np.array_equal(res.k_eff, res.K + res.jitter_used * np.eye(6))
+        L, jitter = spd_cholesky(res.k_eff)
+        assert jitter == 0.0 and np.array_equal(L, res.chol)
+        assert np.array_equal(res.kinv, chol_solve(res.chol, np.eye(6)))
+
+    def test_cached_prior_is_read_only(self):
+        res = gram(base_for("RBF"), np.random.default_rng(5).standard_normal((4, 2)))
+        for arr in (res.K, res.chol, res.k_eff, res.kinv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
 
     @pytest.mark.parametrize("kind", ["RBF", "POL1", "POL2"])
     def test_cross_gram_matches_gram(self, kind):
