@@ -4,7 +4,10 @@ Every run resolves its configuration from built-in defaults, an optional
 JSON file and ``--set`` dotted-path overrides, writes the resolved document
 (`resolved_config.json`) next to its artifacts, and derives all randomness
 from the single ``seed`` entry. Repeated invocations with the same inputs
-therefore produce byte-identical outputs. Subcommands:
+therefore produce byte-identical outputs. Each key's default, type and rule
+are one row of ``_TABLE``, checked as the key is merged; only checks that tie
+keys to each other, to a data file or to a checkpoint live in the subcommands.
+Subcommands:
 
     gen-data       write a synthetic labelled pool as CSV
     train          episodic meta-training of the deep kernel
@@ -41,65 +44,93 @@ __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 CHECKPOINT_FORMAT_VERSION = 1
 
 
+# Rules a config value must meet, by the name the table below gives them.
+_PAIR = "null or a pair [angle_degrees, scale]"
+_PATH = "null or a path"
+_KINDS = "one of " + ", ".join(kernels.KERNEL_KINDS)
+_RULES = {
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    ">= 2": lambda x: x >= 2,
+    "> 0": lambda x: x > 0,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "2+ sizes >= 1": lambda x: len(x) >= 2 and min(x) >= 1,
+    "distinct class ids": lambda x: len(set(x)) == len(x),
+    "a plain file name": lambda x: x not in ("", "..") and "\0" not in x and Path(x).name == x,
+    _KINDS: lambda x: x in kernels.KERNEL_KINDS,
+    "a path": lambda x: "\0" not in x,
+    _PAIR: lambda x: len(x) == 2,
+    _PATH: lambda x: "\0" not in x,
+}
+
+# One row per config key: (dotted key, default, rule). The default's type is
+# the key's type (a list holds integers); a null default takes its type from
+# its rule. This is the only place a key's type and range are written.
+_TABLE = (
+    ("seed", 0, ">= 0"),
+    ("output_dir", "run_out", "a path"),
+    ("task.C", 5, ">= 2"),
+    ("task.L", 5, ">= 1"),
+    ("task.M", 16, ">= 1"),
+    ("task.D", 8, ">= 1"),
+    ("task.tau", 3.0, ">= 0"),
+    ("task.sigma_w", 0.5, ">= 0"),
+    ("task.domain_shift", None, _PAIR),
+    ("data.path", None, _PATH),
+    ("data.splits.train", [], "distinct class ids"),
+    ("data.splits.test", [], "distinct class ids"),
+    ("kernel.kind", "RBF", _KINDS),
+    ("kernel.net_dims", [8, 32, 32, 16], "2+ sizes >= 1"),
+    ("kernel.init_scales.weight_std", 1.0, "> 0"),
+    ("kernel.init_scales.length_scale", 5.0, "> 0"),
+    ("kernel.init_scales.output_scale", 4.0, "> 0"),
+    ("kernel.init_scales.offset", 1.0, "> 0"),
+    ("inner.rho", 1.0, "in (0, 1]"),
+    ("inner.steps", 3, ">= 0"),
+    ("inner.mc_samples", 64, ">= 1"),
+    ("eval_inner.rho", 0.5, "in (0, 1]"),
+    ("eval_inner.steps", 50, ">= 0"),
+    ("eval_inner.mc_samples", 512, ">= 1"),
+    ("outer.lr_net", 1e-3, ">= 0"),
+    ("outer.lr_kernel", 1e-4, ">= 0"),
+    ("outer.epochs", 1, ">= 0"),
+    ("outer.episodes_per_epoch", 100, ">= 0"),
+    ("eval.episodes", 100, ">= 1"),
+    ("eval.batches", 100, ">= 1"),
+    ("eval.bins", 15, ">= 1"),
+    ("eval.pred_samples", 512, ">= 1"),
+    ("compare_inner.episodes", 20, ">= 1"),
+    ("compare_inner.rate", 0.005, "in (0, 1]"),
+    ("compare_inner.steps", 30, ">= 0"),
+    ("compare_inner.mc_samples", 64, ">= 1"),
+    ("compare_outer.seeds", 10, ">= 1"),
+    ("compare_outer.iterations", 30, ">= 0"),
+    ("compare_outer.inner_steps", 2, ">= 0"),
+    ("compare_outer.inner_rate", 0.02, "in (0, 1]"),
+    ("compare_outer.outer_lr", 1e-3, ">= 0"),
+    ("compare_outer.monitor_episodes", 8, ">= 1"),
+    ("compare_outer.mc_samples", 64, ">= 1"),
+    ("compare_outer.pred_samples", 512, ">= 1"),
+    ("verify.instances", 10, ">= 1"),
+    ("verify.fd_step", 1e-4, "> 0"),
+    ("verify.gh_nodes", 40, ">= 1"),
+    ("verify.tolerance", 1e-3, ">= 0"),
+    ("gen_data.classes", 15, ">= 2"),
+    ("gen_data.rows_per_class", 50, ">= 1"),
+    ("gen_data.filename", "dataset.csv", "a plain file name"),
+)
+_ROWS = {key: (default, rule) for key, default, rule in _TABLE}
+
+
 def default_config() -> dict:
-    return copy.deepcopy(_DEFAULTS)
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "output_dir": "run_out",
-    "task": {
-        "C": 5,
-        "L": 5,
-        "M": 16,
-        "D": 8,
-        "tau": 3.0,
-        "sigma_w": 0.5,
-        "domain_shift": None,
-    },
-    "data": {
-        "path": None,
-        "splits": {"train": [], "test": []},
-    },
-    "kernel": {
-        "kind": "RBF",
-        "net_dims": [8, 32, 32, 16],
-        "init_scales": {
-            "weight_std": 1.0,
-            "length_scale": 5.0,
-            "output_scale": 4.0,
-            "offset": 1.0,
-        },
-    },
-    "inner": {"rho": 1.0, "steps": 3, "mc_samples": 64},
-    "eval_inner": {"rho": 0.5, "steps": 50, "mc_samples": 512},
-    "outer": {
-        "lr_net": 1e-3,
-        "lr_kernel": 1e-4,
-        "epochs": 1,
-        "episodes_per_epoch": 100,
-    },
-    "eval": {"episodes": 100, "batches": 100, "bins": 15, "pred_samples": 512},
-    "compare_inner": {"episodes": 20, "rate": 0.005, "steps": 30, "mc_samples": 64},
-    "compare_outer": {
-        "seeds": 10,
-        "iterations": 30,
-        "inner_steps": 2,
-        "inner_rate": 0.02,
-        "outer_lr": 1e-3,
-        "monitor_episodes": 8,
-        "mc_samples": 64,
-        "pred_samples": 512,
-    },
-    "verify": {"instances": 10, "fd_step": 1e-4, "gh_nodes": 40, "tolerance": 1e-3},
-    "gen_data": {"classes": 15, "rows_per_class": 50, "filename": "dataset.csv"},
-}
-
-# Keys whose value may be null; the second entry describes the non-null form.
-_NULLABLE = {
-    "task.domain_shift": "pair [angle_degrees, scale]",
-    "data.path": "string path",
-}
+    cfg = {}
+    for key, default, _ in _TABLE:
+        *sections, leaf = key.split(".")
+        node = cfg
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = copy.deepcopy(default)
+    return cfg
 
 
 def _finite_number(x) -> bool:
@@ -113,45 +144,37 @@ def _finite_number(x) -> bool:
         return False
 
 
-def _coerce_leaf(path: str, default, value):
+def _coerce_leaf(path: str, value):
+    """value as the type of config key `path`, once it meets the key's rule."""
+    default, rule = _ROWS[path]
     if value is None:
-        if path in _NULLABLE:
+        if default is None:
             return None
         raise InputError(f"config key '{path}' may not be null")
-    if path == "task.domain_shift":
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise InputError(f"'{path}' must be a {_NULLABLE[path]}")
-        if not all(map(_finite_number, value)):
-            raise InputError(f"'{path}' entries must be finite numbers")
-        return [float(value[0]), float(value[1])]
-    if path == "data.path":
-        if not isinstance(value, str):
-            raise InputError(f"'{path}' must be a {_NULLABLE[path]}")
-        return value
-    if isinstance(default, bool) or isinstance(value, bool):
+    if isinstance(value, bool):
         raise InputError(f"config key '{path}' has no boolean form")
-    if isinstance(default, float):
+    form = {_PAIR: list, _PATH: str}.get(rule, type(default))
+    if form is float:
         if not isinstance(value, (int, float)):
             raise InputError(f"config key '{path}' expects a number")
         if not _finite_number(value):
             shown = value if isinstance(value, float) else "an integer beyond the float range"
             raise InputError(f"config key '{path}' must be finite, got {shown}")
-        return float(value)
-    if isinstance(default, int):
-        if not isinstance(value, int):
-            raise InputError(f"config key '{path}' expects an integer")
-        return int(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise InputError(f"config key '{path}' expects a string")
-        return value
-    if isinstance(default, list):
+        value = float(value)
+    elif form is list:
         if not isinstance(value, list):
             raise InputError(f"config key '{path}' expects a list")
         if not all(map(_finite_number, value)):
             raise InputError(f"config key '{path}' expects finite numeric entries")
-        return [item if isinstance(item, int) else float(item) for item in value]
-    raise InputError(f"config key '{path}' has unsupported type")
+        if rule == _PAIR:
+            value = [float(x) for x in value]
+        elif not all(isinstance(x, int) for x in value):
+            raise InputError(f"config key '{path}' expects integer entries, got {value}")
+    elif not isinstance(value, form):
+        raise InputError(f"config key '{path}' expects {'an integer' if form is int else 'a string'}")
+    if not _RULES[rule](value):
+        raise InputError(f"config key '{path}' must be {rule}, got {value!r}")
+    return value
 
 
 def _merge_into(dst: dict, src, prefix: str = "") -> None:
@@ -165,7 +188,7 @@ def _merge_into(dst: dict, src, prefix: str = "") -> None:
         if isinstance(dst[key], dict):
             _merge_into(dst[key], value, path + ".")
         else:
-            dst[key] = _coerce_leaf(path, dst[key], value)
+            dst[key] = _coerce_leaf(path, value)
 
 
 def load_config(path) -> dict:
@@ -236,10 +259,7 @@ def _prepare_output(cfg: dict) -> Path:
 def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
     kc = cfg["kernel"]
     sc = kc["init_scales"]
-    for name in ("weight_std", "length_scale", "output_scale", "offset"):
-        if sc[name] <= 0:
-            raise InputError(f"kernel.init_scales.{name} must be positive")
-    dims = [int(d) for d in kc["net_dims"]]
+    dims = kc["net_dims"]
     fe = kernels.init_extractor(dims, seed=extractor_seed, weight_std=sc["weight_std"])
     if dims[0] != cfg["task"]["D"]:
         raise InputError(
@@ -277,7 +297,7 @@ def _episode_sources(cfg: dict, split: str):
         ds = tasks.load_csv_dataset(cfg["data"]["path"])
         splits = cfg["data"]["splits"]
         tasks.check_disjoint_splits(splits["train"], splits["test"])
-        pool = [int(c) for c in splits[split]]
+        pool = splits[split]
         if not pool:
             raise InputError(f"data.splits.{split} is empty")
         if ds.X.shape[1] != t["D"]:
@@ -373,8 +393,6 @@ def _load_checkpoint(path) -> dict:
 def cmd_gen_data(cfg: dict) -> int:
     g = cfg["gen_data"]
     t = cfg["task"]
-    if g["filename"] in ("", "..") or Path(g["filename"]).name != g["filename"]:
-        raise InputError(f"gen_data.filename {g['filename']!r} must be a plain file name")
     X, labels = tasks.gen_dataset(
         g["classes"],
         g["rows_per_class"],
@@ -393,8 +411,6 @@ def cmd_gen_data(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     o = cfg["outer"]
     inn = cfg["inner"]
-    if o["epochs"] < 0 or o["episodes_per_epoch"] < 0:  # both, since -1 * -1 = 1
-        raise InputError("outer.epochs and outer.episodes_per_epoch must be >= 0")
     kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
     source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
@@ -437,11 +453,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
         )
     ev = cfg["eval"]
     einn = cfg["eval_inner"]
-    if ev["episodes"] < 1:
-        raise InputError("eval.episodes must be >= 1")
-    if ev["bins"] < 1:
-        raise InputError("eval.bins must be >= 1")
-    if ev["batches"] < 1 or ev["episodes"] % ev["batches"] != 0:
+    if ev["episodes"] % ev["batches"] != 0:
         raise InputError(
             f"eval.batches = {ev['batches']} must divide eval.episodes = "
             f"{ev['episodes']}"
@@ -460,7 +472,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
         stderr = 0.0
     table = metrics.reliability_table(result.probs, result.y_true, ev["bins"])
     report = {
-        "accuracy_mean": float(result.accuracies.mean()),
+        "accuracy_mean": result.accuracy_mean,
         "accuracy_stderr": stderr,
         "nll": metrics.nll(result.probs, result.y_true),
         "ece": metrics.ece(result.probs, result.y_true, ev["bins"]),
@@ -492,8 +504,6 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
-    if ci["episodes"] < 1:
-        raise InputError("compare_inner.episodes must be >= 1")
     source = _episode_sources(cfg, "train")(seeding.STREAM_COMPARE_EP, cfg["seed"])
     kerns = [
         _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
@@ -528,8 +538,6 @@ def cmd_compare_inner(cfg: dict) -> int:
 
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
-    if co["seeds"] < 1 or co["monitor_episodes"] < 1 or co["iterations"] < 0:
-        raise InputError("compare_outer needs seeds, monitor_episodes >= 1 and iterations >= 0")
     train_sources = _episode_sources(cfg, "train")
     monitor_sources = _episode_sources(cfg, "test")
     runs = []
@@ -578,12 +586,6 @@ def cmd_compare_outer(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     v = cfg["verify"]
-    if v["fd_step"] <= 0:
-        raise InputError("verify.fd_step must be positive")
-    if v["gh_nodes"] < 1 or v["instances"] < 1:
-        raise InputError("verify.gh_nodes and verify.instances must be >= 1")
-    if v["tolerance"] < 0:
-        raise InputError("verify.tolerance must be >= 0")
     checks = verify.run(cfg["seed"], v["instances"], v["fd_step"], v["gh_nodes"], v["tolerance"])
     out = _prepare_output(cfg)
     report = []
@@ -644,8 +646,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.set)
-        if cfg["seed"] < 0:
-            raise InputError("seed must be >= 0")
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
         if args.command == "train":

@@ -56,7 +56,6 @@ __all__ = [
     "elbo",
     "inner_states",
     "run_inner",
-    "k_eff",
     "site_factor",
     "posterior_from_sites",
     "marginal_mats",
@@ -160,11 +159,6 @@ def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray
     if not np.all((Y == 0.0) | (Y == 1.0)) or not np.all(Y.sum(axis=1) == 1.0):
         raise InputError("label rows must be one-hot")
     return Y
-
-
-def k_eff(gram_res) -> np.ndarray:
-    """Prior covariance actually used: K plus the jitter that made it SPD."""
-    return gram_res.k_eff
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:

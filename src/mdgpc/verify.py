@@ -24,7 +24,7 @@ import numpy as np
 from . import expfam, kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
 from .expfam import FullMeanParams, GaussianMoments, GaussianNatural, chol_solve, spd_cholesky
-from .inference import InnerConfig, _elbo_of, _validate_labels, k_eff, md_init, md_step
+from .inference import InnerConfig, _elbo_of, _validate_labels, md_init, md_step
 from .likelihood import GaussianSiteLikelihood, McConfig, SoftmaxLikelihood, gauss_hermite_draws
 from .likelihood import batch_expected_loglik, batch_grads_mv, normal_draws
 from .seeding import derive_seed, rng_for
@@ -353,7 +353,7 @@ def _check_conjugate_step(seed: int) -> float:
     stepped = md_step(md_init(grams), Y, InnerConfig(rho=1.0), lik=GaussianSiteLikelihood(a, b))
     worst = 0.0
     for i, g in enumerate(grams):
-        prec = np.linalg.inv(k_eff(g)) - 2.0 * np.diag(b[:, i])
+        prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
         sigma = np.linalg.inv(prec)
         mean = sigma @ a[:, i]
         worst = max(

@@ -17,7 +17,7 @@ import scipy.linalg
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
 from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, spd_cholesky
-from mdgpc.inference import VariationalState, k_eff
+from mdgpc.inference import VariationalState
 from mdgpc.likelihood import _prepare_batch
 from mdgpc.verify import check_one_hot, grad_mv
 
@@ -78,7 +78,7 @@ def refresh_moments(state: VariationalState) -> VariationalState:
     """Recompute cached moments from the naturals by direct dense solves."""
     moments = []
     for i, g in enumerate(state.prior):
-        K = k_eff(g)
+        K = g.k_eff
         prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
         prec = prec - 2.0 * np.diag(state.sites.beta[i])
         Lp, _ = spd_cholesky(0.5 * (prec + prec.T))

@@ -72,7 +72,7 @@ def test_criterion_02_full_rate_step_is_exact_conjugate_update():
             lik=lik,
         )
         for i, g in enumerate(grams):
-            prec = np.linalg.inv(inference.k_eff(g)) - 2.0 * np.diag(b[:, i])
+            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
             worst = max(worst, np.max(np.abs(state.moments[i].Sigma - sigma)))
             worst = max(worst, np.max(np.abs(state.moments[i].m - sigma @ a[:, i])))
@@ -238,7 +238,7 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
         for c in range(3):
             g = kernels.gram(k2.base[c], Z)
             total -= expfam.gaussian_kl(
-                moments[c], GaussianMoments(np.zeros(Z.shape[0]), inference.k_eff(g))
+                moments[c], GaussianMoments(np.zeros(Z.shape[0]), g.k_eff)
             )
         return total
 
@@ -343,7 +343,7 @@ def test_criterion_08_predictive_consistency():
         g = fit.grams[c]
         kx = kernels.cross_gram(kern.base[c], Zq, fit.features, center=g.center)
         kdiag = kernels.gram_diag(kern.base[c], Zq, center=g.center)
-        Kinv = np.linalg.inv(inference.k_eff(g))
+        Kinv = np.linalg.inv(g.k_eff)
         mom = fit.state.moments[c]
         mu_dense = kx @ Kinv @ mom.m
         KiK = kx @ Kinv

@@ -89,6 +89,21 @@ class TestConfigHandling:
             with pytest.raises(InputError, match=msg):
                 cli.load_config(path)
 
+    def test_readme_table_matches_config_table(self):
+        """README's Configuration table has one row per key, in table order,
+        and every default meets its own rule."""
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip() for cell in line.strip("|").split(" | ")][:3]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        want = [[f"`{k}`", f"`{json.dumps(d)}`", f"`{r}`"] for k, d, r in cli._TABLE]
+        assert rows == want
+        for key, default, _ in cli._TABLE:
+            assert cli._coerce_leaf(key, json.loads(json.dumps(default))) == default
+
     def test_int_promotes_to_float(self, tmp_path):
         path = write_cfg(tmp_path, {"task": {"tau": 3}})
         cfg = cli.load_config(path)
@@ -389,15 +404,29 @@ class TestExitCodes:
             ("compare-outer", "compare_outer.outer_lr=-1", 1),
             ("train", "outer.episodes_per_epoch=-1", 1),
             ("verify", "verify.tolerance=-1", 1),
+            ("train", "kernel.net_dims=[4, 8.7, 6]", 1),
+            ("train", "kernel.net_dims=[4.9, 8, 6]", 1),
+            ("train", "data.splits.train=[0.5, 1.9, 2]", 1),
+            ("train", "data.splits.train=[0, 0, 0]", 1),
+            # each key is checked whichever subcommand runs
+            ("gen-data", "inner.rho=5", 1),
+            ("eval", "kernel.kind=FOO", 1),
+            # a NUL byte in a path used to end in a ValueError traceback
+            ("gen-data", 'gen_data.filename="a\\u0000b"', 1),
+            ("verify", 'output_dir="{tmp}/o\\u0000"', 1),
+            ("train", 'data.path="{tmp}/p\\u0000.csv"', 1),
         ],
     )
-    def test_rejected_config_writes_nothing(self, tmp_path, capsys, cmd, override, rc):
+    def test_rejected_config_writes_nothing(
+        self, tmp_path, capsys, base_checkpoint, cmd, override, rc
+    ):
         (tmp_path / "header_only.csv").write_text("f0,f1,f2,f3,label\n")
         (tmp_path / "nan_cell.csv").write_text("f0,f1,f2,f3,label\n1.0,nan,0.0,0.0,0\n")
         cfg_path = write_cfg(tmp_path, {"data": {"splits": {"train": [0], "test": [1]}}})
         out = tmp_path / "o"
         override = override.format(tmp=tmp_path, huge="1" + "0" * 400)
-        assert run(cmd, cfg_path, out, "--set", override) == rc
+        extra = ["--checkpoint", str(base_checkpoint)] if cmd == "eval" else []
+        assert run(cmd, cfg_path, out, "--set", override, *extra) == rc
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -501,14 +530,6 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
 
-def numeric_leaves(doc: dict, prefix: str = ""):
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            yield from numeric_leaves(value, f"{prefix}{key}.")
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield prefix + key
-
-
 # Config sections each fuzzed subcommand reads.
 FUZZ_SECTIONS = {
     "train": ("seed", "task", "kernel", "inner", "outer", "eval"),
@@ -523,15 +544,25 @@ FAILURE_PREFIX = {1: "error: ", 2: "numerical failure: "}
 # time. A float literal such as 1e300 is rejected by every integer (size) key,
 # so the extreme floats only reach scales, rates and steps.
 FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity", "1e-300", "1e300"]
+# The values on either side of each numeric rule's bound.
+BOUNDARY_VALUES = {
+    ">= 0": ["-1", "0"],
+    ">= 1": ["0", "1"],
+    ">= 2": ["1", "2"],
+    "> 0": ["0", "5e-324"],
+    "in (0, 1]": ["0", "1", "1.0000000000000002"],
+}
 
 
 def fuzz_overrides(cmd: str):
-    keys = [
-        key
-        for key in sorted(numeric_leaves(cli.default_config()))
-        if key.split(".")[0] in FUZZ_SECTIONS[cmd]
-    ]
-    pair = st.tuples(st.sampled_from(keys), st.sampled_from(FUZZ_VALUES))
+    values = {
+        key: FUZZ_VALUES + BOUNDARY_VALUES[rule]
+        for key, _, rule in cli._TABLE
+        if rule in BOUNDARY_VALUES and key.split(".")[0] in FUZZ_SECTIONS[cmd]
+    }
+    pair = st.sampled_from(sorted(values)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(values[key]))
+    )
     return st.tuples(st.just(cmd), st.lists(pair, min_size=1, max_size=2))
 
 

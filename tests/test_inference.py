@@ -16,7 +16,6 @@ from mdgpc.inference import (
     elbo,
     gd_init,
     gd_step,
-    k_eff,
     md_init,
     md_step,
     posterior_from_sites,
@@ -61,7 +60,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         for mom, g in zip(state.moments, grams):
             np.testing.assert_array_equal(mom.m, np.zeros(5))
-            np.testing.assert_allclose(mom.Sigma, k_eff(g), atol=0)
+            np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=0)
         assert np.all(state.sites.alpha == 0.0) and np.all(state.sites.beta == 0.0)
 
     def test_built_covariances_are_bitwise_symmetric(self):
@@ -85,7 +84,7 @@ class TestInitAndCombine:
         for step in range(3):
             state = md_step(state, Y, cfg, step_index=step)
         for i, g in enumerate(grams):
-            prec = np.linalg.inv(k_eff(g)) - 2.0 * np.diag(state.sites.beta[i])
+            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.sites.beta[i])
             np.testing.assert_allclose(
                 prec @ state.moments[i].Sigma, np.eye(5), atol=1e-8
             )
@@ -96,7 +95,7 @@ class TestInitAndCombine:
     def test_posterior_from_sites_zero_sites(self):
         g = toy_grams(4)[0]
         mom = posterior_from_sites(g, np.zeros(5), np.zeros(5))
-        np.testing.assert_allclose(mom.Sigma, k_eff(g), atol=1e-12)
+        np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=1e-12)
         np.testing.assert_array_equal(mom.m, np.zeros(5))
 
     def test_beta_stays_nonpositive(self):
@@ -141,7 +140,7 @@ class TestConjugateLimit:
             md_init(grams), Y, InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0)), lik=lik
         )
         for i, g in enumerate(grams):
-            prec = np.linalg.inv(k_eff(g)) - 2.0 * np.diag(b[:, i])
+            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
             np.testing.assert_allclose(state.moments[i].Sigma, sigma, atol=1e-8)
             np.testing.assert_allclose(state.moments[i].m, sigma @ a[:, i], atol=1e-8)
@@ -170,7 +169,7 @@ class TestGdBaseline:
         state = gd_init(grams)
         for mom, g in zip(state.moments, grams):
             np.testing.assert_array_equal(mom.m, np.zeros(5))
-            np.testing.assert_allclose(mom.Sigma, k_eff(g), atol=1e-10)
+            np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=1e-10)
 
     def test_gd_step_follows_elbo_gradient(self):
         # recover the implied gradient from one small step and compare with

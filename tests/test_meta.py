@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mdgpc import expfam, inference, kernels, meta, model, tasks
+from mdgpc import expfam, kernels, meta, model, tasks
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import GaussianMoments
 from mdgpc.inference import InnerConfig
@@ -42,7 +42,7 @@ def prior_term(flat, template, support_x, moments):
     for c in range(kern.n_classes):
         g = kernels.gram(kern.base[c], Z)
         total -= expfam.gaussian_kl(
-            moments[c], GaussianMoments(np.zeros(n), inference.k_eff(g))
+            moments[c], GaussianMoments(np.zeros(n), g.k_eff)
         )
     return total
 

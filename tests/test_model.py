@@ -73,7 +73,7 @@ class TestConditioning:
             g = fit.grams[c]
             kx = kernels.cross_gram(kern.base[c], Zq, fit.features, center=g.center)
             kdiag = kernels.gram_diag(kern.base[c], Zq, center=g.center)
-            Kinv = np.linalg.inv(inference.k_eff(g))
+            Kinv = np.linalg.inv(g.k_eff)
             mom = fit.state.moments[c]
             mu_dense = kx @ Kinv @ mom.m
             var_dense = (
