@@ -45,7 +45,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 # Rules a config value must meet, by the name the table below gives them.
-_PAIR = "null or a pair [angle_degrees, scale]"
+_PAIR = "null or a pair [angle_degrees, scale > 0]"
 _PATH = "null or a path"
 _KINDS = "one of " + ", ".join(kernels.KERNEL_KINDS)
 _RULES = {
@@ -59,7 +59,7 @@ _RULES = {
     "a plain file name": lambda x: x not in ("", "..") and "\0" not in x and Path(x).name == x,
     _KINDS: lambda x: x in kernels.KERNEL_KINDS,
     "a path": lambda x: "\0" not in x,
-    _PAIR: lambda x: len(x) == 2,
+    _PAIR: lambda x: len(x) == 2 and x[1] > 0,
     _PATH: lambda x: "\0" not in x,
 }
 
@@ -642,6 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every character str.splitlines breaks at, mapped to its escape sequence.
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -660,14 +664,14 @@ def main(argv=None) -> int:
             return cmd_compare_outer(cfg)
         return cmd_verify(cfg)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        rc, message = 1, f"error: {exc}"
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        rc, message = 2, f"numerical failure: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
+        rc, message = 1, f"error: out of memory: {exc}"
+    # a message may quote user text (a key, a path); escape its line breaks
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

@@ -22,9 +22,17 @@ prior exactly at zero sites.
 
 A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
 storage for L) optimizes the same ELBO for the convergence comparisons.
-`inner_states` drives either update, and both states reduce q to the per-class
-terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}) that prediction and the outer
-gradient use.
+Both states reduce q to the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma
+K^{-1}) that prediction and the outer gradient use.
+
+Every step has one contract: ``md_step(state, Y, rho, lik)`` and
+``gd_step(state, Y, lr, lik)`` take checked one-hot labels, a rate and the
+likelihood whose gradients drive the update, and do only the update.
+`inner_states` is the one driver: it checks the labels once, before its
+first state, and builds step t's likelihood from its own draw set (seed
+derive_seed(mc.seed, t)), so the draw schedule is written only there.
+``elbo(moments, prior_grams, Y, lik)`` scores a posterior under a given
+likelihood; `run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes everything that depends on it alone once: K + jitter I, its
@@ -45,7 +53,6 @@ from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
 
 __all__ = [
-    "SiteParams",
     "VariationalState",
     "GdState",
     "InnerConfig",
@@ -62,39 +69,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SiteParams:
-    """Per-class, per-point diagonal site naturals; rows are classes."""
-
-    alpha: np.ndarray  # (C, N)
-    beta: np.ndarray  # (C, N), <= 0
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        if alpha.shape != beta.shape or alpha.ndim != 2:
-            raise InputError(f"alpha shape {alpha.shape}, beta shape {beta.shape}")
-        if np.any(beta > 0.0):
-            raise InputError("site beta must be <= 0")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-
 @dataclass
 class VariationalState:
-    """Mirror-descent state: sites plus cached per-class moments."""
+    """Mirror-descent state: per-point site naturals plus cached per-class moments."""
 
-    sites: SiteParams
+    alpha: np.ndarray  # (C, N) linear site naturals; rows are classes
+    beta: np.ndarray  # (C, N) quadratic site naturals, <= 0
     moments: list  # list[GaussianMoments], one per class
     prior: list  # list[GramResult], one per class
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.prior)
-
-    @property
-    def n_points(self) -> int:
-        return self.sites.alpha.shape[1]
 
     def kinv_terms(self) -> list:
         """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}).
@@ -102,7 +84,7 @@ class VariationalState:
         Woodbury form: core = W B^{-1} W and u = alpha - W B^{-1} W (K alpha).
         """
         terms = []
-        for g, alpha, beta in zip(self.prior, self.sites.alpha, self.sites.beta):
+        for g, alpha, beta in zip(self.prior, self.alpha, self.beta):
             W, LB, K = site_factor(g, beta)
             core = W[:, None] * chol_solve(LB, np.diag(W))
             u = alpha - W * chol_solve(LB, W * (K @ alpha))
@@ -202,36 +184,27 @@ def md_init(prior_grams: list) -> VariationalState:
         raise InputError("need at least one class")
     n = prior_grams[0].K.shape[0]
     c = len(prior_grams)
-    sites = SiteParams(alpha=np.zeros((c, n)), beta=np.zeros((c, n)))
     moments = [GaussianMoments._symmetric(np.zeros(n), g.k_eff) for g in prior_grams]
-    return VariationalState(sites=sites, moments=moments, prior=list(prior_grams))
+    return VariationalState(
+        alpha=np.zeros((c, n)), beta=np.zeros((c, n)), moments=moments, prior=list(prior_grams)
+    )
 
 
-def _default_lik(state_n, state_c, mc: McConfig, step_index: int) -> SoftmaxLikelihood:
-    step_mc = McConfig(samples=mc.samples, seed=derive_seed(mc.seed, step_index))
-    return SoftmaxLikelihood.from_seed(step_mc, state_n, state_c)
+def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
+    """One mirror-descent step in conjugate (site) form at rate rho.
 
-
-def md_step(
-    state: VariationalState, Y: np.ndarray, cfg: InnerConfig, lik=None, step_index: int = 0
-) -> VariationalState:
-    """One mirror-descent step in conjugate (site) form."""
-    n, c = state.n_points, state.n_classes
-    Y = _validate_labels(Y, n, c)
-    if lik is None:
-        lik = _default_lik(n, c, cfg.mc, step_index)
+    Y must be checked (N, C) one-hot labels; `lik` supplies the gradients.
+    """
     m_mat, v_mat = marginal_mats(state.moments)
     g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
     d1 = (g_m - 2.0 * g_v * m_mat).T  # (C, N) mean-parameter gradients
     d2 = g_v.T
-    rho = cfg.rho
-    alpha = (1.0 - rho) * state.sites.alpha + rho * d1
-    beta = np.minimum((1.0 - rho) * state.sites.beta + rho * d2, 0.0)
-    sites = SiteParams(alpha=alpha, beta=beta)
+    alpha = (1.0 - rho) * state.alpha + rho * d1
+    beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
     moments = [
         posterior_from_sites(g, alpha[i], beta[i]) for i, g in enumerate(state.prior)
     ]
-    return VariationalState(sites=sites, moments=moments, prior=state.prior)
+    return VariationalState(alpha=alpha, beta=beta, moments=moments, prior=state.prior)
 
 
 def gd_init(prior_grams: list) -> GdState:
@@ -241,10 +214,10 @@ def gd_init(prior_grams: list) -> GdState:
     return GdState(m_list=m_list, chol_list=chol_list, prior=list(prior_grams))
 
 
-def gd_step(
-    state: GdState, Y: np.ndarray, cfg: InnerConfig, lik=None, step_index: int = 0
-) -> GdState:
-    """One gradient-ascent step on the ELBO in (m, L) with Sigma = L L'.
+def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
+    """One gradient-ascent step with step size lr on the ELBO in (m, L) with
+    Sigma = L L'. Y must be checked (N, C) one-hot labels; `lik` supplies the
+    gradients.
 
     Off-diagonal entries of L are stored directly, diagonal entries as logs,
     so the ascent update is taken in those coordinates:
@@ -253,15 +226,9 @@ def gd_step(
         dELBO/dSigma = diag(g_v) - 1/2 (K^{-1} - Sigma^{-1})
         dELBO/dL = 2 sym(dELBO/dSigma) L  (lower triangle)
     """
-    n, c = state.m_list[0].shape[0], len(state.prior)
-    Y = _validate_labels(Y, n, c)
-    if lik is None:
-        lik = _default_lik(n, c, cfg.mc, step_index)
-    moments = state.moments
-    m_mat, v_mat = marginal_mats(moments)
+    m_mat, v_mat = marginal_mats(state.moments)
     g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
-    lr = cfg.rho
-    eye = np.eye(n)
+    eye = np.eye(m_mat.shape[0])
     new_m, new_chol = [], []
     for i, g in enumerate(state.prior):
         m, L = state.m_list[i], state.chol_list[i]
@@ -279,7 +246,7 @@ def gd_step(
     return GdState(m_list=new_m, chol_list=new_chol, prior=state.prior)
 
 
-def _elbo_of(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
+def elbo(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
     """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`."""
     m_mat, v_mat = marginal_mats(moments)
     total = lik.expected_loglik(m_mat, v_mat, Y)
@@ -288,34 +255,28 @@ def _elbo_of(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
     return float(total)
 
 
-def elbo(state, Y: np.ndarray, mc: McConfig, lik=None) -> float:
-    """ELBO estimate: sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c)."""
-    moments = state.moments
-    n, c = moments[0].dim, len(moments)
-    Y = _validate_labels(Y, n, c)
-    if lik is None:
-        lik = SoftmaxLikelihood.from_seed(mc, n, c)
-    return _elbo_of(moments, state.prior, Y, lik)
-
-
 def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     """Yield the prior state, then the state after each of `steps` updates.
 
-    Gradient draws are fresh per step (seeded by cfg.mc.seed and the step
-    index), so the sequence is deterministic in its inputs. A step that
-    fails numerically or leaves non-finite moments raises NumericalError
-    naming the method and the step; numpy's floating-point warnings are
-    silenced inside the step, since this check reports the failure.
+    The labels are checked once, before the prior state. Gradient draws are
+    fresh per step: step t uses the draw set of seed derive_seed(cfg.mc.seed,
+    t), so the sequence is deterministic in its inputs. A step that fails
+    numerically or leaves non-finite moments raises NumericalError naming the
+    method and the step; numpy's floating-point warnings are silenced inside
+    the step, since this check reports the failure.
     """
     method = method.upper()
     if method not in ("MD", "GD"):
         raise InputError(f"unknown inner method {method!r}")
     state = md_init(prior_grams) if method == "MD" else gd_init(prior_grams)
     step_fn = md_step if method == "MD" else gd_step
+    n, c = prior_grams[0].K.shape[0], len(prior_grams)
+    Y = _validate_labels(Y, n, c)
     yield state
     for t in range(1, cfg.steps + 1):
         with named_failures(f"{method} step {t}"):
-            state = step_fn(state, Y, cfg, step_index=t)
+            step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, t))
+            state = step_fn(state, Y, cfg.rho, SoftmaxLikelihood.from_seed(step_mc, n, c))
             if not all(
                 np.isfinite(mom.m).all() and np.isfinite(mom.Sigma).all()
                 for mom in state.moments
@@ -335,5 +296,5 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
     elbos = []
     for state in inner_states(method, prior_grams, Y, cfg):
-        elbos.append(elbo(state, Y, cfg.mc, lik=eval_lik))
+        elbos.append(elbo(state.moments, prior_grams, Y, eval_lik))
     return state, elbos

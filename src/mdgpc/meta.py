@@ -22,7 +22,7 @@ from . import inference, kernels, metrics, model, seeding
 from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
 from .kernels import DeepKernel, FeatureExtractor
-from .likelihood import McConfig
+from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import with_draw_seed
 
 __all__ = [
@@ -202,8 +202,10 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
     history = []
     for it, episode, fit, kernel in outer_steps(kernel, task_source, cfg, "MD"):
         pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_TRAIN_PRED, it)
+        Y = episode.support_y
         with named_failures(f"MD episode {it}"):
-            objective = inference.elbo(fit.state, episode.support_y, cfg.inner_at(it).mc)
+            lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it).mc, *Y.shape)
+            objective = inference.elbo(fit.state.moments, fit.grams, Y, lik)
             probs, y_idx = _query_probs(fit, episode, pred_mc)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
         history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})

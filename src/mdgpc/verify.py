@@ -24,7 +24,7 @@ import numpy as np
 from . import expfam, kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
 from .expfam import FullMeanParams, GaussianMoments, GaussianNatural, chol_solve, spd_cholesky
-from .inference import InnerConfig, _elbo_of, _validate_labels, md_init, md_step
+from .inference import _validate_labels, elbo, md_init, md_step
 from .likelihood import GaussianSiteLikelihood, McConfig, SoftmaxLikelihood, gauss_hermite_draws
 from .likelihood import batch_expected_loglik, batch_grads_mv, normal_draws
 from .seeding import derive_seed, rng_for
@@ -152,15 +152,15 @@ def _state_coords(state) -> np.ndarray:
     for i, g in enumerate(state.prior):
         Kinv = 0.5 * (g.kinv + g.kinv.T)
         nat = GaussianNatural(
-            theta1=state.sites.alpha[i],
-            Theta2=-0.5 * Kinv + np.diag(state.sites.beta[i]),
+            theta1=state.alpha[i],
+            Theta2=-0.5 * Kinv + np.diag(state.beta[i]),
         )
         parts.append(natural_to_coords(nat))
     return np.concatenate(parts)
 
 
 def _md_direction(state, Y, lik, rho: float) -> np.ndarray:
-    stepped = md_step(state, Y, InnerConfig(rho=rho), lik=lik)
+    stepped = md_step(state, Y, rho, lik)
     return (_state_coords(stepped) - _state_coords(state)) / rho
 
 
@@ -170,7 +170,7 @@ def _objective_at(coords, state, Y, lik, n, c):
         p = sym_coord_count(n)
         nat = coords_to_natural(coords[i * p : (i + 1) * p], n)
         moments.append(expfam.natural_to_moments(nat))
-    return _elbo_of(moments, state.prior, Y, lik)
+    return elbo(moments, state.prior, Y, lik)
 
 
 def ngd_verify(
@@ -200,7 +200,7 @@ def ngd_verify(
 
     state = md_init(prior_grams)
     for t in range(warmup_steps):
-        state = md_step(state, Y, InnerConfig(rho=0.5), lik=lik)
+        state = md_step(state, Y, 0.5, lik)
 
     md_dir = _md_direction(state, Y, lik, rho=1.0)
     md_dir_small = _md_direction(state, Y, lik, rho=0.1)
@@ -350,7 +350,7 @@ def _check_conjugate_step(seed: int) -> float:
     b = -0.1 - 0.4 * rng.random((n, c))
     Y = np.zeros((n, c))
     Y[:, 0] = 1.0
-    stepped = md_step(md_init(grams), Y, InnerConfig(rho=1.0), lik=GaussianSiteLikelihood(a, b))
+    stepped = md_step(md_init(grams), Y, 1.0, GaussianSiteLikelihood(a, b))
     worst = 0.0
     for i, g in enumerate(grams):
         prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])

@@ -80,13 +80,15 @@ def refresh_moments(state: VariationalState) -> VariationalState:
     for i, g in enumerate(state.prior):
         K = g.k_eff
         prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
-        prec = prec - 2.0 * np.diag(state.sites.beta[i])
+        prec = prec - 2.0 * np.diag(state.beta[i])
         Lp, _ = spd_cholesky(0.5 * (prec + prec.T))
         Sigma = chol_solve(Lp, np.eye(K.shape[0]))
         moments.append(
-            GaussianMoments(chol_solve(Lp, state.sites.alpha[i]), 0.5 * (Sigma + Sigma.T))
+            GaussianMoments(chol_solve(Lp, state.alpha[i]), 0.5 * (Sigma + Sigma.T))
         )
-    return VariationalState(sites=state.sites, moments=moments, prior=state.prior)
+    return VariationalState(
+        alpha=state.alpha, beta=state.beta, moments=moments, prior=state.prior
+    )
 
 
 def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:

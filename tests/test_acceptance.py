@@ -65,12 +65,7 @@ def test_criterion_02_full_rate_step_is_exact_conjugate_update():
         b = -0.1 - 0.5 * rng.random((n, c))
         lik = GaussianSiteLikelihood(a, b)
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        state = inference.md_step(
-            inference.md_init(grams),
-            Y,
-            InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0)),
-            lik=lik,
-        )
+        state = inference.md_step(inference.md_init(grams), Y, 1.0, lik)
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)

@@ -315,6 +315,18 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_path_with_line_break_prints_one_line(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(tmp_path / "no\npe.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkpoint_path_with_line_break_prints_one_line(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "no\nckpt.json")
+        assert run("eval", write_cfg(tmp_path), tmp_path / "o", "--checkpoint", ckpt) == 1
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_override(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         assert run("train", cfg_path, tmp_path / "o", "--set", "bogus=1") == 1
@@ -415,6 +427,12 @@ class TestExitCodes:
             ("gen-data", 'gen_data.filename="a\\u0000b"', 1),
             ("verify", 'output_dir="{tmp}/o\\u0000"', 1),
             ("train", 'data.path="{tmp}/p\\u0000.csv"', 1),
+            # a line break in quoted user text is escaped, not printed
+            ("train", "a\nb=1", 1),
+            ("train", "data.path={tmp}/missing\nx.csv", 1),
+            # a zero scale collapses every input; a negative one flips them
+            ("train", "task.domain_shift=[0, 0]", 1),
+            ("train", "task.domain_shift=[0, -1]", 1),
         ],
     )
     def test_rejected_config_writes_nothing(

@@ -16,12 +16,13 @@ from mdgpc.inference import (
     elbo,
     gd_init,
     gd_step,
+    inner_states,
     md_init,
     md_step,
     posterior_from_sites,
     run_inner,
 )
-from mdgpc.likelihood import GaussianSiteLikelihood, McConfig
+from mdgpc.likelihood import GaussianSiteLikelihood, McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import ngd_verify, tiny_instance
 from oracles import refresh_moments
@@ -54,6 +55,11 @@ def episode_grams(seed: int, shots: int = 5):
     return [kernels.gram(base, Z) for _ in range(5)], ep.support_y
 
 
+def step_lik(mc: McConfig, t: int, n: int, c: int) -> SoftmaxLikelihood:
+    """The draws `inner_states` gives step t of a loop seeded by mc."""
+    return SoftmaxLikelihood.from_seed(McConfig(mc.samples, derive_seed(mc.seed, t)), n, c)
+
+
 class TestInitAndCombine:
     def test_md_init_is_prior(self):
         grams = toy_grams(0)
@@ -61,7 +67,7 @@ class TestInitAndCombine:
         for mom, g in zip(state.moments, grams):
             np.testing.assert_array_equal(mom.m, np.zeros(5))
             np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=0)
-        assert np.all(state.sites.alpha == 0.0) and np.all(state.sites.beta == 0.0)
+        assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
 
     def test_built_covariances_are_bitwise_symmetric(self):
         # the precondition for skipping the public constructor's symmetry check
@@ -69,7 +75,8 @@ class TestInitAndCombine:
         Y = toy_labels(2, 5, 3)
         md = md_init(grams)
         gd = gd_init(grams)
-        stepped = [md_step(md, Y, InnerConfig(rho=0.5)), gd_step(gd, Y, InnerConfig(rho=0.1))]
+        lik = step_lik(McConfig(), 0, 5, 3)
+        stepped = [md_step(md, Y, 0.5, lik), gd_step(gd, Y, 0.1, lik)]
         for state in [md, gd, *stepped]:
             for mom in state.moments:
                 assert np.array_equal(mom.Sigma, mom.Sigma.T)
@@ -82,14 +89,14 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, 3))
         for step in range(3):
-            state = md_step(state, Y, cfg, step_index=step)
+            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
         for i, g in enumerate(grams):
-            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.sites.beta[i])
+            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
             np.testing.assert_allclose(
                 prec @ state.moments[i].Sigma, np.eye(5), atol=1e-8
             )
             np.testing.assert_allclose(
-                prec @ state.moments[i].m, state.sites.alpha[i], atol=1e-8
+                prec @ state.moments[i].m, state.alpha[i], atol=1e-8
             )
 
     def test_posterior_from_sites_zero_sites(self):
@@ -104,8 +111,8 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(32, 7))
         for step in range(10):
-            state = md_step(state, Y, cfg, step_index=step)
-            assert np.all(state.sites.beta <= 0.0)
+            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
+            assert np.all(state.beta <= 0.0)
 
     def test_refresh_moments_matches_cache(self):
         grams = toy_grams(8)
@@ -113,7 +120,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.9, steps=1, mc=McConfig(64, 11))
         for step in range(4):
-            state = md_step(state, Y, cfg, step_index=step)
+            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
         refreshed = refresh_moments(state)
         for a, b in zip(state.moments, refreshed.moments):
             np.testing.assert_allclose(a.m, b.m, atol=1e-10)
@@ -121,10 +128,9 @@ class TestInitAndCombine:
 
     def test_bad_labels_rejected(self):
         grams = toy_grams(10)
-        state = md_init(grams)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(8, 0))
         with pytest.raises(InputError, match="one-hot"):
-            md_step(state, np.full((5, 3), 0.5), cfg)
+            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg))
 
 
 class TestConjugateLimit:
@@ -136,9 +142,7 @@ class TestConjugateLimit:
         b = -0.1 - 0.5 * rng.random((4, 2))
         lik = GaussianSiteLikelihood(a, b)
         Y = toy_labels(seed, 4, 2)
-        state = md_step(
-            md_init(grams), Y, InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0)), lik=lik
-        )
+        state = md_step(md_init(grams), Y, 1.0, lik)
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
@@ -154,10 +158,8 @@ class TestConjugateLimit:
             rng.standard_normal((4, 2)), -0.2 - rng.random((4, 2))
         )
         Y = toy_labels(3, 4, 2)
-        cfg1 = InnerConfig(rho=1.0, steps=1, mc=McConfig(4, 0))
-        cfg2 = InnerConfig(rho=0.3, steps=1, mc=McConfig(4, 0))
-        state = md_step(md_init(grams), Y, cfg1, lik=lik)
-        again = md_step(state, Y, cfg2, lik=lik)
+        state = md_step(md_init(grams), Y, 1.0, lik)
+        again = md_step(state, Y, 0.3, lik)
         for a, b in zip(state.moments, again.moments):
             np.testing.assert_allclose(a.m, b.m, atol=1e-10)
             np.testing.assert_allclose(a.Sigma, b.Sigma, atol=1e-10)
@@ -184,10 +186,9 @@ class TestGdBaseline:
         lr = 1e-7
         state = gd_init(grams)
         # move off the prior first so gradients are nonzero
-        warm = InnerConfig(rho=0.05, steps=1, mc=McConfig(4, 0))
         for _ in range(2):
-            state = gd_step(state, Y, warm, lik=lik)
-        stepped = gd_step(state, Y, InnerConfig(rho=lr, steps=1, mc=McConfig(4, 0)), lik=lik)
+            state = gd_step(state, Y, 0.05, lik)
+        stepped = gd_step(state, Y, lr, lik)
 
         def objective(m_list, chol_list):
             trial = inference.GdState(
@@ -195,7 +196,7 @@ class TestGdBaseline:
                 chol_list=[L.copy() for L in chol_list],
                 prior=state.prior,
             )
-            return elbo(trial, Y, McConfig(4, 0), lik=lik)
+            return elbo(trial.moments, trial.prior, Y, lik)
 
         h = 1e-5
         for i in range(c):
@@ -236,10 +237,36 @@ class TestRunInner:
         grams, Y = episode_grams(100)
         cfg = InnerConfig(rho=0.5, steps=6, mc=McConfig(32, 5))
         state, elbos = run_inner("MD", grams, Y, cfg)
+        lik = SoftmaxLikelihood.from_seed(cfg.mc, *Y.shape)
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
-        assert elbos[0] == elbo(md_init(grams), Y, cfg.mc)
-        assert elbos[-1] == elbo(state, Y, cfg.mc)
+        assert elbos[0] == elbo(md_init(grams).moments, grams, Y, lik)
+        assert elbos[-1] == elbo(state.moments, grams, Y, lik)
+
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_draw_schedule(self, method):
+        # step t draws from derive_seed(mc.seed, t); the ELBOs share the draws of mc
+        grams, Y = episode_grams(104)
+        cfg = InnerConfig(rho=0.05, steps=4, mc=McConfig(32, 13))
+        n, c = Y.shape
+        step_fn = md_step if method == "MD" else gd_step
+        states = list(inner_states(method, grams, Y, cfg))
+        assert len(states) == cfg.steps + 1
+        for t in range(1, cfg.steps + 1):
+            want = step_fn(states[t - 1], Y, cfg.rho, step_lik(cfg.mc, t, n, c))
+            got = states[t]
+            if method == "MD":
+                np.testing.assert_array_equal(got.alpha, want.alpha)
+                np.testing.assert_array_equal(got.beta, want.beta)
+            else:
+                for a, b in zip(got.chol_list + got.m_list, want.chol_list + want.m_list):
+                    np.testing.assert_array_equal(a, b)
+            for a, b in zip(got.moments, want.moments):
+                np.testing.assert_array_equal(a.m, b.m)
+                np.testing.assert_array_equal(a.Sigma, b.Sigma)
+        _, elbos = run_inner(method, grams, Y, cfg)
+        lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
+        assert elbos == [elbo(st.moments, grams, Y, lik) for st in states]
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)
@@ -259,7 +286,7 @@ class TestRunInner:
         mc = McConfig(64, 3)
         lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[0], Y.shape[1])
         m, v = inference.marginal_mats(state.moments)
-        assert elbo(state, Y, mc) == pytest.approx(
+        assert elbo(state.moments, grams, Y, lik) == pytest.approx(
             lik.expected_loglik(m, v, Y), abs=1e-10
         )
 

@@ -128,8 +128,8 @@ class TestFitOptions:
         fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
         state, elbos = inference.run_inner("MD", fit.grams, ep.support_y, cfg)
         assert len(elbos) == 5
-        np.testing.assert_array_equal(fit.state.sites.alpha, state.sites.alpha)
-        np.testing.assert_array_equal(fit.state.sites.beta, state.sites.beta)
+        np.testing.assert_array_equal(fit.state.alpha, state.alpha)
+        np.testing.assert_array_equal(fit.state.beta, state.beta)
 
     def test_label_shape_mismatch_rejected(self):
         kern = make_kernel()
