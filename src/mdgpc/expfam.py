@@ -33,6 +33,15 @@ the corresponding members of the family,
 which is the identity that lets mirror descent on mean parameters act as
 natural-gradient descent on natural parameters.
 
+The inner loop does not use the dataclasses below: its states hold their
+posteriors as stacked arrays, means (C, N) and covariances (C, N, N) (see
+:mod:`mdgpc.inference`). :class:`GaussianMoments` and the other checked
+types are the public types of the conversions here and of the verification
+layer. :func:`gaussian_kl` takes plain arrays, ``gaussian_kl(m_q, S_q, L_p,
+m_p=None)``, where L_p is the lower Cholesky factor of the second
+covariance, so a caller that holds the factor of a GP prior (the ELBO's KL
+term) never factors the prior again.
+
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
 :class:`~mdgpc.errors.NumericalError`.
@@ -153,18 +162,6 @@ class GaussianMoments:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "Sigma", Sigma)
 
-    @classmethod
-    def _symmetric(cls, m: np.ndarray, Sigma: np.ndarray) -> "GaussianMoments":
-        """Wrap a 1-D float m and a bitwise-symmetric Sigma the package just built.
-
-        Skips the symmetry check, which could not fire: the check returns
-        0.5 (S + S'), and that equals S bit for bit when S = S'.
-        """
-        mom = object.__new__(cls)
-        object.__setattr__(mom, "m", m)
-        object.__setattr__(mom, "Sigma", Sigma)
-        return mom
-
     @property
     def dim(self) -> int:
         return self.m.shape[0]
@@ -278,31 +275,23 @@ def bregman_h(mu: FullMeanParams, mu_prime: FullMeanParams) -> float:
 
 
 def gaussian_kl(
-    q: GaussianMoments, p: GaussianMoments | None = None, *, p_chol: np.ndarray | None = None
+    m_q: np.ndarray, S_q: np.ndarray, L_p: np.ndarray, m_p: np.ndarray | None = None
 ) -> float:
     """KL( N(m_q, S_q) || N(m_p, S_p) ) via Cholesky factors of S_p, S_q.
 
-    Pass either p, or p_chol: the lower factor that :func:`spd_cholesky`
-    returned for the covariance of a zero-mean p, which is then not factored
-    again.
+    L_p is the lower factor that :func:`spd_cholesky` returned for S_p, which
+    is not factored again; m_p = None is a zero mean.
     """
-    if (p is None) == (p_chol is None):
-        raise InputError("gaussian_kl needs exactly one of p and p_chol")
-    n = q.dim
-    p_dim = p_chol.shape[0] if p is None else p.dim
-    if n != p_dim:
-        raise InputError(f"dimension mismatch {n} vs {p_dim}")
-    if p is None:
-        Lp, diff = p_chol, q.m
-    else:
-        Lp, _ = spd_cholesky(p.Sigma)
-        diff = q.m - p.m
-    Lq, _ = spd_cholesky(q.Sigma)
+    n = m_q.shape[0]
+    if S_q.shape != (n, n) or L_p.shape != (n, n):
+        raise InputError(f"dimension mismatch: m_q {m_q.shape}, S_q {S_q.shape}, L_p {L_p.shape}")
+    Lq, _ = spd_cholesky(S_q)
+    diff = m_q if m_p is None else m_q - m_p
     _check_finite(diff, "mean difference")
-    sol = _solve_lower(Lp, diff)
+    sol = _solve_lower(L_p, diff)
     # tr(S_p^{-1} S_q) = || L_p^{-1} L_q ||_F^2
-    w = _solve_lower(Lp, Lq)
+    w = _solve_lower(L_p, Lq)
     trace_term = float(np.sum(w * w))
     return 0.5 * (
-        trace_term + float(sol @ sol) - n + chol_logdet(Lp) - chol_logdet(Lq)
+        trace_term + float(sol @ sol) - n + chol_logdet(L_p) - chol_logdet(Lq)
     )

@@ -31,15 +31,21 @@ likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and builds step t's likelihood from its own draw set (seed
 derive_seed(mc.seed, t)), so the draw schedule is written only there.
-``elbo(moments, prior_grams, Y, lik)`` scores a posterior under a given
+``elbo(m, Sigma, prior_grams, Y, lik)`` scores a posterior under a given
 likelihood; `run_inner` scores every state with one fixed draw set.
+
+Every state holds its posterior one way: the means stacked as a (C, N)
+array ``m`` and the covariances as a (C, N, N) array ``Sigma``, row or
+slice c being class c. The mirror-descent state adds its (C, N) site
+naturals ``alpha`` and ``beta``, the gradient-ascent state its (C, N, N)
+Cholesky factors ``chol``. The marginals the likelihood reads are views of
+these arrays, and the per-class factorizations run slice by slice.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes everything that depends on it alone once: K + jitter I, its
 Cholesky factor and K^{-1}. The steps, the ELBO's KL to the prior and
 `kinv_terms` read these read-only arrays instead of factoring or inverting
-K again. Moments the package builds itself are symmetric bit for bit and
-skip the public constructor's symmetry check.
+K again.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +54,7 @@ import numpy as np
 
 from . import expfam
 from .errors import InputError, NumericalError, named_failures
-from .expfam import GaussianMoments, chol_solve, spd_cholesky
+from .expfam import chol_solve, spd_cholesky
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
 
@@ -71,11 +77,12 @@ __all__ = [
 
 @dataclass
 class VariationalState:
-    """Mirror-descent state: per-point site naturals plus cached per-class moments."""
+    """Mirror-descent state: per-point site naturals and the posterior they give."""
 
     alpha: np.ndarray  # (C, N) linear site naturals; rows are classes
     beta: np.ndarray  # (C, N) quadratic site naturals, <= 0
-    moments: list  # list[GaussianMoments], one per class
+    m: np.ndarray  # (C, N) posterior means
+    Sigma: np.ndarray  # (C, N, N) posterior covariances
     prior: list  # list[GramResult], one per class
 
     def kinv_terms(self) -> list:
@@ -96,26 +103,23 @@ class VariationalState:
 class GdState:
     """Gradient-ascent state: per-class mean and Cholesky factor of Sigma.
 
-    The per-class moments (m, L L') are built once, with the state.
+    The covariances Sigma = L L' are built once, with the state.
     """
 
-    m_list: list  # list of (N,) arrays
-    chol_list: list  # list of (N, N) lower-triangular factors
+    m: np.ndarray  # (C, N) posterior means
+    chol: np.ndarray  # (C, N, N) lower-triangular factors
     prior: list
-    moments: list = field(init=False)  # list[GaussianMoments], one per class
+    Sigma: np.ndarray = field(init=False)  # (C, N, N) posterior covariances
 
     def __post_init__(self):
-        self.moments = [
-            GaussianMoments._symmetric(m, _symmetrize(L @ L.T))
-            for m, L in zip(self.m_list, self.chol_list)
-        ]
+        self.Sigma = np.stack([_symmetrize(L @ L.T) for L in self.chol])
 
     def kinv_terms(self) -> list:
         """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
         terms = []
-        for g, mom in zip(self.prior, self.moments):
+        for g, m, Sigma in zip(self.prior, self.m, self.Sigma):
             Kinv = _symmetrize(g.kinv)
-            terms.append((Kinv @ mom.m, Kinv - Kinv @ mom.Sigma @ Kinv))
+            terms.append((Kinv @ m, Kinv - Kinv @ Sigma @ Kinv))
         return terms
 
 
@@ -157,7 +161,7 @@ def site_factor(gram_res, beta_c: np.ndarray):
 
 
 def posterior_from_sites(gram_res, alpha_c: np.ndarray, beta_c: np.ndarray):
-    """(m, Sigma) = ((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse).
+    """(m, Sigma) = ((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse) of one class.
 
     Woodbury form; exact prior at zero sites and SPD by construction.
     """
@@ -165,28 +169,28 @@ def posterior_from_sites(gram_res, alpha_c: np.ndarray, beta_c: np.ndarray):
     KW = K * W[None, :]
     Sigma = K - KW @ expfam.chol_solve(LB, KW.T)
     Sigma = 0.5 * (Sigma + Sigma.T)
-    m = Sigma @ alpha_c
-    return GaussianMoments._symmetric(m, Sigma)
+    return Sigma @ alpha_c, Sigma
 
 
-def marginal_mats(moments: list):
-    """Per-point marginal means and variances stacked as (N, C) arrays."""
-    m_mat = np.stack([mom.m for mom in moments], axis=1)
-    v_mat = np.stack([np.diag(mom.Sigma) for mom in moments], axis=1)
+def marginal_mats(m: np.ndarray, Sigma: np.ndarray):
+    """Per-point marginal means and variances as (N, C) views of m and Sigma."""
+    v_mat = np.diagonal(Sigma, axis1=1, axis2=2).T
     if np.any(v_mat <= 0.0):
         raise NumericalError("non-positive marginal variance in state")
-    return m_mat, v_mat
+    return m.T, v_mat
 
 
 def md_init(prior_grams: list) -> VariationalState:
     """Zero sites; the posterior starts at the prior."""
     if not prior_grams:
         raise InputError("need at least one class")
-    n = prior_grams[0].K.shape[0]
-    c = len(prior_grams)
-    moments = [GaussianMoments._symmetric(np.zeros(n), g.k_eff) for g in prior_grams]
+    c, n = len(prior_grams), prior_grams[0].K.shape[0]
     return VariationalState(
-        alpha=np.zeros((c, n)), beta=np.zeros((c, n)), moments=moments, prior=list(prior_grams)
+        alpha=np.zeros((c, n)),
+        beta=np.zeros((c, n)),
+        m=np.zeros((c, n)),
+        Sigma=np.stack([g.k_eff for g in prior_grams]),
+        prior=list(prior_grams),
     )
 
 
@@ -195,23 +199,26 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
 
     Y must be checked (N, C) one-hot labels; `lik` supplies the gradients.
     """
-    m_mat, v_mat = marginal_mats(state.moments)
+    m_mat, v_mat = marginal_mats(state.m, state.Sigma)
     g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
     d1 = (g_m - 2.0 * g_v * m_mat).T  # (C, N) mean-parameter gradients
     d2 = g_v.T
     alpha = (1.0 - rho) * state.alpha + rho * d1
     beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
-    moments = [
-        posterior_from_sites(g, alpha[i], beta[i]) for i, g in enumerate(state.prior)
-    ]
-    return VariationalState(alpha=alpha, beta=beta, moments=moments, prior=state.prior)
+    m, Sigma = zip(*(posterior_from_sites(g, a, b) for g, a, b in zip(state.prior, alpha, beta)))
+    return VariationalState(
+        alpha=alpha, beta=beta, m=np.stack(m), Sigma=np.stack(Sigma), prior=state.prior
+    )
 
 
 def gd_init(prior_grams: list) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
-    m_list = [np.zeros(g.chol.shape[0]) for g in prior_grams]
-    chol_list = [g.chol for g in prior_grams]
-    return GdState(m_list=m_list, chol_list=chol_list, prior=list(prior_grams))
+    if not prior_grams:
+        raise InputError("need at least one class")
+    c, n = len(prior_grams), prior_grams[0].K.shape[0]
+    return GdState(
+        m=np.zeros((c, n)), chol=np.stack([g.chol for g in prior_grams]), prior=list(prior_grams)
+    )
 
 
 def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
@@ -226,12 +233,12 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
         dELBO/dSigma = diag(g_v) - 1/2 (K^{-1} - Sigma^{-1})
         dELBO/dL = 2 sym(dELBO/dSigma) L  (lower triangle)
     """
-    m_mat, v_mat = marginal_mats(state.moments)
+    m_mat, v_mat = marginal_mats(state.m, state.Sigma)
     g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
     eye = np.eye(m_mat.shape[0])
-    new_m, new_chol = [], []
+    new_m, new_chol = np.empty_like(state.m), np.empty_like(state.chol)
     for i, g in enumerate(state.prior):
-        m, L = state.m_list[i], state.chol_list[i]
+        m, L = state.m[i], state.chol[i]
         grad_m = g_m[:, i] - chol_solve(g.chol, m)
         Sinv = chol_solve(L, eye)
         GSig = np.diag(g_v[:, i]) - 0.5 * (g.kinv - Sinv)
@@ -241,17 +248,20 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
         diag = np.diag(L) * np.exp(lr * np.diag(GL) * np.diag(L))
         Lnew = L + lr * np.tril(GL, -1)
         np.fill_diagonal(Lnew, diag)
-        new_m.append(m + lr * grad_m)
-        new_chol.append(Lnew)
-    return GdState(m_list=new_m, chol_list=new_chol, prior=state.prior)
+        new_m[i] = m + lr * grad_m
+        new_chol[i] = Lnew
+    return GdState(m=new_m, chol=new_chol, prior=state.prior)
 
 
-def elbo(moments: list, prior_grams: list, Y: np.ndarray, lik) -> float:
-    """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`."""
-    m_mat, v_mat = marginal_mats(moments)
+def elbo(m: np.ndarray, Sigma: np.ndarray, prior_grams: list, Y: np.ndarray, lik) -> float:
+    """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`.
+
+    m is (C, N) and Sigma (C, N, N), as every state holds them.
+    """
+    m_mat, v_mat = marginal_mats(m, Sigma)
     total = lik.expected_loglik(m_mat, v_mat, Y)
-    for mom, g in zip(moments, prior_grams):
-        total -= expfam.gaussian_kl(mom, p_chol=g.chol)
+    for m_c, Sigma_c, g in zip(m, Sigma, prior_grams):
+        total -= expfam.gaussian_kl(m_c, Sigma_c, g.chol)
     return float(total)
 
 
@@ -277,10 +287,7 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
         with named_failures(f"{method} step {t}"):
             step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, t))
             state = step_fn(state, Y, cfg.rho, SoftmaxLikelihood.from_seed(step_mc, n, c))
-            if not all(
-                np.isfinite(mom.m).all() and np.isfinite(mom.Sigma).all()
-                for mom in state.moments
-            ):
+            if not (np.isfinite(state.m).all() and np.isfinite(state.Sigma).all()):
                 raise NumericalError("non-finite posterior moments")
         yield state
 
@@ -296,5 +303,5 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
     elbos = []
     for state in inner_states(method, prior_grams, Y, cfg):
-        elbos.append(elbo(state.moments, prior_grams, Y, eval_lik))
+        elbos.append(elbo(state.m, state.Sigma, prior_grams, Y, eval_lik))
     return state, elbos

@@ -163,10 +163,10 @@ def adam_step(
 
 def _query_probs(fit: model.FittedEpisode, episode, pred_mc: McConfig):
     """(class probabilities, true label indices) of the episode's queries."""
-    pred = model.predict_labels(fit, episode.query_x, pred_mc)
-    if not np.isfinite(pred.probs).all():
+    probs = model.predict_labels(fit, episode.query_x, pred_mc)
+    if not np.isfinite(probs).all():
         raise NumericalError("non-finite query probabilities")
-    return pred.probs, np.argmax(episode.query_y, axis=1)
+    return probs, np.argmax(episode.query_y, axis=1)
 
 
 def outer_steps(kernel: DeepKernel, task_source, cfg: TrainConfig, method: str):
@@ -205,7 +205,7 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
         Y = episode.support_y
         with named_failures(f"MD episode {it}"):
             lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it).mc, *Y.shape)
-            objective = inference.elbo(fit.state.moments, fit.grams, Y, lik)
+            objective = inference.elbo(fit.state.m, fit.state.Sigma, fit.grams, Y, lik)
             probs, y_idx = _query_probs(fit, episode, pred_mc)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
         history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})

@@ -28,7 +28,7 @@ from .errors import InputError
 from .inference import InnerConfig
 from .likelihood import McConfig, _softmax_terms, normal_draws
 
-__all__ = ["FittedEpisode", "PredictiveDist", "fit_episode", "predict_latent", "predict_labels"]
+__all__ = ["FittedEpisode", "fit_episode", "predict_latent", "predict_labels"]
 
 
 @dataclass
@@ -41,19 +41,6 @@ class FittedEpisode:
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
     terms: list  # per-class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
-
-
-@dataclass(frozen=True)
-class PredictiveDist:
-    """Per-query latent means/variances and softmax class probabilities."""
-
-    mu: np.ndarray  # (M, C)
-    var: np.ndarray  # (M, C)
-    probs: np.ndarray  # (M, C), rows sum to 1
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.argmax(self.probs, axis=1)  # ties resolve to lowest index
 
 
 def fit_episode(
@@ -100,11 +87,11 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     return mu, var
 
 
-def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> PredictiveDist:
-    """Monte Carlo softmax probabilities from the latent predictive."""
+def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:
+    """Monte Carlo softmax class probabilities from the latent predictive,
+    (M, C) with rows summing to 1."""
     mu, var = predict_latent(fit, query_x)
     eps = normal_draws(mc.seed, (mc.samples, mu.shape[0], mu.shape[1]))
     _, e, total = _softmax_terms(mu, np.sqrt(np.maximum(var, 0.0)), eps)
     e /= total
-    probs = np.ascontiguousarray(np.mean(e, axis=0).T)
-    return PredictiveDist(mu=mu, var=var, probs=probs)
+    return np.ascontiguousarray(np.mean(e, axis=0).T)

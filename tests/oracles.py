@@ -3,12 +3,13 @@
 The softmax formulas reduce over a last class axis, (S, N, C), the way the
 package computed them before its class-leading kernel; the tests hold the
 package to these bit for bit. `refresh_moments` recomputes a mirror-descent
-state's moments by dense solves, independent of the Woodbury path.
-`dual_coords_to_mean` inverts the dual minimal coordinates of
-:mod:`mdgpc.verify`. `scipy_spd_cholesky`, `scipy_chol_solve` and
-`scipy_gaussian_kl` are the package's SPD kernels as written on
-``scipy.linalg`` before they called LAPACK directly; the tests hold the
-direct calls to them bit for bit.
+state's (m, Sigma) by dense solves, independent of the Woodbury path.
+`moments_kl` is `gaussian_kl` between two checked Gaussians, the second
+covariance factored first. `dual_coords_to_mean` inverts the dual minimal
+coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
+`scipy_chol_solve` and `scipy_gaussian_kl` are the package's SPD kernels as
+written on ``scipy.linalg`` before they called LAPACK directly; the tests
+hold the direct calls to them bit for bit.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.linalg
 
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
-from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, spd_cholesky
+from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.likelihood import _prepare_batch
 from mdgpc.verify import check_one_hot, grad_mv
@@ -75,20 +76,25 @@ def grad_mean_params(pm, y: np.ndarray, mc, eps=None, weights=None):
 
 
 def refresh_moments(state: VariationalState) -> VariationalState:
-    """Recompute cached moments from the naturals by direct dense solves."""
-    moments = []
+    """Recompute a state's (m, Sigma) from its naturals by direct dense solves."""
+    means, covs = [], []
     for i, g in enumerate(state.prior):
         K = g.k_eff
         prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
         prec = prec - 2.0 * np.diag(state.beta[i])
         Lp, _ = spd_cholesky(0.5 * (prec + prec.T))
         Sigma = chol_solve(Lp, np.eye(K.shape[0]))
-        moments.append(
-            GaussianMoments(chol_solve(Lp, state.alpha[i]), 0.5 * (Sigma + Sigma.T))
-        )
+        means.append(chol_solve(Lp, state.alpha[i]))
+        covs.append(0.5 * (Sigma + Sigma.T))
     return VariationalState(
-        alpha=state.alpha, beta=state.beta, moments=moments, prior=state.prior
+        alpha=state.alpha, beta=state.beta, m=np.stack(means), Sigma=np.stack(covs),
+        prior=state.prior,
     )
+
+
+def moments_kl(q: GaussianMoments, p: GaussianMoments) -> float:
+    """KL(q || p), with p's covariance factored by spd_cholesky first."""
+    return gaussian_kl(q.m, q.Sigma, spd_cholesky(p.Sigma)[0], p.m)
 
 
 def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:

@@ -64,13 +64,13 @@ class TestInitAndCombine:
     def test_md_init_is_prior(self):
         grams = toy_grams(0)
         state = md_init(grams)
-        for mom, g in zip(state.moments, grams):
-            np.testing.assert_array_equal(mom.m, np.zeros(5))
-            np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=0)
+        for m, Sigma, g in zip(state.m, state.Sigma, grams):
+            np.testing.assert_array_equal(m, np.zeros(5))
+            np.testing.assert_allclose(Sigma, g.k_eff, atol=0)
         assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
 
     def test_built_covariances_are_bitwise_symmetric(self):
-        # the precondition for skipping the public constructor's symmetry check
+        # every state's covariances are symmetric bit for bit
         grams = toy_grams(2)
         Y = toy_labels(2, 5, 3)
         md = md_init(grams)
@@ -78,8 +78,8 @@ class TestInitAndCombine:
         lik = step_lik(McConfig(), 0, 5, 3)
         stepped = [md_step(md, Y, 0.5, lik), gd_step(gd, Y, 0.1, lik)]
         for state in [md, gd, *stepped]:
-            for mom in state.moments:
-                assert np.array_equal(mom.Sigma, mom.Sigma.T)
+            for Sigma in state.Sigma:
+                assert np.array_equal(Sigma, Sigma.T)
 
     def test_combine_identity_dense(self):
         # posterior precision = prior precision - 2 diag(beta),
@@ -92,18 +92,14 @@ class TestInitAndCombine:
             state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
-            np.testing.assert_allclose(
-                prec @ state.moments[i].Sigma, np.eye(5), atol=1e-8
-            )
-            np.testing.assert_allclose(
-                prec @ state.moments[i].m, state.alpha[i], atol=1e-8
-            )
+            np.testing.assert_allclose(prec @ state.Sigma[i], np.eye(5), atol=1e-8)
+            np.testing.assert_allclose(prec @ state.m[i], state.alpha[i], atol=1e-8)
 
     def test_posterior_from_sites_zero_sites(self):
         g = toy_grams(4)[0]
-        mom = posterior_from_sites(g, np.zeros(5), np.zeros(5))
-        np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=1e-12)
-        np.testing.assert_array_equal(mom.m, np.zeros(5))
+        m, Sigma = posterior_from_sites(g, np.zeros(5), np.zeros(5))
+        np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-12)
+        np.testing.assert_array_equal(m, np.zeros(5))
 
     def test_beta_stays_nonpositive(self):
         grams = toy_grams(5)
@@ -122,9 +118,8 @@ class TestInitAndCombine:
         for step in range(4):
             state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
         refreshed = refresh_moments(state)
-        for a, b in zip(state.moments, refreshed.moments):
-            np.testing.assert_allclose(a.m, b.m, atol=1e-10)
-            np.testing.assert_allclose(a.Sigma, b.Sigma, atol=1e-10)
+        np.testing.assert_allclose(state.m, refreshed.m, atol=1e-10)
+        np.testing.assert_allclose(state.Sigma, refreshed.Sigma, atol=1e-10)
 
     def test_bad_labels_rejected(self):
         grams = toy_grams(10)
@@ -146,8 +141,8 @@ class TestConjugateLimit:
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
-            np.testing.assert_allclose(state.moments[i].Sigma, sigma, atol=1e-8)
-            np.testing.assert_allclose(state.moments[i].m, sigma @ a[:, i], atol=1e-8)
+            np.testing.assert_allclose(state.Sigma[i], sigma, atol=1e-8)
+            np.testing.assert_allclose(state.m[i], sigma @ a[:, i], atol=1e-8)
 
     def test_fixed_point_once_converged(self):
         # with constant mean-parameter gradients the conjugate posterior is
@@ -160,18 +155,17 @@ class TestConjugateLimit:
         Y = toy_labels(3, 4, 2)
         state = md_step(md_init(grams), Y, 1.0, lik)
         again = md_step(state, Y, 0.3, lik)
-        for a, b in zip(state.moments, again.moments):
-            np.testing.assert_allclose(a.m, b.m, atol=1e-10)
-            np.testing.assert_allclose(a.Sigma, b.Sigma, atol=1e-10)
+        np.testing.assert_allclose(state.m, again.m, atol=1e-10)
+        np.testing.assert_allclose(state.Sigma, again.Sigma, atol=1e-10)
 
 
 class TestGdBaseline:
     def test_gd_init_is_prior(self):
         grams = toy_grams(11)
         state = gd_init(grams)
-        for mom, g in zip(state.moments, grams):
-            np.testing.assert_array_equal(mom.m, np.zeros(5))
-            np.testing.assert_allclose(mom.Sigma, g.k_eff, atol=1e-10)
+        for m, Sigma, g in zip(state.m, state.Sigma, grams):
+            np.testing.assert_array_equal(m, np.zeros(5))
+            np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-10)
 
     def test_gd_step_follows_elbo_gradient(self):
         # recover the implied gradient from one small step and compare with
@@ -190,45 +184,35 @@ class TestGdBaseline:
             state = gd_step(state, Y, 0.05, lik)
         stepped = gd_step(state, Y, lr, lik)
 
-        def objective(m_list, chol_list):
-            trial = inference.GdState(
-                m_list=[m.copy() for m in m_list],
-                chol_list=[L.copy() for L in chol_list],
-                prior=state.prior,
-            )
-            return elbo(trial.moments, trial.prior, Y, lik)
+        def objective(m, chol):
+            trial = inference.GdState(m=m.copy(), chol=chol.copy(), prior=state.prior)
+            return elbo(trial.m, trial.Sigma, trial.prior, Y, lik)
 
         h = 1e-5
         for i in range(c):
-            g_m = (stepped.m_list[i] - state.m_list[i]) / lr
+            g_m = (stepped.m[i] - state.m[i]) / lr
             for j in range(n):
-                up = [m.copy() for m in state.m_list]
-                dn = [m.copy() for m in state.m_list]
-                up[i][j] += h
-                dn[i][j] -= h
-                fd = (
-                    objective(up, state.chol_list) - objective(dn, state.chol_list)
-                ) / (2 * h)
+                up, dn = state.m.copy(), state.m.copy()
+                up[i, j] += h
+                dn[i, j] -= h
+                fd = (objective(up, state.chol) - objective(dn, state.chol)) / (2 * h)
                 assert g_m[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-            L = state.chol_list[i]
-            L2 = stepped.chol_list[i]
+            L = state.chol[i]
+            L2 = stepped.chol[i]
             for r in range(n):
                 for s in range(r + 1):
                     if r == s:
                         implied = np.log(L2[r, r] / L[r, r]) / lr
                     else:
                         implied = (L2[r, s] - L[r, s]) / lr
-                    up = [M.copy() for M in state.chol_list]
-                    dn = [M.copy() for M in state.chol_list]
+                    up, dn = state.chol.copy(), state.chol.copy()
                     if r == s:
-                        up[i][r, r] = L[r, r] * np.exp(h)
-                        dn[i][r, r] = L[r, r] * np.exp(-h)
+                        up[i, r, r] = L[r, r] * np.exp(h)
+                        dn[i, r, r] = L[r, r] * np.exp(-h)
                     else:
-                        up[i][r, s] += h
-                        dn[i][r, s] -= h
-                    fd = (
-                        objective(state.m_list, up) - objective(state.m_list, dn)
-                    ) / (2 * h)
+                        up[i, r, s] += h
+                        dn[i, r, s] -= h
+                    fd = (objective(state.m, up) - objective(state.m, dn)) / (2 * h)
                     assert implied == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
@@ -240,8 +224,9 @@ class TestRunInner:
         lik = SoftmaxLikelihood.from_seed(cfg.mc, *Y.shape)
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
-        assert elbos[0] == elbo(md_init(grams).moments, grams, Y, lik)
-        assert elbos[-1] == elbo(state.moments, grams, Y, lik)
+        prior = md_init(grams)
+        assert elbos[0] == elbo(prior.m, prior.Sigma, grams, Y, lik)
+        assert elbos[-1] == elbo(state.m, state.Sigma, grams, Y, lik)
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_draw_schedule(self, method):
@@ -259,14 +244,33 @@ class TestRunInner:
                 np.testing.assert_array_equal(got.alpha, want.alpha)
                 np.testing.assert_array_equal(got.beta, want.beta)
             else:
-                for a, b in zip(got.chol_list + got.m_list, want.chol_list + want.m_list):
-                    np.testing.assert_array_equal(a, b)
-            for a, b in zip(got.moments, want.moments):
-                np.testing.assert_array_equal(a.m, b.m)
-                np.testing.assert_array_equal(a.Sigma, b.Sigma)
+                np.testing.assert_array_equal(got.chol, want.chol)
+            np.testing.assert_array_equal(got.m, want.m)
+            np.testing.assert_array_equal(got.Sigma, want.Sigma)
         _, elbos = run_inner(method, grams, Y, cfg)
         lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
-        assert elbos == [elbo(st.moments, grams, Y, lik) for st in states]
+        assert elbos == [elbo(st.m, st.Sigma, grams, Y, lik) for st in states]
+
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_steps_leave_earlier_states_unchanged(self, method):
+        # a step builds fresh arrays; it never writes into the state it read,
+        # nor into the prior's zero arrays or stacked factors
+        grams, Y = episode_grams(105)
+        cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 17))
+        names = ("m", "Sigma") + (("alpha", "beta") if method == "MD" else ("chol",))
+        states = inner_states(method, grams, Y, cfg)
+        earlier = [next(states), next(states)]  # states 0 and 1
+        kept = [{name: getattr(st, name).copy() for name in names} for st in earlier]
+        assert len(list(states)) == 2  # two more steps
+        for st, copies in zip(earlier, kept):
+            for name in names:
+                np.testing.assert_array_equal(getattr(st, name), copies[name])
+
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_empty_class_list_rejected(self, method):
+        cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0))
+        with pytest.raises(InputError, match="need at least one class"):
+            next(inner_states(method, [], np.zeros((5, 0)), cfg))
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)
@@ -285,8 +289,8 @@ class TestRunInner:
         state = md_init(grams)
         mc = McConfig(64, 3)
         lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[0], Y.shape[1])
-        m, v = inference.marginal_mats(state.moments)
-        assert elbo(state.moments, grams, Y, lik) == pytest.approx(
+        m, v = inference.marginal_mats(state.m, state.Sigma)
+        assert elbo(state.m, state.Sigma, grams, Y, lik) == pytest.approx(
             lik.expected_loglik(m, v, Y), abs=1e-10
         )
 

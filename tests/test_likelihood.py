@@ -230,7 +230,7 @@ class TestClassLeadingKernel:
         var = v - 0.1  # some negative predictive variances, clamped to 0
         monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m, var))
         mc = McConfig(samples=33, seed=4)
-        probs = model.predict_labels(None, None, mc).probs
+        probs = model.predict_labels(None, None, mc)
         eps = normal_draws(mc.seed, (mc.samples,) + m.shape)
         assert np.array_equal(probs, oracles.label_probs(m, var, eps))
 
