@@ -54,7 +54,14 @@ _RULES = {
     ">= 2": lambda x: x >= 2,
     "> 0": lambda x: x > 0,
     "in (0, 1]": lambda x: 0 < x <= 1,
-    "2+ sizes >= 1": lambda x: len(x) >= 2 and min(x) >= 1,
+    "in [2, 10^3]": lambda x: 2 <= x <= 10**3,
+    "in [1, 10^3]": lambda x: 1 <= x <= 10**3,
+    "in [1, 10^4]": lambda x: 1 <= x <= 10**4,
+    "in [2, 10^4]": lambda x: 2 <= x <= 10**4,
+    "in [1, 10^5]": lambda x: 1 <= x <= 10**5,
+    "in [1, 10^6]": lambda x: 1 <= x <= 10**6,
+    "in [1, 10^9]": lambda x: 1 <= x <= 10**9,
+    "2+ sizes in [1, 10^5]": lambda x: len(x) >= 2 and min(x) >= 1 and max(x) <= 10**5,
     "distinct class ids": lambda x: len(set(x)) == len(x),
     "a plain file name": lambda x: x not in ("", "..") and "\0" not in x and Path(x).name == x,
     _KINDS: lambda x: x in kernels.KERNEL_KINDS,
@@ -65,14 +72,17 @@ _RULES = {
 
 # One row per config key: (dotted key, default, rule). The default's type is
 # the key's type (a list holds integers); a null default takes its type from
-# its rule. This is the only place a key's type and range are written.
+# its rule. This is the only place a key's type and range are written. The
+# sizes' upper bounds keep every array a run allocates below numpy's 2^63-byte
+# limit, so a run too large for the host ends in MemoryError rather than in
+# numpy's ValueError, and they keep the per-class loops short.
 _TABLE = (
     ("seed", 0, ">= 0"),
     ("output_dir", "run_out", "a path"),
-    ("task.C", 5, ">= 2"),
-    ("task.L", 5, ">= 1"),
-    ("task.M", 16, ">= 1"),
-    ("task.D", 8, ">= 1"),
+    ("task.C", 5, "in [2, 10^3]"),
+    ("task.L", 5, "in [1, 10^3]"),
+    ("task.M", 16, "in [1, 10^4]"),
+    ("task.D", 8, "in [1, 10^5]"),
     ("task.tau", 3.0, ">= 0"),
     ("task.sigma_w", 0.5, ">= 0"),
     ("task.domain_shift", None, _PAIR),
@@ -80,43 +90,43 @@ _TABLE = (
     ("data.splits.train", [], "distinct class ids"),
     ("data.splits.test", [], "distinct class ids"),
     ("kernel.kind", "RBF", _KINDS),
-    ("kernel.net_dims", [8, 32, 32, 16], "2+ sizes >= 1"),
+    ("kernel.net_dims", [8, 32, 32, 16], "2+ sizes in [1, 10^5]"),
     ("kernel.init_scales.weight_std", 1.0, "> 0"),
     ("kernel.init_scales.length_scale", 5.0, "> 0"),
     ("kernel.init_scales.output_scale", 4.0, "> 0"),
     ("kernel.init_scales.offset", 1.0, "> 0"),
     ("inner.rho", 1.0, "in (0, 1]"),
     ("inner.steps", 3, ">= 0"),
-    ("inner.mc_samples", 64, ">= 1"),
+    ("inner.mc_samples", 64, "in [1, 10^6]"),
     ("eval_inner.rho", 0.5, "in (0, 1]"),
     ("eval_inner.steps", 50, ">= 0"),
-    ("eval_inner.mc_samples", 512, ">= 1"),
+    ("eval_inner.mc_samples", 512, "in [1, 10^6]"),
     ("outer.lr_net", 1e-3, ">= 0"),
     ("outer.lr_kernel", 1e-4, ">= 0"),
     ("outer.epochs", 1, ">= 0"),
     ("outer.episodes_per_epoch", 100, ">= 0"),
-    ("eval.episodes", 100, ">= 1"),
+    ("eval.episodes", 100, "in [1, 10^6]"),
     ("eval.batches", 100, ">= 1"),
-    ("eval.bins", 15, ">= 1"),
-    ("eval.pred_samples", 512, ">= 1"),
-    ("compare_inner.episodes", 20, ">= 1"),
+    ("eval.bins", 15, "in [1, 10^6]"),
+    ("eval.pred_samples", 512, "in [1, 10^6]"),
+    ("compare_inner.episodes", 20, "in [1, 10^6]"),
     ("compare_inner.rate", 0.005, "in (0, 1]"),
     ("compare_inner.steps", 30, ">= 0"),
-    ("compare_inner.mc_samples", 64, ">= 1"),
+    ("compare_inner.mc_samples", 64, "in [1, 10^6]"),
     ("compare_outer.seeds", 10, ">= 1"),
     ("compare_outer.iterations", 30, ">= 0"),
     ("compare_outer.inner_steps", 2, ">= 0"),
     ("compare_outer.inner_rate", 0.02, "in (0, 1]"),
     ("compare_outer.outer_lr", 1e-3, ">= 0"),
     ("compare_outer.monitor_episodes", 8, ">= 1"),
-    ("compare_outer.mc_samples", 64, ">= 1"),
-    ("compare_outer.pred_samples", 512, ">= 1"),
+    ("compare_outer.mc_samples", 64, "in [1, 10^6]"),
+    ("compare_outer.pred_samples", 512, "in [1, 10^6]"),
     ("verify.instances", 10, ">= 1"),
     ("verify.fd_step", 1e-4, "> 0"),
     ("verify.gh_nodes", 40, ">= 1"),
     ("verify.tolerance", 1e-3, ">= 0"),
-    ("gen_data.classes", 15, ">= 2"),
-    ("gen_data.rows_per_class", 50, ">= 1"),
+    ("gen_data.classes", 15, "in [2, 10^4]"),
+    ("gen_data.rows_per_class", 50, "in [1, 10^9]"),
     ("gen_data.filename", "dataset.csv", "a plain file name"),
 )
 _ROWS = {key: (default, rule) for key, default, rule in _TABLE}

@@ -1,53 +1,14 @@
-"""Gaussian exponential-family parameterizations and Bregman geometry.
-
-A multivariate Gaussian over f in R^N is written in exponential form
-
-    q(f) = exp( theta1 . f + f' Theta2 f - A(theta) ),
-
-with natural parameters
-
-    theta1 = Sigma^{-1} m,        Theta2 = -1/2 Sigma^{-1},
-
-mean parameters
-
-    mu1 = E[f] = m,               Mu2 = E[f f'] = Sigma + m m',
-
-log-partition function
-
-    A(theta) = 1/2 m' Sigma^{-1} m + 1/2 log|Sigma| + N/2 log(2 pi),
-
-and negative entropy (the convex conjugate of A up to the pairing)
-
-    H(mu) = -N/2 log(2 pi e) - 1/2 log|Sigma|.
-
-The constant in H is kept so the Fenchel identity A(theta) + H(mu) =
-<theta, mu> holds exactly, with the pairing
-
-    <theta, mu> = theta1 . mu1 + tr(Theta2 Mu2).
-
-The Bregman divergence of H equals the Kullback-Leibler divergence between
-the corresponding members of the family,
-
-    B_H(mu, mu') = H(mu) - H(mu') - <grad H(mu'), mu - mu'> = KL(q_mu || q_mu'),
-
-which is the identity that lets mirror descent on mean parameters act as
-natural-gradient descent on natural parameters.
-
-The inner loop does not use the dataclasses below: its states hold their
-posteriors as stacked arrays, means (C, N) and covariances (C, N, N) (see
-:mod:`mdgpc.inference`). :class:`GaussianMoments` and the other checked
-types are the public types of the conversions here and of the verification
-layer. :func:`gaussian_kl` takes plain arrays, ``gaussian_kl(m_q, S_q, L_p,
-m_p=None)``, where L_p is the lower Cholesky factor of the second
-covariance, so a caller that holds the factor of a GP prior (the ELBO's KL
-term) never factors the prior again.
+"""SPD kernels: jittered Cholesky factors, solves, log-determinants and the KL.
 
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
-:class:`~mdgpc.errors.NumericalError`.
+:class:`~mdgpc.errors.NumericalError`. :func:`gaussian_kl` takes plain
+arrays, ``gaussian_kl(m_q, S_q, L_p, m_p=None)``, where L_p is the lower
+Cholesky factor of the second covariance, so a caller that holds the factor
+of a GP prior (the ELBO's KL term) never factors the prior again.
 
-The three SPD kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs``
-solves with a factor and ``dtrtrs`` does the triangular solves of
+The kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs`` solves
+with a factor and ``dtrtrs`` does the triangular solves of
 :func:`gaussian_kl`. These are the routines behind ``scipy.linalg.cholesky``,
 ``cho_solve`` and ``solve_triangular``, so the results are bit for bit the
 same, without scipy's per-call wrapper cost. The finite checks that scipy's
@@ -55,9 +16,11 @@ same, without scipy's per-call wrapper cost. The finite checks that scipy's
 input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
 difference (its factors come from :func:`spd_cholesky`). A non-finite
 operand raises :class:`~mdgpc.errors.NumericalError`.
-"""
 
-from dataclasses import dataclass
+The exponential-family identities these kernels serve (natural and mean
+parameters, the log-partition function and its Fenchel conjugate, the
+Bregman divergence) are checked by :mod:`mdgpc.verify`.
+"""
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -66,8 +29,6 @@ from .errors import InputError, NumericalError
 
 JITTER_INITIAL = 1e-8
 JITTER_MAX = 1e-2
-
-_SYMMETRY_TOL = 1e-10
 
 
 def _check_finite(x: np.ndarray, name: str) -> None:
@@ -135,143 +96,6 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"dtrtrs failed with info {info}")
     return x
-
-
-def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"{name} must be square, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if dev > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise InputError(f"{name} not symmetric (max asymmetry {dev:.3e})")
-    return 0.5 * (a + a.T)
-
-
-@dataclass(frozen=True)
-class GaussianMoments:
-    """Moment parameterization (m, Sigma) of a Gaussian over R^N."""
-
-    m: np.ndarray
-    Sigma: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float).reshape(-1)
-        Sigma = _check_symmetric(self.Sigma, "Sigma")
-        if Sigma.shape[0] != m.shape[0]:
-            raise InputError(f"m has length {m.shape[0]} but Sigma is {Sigma.shape}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "Sigma", Sigma)
-
-    @property
-    def dim(self) -> int:
-        return self.m.shape[0]
-
-
-@dataclass(frozen=True)
-class GaussianNatural:
-    """Natural parameterization (theta1, Theta2), Theta2 = -1/2 Sigma^{-1}."""
-
-    theta1: np.ndarray
-    Theta2: np.ndarray
-
-    def __post_init__(self):
-        theta1 = np.asarray(self.theta1, dtype=float).reshape(-1)
-        Theta2 = _check_symmetric(self.Theta2, "Theta2")
-        if Theta2.shape[0] != theta1.shape[0]:
-            raise InputError(
-                f"theta1 has length {theta1.shape[0]} but Theta2 is {Theta2.shape}"
-            )
-        object.__setattr__(self, "theta1", theta1)
-        object.__setattr__(self, "Theta2", Theta2)
-
-    @property
-    def dim(self) -> int:
-        return self.theta1.shape[0]
-
-
-@dataclass(frozen=True)
-class FullMeanParams:
-    """Mean parameterization (mu1, Mu2) with Mu2 = Sigma + m m'."""
-
-    mu1: np.ndarray
-    Mu2: np.ndarray
-
-    def __post_init__(self):
-        mu1 = np.asarray(self.mu1, dtype=float).reshape(-1)
-        Mu2 = _check_symmetric(self.Mu2, "Mu2")
-        if Mu2.shape[0] != mu1.shape[0]:
-            raise InputError(f"mu1 has length {mu1.shape[0]} but Mu2 is {Mu2.shape}")
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "Mu2", Mu2)
-
-    @property
-    def dim(self) -> int:
-        return self.mu1.shape[0]
-
-
-def moments_to_natural(mom: GaussianMoments) -> GaussianNatural:
-    """(m, Sigma) -> (Sigma^{-1} m, -1/2 Sigma^{-1})."""
-    L, _ = spd_cholesky(mom.Sigma)
-    prec = chol_solve(L, np.eye(mom.dim))
-    prec = 0.5 * (prec + prec.T)
-    return GaussianNatural(theta1=prec @ mom.m, Theta2=-0.5 * prec)
-
-
-def natural_to_moments(nat: GaussianNatural) -> GaussianMoments:
-    """(theta1, Theta2) -> (m, Sigma) with Sigma = (-2 Theta2)^{-1}."""
-    prec = -2.0 * nat.Theta2
-    L, _ = spd_cholesky(prec)
-    Sigma = chol_solve(L, np.eye(nat.dim))
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    m = chol_solve(L, nat.theta1)
-    return GaussianMoments(m=m, Sigma=Sigma)
-
-
-def moments_to_mean(mom: GaussianMoments) -> FullMeanParams:
-    """(m, Sigma) -> (m, Sigma + m m')."""
-    return FullMeanParams(mu1=mom.m, Mu2=mom.Sigma + np.outer(mom.m, mom.m))
-
-
-def mean_to_moments(mu: FullMeanParams) -> GaussianMoments:
-    """(mu1, Mu2) -> (mu1, Mu2 - mu1 mu1')."""
-    return GaussianMoments(m=mu.mu1, Sigma=mu.Mu2 - np.outer(mu.mu1, mu.mu1))
-
-
-def log_partition(nat: GaussianNatural) -> float:
-    """A(theta) = 1/2 m' Sigma^{-1} m + 1/2 log|Sigma| + N/2 log(2 pi)."""
-    prec = -2.0 * nat.Theta2
-    L, _ = spd_cholesky(prec)
-    # m' Sigma^{-1} m = theta1' Sigma theta1, with Sigma = prec^{-1}
-    half_quad = 0.5 * float(nat.theta1 @ chol_solve(L, nat.theta1))
-    # log|Sigma| = -log|prec|
-    return half_quad - 0.5 * chol_logdet(L) + 0.5 * nat.dim * np.log(2.0 * np.pi)
-
-
-def neg_entropy(mu: FullMeanParams) -> float:
-    """H(mu) = -N/2 log(2 pi e) - 1/2 log|Sigma| at Sigma = Mu2 - mu1 mu1'."""
-    Sigma = mu.Mu2 - np.outer(mu.mu1, mu.mu1)
-    L, _ = spd_cholesky(Sigma)
-    n = mu.dim
-    return -0.5 * n * np.log(2.0 * np.pi * np.e) - 0.5 * chol_logdet(L)
-
-
-def pairing(nat: GaussianNatural, mu: FullMeanParams) -> float:
-    """<theta, mu> = theta1 . mu1 + tr(Theta2 Mu2)."""
-    return float(nat.theta1 @ mu.mu1 + np.sum(nat.Theta2 * mu.Mu2))
-
-
-def bregman_h(mu: FullMeanParams, mu_prime: FullMeanParams) -> float:
-    """Bregman divergence of H: B_H(mu, mu') = KL(q_mu || q_mu').
-
-    Computed from the defining expansion H(mu) - H(mu') - <theta', mu - mu'>,
-    using grad H(mu') = theta'.
-    """
-    nat_prime = moments_to_natural(mean_to_moments(mu_prime))
-    return (
-        neg_entropy(mu)
-        - neg_entropy(mu_prime)
-        - pairing(nat_prime, FullMeanParams(mu.mu1 - mu_prime.mu1, mu.Mu2 - mu_prime.Mu2))
-    )
 
 
 def gaussian_kl(

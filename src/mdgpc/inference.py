@@ -52,9 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expfam
 from .errors import InputError, NumericalError, named_failures
-from .expfam import chol_solve, spd_cholesky
+from .expfam import chol_solve, gaussian_kl, spd_cholesky
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
 
@@ -167,7 +166,7 @@ def posterior_from_sites(gram_res, alpha_c: np.ndarray, beta_c: np.ndarray):
     """
     W, LB, K = site_factor(gram_res, beta_c)
     KW = K * W[None, :]
-    Sigma = K - KW @ expfam.chol_solve(LB, KW.T)
+    Sigma = K - KW @ chol_solve(LB, KW.T)
     Sigma = 0.5 * (Sigma + Sigma.T)
     return Sigma @ alpha_c, Sigma
 
@@ -261,7 +260,7 @@ def elbo(m: np.ndarray, Sigma: np.ndarray, prior_grams: list, Y: np.ndarray, lik
     m_mat, v_mat = marginal_mats(m, Sigma)
     total = lik.expected_loglik(m_mat, v_mat, Y)
     for m_c, Sigma_c, g in zip(m, Sigma, prior_grams):
-        total -= expfam.gaussian_kl(m_c, Sigma_c, g.chol)
+        total -= gaussian_kl(m_c, Sigma_c, g.chol)
     return float(total)
 
 

@@ -19,8 +19,8 @@ mean parameters (mu1, mu2) = (m, v + m^2) gives
     d_mu1 = g_m - 2 g_v * m,      d_mu2 = g_v.
 
 Estimators accept explicit draws ``eps`` and optional ``weights`` so tests
-and the equivalence verifier can substitute deterministic weighted node
-sets (Gauss-Hermite, binary case) for seeded Monte Carlo draws; both then
+and the checks of :mod:`mdgpc.verify` can substitute deterministic weighted
+node sets (its Gauss-Hermite rule) for seeded Monte Carlo draws; both then
 evaluate the same functional on common numbers.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
@@ -42,9 +42,7 @@ __all__ = [
     "batch_expected_loglik",
     "batch_grads_mv",
     "normal_draws",
-    "gauss_hermite_draws",
     "SoftmaxLikelihood",
-    "GaussianSiteLikelihood",
 ]
 
 
@@ -63,24 +61,6 @@ class McConfig:
 def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     """Standard normal draws from a fresh seeded generator."""
     return np.random.default_rng(seed).standard_normal(shape)
-
-
-def gauss_hermite_draws(n_nodes: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite node set for E[g(eps)], eps ~ N(0, I_C).
-
-    Returns (eps, weights) with eps of shape (n_nodes**C, C) and weights
-    summing to 1. Intended as the deterministic common-draws oracle for the
-    binary case; the node count grows as n_nodes**C.
-    """
-    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
-    w = w / np.sqrt(2.0 * np.pi)
-    grids = np.meshgrid(*([x] * n_classes), indexing="ij")
-    eps = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * n_classes), indexing="ij")
-    weights = np.ones(eps.shape[0])
-    for g in wgrids:
-        weights = weights * g.reshape(-1)
-    return eps, weights
 
 
 def _prepare_batch(m, v, eps):
@@ -202,29 +182,3 @@ class SoftmaxLikelihood:
 
     def grads_mv(self, m, v, Y):
         return batch_grads_mv(m, v, Y, self.eps, self.weights)
-
-
-class GaussianSiteLikelihood:
-    """Synthetic log-likelihood sum_n (a_n . f_n + b_n . f_n^2), b <= 0.
-
-    Its mean-parameter gradients are the constants (a, b), so a single
-    mirror step with rho = 1 must land exactly on the conjugate posterior
-    with site naturals (a, b). Used by the verification suite.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != b.shape or a.ndim != 2:
-            raise InputError("a, b must both be (N, C)")
-        if np.any(b > 0.0):
-            raise InputError("quadratic site coefficients must be <= 0")
-        self.a = a
-        self.b = b
-
-    def expected_loglik(self, m, v, Y) -> float:
-        # E[a f + b f^2] = a mu1 + b mu2 with mu2 = v + m^2
-        return float(np.sum(self.a * m + self.b * (v + m * m)))
-
-    def grads_mv(self, m, v, Y):
-        return self.a + 2.0 * self.b * m, np.broadcast_to(self.b, np.shape(m)).copy()

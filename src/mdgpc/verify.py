@@ -10,6 +10,41 @@ against the natural-gradient step (:func:`ngd_verify`) and across rates.
 Each check runs under :func:`~mdgpc.errors.named_failures`, so a numerical
 failure names the check and the instance and prints no numpy warning.
 
+A multivariate Gaussian over f in R^N is written in exponential form
+
+    q(f) = exp( theta1 . f + f' Theta2 f - A(theta) ),
+
+with natural parameters
+
+    theta1 = Sigma^{-1} m,        Theta2 = -1/2 Sigma^{-1},
+
+mean parameters
+
+    mu1 = E[f] = m,               Mu2 = E[f f'] = Sigma + m m',
+
+log-partition function
+
+    A(theta) = 1/2 m' Sigma^{-1} m + 1/2 log|Sigma| + N/2 log(2 pi),
+
+and negative entropy (the convex conjugate of A up to the pairing)
+
+    H(mu) = -N/2 log(2 pi e) - 1/2 log|Sigma|.
+
+The constant in H is kept so the Fenchel identity A(theta) + H(mu) =
+<theta, mu> holds exactly, with the pairing
+
+    <theta, mu> = theta1 . mu1 + tr(Theta2 Mu2).
+
+The Bregman divergence of H equals the Kullback-Leibler divergence between
+the corresponding members of the family,
+
+    B_H(mu, mu') = H(mu) - H(mu') - <grad H(mu'), mu - mu'> = KL(q_mu || q_mu'),
+
+which is the identity that lets mirror descent on mean parameters act as
+natural-gradient descent on natural parameters. Each parameterization is a
+pair of plain arrays, a vector and a symmetric matrix: (m, Sigma),
+(theta1, Theta2) or (mu1, Mu2).
+
 Minimal coordinates: Theta2 is symmetric, so the natural coordinates t are
 theta1 and the entries of Theta2 on and above the diagonal; the dual mean
 coordinates s satisfy <theta, mu> = t . s, which doubles the off-diagonal
@@ -17,23 +52,77 @@ entries of Mu2. The finite-difference Fisher is built on them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import expfam, kernels, seeding, tasks
+from . import kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
-from .expfam import FullMeanParams, GaussianMoments, GaussianNatural, chol_solve, spd_cholesky
+from .expfam import chol_logdet, chol_solve, gaussian_kl, spd_cholesky
 from .inference import _validate_labels, elbo, md_init, md_step
-from .likelihood import GaussianSiteLikelihood, McConfig, SoftmaxLikelihood, gauss_hermite_draws
-from .likelihood import batch_expected_loglik, batch_grads_mv, normal_draws
+from .likelihood import SoftmaxLikelihood, batch_expected_loglik, batch_grads_mv
 from .seeding import derive_seed, rng_for
 
 __all__ = [
     "run", "ngd_verify", "central_diff", "random_moments", "tiny_instance",
-    "sym_coord_count", "natural_to_coords", "coords_to_natural", "mean_to_dual_coords",
-    "PointMeanParams", "check_one_hot", "mc_expected_loglik", "grad_mv",
+    "moments_to_natural", "natural_to_moments", "moments_to_mean", "log_partition",
+    "neg_entropy", "pairing", "bregman_h", "sym_coord_count", "natural_to_coords",
+    "coords_to_natural", "mean_to_dual_coords", "gauss_hermite_draws",
+    "GaussianSiteLikelihood",
 ]
+
+
+def moments_to_natural(m: np.ndarray, Sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, Sigma) -> (theta1, Theta2) = (Sigma^{-1} m, -1/2 Sigma^{-1})."""
+    L, _ = spd_cholesky(Sigma)
+    prec = chol_solve(L, np.eye(m.shape[0]))
+    prec = 0.5 * (prec + prec.T)
+    return prec @ m, -0.5 * prec
+
+
+def natural_to_moments(theta1: np.ndarray, Theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta1, Theta2) -> (m, Sigma) with Sigma = (-2 Theta2)^{-1}."""
+    L, _ = spd_cholesky(-2.0 * Theta2)
+    Sigma = chol_solve(L, np.eye(theta1.shape[0]))
+    return chol_solve(L, theta1), 0.5 * (Sigma + Sigma.T)
+
+
+def moments_to_mean(m: np.ndarray, Sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, Sigma) -> (mu1, Mu2) = (m, Sigma + m m')."""
+    return m, Sigma + np.outer(m, m)
+
+
+def log_partition(theta1: np.ndarray, Theta2: np.ndarray) -> float:
+    """A(theta) = 1/2 m' Sigma^{-1} m + 1/2 log|Sigma| + N/2 log(2 pi)."""
+    L, _ = spd_cholesky(-2.0 * Theta2)
+    # m' Sigma^{-1} m = theta1' Sigma theta1, with Sigma = prec^{-1}
+    half_quad = 0.5 * float(theta1 @ chol_solve(L, theta1))
+    # log|Sigma| = -log|prec|
+    return half_quad - 0.5 * chol_logdet(L) + 0.5 * theta1.shape[0] * np.log(2.0 * np.pi)
+
+
+def neg_entropy(mu1: np.ndarray, Mu2: np.ndarray) -> float:
+    """H(mu) = -N/2 log(2 pi e) - 1/2 log|Sigma| at Sigma = Mu2 - mu1 mu1'."""
+    L, _ = spd_cholesky(Mu2 - np.outer(mu1, mu1))
+    return -0.5 * mu1.shape[0] * np.log(2.0 * np.pi * np.e) - 0.5 * chol_logdet(L)
+
+
+def pairing(theta1: np.ndarray, Theta2: np.ndarray, mu1: np.ndarray, Mu2: np.ndarray) -> float:
+    """<theta, mu> = theta1 . mu1 + tr(Theta2 Mu2)."""
+    return float(theta1 @ mu1 + np.sum(Theta2 * Mu2))
+
+
+def bregman_h(mu1: np.ndarray, Mu2: np.ndarray, nu1: np.ndarray, Nu2: np.ndarray) -> float:
+    """Bregman divergence of H: B_H(mu, nu) = KL(q_mu || q_nu).
+
+    Computed from the defining expansion H(mu) - H(nu) - <theta_nu, mu - nu>,
+    using grad H(nu) = theta_nu.
+    """
+    theta1, Theta2 = moments_to_natural(nu1, Nu2 - np.outer(nu1, nu1))
+    return (
+        neg_entropy(mu1, Mu2)
+        - neg_entropy(nu1, Nu2)
+        - pairing(theta1, Theta2, mu1 - nu1, Mu2 - Nu2)
+    )
 
 
 def sym_coord_count(n: int) -> int:
@@ -41,96 +130,72 @@ def sym_coord_count(n: int) -> int:
     return n + (n * (n + 1)) // 2
 
 
-def natural_to_coords(nat: GaussianNatural) -> np.ndarray:
+def natural_to_coords(theta1: np.ndarray, Theta2: np.ndarray) -> np.ndarray:
     """Stack (theta1, upper-triangle of Theta2) into a coordinate vector."""
-    return np.concatenate([nat.theta1, nat.Theta2[np.triu_indices(nat.dim)]])
+    return np.concatenate([theta1, Theta2[np.triu_indices(theta1.shape[0])]])
 
 
-def coords_to_natural(t: np.ndarray, n: int) -> GaussianNatural:
+def coords_to_natural(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`natural_to_coords` for dimension n."""
     t = np.asarray(t, dtype=float)
     if t.shape[0] != sym_coord_count(n):
         raise InputError(
             f"expected {sym_coord_count(n)} coordinates for n={n}, got {t.shape[0]}"
         )
-    theta1 = t[:n]
     Theta2 = np.zeros((n, n))
     Theta2[np.triu_indices(n)] = t[n:]
-    Theta2 = Theta2 + np.triu(Theta2, 1).T
-    return GaussianNatural(theta1=theta1, Theta2=Theta2)
+    return t[:n], Theta2 + np.triu(Theta2, 1).T
 
 
-def mean_to_dual_coords(mu: FullMeanParams) -> np.ndarray:
+def mean_to_dual_coords(mu1: np.ndarray, Mu2: np.ndarray) -> np.ndarray:
     """Dual coordinates s with <theta, mu> = t . s (off-diagonals doubled)."""
-    scaled = 2.0 * mu.Mu2 - np.diag(np.diag(mu.Mu2))
-    return np.concatenate([mu.mu1, scaled[np.triu_indices(mu.dim)]])
+    scaled = 2.0 * Mu2 - np.diag(np.diag(Mu2))
+    return np.concatenate([mu1, scaled[np.triu_indices(mu1.shape[0])]])
 
 
-@dataclass(frozen=True)
-class PointMeanParams:
-    """Per-point diagonal mean parameters mu1 = m_n, mu2 = v_n + m_n^2.
+def gauss_hermite_draws(n_nodes: int, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Hermite node set for E[g(eps)], eps ~ N(0, I_C).
 
-    Holds elementwise arrays; entries are independent scalar-Gaussian
-    mean parameters, one per (point, class) pair.
+    Returns (eps, weights) with eps of shape (n_nodes**C, C) and weights
+    summing to 1. The estimators of :mod:`mdgpc.likelihood` take it as a
+    weighted draw set, the deterministic common draws of the binary-case
+    checks; the node count grows as n_nodes**C.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
+    w = w / np.sqrt(2.0 * np.pi)
+    grids = np.meshgrid(*([x] * n_classes), indexing="ij")
+    eps = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    wgrids = np.meshgrid(*([w] * n_classes), indexing="ij")
+    weights = np.ones(eps.shape[0])
+    for g in wgrids:
+        weights = weights * g.reshape(-1)
+    return eps, weights
+
+
+class GaussianSiteLikelihood:
+    """Synthetic log-likelihood sum_n (a_n . f_n + b_n . f_n^2), b <= 0.
+
+    Its mean-parameter gradients are the constants (a, b), so a single
+    mirror step with rho = 1 must land exactly on the conjugate posterior
+    with site naturals (a, b).
     """
 
-    mu1: np.ndarray
-    mu2: np.ndarray
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.shape != b.shape or a.ndim != 2:
+            raise InputError("a, b must both be (N, C)")
+        if np.any(b > 0.0):
+            raise InputError("quadratic site coefficients must be <= 0")
+        self.a = a
+        self.b = b
 
-    def __post_init__(self):
-        mu1 = np.asarray(self.mu1, dtype=float)
-        mu2 = np.asarray(self.mu2, dtype=float)
-        if mu1.shape != mu2.shape:
-            raise InputError(f"mu1 shape {mu1.shape} != mu2 shape {mu2.shape}")
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
+    def expected_loglik(self, m, v, Y) -> float:
+        # E[a f + b f^2] = a mu1 + b mu2 with mu2 = v + m^2
+        return float(np.sum(self.a * m + self.b * (v + m * m)))
 
-    @property
-    def mean(self) -> np.ndarray:
-        return self.mu1
-
-    @property
-    def variance(self) -> np.ndarray:
-        return self.mu2 - self.mu1**2
-
-
-def check_one_hot(y: np.ndarray) -> np.ndarray:
-    """Validate a one-hot label vector (entries in {0,1}, exactly one 1)."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise InputError(f"label must be a vector, got shape {y.shape}")
-    if not np.all((y == 0.0) | (y == 1.0)) or int(np.sum(y)) != 1:
-        raise InputError(f"not a one-hot vector: {y!r}")
-    return y
-
-
-def _point_eps(pm, mc: McConfig, eps):
-    return normal_draws(mc.seed, (mc.samples, pm.mean.shape[0])) if eps is None else eps
-
-
-def mc_expected_loglik(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None) -> float:
-    """Estimated E[log p(y | f)] for a single point marginal.
-
-    pm carries per-class mean and variance vectors (see
-    :class:`PointMeanParams`); draws come from mc.seed unless an explicit
-    (S, C) node set eps (with optional weights) is given.
-    """
-    y = check_one_hot(y)
-    eps = _point_eps(pm, mc, eps)
-    return batch_expected_loglik(
-        pm.mean[None, :], pm.variance[None, :], y[None, :], eps[:, None, :], weights
-    )
-
-
-def grad_mv(pm, y: np.ndarray, mc: McConfig, eps=None, weights=None):
-    """Estimated (g_m, g_v) for a single point, common draws with
-    :func:`mc_expected_loglik` when given the same eps or mc."""
-    y = check_one_hot(y)
-    eps = _point_eps(pm, mc, eps)
-    g_m, g_v = batch_grads_mv(
-        pm.mean[None, :], pm.variance[None, :], y[None, :], eps[:, None, :], weights
-    )
-    return g_m[0], g_v[0]
+    def grads_mv(self, m, v, Y):
+        return self.a + 2.0 * self.b * m, np.broadcast_to(self.b, np.shape(m)).copy()
 
 
 def central_diff(fun, x0: np.ndarray, fd_step: float) -> np.ndarray:
@@ -151,11 +216,7 @@ def _state_coords(state) -> np.ndarray:
     parts = []
     for i, g in enumerate(state.prior):
         Kinv = 0.5 * (g.kinv + g.kinv.T)
-        nat = GaussianNatural(
-            theta1=state.alpha[i],
-            Theta2=-0.5 * Kinv + np.diag(state.beta[i]),
-        )
-        parts.append(natural_to_coords(nat))
+        parts.append(natural_to_coords(state.alpha[i], -0.5 * Kinv + np.diag(state.beta[i])))
     return np.concatenate(parts)
 
 
@@ -166,13 +227,10 @@ def _md_direction(state, Y, lik, rho: float) -> np.ndarray:
 
 def _objective_at(coords, state, Y, lik, n, c):
     p = sym_coord_count(n)
-    moments = [
-        expfam.natural_to_moments(coords_to_natural(coords[i * p : (i + 1) * p], n))
-        for i in range(c)
-    ]
-    m = np.stack([mom.m for mom in moments])
-    Sigma = np.stack([mom.Sigma for mom in moments])
-    return elbo(m, Sigma, state.prior, Y, lik)
+    means, covs = zip(
+        *(natural_to_moments(*coords_to_natural(coords[i * p : (i + 1) * p], n)) for i in range(c))
+    )
+    return elbo(np.stack(means), np.stack(covs), state.prior, Y, lik)
 
 
 def ngd_verify(
@@ -214,8 +272,7 @@ def ngd_verify(
     grad_theta = central_diff(lambda x: _objective_at(x, state, Y, lik, n, c), coords0, fd_step)
 
     def dual_of(t):
-        mom = expfam.natural_to_moments(coords_to_natural(t, n))
-        return mean_to_dual_coords(expfam.moments_to_mean(mom))
+        return mean_to_dual_coords(*moments_to_mean(*natural_to_moments(*coords_to_natural(t, n))))
 
     ngd_dir = np.zeros_like(grad_theta)
     for i in range(c):
@@ -236,11 +293,12 @@ def ngd_verify(
     return {"deviation": deviation, "rho_deviation": rho_deviation}
 
 
-def random_moments(rng, n: int) -> GaussianMoments:
-    """A Gaussian with standard-normal mean and a well-conditioned covariance."""
+def random_moments(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, Sigma) of a Gaussian with standard-normal mean and a well-conditioned
+    covariance."""
     a = rng.standard_normal((n, n))
     sigma = a @ a.T + 0.5 * n * np.eye(n)
-    return GaussianMoments(rng.standard_normal(n), sigma)
+    return rng.standard_normal(n), sigma
 
 
 def tiny_instance(seed: int):
@@ -257,12 +315,12 @@ def tiny_instance(seed: int):
 def _check_roundtrip(seed: int) -> float:
     worst = 0.0
     for i in range(5):
-        mom = random_moments(rng_for(seed, seeding.STREAM_VERIFY, 1, i), 4)
-        back = expfam.natural_to_moments(expfam.moments_to_natural(mom))
+        m, Sigma = random_moments(rng_for(seed, seeding.STREAM_VERIFY, 1, i), 4)
+        m_back, Sigma_back = natural_to_moments(*moments_to_natural(m, Sigma))
         worst = max(
             worst,
-            float(np.max(np.abs(back.m - mom.m))),
-            float(np.max(np.abs(back.Sigma - mom.Sigma))),
+            float(np.max(np.abs(m_back - m))),
+            float(np.max(np.abs(Sigma_back - Sigma))),
         )
     return worst
 
@@ -271,9 +329,8 @@ def _check_fenchel(seed: int) -> float:
     worst = 0.0
     for i in range(5):
         mom = random_moments(rng_for(seed, seeding.STREAM_VERIFY, 2, i), 4)
-        nat = expfam.moments_to_natural(mom)
-        mu = expfam.moments_to_mean(mom)
-        gap = expfam.log_partition(nat) + expfam.neg_entropy(mu) - expfam.pairing(nat, mu)
+        nat, mu = moments_to_natural(*mom), moments_to_mean(*mom)
+        gap = log_partition(*nat) + neg_entropy(*mu) - pairing(*nat, *mu)
         worst = max(worst, abs(gap))
     return worst
 
@@ -282,9 +339,9 @@ def _check_bregman_kl(seed: int) -> float:
     worst = 0.0
     for i in range(5):
         rng = rng_for(seed, seeding.STREAM_VERIFY, 3, i)
-        q, p = random_moments(rng, 3), random_moments(rng, 3)
-        breg = expfam.bregman_h(expfam.moments_to_mean(q), expfam.moments_to_mean(p))
-        kl = expfam.gaussian_kl(q.m, q.Sigma, spd_cholesky(p.Sigma)[0], p.m)
+        (m_q, S_q), (m_p, S_p) = random_moments(rng, 3), random_moments(rng, 3)
+        breg = bregman_h(*moments_to_mean(m_q, S_q), *moments_to_mean(m_p, S_p))
+        kl = gaussian_kl(m_q, S_q, spd_cholesky(S_p)[0], m_p)
         worst = max(worst, abs(breg - kl))
     return worst
 
@@ -293,14 +350,14 @@ def _check_log_partition_grad(seed: int, fd_step: float) -> float:
     """Central FD of A over minimal natural coordinates vs dual coordinates."""
     worst = 0.0
     for i in range(3):
-        mom = random_moments(rng_for(seed, seeding.STREAM_VERIFY, 4, i), 3)
-        n = mom.dim
+        m, Sigma = random_moments(rng_for(seed, seeding.STREAM_VERIFY, 4, i), 3)
+        n = m.shape[0]
         grad_fd = central_diff(
-            lambda t: expfam.log_partition(coords_to_natural(t, n)),
-            natural_to_coords(expfam.moments_to_natural(mom)),
+            lambda t: log_partition(*coords_to_natural(t, n)),
+            natural_to_coords(*moments_to_natural(m, Sigma)),
             fd_step,
         )
-        exact = mean_to_dual_coords(expfam.moments_to_mean(mom))
+        exact = mean_to_dual_coords(*moments_to_mean(m, Sigma))
         rel = np.max(np.abs(grad_fd - exact)) / max(1.0, float(np.max(np.abs(exact))))
         worst = max(worst, float(rel))
     return worst
@@ -319,12 +376,17 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
     c = 3
     m = rng.standard_normal(c)
     v = 0.5 + rng.random(c)
-    y = np.zeros(c)
-    y[0] = 1.0
-    pm = PointMeanParams(mu1=m, mu2=v + m * m)
+    Y = np.zeros((1, c))
+    Y[0, 0] = 1.0
     eps, weights = gauss_hermite_draws(16, c)
-    mc = McConfig(samples=eps.shape[0], seed=0)
-    g_m, g_v = grad_mv(pm, y, mc, eps=eps, weights=weights)
+    eps = eps[:, None, :]
+
+    def marginals(mm, vv):
+        """The point's (1, C) mean and variance, the variance taken back from
+        the mean parameter mu2 = v + m^2."""
+        return mm[None, :], ((vv + mm * mm) - mm**2)[None, :]
+
+    g_m, g_v = batch_grads_mv(*marginals(m, v), Y, eps, weights)
     worst = 0.0
     for j in range(c):
         for which in ("m", "v"):
@@ -335,10 +397,9 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
                     mm[j] = m[j] + sgn * fd_step
                 else:
                     vv[j] = v[j] + sgn * fd_step
-                shifted = PointMeanParams(mu1=mm, mu2=vv + mm * mm)
-                vals.append(mc_expected_loglik(shifted, y, mc, eps=eps, weights=weights))
+                vals.append(batch_expected_loglik(*marginals(mm, vv), Y, eps, weights))
             fd = (vals[0] - vals[1]) / (2.0 * fd_step)
-            exact = g_m[j] if which == "m" else g_v[j]
+            exact = g_m[0, j] if which == "m" else g_v[0, j]
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     return worst
 

@@ -2,11 +2,13 @@
 
 The softmax formulas reduce over a last class axis, (S, N, C), the way the
 package computed them before its class-leading kernel; the tests hold the
-package to these bit for bit. `refresh_moments` recomputes a mirror-descent
-state's (m, Sigma) by dense solves, independent of the Woodbury path.
-`moments_kl` is `gaussian_kl` between two checked Gaussians, the second
-covariance factored first. `dual_coords_to_mean` inverts the dual minimal
-coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
+package to these bit for bit. `point_loglik` and `point_grads` evaluate the
+package's estimators at one point, and `grad_mean_params` chains its
+gradients to the point's mean parameters. `refresh_moments` recomputes a
+mirror-descent state's (m, Sigma) by dense solves, independent of the
+Woodbury path. `moments_kl` is `gaussian_kl` between two (m, Sigma) pairs,
+the second covariance factored first. `dual_coords_to_mean` inverts the dual
+minimal coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
 `scipy_chol_solve` and `scipy_gaussian_kl` are the package's SPD kernels as
 written on ``scipy.linalg`` before they called LAPACK directly; the tests
 hold the direct calls to them bit for bit.
@@ -15,12 +17,12 @@ hold the direct calls to them bit for bit.
 import numpy as np
 import scipy.linalg
 
+from mdgpc import likelihood
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
-from mdgpc.expfam import FullMeanParams, GaussianMoments, chol_solve, gaussian_kl, spd_cholesky
+from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.likelihood import _prepare_batch
-from mdgpc.verify import check_one_hot, grad_mv
 
 
 def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:
@@ -31,7 +33,7 @@ def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:
 
 def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
     """log p(y | f) = y . f - logsumexp(f) for a one-hot y."""
-    y = check_one_hot(y)
+    y = np.asarray(y, dtype=float)
     f = np.asarray(f, dtype=float)
     if f.shape != y.shape:
         raise InputError(f"f shape {f.shape} != y shape {y.shape}")
@@ -65,14 +67,26 @@ def label_probs(mu, var, eps) -> np.ndarray:
     return np.mean(e / e.sum(axis=2, keepdims=True), axis=0)
 
 
-def grad_mean_params(pm, y: np.ndarray, mc, eps=None, weights=None):
+def point_loglik(m, v, y, eps, weights=None) -> float:
+    """The package's estimate of E[log p(y | f)] at one point with (C,)
+    marginal means m and variances v, over an (S, C) node set."""
+    return likelihood.batch_expected_loglik(m[None], v[None], y[None], eps, weights)
+
+
+def point_grads(m, v, y, eps, weights=None):
+    """The package's (g_m, g_v) at one point, each of shape (C,)."""
+    g_m, g_v = likelihood.batch_grads_mv(m[None], v[None], y[None], eps, weights)
+    return g_m[0], g_v[0]
+
+
+def grad_mean_params(m, v, y, eps, weights=None):
     """Gradients w.r.t. per-point mean parameters (mu1, mu2).
 
     d_mu1 = g_m - 2 g_v * m and d_mu2 = g_v; the inverse chain rule of
     (m, v) -> (mu1, mu2) = (m, v + m^2).
     """
-    g_m, g_v = grad_mv(pm, y, mc, eps=eps, weights=weights)
-    return g_m - 2.0 * g_v * pm.mean, g_v
+    g_m, g_v = point_grads(m, v, y, eps, weights)
+    return g_m - 2.0 * g_v * m, g_v
 
 
 def refresh_moments(state: VariationalState) -> VariationalState:
@@ -92,12 +106,14 @@ def refresh_moments(state: VariationalState) -> VariationalState:
     )
 
 
-def moments_kl(q: GaussianMoments, p: GaussianMoments) -> float:
-    """KL(q || p), with p's covariance factored by spd_cholesky first."""
-    return gaussian_kl(q.m, q.Sigma, spd_cholesky(p.Sigma)[0], p.m)
+def moments_kl(q, p) -> float:
+    """KL(q || p) of two (m, Sigma) pairs, p's covariance factored by
+    spd_cholesky first."""
+    (m_q, S_q), (m_p, S_p) = q, p
+    return gaussian_kl(m_q, S_q, spd_cholesky(S_p)[0], m_p)
 
 
-def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:
+def dual_coords_to_mean(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of mean_to_dual_coords: off-diagonal entries are halved."""
     mu1 = t[:n]
     mat = np.zeros((n, n))
@@ -105,7 +121,7 @@ def dual_coords_to_mean(t: np.ndarray, n: int) -> FullMeanParams:
     mat[iu] = t[n:]
     mu2 = 0.5 * (mat + mat.T)
     mu2[np.diag_indices(n)] = np.diag(mat)
-    return FullMeanParams(mu1, mu2)
+    return mu1, mu2
 
 
 def scipy_spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -127,11 +143,12 @@ def scipy_chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((chol_lower, True), b)
 
 
-def scipy_gaussian_kl(q: GaussianMoments, p: GaussianMoments) -> float:
-    n = q.dim
-    Lp, _ = scipy_spd_cholesky(p.Sigma)
-    Lq, _ = scipy_spd_cholesky(q.Sigma)
-    sol = scipy.linalg.solve_triangular(Lp, q.m - p.m, lower=True)
+def scipy_gaussian_kl(q, p) -> float:
+    (m_q, S_q), (m_p, S_p) = q, p
+    n = m_q.shape[0]
+    Lp, _ = scipy_spd_cholesky(S_p)
+    Lq, _ = scipy_spd_cholesky(S_q)
+    sol = scipy.linalg.solve_triangular(Lp, m_q - m_p, lower=True)
     w = scipy.linalg.solve_triangular(Lp, Lq, lower=True)
     trace_term = float(np.sum(w * w))
     return 0.5 * (

@@ -15,14 +15,10 @@ import pytest
 
 from mdgpc import cli, expfam, inference, kernels, likelihood, meta, metrics, model, tasks, verify
 from mdgpc.inference import InnerConfig
-from mdgpc.likelihood import GaussianSiteLikelihood, McConfig
+from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
-from mdgpc.verify import PointMeanParams, random_moments, tiny_instance
-from oracles import dual_coords_to_mean, moments_kl
-
-
-def from_mv(m, v) -> PointMeanParams:
-    return PointMeanParams(mu1=np.asarray(m, float), mu2=np.asarray(v, float) + np.asarray(m, float) ** 2)
+from mdgpc.verify import GaussianSiteLikelihood, random_moments, tiny_instance
+from oracles import dual_coords_to_mean, moments_kl, point_grads, point_loglik
 
 
 def read_csv(path):
@@ -93,15 +89,14 @@ def test_criterion_03_likelihood_gradient_identities():
     assert checked == 100_000
 
     # (b) finite differences of the estimator itself, common GH node set
-    eps, w = likelihood.gauss_hermite_draws(16, 3)
-    mc = McConfig(samples=8, seed=0)
+    eps, w = verify.gauss_hermite_draws(16, 3)
     worst = 0.0
     for seed in range(3):
         r = np.random.default_rng(100 + seed)
         m = r.standard_normal(3)
         v = 0.5 + r.random(3)
         y = np.eye(3)[seed % 3]
-        g_m, g_v = verify.grad_mv(from_mv(m, v), y, mc, eps=eps, weights=w)
+        g_m, g_v = point_grads(m, v, y, eps, w)
         h = 1e-5
         for k in range(3):
             for target, grad in (("m", g_m), ("v", g_v)):
@@ -114,19 +109,17 @@ def test_criterion_03_likelihood_gradient_identities():
                     uv[k] += h
                     dv[k] -= h
                 fd = (
-                    verify.mc_expected_loglik(from_mv(up, uv), y, mc, eps=eps, weights=w)
-                    - verify.mc_expected_loglik(from_mv(dn, dv), y, mc, eps=eps, weights=w)
+                    point_loglik(up, uv, y, eps, w) - point_loglik(dn, dv, y, eps, w)
                 ) / (2 * h)
                 worst = max(worst, abs(grad[k] - fd))
         # (c) mean-parameter chain identity, exact, plus direct FD in (mu1, mu2)
-        d1, d2 = oracles.grad_mean_params(from_mv(m, v), y, mc, eps=eps, weights=w)
+        d1, d2 = oracles.grad_mean_params(m, v, y, eps, w)
         np.testing.assert_array_equal(d1, g_m - 2.0 * g_v * m)
         np.testing.assert_array_equal(d2, g_v)
-        pm = from_mv(m, v)
         for k in range(3):
             for which in (1, 2):
-                mu1, mu2 = pm.mu1.copy(), pm.mu2.copy()
-                nu1, nu2 = pm.mu1.copy(), pm.mu2.copy()
+                mu1, mu2 = m.copy(), v + m**2
+                nu1, nu2 = m.copy(), v + m**2
                 if which == 1:
                     mu1[k] += h
                     nu1[k] -= h
@@ -134,8 +127,8 @@ def test_criterion_03_likelihood_gradient_identities():
                     mu2[k] += h
                     nu2[k] -= h
                 fd = (
-                    verify.mc_expected_loglik(PointMeanParams(mu1, mu2), y, mc, eps=eps, weights=w)
-                    - verify.mc_expected_loglik(PointMeanParams(nu1, nu2), y, mc, eps=eps, weights=w)
+                    point_loglik(mu1, mu2 - mu1**2, y, eps, w)
+                    - point_loglik(nu1, nu2 - nu1**2, y, eps, w)
                 ) / (2 * h)
                 grad = d1[k] if which == 1 else d2[k]
                 worst = max(worst, abs(grad - fd))
@@ -253,26 +246,26 @@ def test_criterion_07_exponential_family_identities():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = 3 + seed % 2
-        mom = random_moments(rng, n)
-        back = expfam.natural_to_moments(expfam.moments_to_natural(mom))
-        worst_inv = max(worst_inv, np.max(np.abs(back.Sigma - mom.Sigma)))
-        worst_inv = max(worst_inv, np.max(np.abs(back.m - mom.m)))
-        back2 = expfam.mean_to_moments(expfam.moments_to_mean(mom))
-        worst_inv = max(worst_inv, np.max(np.abs(back2.Sigma - mom.Sigma)))
+        m, Sigma = random_moments(rng, n)
+        m_back, Sigma_back = verify.natural_to_moments(*verify.moments_to_natural(m, Sigma))
+        worst_inv = max(worst_inv, np.max(np.abs(Sigma_back - Sigma)))
+        worst_inv = max(worst_inv, np.max(np.abs(m_back - m)))
+        mu1, Mu2 = verify.moments_to_mean(m, Sigma)
+        worst_inv = max(worst_inv, np.max(np.abs((Mu2 - np.outer(mu1, mu1)) - Sigma)))
 
-        nat = expfam.moments_to_natural(mom)
-        mu = expfam.moments_to_mean(mom)
-        fenchel = expfam.log_partition(nat) + expfam.neg_entropy(mu) - expfam.pairing(nat, mu)
+        nat = verify.moments_to_natural(m, Sigma)
+        mu = (mu1, Mu2)
+        fenchel = verify.log_partition(*nat) + verify.neg_entropy(*mu) - verify.pairing(*nat, *mu)
         worst_id = max(worst_id, abs(fenchel))
 
         other = random_moments(rng, n)
-        gap = expfam.bregman_h(
-            expfam.moments_to_mean(mom), expfam.moments_to_mean(other)
-        ) - moments_kl(mom, other)
+        gap = verify.bregman_h(*mu, *verify.moments_to_mean(*other)) - moments_kl(
+            (m, Sigma), other
+        )
         worst_id = max(worst_id, abs(gap))
 
-        t0 = verify.natural_to_coords(nat)
-        dual = verify.mean_to_dual_coords(mu)
+        t0 = verify.natural_to_coords(*nat)
+        dual = verify.mean_to_dual_coords(*mu)
         p = t0.shape[0]
         h = 1e-6
         for k in range(p):
@@ -280,8 +273,8 @@ def test_criterion_07_exponential_family_identities():
             up[k] += h
             dn[k] -= h
             fd = (
-                expfam.log_partition(verify.coords_to_natural(up, n))
-                - expfam.log_partition(verify.coords_to_natural(dn, n))
+                verify.log_partition(*verify.coords_to_natural(up, n))
+                - verify.log_partition(*verify.coords_to_natural(dn, n))
             ) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - dual[k]) / max(1.0, abs(dual[k])))
         s0 = dual
@@ -290,8 +283,8 @@ def test_criterion_07_exponential_family_identities():
             up[k] += h
             dn[k] -= h
             fd = (
-                expfam.neg_entropy(dual_coords_to_mean(up, n))
-                - expfam.neg_entropy(dual_coords_to_mean(dn, n))
+                verify.neg_entropy(*dual_coords_to_mean(up, n))
+                - verify.neg_entropy(*dual_coords_to_mean(dn, n))
             ) / (2 * h)
             worst_fd = max(worst_fd, abs(fd - t0[k]) / max(1.0, abs(t0[k])))
     print(

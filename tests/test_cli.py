@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -103,6 +104,16 @@ class TestConfigHandling:
         assert rows == want
         for key, default, _ in cli._TABLE:
             assert cli._coerce_leaf(key, json.loads(json.dumps(default))) == default
+
+    @pytest.mark.parametrize("key", [key for key, _, rule in cli._TABLE if "10^" in rule])
+    def test_size_upper_bounds(self, key):
+        """Each size accepts its upper bound and rejects the next integer."""
+        rule = cli._ROWS[key][1]
+        bound = int(UPPER_BOUNDS[rule.removeprefix("2+ sizes ")])
+        as_value = (lambda n: [4, n]) if key == "kernel.net_dims" else (lambda n: n)
+        assert cli._coerce_leaf(key, as_value(bound)) == as_value(bound)
+        with pytest.raises(InputError, match=re.escape(f"'{key}' must be {rule}, got")):
+            cli._coerce_leaf(key, as_value(bound + 1))
 
     def test_int_promotes_to_float(self, tmp_path):
         path = write_cfg(tmp_path, {"task": {"tau": 3}})
@@ -433,6 +444,13 @@ class TestExitCodes:
             # a zero scale collapses every input; a negative one flips them
             ("train", "task.domain_shift=[0, 0]", 1),
             ("train", "task.domain_shift=[0, -1]", 1),
+            # sizes beyond their bounds ended in numpy's ValueError traceback,
+            # or ran without end (task.C), or ran out of memory (mc_samples)
+            ("train", "kernel.net_dims=[8, 9223372036854775807, 16]", 1),
+            ("gen-data", "gen_data.rows_per_class=9223372036854775807", 1),
+            ("train", "task.M=9223372036854775808", 1),
+            ("train", "task.C=100000000000000000000000", 1),
+            ("train", "inner.mc_samples=1000000000000000", 1),
         ],
     )
     def test_rejected_config_writes_nothing(
@@ -533,17 +551,12 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure: " + prefix)
 
-    # 10**15 rows or draws need more memory than a 47-bit address space holds,
-    # so the allocation fails at once, whatever the host allows
-    @pytest.mark.parametrize(
-        "cmd, override",
-        [
-            ("gen-data", "gen_data.rows_per_class=1000000000000000"),
-            ("train", "inner.mc_samples=1000000000000000"),
-        ],
-    )
+    # 10**9 rows of 10**5 features need more memory than a 47-bit address
+    # space holds, so the allocation fails at once, whatever the host allows
+    @pytest.mark.parametrize("cmd, override", [("gen-data", "gen_data.rows_per_class=1000000000")])
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, cmd, override):
-        assert run(cmd, write_cfg(tmp_path), tmp_path / "o", "--set", override) == 1
+        cfg_path = write_cfg(tmp_path, {"task": {"D": 100000}})
+        assert run(cmd, cfg_path, tmp_path / "o", "--set", override) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
@@ -558,23 +571,35 @@ FUZZ_SECTIONS = {
     "verify": ("seed", "verify"),
 }
 FAILURE_PREFIX = {1: "error: ", 2: "numerical failure: "}
-# No large integer: one would allocate huge arrays or run for a very long
-# time. A float literal such as 1e300 is rejected by every integer (size) key,
-# so the extreme floats only reach scales, rates and steps.
+# No large integer that a key accepts: one would allocate huge arrays or run
+# for a very long time. A float literal such as 1e300 is rejected by every
+# integer (size) key, so the extreme floats only reach scales, rates and steps.
 FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity", "1e-300", "1e300"]
-# The values on either side of each numeric rule's bound.
+# The values on either side of each numeric rule's bounds.
 BOUNDARY_VALUES = {
     ">= 0": ["-1", "0"],
     ">= 1": ["0", "1"],
     ">= 2": ["1", "2"],
     "> 0": ["0", "5e-324"],
     "in (0, 1]": ["0", "1", "1.0000000000000002"],
+    "in [2, 10^3]": ["1", "2", "1000", "1001"],
+    "in [1, 10^3]": ["0", "1", "1000", "1001"],
+    "in [1, 10^4]": ["0", "1", "10000", "10001"],
+    "in [2, 10^4]": ["1", "2", "10000", "10001"],
+    "in [1, 10^5]": ["0", "1", "100000", "100001"],
+    "in [1, 10^6]": ["0", "1", "1000000", "1000001"],
+    "in [1, 10^9]": ["0", "1", "1000000000", "1000000001"],
 }
+# The size rules' upper bounds, the third of their boundary values. A run at
+# one takes minutes or gigabytes by design, so the fuzz leaves it out;
+# test_size_upper_bounds checks at config level that each is accepted and the
+# next integer rejected.
+UPPER_BOUNDS = {rule: values[2] for rule, values in BOUNDARY_VALUES.items() if "10^" in rule}
 
 
 def fuzz_overrides(cmd: str):
     values = {
-        key: FUZZ_VALUES + BOUNDARY_VALUES[rule]
+        key: FUZZ_VALUES + [v for v in BOUNDARY_VALUES[rule] if v != UPPER_BOUNDS.get(rule)]
         for key, _, rule in cli._TABLE
         if rule in BOUNDARY_VALUES and key.split(".")[0] in FUZZ_SECTIONS[cmd]
     }

@@ -1,4 +1,5 @@
-"""Gaussian exponential-family algebra: conversions, potentials, duality."""
+"""The SPD kernels of mdgpc.expfam and the exponential-family algebra that
+mdgpc.verify builds on them: conversions, potentials, duality."""
 
 import numpy as np
 import pytest
@@ -8,26 +9,18 @@ from hypothesis import strategies as st
 
 from mdgpc import expfam, verify
 from mdgpc.errors import InputError, NumericalError
-from mdgpc.expfam import (
-    GaussianMoments,
-    GaussianNatural,
+from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
+from mdgpc.verify import (
     bregman_h,
-    chol_solve,
-    gaussian_kl,
+    coords_to_natural,
     log_partition,
-    mean_to_moments,
+    mean_to_dual_coords,
     moments_to_mean,
     moments_to_natural,
+    natural_to_coords,
     natural_to_moments,
     neg_entropy,
     pairing,
-    spd_cholesky,
-)
-from mdgpc.verify import (
-    PointMeanParams,
-    coords_to_natural,
-    mean_to_dual_coords,
-    natural_to_coords,
     sym_coord_count,
 )
 from oracles import dual_coords_to_mean, moments_kl, scipy_chol_solve, scipy_gaussian_kl
@@ -38,68 +31,58 @@ NEG_HALF_LOG_2PIE = -1.4189385332046727
 KL_STD_VS_VAR4 = 0.3181471805599453  # 0.5 * (1/4 - 1 + log 4)
 
 
-def random_moments(seed: int, n: int) -> GaussianMoments:
+def random_moments(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return verify.random_moments(np.random.default_rng(seed), n)
 
 
 class TestConversions:
     @pytest.mark.parametrize("seed,n", [(0, 1), (1, 2), (2, 4), (3, 7)])
     def test_moments_natural_roundtrip(self, seed, n):
-        mom = random_moments(seed, n)
-        back = natural_to_moments(moments_to_natural(mom))
-        np.testing.assert_allclose(back.m, mom.m, atol=1e-8)
-        np.testing.assert_allclose(back.Sigma, mom.Sigma, atol=1e-8)
+        m, Sigma = random_moments(seed, n)
+        m_back, Sigma_back = natural_to_moments(*moments_to_natural(m, Sigma))
+        np.testing.assert_allclose(m_back, m, atol=1e-8)
+        np.testing.assert_allclose(Sigma_back, Sigma, atol=1e-8)
 
     @pytest.mark.parametrize("seed,n", [(4, 2), (5, 3)])
     def test_natural_moments_roundtrip(self, seed, n):
-        nat = moments_to_natural(random_moments(seed, n))
-        back = moments_to_natural(natural_to_moments(nat))
-        np.testing.assert_allclose(back.theta1, nat.theta1, atol=1e-8)
-        np.testing.assert_allclose(back.Theta2, nat.Theta2, atol=1e-8)
+        theta1, Theta2 = moments_to_natural(*random_moments(seed, n))
+        theta1_back, Theta2_back = moments_to_natural(*natural_to_moments(theta1, Theta2))
+        np.testing.assert_allclose(theta1_back, theta1, atol=1e-8)
+        np.testing.assert_allclose(Theta2_back, Theta2, atol=1e-8)
 
     @pytest.mark.parametrize("seed,n", [(6, 3), (7, 5)])
     def test_mean_moments_roundtrip(self, seed, n):
-        mom = random_moments(seed, n)
-        back = mean_to_moments(moments_to_mean(mom))
-        np.testing.assert_allclose(back.m, mom.m, atol=1e-10)
-        np.testing.assert_allclose(back.Sigma, mom.Sigma, atol=1e-10)
+        m, Sigma = random_moments(seed, n)
+        mu1, Mu2 = moments_to_mean(m, Sigma)
+        np.testing.assert_allclose(mu1, m, atol=1e-10)
+        np.testing.assert_allclose(Mu2 - np.outer(mu1, mu1), Sigma, atol=1e-10)
 
     def test_coords_roundtrip(self):
-        nat = moments_to_natural(random_moments(8, 4))
-        back = coords_to_natural(natural_to_coords(nat), 4)
-        np.testing.assert_allclose(back.theta1, nat.theta1, atol=0)
-        np.testing.assert_allclose(back.Theta2, nat.Theta2, atol=0)
+        theta1, Theta2 = moments_to_natural(*random_moments(8, 4))
+        theta1_back, Theta2_back = coords_to_natural(natural_to_coords(theta1, Theta2), 4)
+        np.testing.assert_allclose(theta1_back, theta1, atol=0)
+        np.testing.assert_allclose(Theta2_back, Theta2, atol=0)
 
     def test_sym_coord_count(self):
         assert sym_coord_count(1) == 2
         assert sym_coord_count(3) == 9
-        assert natural_to_coords(moments_to_natural(random_moments(9, 3))).shape == (9,)
-
-    def test_asymmetric_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.3, 1.0]])
-        with pytest.raises(InputError, match="not symmetric"):
-            GaussianMoments(np.zeros(2), bad)
-
-    def test_point_mean_params_views(self):
-        pm = PointMeanParams(mu1=np.array([1.0, -2.0]), mu2=np.array([2.0, 5.0]))
-        np.testing.assert_allclose(pm.mean, [1.0, -2.0])
-        np.testing.assert_allclose(pm.variance, [1.0, 1.0])
+        assert natural_to_coords(*moments_to_natural(*random_moments(9, 3))).shape == (9,)
 
 
 class TestPotentials:
     def test_log_partition_standard_normal(self):
-        nat = GaussianNatural(np.zeros(1), -0.5 * np.eye(1))
-        assert log_partition(nat) == pytest.approx(HALF_LOG_2PI, abs=1e-12)
+        value = log_partition(np.zeros(1), -0.5 * np.eye(1))
+        assert value == pytest.approx(HALF_LOG_2PI, abs=1e-12)
 
     def test_neg_entropy_standard_normal(self):
-        mu = moments_to_mean(GaussianMoments(np.zeros(1), np.eye(1)))
-        assert neg_entropy(mu) == pytest.approx(NEG_HALF_LOG_2PIE, abs=1e-12)
+        mu = moments_to_mean(np.zeros(1), np.eye(1))
+        assert neg_entropy(*mu) == pytest.approx(NEG_HALF_LOG_2PIE, abs=1e-12)
 
     @pytest.mark.parametrize("seed,n", [(10, 1), (11, 2), (12, 4)])
     def test_fenchel_equality(self, seed, n):
         mom = random_moments(seed, n)
-        nat, mu = moments_to_natural(mom), moments_to_mean(mom)
-        gap = log_partition(nat) + neg_entropy(mu) - pairing(nat, mu)
+        nat, mu = moments_to_natural(*mom), moments_to_mean(*mom)
+        gap = log_partition(*nat) + neg_entropy(*mu) - pairing(*nat, *mu)
         assert abs(gap) < 1e-8
 
     @pytest.mark.parametrize("seed,n", [(13, 2), (14, 3)])
@@ -107,15 +90,14 @@ class TestPotentials:
         # the doubling convention makes the euclidean dot in minimal
         # coordinates equal the trace pairing
         mom = random_moments(seed, n)
-        nat, mu = moments_to_natural(mom), moments_to_mean(mom)
-        dot = float(np.dot(natural_to_coords(nat), mean_to_dual_coords(mu)))
-        assert dot == pytest.approx(pairing(nat, mu), rel=1e-12)
+        nat, mu = moments_to_natural(*mom), moments_to_mean(*mom)
+        dot = float(np.dot(natural_to_coords(*nat), mean_to_dual_coords(*mu)))
+        assert dot == pytest.approx(pairing(*nat, *mu), rel=1e-12)
 
     @pytest.mark.parametrize("seed,n", [(15, 2), (16, 3)])
     def test_log_partition_grad_fd(self, seed, n):
         mom = random_moments(seed, n)
-        nat = moments_to_natural(mom)
-        coords = natural_to_coords(nat)
+        coords = natural_to_coords(*moments_to_natural(*mom))
         fd = np.empty_like(coords)
         for j in range(coords.shape[0]):
             h = 1e-5 * max(1.0, abs(coords[j]))
@@ -123,16 +105,16 @@ class TestPotentials:
             up[j] += h
             dn[j] -= h
             fd[j] = (
-                log_partition(coords_to_natural(up, n))
-                - log_partition(coords_to_natural(dn, n))
+                log_partition(*coords_to_natural(up, n))
+                - log_partition(*coords_to_natural(dn, n))
             ) / (2 * h)
-        exact = mean_to_dual_coords(moments_to_mean(mom))
+        exact = mean_to_dual_coords(*moments_to_mean(*mom))
         np.testing.assert_allclose(fd, exact, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("seed,n", [(17, 2), (18, 3)])
     def test_neg_entropy_grad_fd(self, seed, n):
         mom = random_moments(seed, n)
-        t = mean_to_dual_coords(moments_to_mean(mom))
+        t = mean_to_dual_coords(*moments_to_mean(*mom))
         fd = np.empty_like(t)
         for j in range(t.shape[0]):
             h = 1e-5 * max(1.0, abs(t[j]))
@@ -140,10 +122,10 @@ class TestPotentials:
             up[j] += h
             dn[j] -= h
             fd[j] = (
-                neg_entropy(dual_coords_to_mean(up, n))
-                - neg_entropy(dual_coords_to_mean(dn, n))
+                neg_entropy(*dual_coords_to_mean(up, n))
+                - neg_entropy(*dual_coords_to_mean(dn, n))
             ) / (2 * h)
-        exact = natural_to_coords(moments_to_natural(mom))
+        exact = natural_to_coords(*moments_to_natural(*mom))
         np.testing.assert_allclose(fd, exact, rtol=1e-4, atol=1e-4)
 
 
@@ -153,23 +135,23 @@ class TestDivergences:
         assert moments_kl(mom, mom) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_frozen_value(self):
-        q = GaussianMoments(np.zeros(1), np.eye(1))
-        p = GaussianMoments(np.zeros(1), 4.0 * np.eye(1))
+        q = (np.zeros(1), np.eye(1))
+        p = (np.zeros(1), 4.0 * np.eye(1))
         assert moments_kl(q, p) == pytest.approx(KL_STD_VS_VAR4, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_bregman_equals_kl(self, seed):
         q = random_moments(seed, 3)
         p = random_moments(seed + 100, 3)
-        breg = bregman_h(moments_to_mean(q), moments_to_mean(p))
+        breg = bregman_h(*moments_to_mean(*q), *moments_to_mean(*p))
         assert breg == pytest.approx(moments_kl(q, p), abs=1e-8)
 
     def test_kl_dimension_mismatch_rejected(self):
-        q = random_moments(24, 3)
+        m_q, S_q = random_moments(24, 3)
         with pytest.raises(InputError, match="dimension mismatch"):
-            gaussian_kl(q.m, q.Sigma, np.eye(2))
+            gaussian_kl(m_q, S_q, np.eye(2))
         with pytest.raises(InputError, match="dimension mismatch"):
-            gaussian_kl(q.m, np.eye(2), np.eye(3))
+            gaussian_kl(m_q, np.eye(2), np.eye(3))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -200,9 +182,9 @@ class TestSpdCholesky:
             spd_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
         with pytest.raises(NumericalError, match="non-finite entries"):
             chol_solve(np.eye(2), np.array([np.nan, 1.0]))
-        q = GaussianMoments(np.array([np.nan, 0.0]), np.eye(2))
+        q = (np.array([np.nan, 0.0]), np.eye(2))
         with pytest.raises(NumericalError, match="non-finite entries"):
-            moments_kl(q, GaussianMoments(np.zeros(2), np.eye(2)))
+            moments_kl(q, (np.zeros(2), np.eye(2)))
 
 
 def spd_matrix(seed: int, n: int) -> np.ndarray:
@@ -230,12 +212,12 @@ class TestLapackPath:
     @pytest.mark.parametrize("n", [1, 2, 25])
     def test_kl_matches_scipy(self, n):
         rng = np.random.default_rng(n + 50)
-        q = GaussianMoments(rng.standard_normal(n), spd_matrix(n + 1, n))
-        p = GaussianMoments(rng.standard_normal(n), spd_matrix(n + 2, n))
-        Lp, _ = spd_cholesky(p.Sigma)
-        assert gaussian_kl(q.m, q.Sigma, Lp, p.m) == scipy_gaussian_kl(q, p)
-        prior = GaussianMoments(np.zeros(n), p.Sigma)
-        assert gaussian_kl(q.m, q.Sigma, Lp) == scipy_gaussian_kl(q, prior)
+        q = (rng.standard_normal(n), spd_matrix(n + 1, n))
+        p = (rng.standard_normal(n), spd_matrix(n + 2, n))
+        Lp, _ = spd_cholesky(p[1])
+        assert gaussian_kl(*q, Lp, p[0]) == scipy_gaussian_kl(q, p)
+        prior = (np.zeros(n), p[1])
+        assert gaussian_kl(*q, Lp) == scipy_gaussian_kl(q, prior)
 
     def test_triangular_solve_matches_scipy_in_either_layout(self):
         L, _ = spd_cholesky(spd_matrix(7, 25))

@@ -22,9 +22,9 @@ from mdgpc.inference import (
     posterior_from_sites,
     run_inner,
 )
-from mdgpc.likelihood import GaussianSiteLikelihood, McConfig, SoftmaxLikelihood
+from mdgpc.likelihood import McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
-from mdgpc.verify import ngd_verify, tiny_instance
+from mdgpc.verify import GaussianSiteLikelihood, ngd_verify, tiny_instance
 from oracles import refresh_moments
 
 
@@ -122,10 +122,12 @@ class TestInitAndCombine:
         np.testing.assert_allclose(state.Sigma, refreshed.Sigma, atol=1e-10)
 
     def test_bad_labels_rejected(self):
-        grams = toy_grams(10)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(8, 0))
-        with pytest.raises(InputError, match="one-hot"):
-            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg))
+        # a fractional, an empty and a doubled row among valid binary ones
+        binary = [np.vstack([row, np.eye(2)[[0, 1, 0, 1]]]) for row in ([0.5, 0.5], [0, 0], [2, 0])]
+        for Y in [np.full((5, 3), 0.5)] + binary:
+            with pytest.raises(InputError, match="one-hot"):
+                next(inner_states("MD", toy_grams(10, c=Y.shape[1]), Y, cfg))
 
 
 class TestConjugateLimit:

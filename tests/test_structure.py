@@ -1,0 +1,37 @@
+"""Module structure: the runtime modules hold only runtime code."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mdgpc"
+RUNTIME = (
+    "tasks", "kernels", "expfam", "likelihood", "inference", "model", "meta", "metrics",
+    "seeding", "errors",
+)
+
+
+def reads(node) -> set:
+    """Every name node reads: plain names and attribute names."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_runtime_definitions_are_read_outside_verify():
+    """Each top-level function and class of a runtime module is read by some
+    top-level statement of src/mdgpc other than its own definition, in a
+    module other than verify.py; code that only the checks or the tests
+    read belongs in verify.py or in tests/."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "verify"}
+    statements = [(stem, stmt) for stem, tree in trees.items() for stmt in tree.body]
+    read_by = [(stmt, reads(stmt)) for _, stmt in statements]
+    unread = [
+        f"{stem}.{stmt.name}"
+        for stem, stmt in statements
+        if stem in RUNTIME
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in read_by if other is not stmt)
+    ]
+    assert unread == []
