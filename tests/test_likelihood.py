@@ -6,6 +6,7 @@ import pytest
 
 from mdgpc import likelihood, model
 from mdgpc.errors import InputError
+from mdgpc.inference import _validate_labels
 from mdgpc.likelihood import (
     McConfig,
     SoftmaxLikelihood,
@@ -41,6 +42,12 @@ class TestPointEvaluations:
     def test_log_softmax_extreme_no_overflow(self):
         f = np.array([1000.0, 0.0])
         assert np.isfinite(log_softmax_lik(one_hot(1, 2), f))
+
+    def test_check_one_hot_rejects(self):
+        # a fractional, an empty and a doubled row
+        for row in ([0.5, 0.5], [0.0, 0.0], [2.0, 0.0]):
+            with pytest.raises(InputError, match="one-hot"):
+                _validate_labels(np.array([row]), 1, 2)
 
 
 class TestDraws:
