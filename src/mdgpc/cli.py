@@ -204,16 +204,19 @@ def _merge_into(dst: dict, src, prefix: str = "") -> None:
 def load_config(path) -> dict:
     cfg = default_config()
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # also integers too long for int()
-            raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-        _merge_into(cfg, doc)
+        _merge_into(cfg, _read_json(path, "config file"))
     return cfg
+
+
+def _read_json(path, what: str):
+    """The JSON document in file `path`; `what` names the file in errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8, integers too long for int()
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:
@@ -266,15 +269,17 @@ def _prepare_output(cfg: dict) -> Path:
     return out
 
 
+def _check_net_dims(cfg: dict) -> None:
+    inputs, dim = cfg["kernel"]["net_dims"][0], cfg["task"]["D"]
+    if inputs != dim:
+        raise InputError(f"kernel.net_dims[0] = {inputs} must equal task.D = {dim}")
+
+
 def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
+    """The deep kernel at its initial scales; `_check_net_dims` has passed."""
     kc = cfg["kernel"]
     sc = kc["init_scales"]
-    dims = kc["net_dims"]
-    fe = kernels.init_extractor(dims, seed=extractor_seed, weight_std=sc["weight_std"])
-    if dims[0] != cfg["task"]["D"]:
-        raise InputError(
-            f"kernel.net_dims[0] = {dims[0]} must equal task.D = {cfg['task']['D']}"
-        )
+    fe = kernels.init_extractor(kc["net_dims"], seed=extractor_seed, weight_std=sc["weight_std"])
     base = [
         kernels.BaseKernelConfig(
             kc["kind"],
@@ -389,17 +394,6 @@ def _kernel_from_checkpoint(doc) -> kernels.DeepKernel:
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
-def _load_checkpoint(path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-
-
 def cmd_gen_data(cfg: dict) -> int:
     g = cfg["gen_data"]
     t = cfg["task"]
@@ -421,6 +415,7 @@ def cmd_gen_data(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     o = cfg["outer"]
     inn = cfg["inner"]
+    _check_net_dims(cfg)
     kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
     source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
@@ -450,7 +445,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
-    kern = _kernel_from_checkpoint(_load_checkpoint(checkpoint_path))
+    kern = _kernel_from_checkpoint(_read_json(checkpoint_path, "checkpoint"))
     if kern.n_classes != cfg["task"]["C"]:
         raise InputError(
             f"checkpoint holds {kern.n_classes} per-class kernels "
@@ -514,18 +509,16 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
+    _check_net_dims(cfg)
     source = _episode_sources(cfg, "train")(seeding.STREAM_COMPARE_EP, cfg["seed"])
-    kerns = [
-        _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
-        for i in range(1, ci["episodes"] + 1)
-    ]
     inner_tpl = InnerConfig(
         rho=ci["rate"], steps=ci["steps"], mc=McConfig(samples=ci["mc_samples"])
     )
     out = _prepare_output(cfg)
     rows = []
     wins = 0
-    for i, kern in enumerate(kerns, start=1):
+    for i in range(1, ci["episodes"] + 1):
+        kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
         episode = source(i)
         inner = with_draw_seed(inner_tpl, cfg["seed"], seeding.STREAM_COMPARE_MC, i)
         finals = {}
@@ -548,28 +541,25 @@ def cmd_compare_inner(cfg: dict) -> int:
 
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
+    _check_net_dims(cfg)
     train_sources = _episode_sources(cfg, "train")
     monitor_sources = _episode_sources(cfg, "test")
-    runs = []
-    for s in range(1, co["seeds"] + 1):
-        run_seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_OUTER, s)
-        kern_seed = derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR)
-        kern = _build_kernel(cfg, kern_seed)
-        train_src = train_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
-        monitor_src = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
-        run_cfg = meta.TrainConfig(
-            episodes=co["iterations"],
-            lr_net=co["outer_lr"],
-            lr_kernel=co["outer_lr"],
-            inner=InnerConfig(co["inner_rate"], co["inner_steps"], McConfig(co["mc_samples"])),
-            pred_mc=McConfig(co["pred_samples"]),
-            seed=run_seed,
-        )
-        runs.append((kern, train_src, monitor_src, run_cfg))
+    run_tpl = meta.TrainConfig(
+        episodes=co["iterations"],
+        lr_net=co["outer_lr"],
+        lr_kernel=co["outer_lr"],
+        inner=InnerConfig(co["inner_rate"], co["inner_steps"], McConfig(co["mc_samples"])),
+        pred_mc=McConfig(co["pred_samples"]),
+    )
     out = _prepare_output(cfg)
     rows = []
     wins = 0
-    for s, (kern, train_src, monitor_src, run_cfg) in enumerate(runs, start=1):
+    for s in range(1, co["seeds"] + 1):
+        run_seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_OUTER, s)
+        kern = _build_kernel(cfg, derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR))
+        train_src = train_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
+        monitor_src = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
+        run_cfg = replace(run_tpl, seed=run_seed)
         run_rows = meta.compare_outer(kern, train_src, monitor_src, run_cfg, co["monitor_episodes"])
         rows.extend(
             [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]

@@ -17,6 +17,11 @@ input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
 difference (its factors come from :func:`spd_cholesky`). A non-finite
 operand raises :class:`~mdgpc.errors.NumericalError`.
 
+:func:`spd_cholesky` and :func:`chol_solve` also take a (C, N, N) stack, with
+one right-hand side per factor. They check the stack once, then call LAPACK
+slice by slice (scipy has no batched form), so each slice is bit for bit the
+result for that matrix alone, jitter ladder included.
+
 The exponential-family identities these kernels serve (natural and mean
 parameters, the log-partition function and its Fenchel conjugate, the
 Bregman divergence) are checked by :mod:`mdgpc.verify`.
@@ -41,7 +46,9 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
 
     Tries ``a`` as given first (jitter 0), then adds ``eps * I`` with eps
     doubling from 1e-8 to 1e-2. Returns ``(L, jitter_used)`` where
-    ``L @ L.T = a + jitter_used * I``.
+    ``L @ L.T = a + jitter_used * I``. For a stack (C, N, N) each slice is
+    factored on its own ladder; L is the stack of factors and jitter_used
+    the largest jitter any slice needed.
 
     Raises
     ------
@@ -50,9 +57,16 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
         successful factorization.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise InputError(f"expected square matrix, got shape {a.shape}")
     _check_finite(a, "matrix")
+    if a.ndim == 2:
+        return _jittered_cholesky(a)
+    factors, jitters = zip(*map(_jittered_cholesky, a))
+    return np.stack(factors), max(jitters)
+
+
+def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     while True:
         target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
@@ -75,12 +89,19 @@ def chol_logdet(chol_lower: np.ndarray) -> float:
 
 
 def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor of A."""
+    """Solve A x = b given the lower Cholesky factor of A; for a (C, N, N)
+    stack of factors, b is (C, N) or (C, N, K), one right-hand side each."""
     b = np.asarray(b, dtype=float)
-    if b.shape[:1] != chol_lower.shape[:1]:
+    if b.shape[: chol_lower.ndim - 1] != chol_lower.shape[:-1]:
         raise InputError(f"factor of shape {chol_lower.shape} and right-hand side {b.shape}")
     _check_finite(chol_lower, "Cholesky factor")
     _check_finite(b, "right-hand side")
+    if chol_lower.ndim == 2:
+        return _potrs(chol_lower, b)
+    return np.stack([_potrs(L, rhs) for L, rhs in zip(chol_lower, b)])
+
+
+def _potrs(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = dpotrs(chol_lower, b, lower=1)
     if info != 0:
         raise NumericalError(f"dpotrs rejected argument {-info}")

@@ -39,16 +39,19 @@ array ``m`` and the covariances as a (C, N, N) array ``Sigma``, row or
 slice c being class c. The mirror-descent state adds its (C, N) site
 naturals ``alpha`` and ``beta``, the gradient-ascent state its (C, N, N)
 Cholesky factors ``chol``. The marginals the likelihood reads are views of
-these arrays, and the per-class factorizations run slice by slice.
+these arrays. The step arithmetic is written once for all classes, with
+batched ``@`` on the stacks; only the SPD factorizations and solves of
+:mod:`mdgpc.expfam` run slice by slice, each as it would for one class.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes everything that depends on it alone once: K + jitter I, its
-Cholesky factor and K^{-1}. The steps, the ELBO's KL to the prior and
-`kinv_terms` read these read-only arrays instead of factoring or inverting
-K again.
+Cholesky factor and K^{-1}. `md_init` and `gd_init` stack what their steps
+read of these, once per episode, into the state: K + jitter I for mirror
+descent, the factors and K^{-1} for gradient ascent. The steps,
+`kinv_terms` and the ELBO's KL to the prior never factor or invert K again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,20 +85,17 @@ class VariationalState:
     beta: np.ndarray  # (C, N) quadratic site naturals, <= 0
     m: np.ndarray  # (C, N) posterior means
     Sigma: np.ndarray  # (C, N, N) posterior covariances
-    prior: list  # list[GramResult], one per class
+    k_eff: np.ndarray  # (C, N, N) prior covariances, stacked once by md_init
 
-    def kinv_terms(self) -> list:
-        """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}).
+    def kinv_terms(self) -> tuple:
+        """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), (C, N) and (C, N, N).
 
         Woodbury form: core = W B^{-1} W and u = alpha - W B^{-1} W (K alpha).
         """
-        terms = []
-        for g, alpha, beta in zip(self.prior, self.alpha, self.beta):
-            W, LB, K = site_factor(g, beta)
-            core = W[:, None] * chol_solve(LB, np.diag(W))
-            u = alpha - W * chol_solve(LB, W * (K @ alpha))
-            terms.append((u, core))
-        return terms
+        W, LB = site_factor(self.k_eff, self.beta)
+        core = W[:, :, None] * chol_solve(LB, W[:, :, None] * np.eye(W.shape[1]))
+        u = self.alpha - W * chol_solve(LB, W * _matvec(self.k_eff, self.alpha))
+        return u, core
 
 
 @dataclass
@@ -107,19 +107,17 @@ class GdState:
 
     m: np.ndarray  # (C, N) posterior means
     chol: np.ndarray  # (C, N, N) lower-triangular factors
-    prior: list
+    prior_chol: np.ndarray  # (C, N, N) prior factors, stacked once by gd_init
+    kinv: np.ndarray  # (C, N, N) prior inverses, stacked once by gd_init
     Sigma: np.ndarray = field(init=False)  # (C, N, N) posterior covariances
 
     def __post_init__(self):
-        self.Sigma = np.stack([_symmetrize(L @ L.T) for L in self.chol])
+        self.Sigma = _symmetrize(self.chol @ self.chol.swapaxes(1, 2))
 
-    def kinv_terms(self) -> list:
-        """Per class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
-        terms = []
-        for g, m, Sigma in zip(self.prior, self.m, self.Sigma):
-            Kinv = _symmetrize(g.kinv)
-            terms.append((Kinv @ m, Kinv - Kinv @ Sigma @ Kinv))
-        return terms
+    def kinv_terms(self) -> tuple:
+        """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
+        Kinv = _symmetrize(self.kinv)
+        return _matvec(Kinv, self.m), Kinv - Kinv @ self.Sigma @ Kinv
 
 
 @dataclass(frozen=True)
@@ -147,28 +145,32 @@ def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def site_factor(gram_res, beta_c: np.ndarray):
-    """W = sqrt(-2 beta) and the Cholesky factor of B = I + W K W."""
-    K = gram_res.k_eff
-    W = np.sqrt(-2.0 * np.minimum(beta_c, 0.0))
-    B = np.eye(K.shape[0]) + (W[:, None] * K) * W[None, :]
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A[c] @ x[c] for every class c: (C, N, N) and (C, N) give (C, N)."""
+    return (A @ x[:, :, None])[:, :, 0]
+
+
+def site_factor(K: np.ndarray, beta: np.ndarray):
+    """W = sqrt(-2 beta) and the Cholesky factors of B = I + W K W, for the
+    (C, N, N) prior covariances K and the (C, N) sites beta."""
+    W = np.sqrt(-2.0 * np.minimum(beta, 0.0))
+    B = np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
     LB, _ = spd_cholesky(B)
-    return W, LB, K
+    return W, LB
 
 
-def posterior_from_sites(gram_res, alpha_c: np.ndarray, beta_c: np.ndarray):
-    """(m, Sigma) = ((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse) of one class.
+def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """(m, Sigma) = ((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse), stacked.
 
     Woodbury form; exact prior at zero sites and SPD by construction.
     """
-    W, LB, K = site_factor(gram_res, beta_c)
-    KW = K * W[None, :]
-    Sigma = K - KW @ chol_solve(LB, KW.T)
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    return Sigma @ alpha_c, Sigma
+    W, LB = site_factor(K, beta)
+    KW = K * W[:, None, :]
+    Sigma = _symmetrize(K - KW @ chol_solve(LB, KW.swapaxes(1, 2)))
+    return _matvec(Sigma, alpha), Sigma
 
 
 def marginal_mats(m: np.ndarray, Sigma: np.ndarray):
@@ -183,14 +185,9 @@ def md_init(prior_grams: list) -> VariationalState:
     """Zero sites; the posterior starts at the prior."""
     if not prior_grams:
         raise InputError("need at least one class")
-    c, n = len(prior_grams), prior_grams[0].K.shape[0]
-    return VariationalState(
-        alpha=np.zeros((c, n)),
-        beta=np.zeros((c, n)),
-        m=np.zeros((c, n)),
-        Sigma=np.stack([g.k_eff for g in prior_grams]),
-        prior=list(prior_grams),
-    )
+    k_eff = np.stack([g.k_eff for g in prior_grams])
+    zeros = np.zeros(k_eff.shape[:2])
+    return VariationalState(alpha=zeros, beta=zeros, m=zeros, Sigma=k_eff, k_eff=k_eff)
 
 
 def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
@@ -204,20 +201,17 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     d2 = g_v.T
     alpha = (1.0 - rho) * state.alpha + rho * d1
     beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
-    m, Sigma = zip(*(posterior_from_sites(g, a, b) for g, a, b in zip(state.prior, alpha, beta)))
-    return VariationalState(
-        alpha=alpha, beta=beta, m=np.stack(m), Sigma=np.stack(Sigma), prior=state.prior
-    )
+    m, Sigma = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, Sigma=Sigma)
 
 
 def gd_init(prior_grams: list) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
     if not prior_grams:
         raise InputError("need at least one class")
-    c, n = len(prior_grams), prior_grams[0].K.shape[0]
-    return GdState(
-        m=np.zeros((c, n)), chol=np.stack([g.chol for g in prior_grams]), prior=list(prior_grams)
-    )
+    chol = np.stack([g.chol for g in prior_grams])
+    kinv = np.stack([g.kinv for g in prior_grams])
+    return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol=chol, kinv=kinv)
 
 
 def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
@@ -234,22 +228,18 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
     """
     m_mat, v_mat = marginal_mats(state.m, state.Sigma)
     g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
-    eye = np.eye(m_mat.shape[0])
-    new_m, new_chol = np.empty_like(state.m), np.empty_like(state.chol)
-    for i, g in enumerate(state.prior):
-        m, L = state.m[i], state.chol[i]
-        grad_m = g_m[:, i] - chol_solve(g.chol, m)
-        Sinv = chol_solve(L, eye)
-        GSig = np.diag(g_v[:, i]) - 0.5 * (g.kinv - Sinv)
-        GSig = 0.5 * (GSig + GSig.T)
-        GL = np.tril(2.0 * GSig @ L)
-        # ascent in (off-diagonal L, log-diagonal L, m)
-        diag = np.diag(L) * np.exp(lr * np.diag(GL) * np.diag(L))
-        Lnew = L + lr * np.tril(GL, -1)
-        np.fill_diagonal(Lnew, diag)
-        new_m[i] = m + lr * grad_m
-        new_chol[i] = Lnew
-    return GdState(m=new_m, chol=new_chol, prior=state.prior)
+    m, L = state.m, state.chol
+    d = np.arange(m.shape[1])  # diagonal entries are [:, d, d]
+    grad_m = g_m.T - chol_solve(state.prior_chol, m)
+    Sinv = chol_solve(L, np.broadcast_to(np.eye(d.size), L.shape))
+    GSig = np.zeros_like(Sinv)
+    GSig[:, d, d] = g_v.T
+    GSig -= 0.5 * (state.kinv - Sinv)
+    GL = np.tril(2.0 * _symmetrize(GSig) @ L)
+    # ascent in (off-diagonal L, log-diagonal L, m)
+    Lnew = L + lr * np.tril(GL, -1)
+    Lnew[:, d, d] = L[:, d, d] * np.exp(lr * GL[:, d, d] * L[:, d, d])
+    return replace(state, m=m + lr * grad_m, chol=Lnew)
 
 
 def elbo(m: np.ndarray, Sigma: np.ndarray, prior_grams: list, Y: np.ndarray, lik) -> float:
@@ -295,12 +285,14 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     """Run the inner loop, recording the ELBO of every state it visits.
 
     The ELBO is evaluated with one fixed draw set (seed cfg.mc.seed) so
-    successive values are comparable. Returns (final_state, elbos) with
-    steps + 1 values, the first at the prior.
+    successive values are comparable; a failure while scoring the state of
+    step t names the method and t, as `inner_states` does for the step.
+    Returns (final_state, elbos) with steps + 1 values, the first at the prior.
     """
     n, c = prior_grams[0].K.shape[0], len(prior_grams)
     eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
     elbos = []
-    for state in inner_states(method, prior_grams, Y, cfg):
-        elbos.append(elbo(state.m, state.Sigma, prior_grams, Y, eval_lik))
+    for t, state in enumerate(inner_states(method, prior_grams, Y, cfg)):
+        with named_failures(f"{method.upper()} step {t}"):
+            elbos.append(elbo(state.m, state.Sigma, prior_grams, Y, eval_lik))
     return state, elbos

@@ -28,7 +28,9 @@ Every Monte Carlo softmax (these estimators and the label probabilities of
 lays the logits out (S, C, N): each class is an (S, N) slice, so reductions
 over the few classes are elementwise operations on whole slices instead of
 many short last-axis reductions, and the mean over draws still reduces a
-leading axis. Results equal the (S, N, C) formulas bit for bit.
+leading axis. The class sums are one running sum, the order numpy's
+last-axis sum uses below 8 terms, so for fewer than 8 classes the results
+equal the (S, N, C) formulas bit for bit; with more they differ by rounding.
 """
 
 from dataclasses import dataclass
@@ -80,28 +82,11 @@ def _prepare_batch(m, v, eps):
     return m, v, eps
 
 
-def _leading_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis in the order np.sum uses along a contiguous
-    last axis of the same length, so the bits match that layout: one running
-    sum below 8 terms, eight running sums combined pairwise up to 128, and
-    halving (first half a multiple of 8) beyond."""
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _leading_sum(rows[:half]) + _leading_sum(rows[half:])
-    if n < 8:
-        total = rows[0]
-        for row in rows[1:]:
-            total = total + row
-        return total
-    stop = n - n % 8
-    acc = rows[:8].copy()
-    for i in range(8, stop, 8):
-        acc += rows[i : i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    for row in rows[stop:]:
-        total = total + row
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the leading (class) axis as one in-place running sum."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
     return total
 
 
@@ -111,17 +96,16 @@ def _softmax_terms(m, sd, eps):
     m, sd: (N, C); eps: (S, N, C), or (S, 1, C) for one node set shared by
     all points. Returns (stable, e, total): stable = f - max_c f and
     e = exp(stable), both (S, C, N) and fresh, so callers may overwrite them
-    in place, and total = sum_c e, (S, 1, N). The class max is exact in any
-    order and `_leading_sum` keeps numpy's order, so every value equals its
-    last-axis counterpart bit for bit. In-place updates keep the number of
-    fresh (S, C, N) buffers, and the page faults of filling them, low.
+    in place, and total = sum_c e, (S, 1, N). In-place updates keep the
+    number of fresh (S, C, N) buffers, and the page faults of filling them,
+    low.
     """
     stable = np.empty((eps.shape[0],) + m.T.shape)
     np.multiply(sd.T, eps.swapaxes(1, 2), out=stable)
     stable += m.T
     stable -= np.maximum.reduce(stable, axis=1, keepdims=True)
     e = np.exp(stable)
-    return stable, e, _leading_sum(e.swapaxes(0, 1))[:, None, :]
+    return stable, e, _class_sum(e.swapaxes(0, 1))[:, None, :]
 
 
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
@@ -134,7 +118,7 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     log_p, _, total = _softmax_terms(m, np.sqrt(v), eps)
     log_p -= np.log(total)
     log_p *= np.asarray(Y, dtype=float).T
-    ll = _leading_sum(log_p.swapaxes(0, 1))  # (S, N)
+    ll = _class_sum(log_p.swapaxes(0, 1))  # (S, N)
     if weights is None:
         return float(np.sum(np.mean(ll, axis=0)))
     return float(np.sum(np.asarray(weights, dtype=float) @ ll))

@@ -93,7 +93,7 @@ def outer_grad(fit: model.FittedEpisode) -> np.ndarray:
     kernel = fit.kernel
     dZ_total = np.zeros_like(fit.features)
     kernel_grads = []
-    for c, (u, core) in enumerate(fit.terms):
+    for c, (u, core) in enumerate(zip(*fit.terms)):
         # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1})
         G_K = -0.5 * (core - np.outer(u, u))
         G_K = 0.5 * (G_K + G_K.T)

@@ -40,7 +40,7 @@ class FittedEpisode:
     grams: list  # per-class GramResult on support features
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
-    terms: list  # per-class (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
+    terms: tuple  # (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), stacked by class
 
 
 def fit_episode(
@@ -78,7 +78,7 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     n_classes = fit.kernel.n_classes
     mu = np.empty((Zq.shape[0], n_classes))
     var = np.empty((Zq.shape[0], n_classes))
-    for c, (u, core) in enumerate(fit.terms):
+    for c, (u, core) in enumerate(zip(*fit.terms)):
         base, g = fit.kernel.base[c], fit.grams[c]
         kx = kernels.cross_gram(base, Zq, fit.features, center=g.center)
         kdiag = kernels.gram_diag(base, Zq, center=g.center)

@@ -211,26 +211,26 @@ def central_diff(fun, x0: np.ndarray, fd_step: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _state_coords(state) -> np.ndarray:
+def _state_coords(state, prior_grams: list) -> np.ndarray:
     """Natural coordinates of the full per-class posterior, concatenated."""
     parts = []
-    for i, g in enumerate(state.prior):
+    for i, g in enumerate(prior_grams):
         Kinv = 0.5 * (g.kinv + g.kinv.T)
         parts.append(natural_to_coords(state.alpha[i], -0.5 * Kinv + np.diag(state.beta[i])))
     return np.concatenate(parts)
 
 
-def _md_direction(state, Y, lik, rho: float) -> np.ndarray:
+def _md_direction(state, prior_grams, Y, lik, rho: float) -> np.ndarray:
     stepped = md_step(state, Y, rho, lik)
-    return (_state_coords(stepped) - _state_coords(state)) / rho
+    return (_state_coords(stepped, prior_grams) - _state_coords(state, prior_grams)) / rho
 
 
-def _objective_at(coords, state, Y, lik, n, c):
+def _objective_at(coords, prior_grams, Y, lik, n, c):
     p = sym_coord_count(n)
     means, covs = zip(
         *(natural_to_moments(*coords_to_natural(coords[i * p : (i + 1) * p], n)) for i in range(c))
     )
-    return elbo(np.stack(means), np.stack(covs), state.prior, Y, lik)
+    return elbo(np.stack(means), np.stack(covs), prior_grams, Y, lik)
 
 
 def ngd_verify(
@@ -262,14 +262,16 @@ def ngd_verify(
     for t in range(warmup_steps):
         state = md_step(state, Y, 0.5, lik)
 
-    md_dir = _md_direction(state, Y, lik, rho=1.0)
-    md_dir_small = _md_direction(state, Y, lik, rho=0.1)
+    md_dir = _md_direction(state, prior_grams, Y, lik, rho=1.0)
+    md_dir_small = _md_direction(state, prior_grams, Y, lik, rho=0.1)
     scale = max(np.max(np.abs(md_dir)), 1e-12)
     rho_deviation = float(np.max(np.abs(md_dir - md_dir_small)) / scale)
 
-    coords0 = _state_coords(state)
+    coords0 = _state_coords(state, prior_grams)
     p = sym_coord_count(n)
-    grad_theta = central_diff(lambda x: _objective_at(x, state, Y, lik, n, c), coords0, fd_step)
+    grad_theta = central_diff(
+        lambda x: _objective_at(x, prior_grams, Y, lik, n, c), coords0, fd_step
+    )
 
     def dual_of(t):
         return mean_to_dual_coords(*moments_to_mean(*natural_to_moments(*coords_to_natural(t, n))))

@@ -14,6 +14,8 @@ written on ``scipy.linalg`` before they called LAPACK directly; the tests
 hold the direct calls to them bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg
 
@@ -92,18 +94,14 @@ def grad_mean_params(m, v, y, eps, weights=None):
 def refresh_moments(state: VariationalState) -> VariationalState:
     """Recompute a state's (m, Sigma) from its naturals by direct dense solves."""
     means, covs = [], []
-    for i, g in enumerate(state.prior):
-        K = g.k_eff
+    for i, K in enumerate(state.k_eff):
         prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
         prec = prec - 2.0 * np.diag(state.beta[i])
         Lp, _ = spd_cholesky(0.5 * (prec + prec.T))
         Sigma = chol_solve(Lp, np.eye(K.shape[0]))
         means.append(chol_solve(Lp, state.alpha[i]))
         covs.append(0.5 * (Sigma + Sigma.T))
-    return VariationalState(
-        alpha=state.alpha, beta=state.beta, m=np.stack(means), Sigma=np.stack(covs),
-        prior=state.prior,
-    )
+    return dataclasses.replace(state, m=np.stack(means), Sigma=np.stack(covs))
 
 
 def moments_kl(q, p) -> float:

@@ -338,6 +338,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # a file that is not UTF-8, or holds an integer too long for int(), is not valid JSON
+    @pytest.mark.parametrize(
+        "what, body",
+        [
+            ("config file", b'{"seed": "\xff"}'),
+            ("checkpoint", b'{"format_version": "\xff"}'),
+            ("checkpoint", b'{"format_version": ' + b"1" * 5000 + b"}"),
+        ],
+        ids=["config-not-utf8", "checkpoint-not-utf8", "checkpoint-5000-digits"],
+    )
+    def test_unparsable_json_file_is_one_line(self, tmp_path, capsys, what, body):
+        path = tmp_path / "doc.json"
+        path.write_bytes(body)
+        if what == "config file":
+            rc = run("train", path, tmp_path / "o")
+        else:
+            rc = run("eval", write_cfg(tmp_path), tmp_path / "o", "--checkpoint", str(path))
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_bad_override(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         assert run("train", cfg_path, tmp_path / "o", "--set", "bogus=1") == 1
@@ -451,6 +474,9 @@ class TestExitCodes:
             ("train", "task.M=9223372036854775808", 1),
             ("train", "task.C=100000000000000000000000", 1),
             ("train", "inner.mc_samples=1000000000000000", 1),
+            # the input width is checked before the first kernel is built
+            ("compare-inner", "task.D=5", 1),
+            ("compare-outer", "task.D=5", 1),
         ],
     )
     def test_rejected_config_writes_nothing(
@@ -540,6 +566,9 @@ class TestExitCodes:
             ("compare-inner", ["kernel.init_scales.weight_std=1e100"], "episode 1: "),
             # a finite-difference step of 1e300 leaves a precision indefinite
             ("verify", ["verify.fd_step=1e300"], "ngd_equivalence instance 0: "),
+            # GD's log-diagonal update underflows to a zero variance, found
+            # when its state is scored
+            ("compare-inner", ["compare_inner.episodes=34"], "episode 34: GD step 3: "),
         ],
     )
     def test_outer_loop_failure_names_episode(self, tmp_path, capsys, cmd, overrides, prefix):

@@ -219,6 +219,30 @@ class TestLapackPath:
         prior = (np.zeros(n), p[1])
         assert gaussian_kl(*q, Lp) == scipy_gaussian_kl(q, prior)
 
+    def test_stacked_calls_match_per_matrix_calls(self):
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal(6)
+        stack = np.stack([spd_matrix(1, 6), np.outer(u, u), spd_matrix(2, 6)])
+        singles = [spd_cholesky(a) for a in stack]
+        assert [j > 0.0 for _, j in singles] == [False, True, False]  # one slice needs jitter
+        L, jitter = spd_cholesky(stack)
+        assert jitter == singles[1][1]
+        assert all(np.array_equal(L[i], L_i) for i, (L_i, _) in enumerate(singles))
+        for b in (rng.standard_normal((3, 6)), rng.standard_normal((3, 6, 2))):
+            x = chol_solve(L, b)
+            assert x.shape == b.shape
+            assert all(np.array_equal(x[i], chol_solve(L[i], b[i])) for i in range(3))
+
+    def test_stacked_calls_reject_bad_input(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -5.0])])
+        with pytest.raises(NumericalError, match="jitter ladder exhausted"):
+            spd_cholesky(stack)
+        stack[0, 0, 1] = np.nan
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            spd_cholesky(stack)
+        with pytest.raises(InputError, match="right-hand side"):
+            chol_solve(np.stack([np.eye(2)] * 3), np.ones((2, 2)))
+
     def test_triangular_solve_matches_scipy_in_either_layout(self):
         L, _ = spd_cholesky(spd_matrix(7, 25))
         b = np.random.default_rng(8).standard_normal((25, 4))

@@ -1,5 +1,6 @@
 """Inner-loop inference: mirror descent in site form, GD baseline, verifier."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -96,10 +97,10 @@ class TestInitAndCombine:
             np.testing.assert_allclose(prec @ state.m[i], state.alpha[i], atol=1e-8)
 
     def test_posterior_from_sites_zero_sites(self):
-        g = toy_grams(4)[0]
-        m, Sigma = posterior_from_sites(g, np.zeros(5), np.zeros(5))
-        np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-12)
-        np.testing.assert_array_equal(m, np.zeros(5))
+        K = np.stack([g.k_eff for g in toy_grams(4)])
+        m, Sigma = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
+        np.testing.assert_allclose(Sigma, K, atol=1e-12)
+        np.testing.assert_array_equal(m, np.zeros((3, 5)))
 
     def test_beta_stays_nonpositive(self):
         grams = toy_grams(5)
@@ -185,8 +186,8 @@ class TestGdBaseline:
         stepped = gd_step(state, Y, lr, lik)
 
         def objective(m, chol):
-            trial = inference.GdState(m=m.copy(), chol=chol.copy(), prior=state.prior)
-            return elbo(trial.m, trial.Sigma, trial.prior, Y, lik)
+            trial = dataclasses.replace(state, m=m.copy(), chol=chol.copy())
+            return elbo(trial.m, trial.Sigma, grams, Y, lik)
 
         h = 1e-5
         for i in range(c):

@@ -180,7 +180,9 @@ class TestGradients:
 
 
 class TestClassLeadingKernel:
-    """The class-leading softmax equals the last-axis formulas bit for bit."""
+    """The class-leading softmax equals the last-axis formulas: bit for bit
+    below 8 classes, where numpy's last-axis sum is one running sum as well,
+    and within 1e-15 beyond, where numpy sums pairwise."""
 
     @staticmethod
     def case(c: int, n: int):
@@ -197,16 +199,23 @@ class TestClassLeadingKernel:
         draw_sets = [(eps, None), (eps, w / w.sum()), (eps_gh, w_gh)]
         return m, v, Y, draw_sets
 
+    @staticmethod
+    def assert_matches(c, got, want):
+        if c < 8:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("c", [2, 5, 8, 10, 20])
     def test_grads_and_loglik_match(self, c, n):
         m, v, Y, draw_sets = self.case(c, n)
         for eps, w in draw_sets:
             got, want = batch_grads_mv(m, v, Y, eps, w), oracles.batch_grads_mv(m, v, Y, eps, w)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            assert batch_expected_loglik(m, v, Y, eps, w) == oracles.batch_expected_loglik(
-                m, v, Y, eps, w
-            )
+            for a, b in zip(got, want):
+                self.assert_matches(c, a, b)
+            got = batch_expected_loglik(m, v, Y, eps, w)
+            self.assert_matches(c, got, oracles.batch_expected_loglik(m, v, Y, eps, w))
 
     @pytest.mark.parametrize("c", [2, 5, 8, 10, 20])
     def test_label_probs_match(self, c, monkeypatch):
@@ -216,7 +225,7 @@ class TestClassLeadingKernel:
         mc = McConfig(samples=33, seed=4)
         probs = model.predict_labels(None, None, mc)
         eps = normal_draws(mc.seed, (mc.samples,) + m.shape)
-        assert np.array_equal(probs, oracles.label_probs(m, var, eps))
+        self.assert_matches(c, probs, oracles.label_probs(m, var, eps))
 
 
 class TestLikelihoodObjects:

@@ -10,7 +10,9 @@ into the checkout and two checkouts give comparable output. The run set is
 every subcommand at the default config (compare-outer at ``seeds=1``,
 ``iterations=5``) and at the ``BASE`` config of ``tests/test_cli.py``, with
 eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
-config's train run) and verify at seeds 0 and 7: 16 runs.
+config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
+``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and
+compare-inner, so the class sums of 8 or more terms are covered too: 19 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -56,6 +58,14 @@ def run_set() -> list[tuple[str, list[str]]]:
         add("compare-outer", "compare-outer", *(outer if label == "defaults" else []))
         for seed in (0, 7):
             add(f"verify-s{seed}", "verify", "--set", f"seed={seed}")
+    c10 = ["--config", "base.json", "--set", "task.C=10"]
+    ckpt = "out/base-c10-train/checkpoint.json"
+    for name, *args in (
+        ("train", "train"),
+        ("eval-p1", "eval", "--checkpoint", ckpt, "--parallel-episodes", "1"),
+        ("compare-inner", "compare-inner"),
+    ):
+        runs.append((f"base-c10-{name}", [*args, *c10, "--set", f"output_dir=out/base-c10-{name}"]))
     return runs
 
 
