@@ -123,7 +123,7 @@ _TABLE = (
     ("compare_outer.pred_samples", 512, "in [1, 10^6]"),
     ("verify.instances", 10, ">= 1"),
     ("verify.fd_step", 1e-4, "> 0"),
-    ("verify.gh_nodes", 40, ">= 1"),
+    ("verify.gh_nodes", 40, "in [1, 10^3]"),
     ("verify.tolerance", 1e-3, ">= 0"),
     ("gen_data.classes", 15, "in [2, 10^4]"),
     ("gen_data.rows_per_class", 50, "in [1, 10^9]"),

@@ -29,8 +29,8 @@ Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 ``gd_step(state, Y, lr, lik)`` take checked one-hot labels, a rate and the
 likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
-first state, and builds step t's likelihood from its own draw set (seed
-derive_seed(mc.seed, t)), so the draw schedule is written only there.
+first state, and drives every step with one likelihood on one draw set (seed
+derive_seed(mc.seed, 1)), so the draw schedule is written only there.
 ``elbo(m, Sigma, prior_grams, Y, lik)`` scores a posterior under a given
 likelihood; `run_inner` scores every state with one fixed draw set.
 
@@ -257,9 +257,10 @@ def elbo(m: np.ndarray, Sigma: np.ndarray, prior_grams: list, Y: np.ndarray, lik
 def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     """Yield the prior state, then the state after each of `steps` updates.
 
-    The labels are checked once, before the prior state. Gradient draws are
-    fresh per step: step t uses the draw set of seed derive_seed(cfg.mc.seed,
-    t), so the sequence is deterministic in its inputs. A step that fails
+    The labels are checked once, before the prior state. Every step reads one
+    draw set, of seed derive_seed(cfg.mc.seed, 1), drawn at step 1 (so a loop
+    of no steps draws nothing): the loop is a deterministic fixed-point
+    iteration on one sample-average surrogate of the ELBO. A step that fails
     numerically or leaves non-finite moments raises NumericalError naming the
     method and the step; numpy's floating-point warnings are silenced inside
     the step, since this check reports the failure.
@@ -272,10 +273,13 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     n, c = prior_grams[0].K.shape[0], len(prior_grams)
     Y = _validate_labels(Y, n, c)
     yield state
+    lik = None
     for t in range(1, cfg.steps + 1):
         with named_failures(f"{method} step {t}"):
-            step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, t))
-            state = step_fn(state, Y, cfg.rho, SoftmaxLikelihood.from_seed(step_mc, n, c))
+            if lik is None:
+                step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, 1))
+                lik = SoftmaxLikelihood.from_seed(step_mc, n, c)
+            state = step_fn(state, Y, cfg.rho, lik)
             if not (np.isfinite(state.m).all() and np.isfinite(state.Sigma).all()):
                 raise NumericalError("non-finite posterior moments")
         yield state

@@ -477,6 +477,9 @@ class TestExitCodes:
             # the input width is checked before the first kernel is built
             ("compare-inner", "task.D=5", 1),
             ("compare-outer", "task.D=5", 1),
+            # a huge node count ended in hermegauss's OverflowError traceback
+            ("verify", "verify.gh_nodes=1001", 1),
+            ("verify", "verify.gh_nodes=100000000000000000000000", 1),
         ],
     )
     def test_rejected_config_writes_nothing(

@@ -56,8 +56,9 @@ def episode_grams(seed: int, shots: int = 5):
     return [kernels.gram(base, Z) for _ in range(5)], ep.support_y
 
 
-def step_lik(mc: McConfig, t: int, n: int, c: int) -> SoftmaxLikelihood:
-    """The draws `inner_states` gives step t of a loop seeded by mc."""
+def seeded_lik(mc: McConfig, t: int, n: int, c: int) -> SoftmaxLikelihood:
+    """The draw set of seed derive_seed(mc.seed, t). Every step of an
+    `inner_states` loop seeded by mc reads the set of t = 1."""
     return SoftmaxLikelihood.from_seed(McConfig(mc.samples, derive_seed(mc.seed, t)), n, c)
 
 
@@ -76,7 +77,7 @@ class TestInitAndCombine:
         Y = toy_labels(2, 5, 3)
         md = md_init(grams)
         gd = gd_init(grams)
-        lik = step_lik(McConfig(), 0, 5, 3)
+        lik = seeded_lik(McConfig(), 0, 5, 3)
         stepped = [md_step(md, Y, 0.5, lik), gd_step(gd, Y, 0.1, lik)]
         for state in [md, gd, *stepped]:
             for Sigma in state.Sigma:
@@ -90,7 +91,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, 3))
         for step in range(3):
-            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
             np.testing.assert_allclose(prec @ state.Sigma[i], np.eye(5), atol=1e-8)
@@ -108,7 +109,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(32, 7))
         for step in range(10):
-            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
             assert np.all(state.beta <= 0.0)
 
     def test_refresh_moments_matches_cache(self):
@@ -117,7 +118,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.9, steps=1, mc=McConfig(64, 11))
         for step in range(4):
-            state = md_step(state, Y, cfg.rho, step_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
         refreshed = refresh_moments(state)
         np.testing.assert_allclose(state.m, refreshed.m, atol=1e-10)
         np.testing.assert_allclose(state.Sigma, refreshed.Sigma, atol=1e-10)
@@ -231,15 +232,17 @@ class TestRunInner:
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_draw_schedule(self, method):
-        # step t draws from derive_seed(mc.seed, t); the ELBOs share the draws of mc
+        # every step t >= 1 reads the one set of derive_seed(mc.seed, 1); the
+        # ELBOs share the draws of mc
         grams, Y = episode_grams(104)
         cfg = InnerConfig(rho=0.05, steps=4, mc=McConfig(32, 13))
         n, c = Y.shape
         step_fn = md_step if method == "MD" else gd_step
         states = list(inner_states(method, grams, Y, cfg))
         assert len(states) == cfg.steps + 1
+        lik = seeded_lik(cfg.mc, 1, n, c)
         for t in range(1, cfg.steps + 1):
-            want = step_fn(states[t - 1], Y, cfg.rho, step_lik(cfg.mc, t, n, c))
+            want = step_fn(states[t - 1], Y, cfg.rho, lik)
             got = states[t]
             if method == "MD":
                 np.testing.assert_array_equal(got.alpha, want.alpha)
@@ -251,6 +254,35 @@ class TestRunInner:
         _, elbos = run_inner(method, grams, Y, cfg)
         lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
         assert elbos == [elbo(st.m, st.Sigma, grams, Y, lik) for st in states]
+
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_first_step_keeps_its_draws(self, method):
+        # step 1 reads the set of seed derive_seed(mc.seed, 1), built here
+        # without the helper, so the first state after the prior is pinned
+        # bit for bit
+        grams, Y = episode_grams(106)
+        n, c = Y.shape
+        lik = SoftmaxLikelihood.from_seed(McConfig(64, derive_seed(19, 1)), n, c)
+        cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(64, 19))
+        prior, first = inner_states(method, grams, Y, cfg)
+        want = (md_step if method == "MD" else gd_step)(prior, Y, cfg.rho, lik)
+        np.testing.assert_array_equal(first.m, want.m)
+        np.testing.assert_array_equal(first.Sigma, want.Sigma)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_one_draw_per_loop(self, monkeypatch, steps):
+        # a loop draws one set for all its steps, and none without a step
+        seeds, draws = [], likelihood.normal_draws
+
+        def counting_draws(seed, shape):
+            seeds.append(seed)
+            return draws(seed, shape)
+
+        monkeypatch.setattr(likelihood, "normal_draws", counting_draws)
+        grams, Y = episode_grams(107)
+        cfg = InnerConfig(rho=0.5, steps=steps, mc=McConfig(16, 23))
+        assert len(list(inner_states("MD", grams, Y, cfg))) == steps + 1
+        assert seeds == ([derive_seed(23, 1)] if steps else [])
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_steps_leave_earlier_states_unchanged(self, method):
