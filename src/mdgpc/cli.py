@@ -51,7 +51,6 @@ _KINDS = "one of " + ", ".join(kernels.KERNEL_KINDS)
 _RULES = {
     ">= 0": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
-    ">= 2": lambda x: x >= 2,
     "> 0": lambda x: x > 0,
     "in (0, 1]": lambda x: 0 < x <= 1,
     "in [2, 10^3]": lambda x: 2 <= x <= 10**3,
@@ -306,7 +305,6 @@ def _episode_sources(cfg: dict, split: str):
         prototype_scale=t["tau"],
         within_scale=t["sigma_w"],
         domain_shift=None if shift is None else (shift[0], shift[1]),
-        seed=cfg["seed"],
     )
     if cfg["data"]["path"] is not None:
         ds = tasks.load_csv_dataset(cfg["data"]["path"])

@@ -3,9 +3,10 @@
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
 :class:`~mdgpc.errors.NumericalError`. :func:`gaussian_kl` takes plain
-arrays, ``gaussian_kl(m_q, S_q, L_p, m_p=None)``, where L_p is the lower
-Cholesky factor of the second covariance, so a caller that holds the factor
-of a GP prior (the ELBO's KL term) never factors the prior again.
+arrays, ``gaussian_kl(m_q, S_q, L_p)``, where m_q is the first mean measured
+from the second and L_p is the lower Cholesky factor of the second
+covariance, so a caller that holds the factor of a zero-mean GP prior (the
+ELBO's KL term) never factors the prior again.
 
 The kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs`` solves
 with a factor and ``dtrtrs`` does the triangular solves of
@@ -119,21 +120,19 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def gaussian_kl(
-    m_q: np.ndarray, S_q: np.ndarray, L_p: np.ndarray, m_p: np.ndarray | None = None
-) -> float:
-    """KL( N(m_q, S_q) || N(m_p, S_p) ) via Cholesky factors of S_p, S_q.
+def gaussian_kl(m_q: np.ndarray, S_q: np.ndarray, L_p: np.ndarray) -> float:
+    """KL( N(m_q, S_q) || N(0, S_p) ) via Cholesky factors of S_p, S_q.
 
     L_p is the lower factor that :func:`spd_cholesky` returned for S_p, which
-    is not factored again; m_p = None is a zero mean.
+    is not factored again. The KL is translation-invariant, so against a
+    mean m_p the caller passes m_q - m_p.
     """
     n = m_q.shape[0]
     if S_q.shape != (n, n) or L_p.shape != (n, n):
         raise InputError(f"dimension mismatch: m_q {m_q.shape}, S_q {S_q.shape}, L_p {L_p.shape}")
     Lq, _ = spd_cholesky(S_q)
-    diff = m_q if m_p is None else m_q - m_p
-    _check_finite(diff, "mean difference")
-    sol = _solve_lower(L_p, diff)
+    _check_finite(m_q, "mean difference")
+    sol = _solve_lower(L_p, m_q)
     # tr(S_p^{-1} S_q) = || L_p^{-1} L_q ||_F^2
     w = _solve_lower(L_p, Lq)
     trace_term = float(np.sum(w * w))

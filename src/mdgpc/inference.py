@@ -44,11 +44,11 @@ batched ``@`` on the stacks; only the SPD factorizations and solves of
 :mod:`mdgpc.expfam` run slice by slice, each as it would for one class.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
-computes everything that depends on it alone once: K + jitter I, its
-Cholesky factor and K^{-1}. `md_init` and `gd_init` stack what their steps
-read of these, once per episode, into the state: K + jitter I for mirror
-descent, the factors and K^{-1} for gradient ascent. The steps,
-`kinv_terms` and the ELBO's KL to the prior never factor or invert K again.
+computes K + jitter I and its Cholesky factor once. `md_init` and `gd_init`
+stack what their steps read, once per episode, into the state: K + jitter I
+for mirror descent, the factors and K^{-1} (one stacked solve) for gradient
+ascent. The steps, `kinv_terms` and the ELBO's KL to the prior never factor
+or invert K again.
 """
 
 from dataclasses import dataclass, field, replace
@@ -210,7 +210,7 @@ def gd_init(prior_grams: list) -> GdState:
     if not prior_grams:
         raise InputError("need at least one class")
     chol = np.stack([g.chol for g in prior_grams])
-    kinv = np.stack([g.kinv for g in prior_grams])
+    kinv = chol_solve(chol, np.broadcast_to(np.eye(chol.shape[1]), chol.shape))
     return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol=chol, kinv=kinv)
 
 

@@ -12,18 +12,19 @@ each multiplied by a trainable output scale. Positive quantities
 mapped through softplus; gradients returned by the backward passes are with
 respect to the raw values.
 
-Forward passes cache what the hand-written backward passes need. The
+The extractor's forward pass caches the activations its backward pass
+needs; the Gram's backward pass takes the features from its caller. The
 backward passes implement exact reverse-mode calculus for the maps above,
 including the batch-centering and row normalization of COS.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expfam import chol_solve, spd_cholesky
+from .expfam import spd_cholesky
 
 KERNEL_KINDS = ("COS", "RBF", "POL1", "POL2")
 
@@ -211,23 +212,20 @@ class DeepKernel:
 
 @dataclass
 class GramResult:
-    """Gram matrix with the jitter that made it factorizable.
+    """Gram matrix and the prior covariance factored from it.
 
-    K is the raw kernel matrix; k_eff = K + jitter_used * I is the prior
-    covariance the inner loops use, chol its lower Cholesky factor and kinv
-    the solve chol_solve(chol, I), unsymmetrized. They are computed once per
-    Gram, since the prior is fixed for a whole episode, and are read-only, so
-    no step can alter them for the steps after it. center is the feature mean
-    used by COS centering (None for other kinds) and is reused for query
-    points at prediction.
+    K is the raw kernel matrix; k_eff = K + jitter * I, with the jitter
+    :func:`~mdgpc.expfam.spd_cholesky` needed, is the prior covariance the
+    inner loops use (K itself when no jitter was added) and chol its lower
+    Cholesky factor. They are computed once per Gram, since the prior is
+    fixed for a whole episode, and are read-only, so no step can alter them
+    for the steps after it. center is the feature mean used by COS centering
+    (None for other kinds) and is reused for query points at prediction.
     """
 
     K: np.ndarray
-    jitter_used: float
-    cached_features: np.ndarray
-    chol: np.ndarray
     k_eff: np.ndarray
-    kinv: np.ndarray
+    chol: np.ndarray
     center: Optional[np.ndarray] = None
 
 
@@ -269,23 +267,19 @@ def gram(base: BaseKernelConfig, Z: np.ndarray) -> GramResult:
     L, jitter = spd_cholesky(K)
     # the same sum spd_cholesky factored on its last try
     k_eff = K + jitter * np.eye(K.shape[0]) if jitter else K
-    kinv = chol_solve(L, np.eye(K.shape[0]))
-    for arr in (K, L, k_eff, kinv):
+    for arr in (K, L, k_eff):
         arr.flags.writeable = False
-    return GramResult(
-        K=K, jitter_used=jitter, cached_features=Z, chol=L, k_eff=k_eff, kinv=kinv,
-        center=center,
-    )
+    return GramResult(K=K, k_eff=k_eff, chol=L, center=center)
 
 
-def gram_backward(base: BaseKernelConfig, res: GramResult, dK: np.ndarray):
-    """Reverse-mode map from dL/dK to (dL/dZ, dL/d raw params).
+def gram_backward(base: BaseKernelConfig, Z: np.ndarray, res: GramResult, dK: np.ndarray):
+    """Reverse-mode map from dL/dK to (dL/dZ, dL/d raw params), for the
+    result res of gram(base, Z).
 
     dK is symmetrized first, consistent with K being used only through
     symmetric expressions. Raw-parameter gradients include the softplus
     chain factor.
     """
-    Z = res.cached_features
     dK = np.asarray(dK, dtype=float)
     if dK.shape != res.K.shape:
         raise InputError(f"dK shape {dK.shape} != K shape {res.K.shape}")
@@ -347,15 +341,14 @@ def cross_gram(
     return s * (Zq @ Zs.T + base.offset) ** base.degree
 
 
-def gram_diag(base: BaseKernelConfig, Zq: np.ndarray, center=None) -> np.ndarray:
-    """Diagonal k(z, z) for query rows; equals output_scale for COS and RBF."""
+def gram_diag(base: BaseKernelConfig, Zq: np.ndarray) -> np.ndarray:
+    """Diagonal k(z, z) for query rows; equals output_scale for COS and RBF.
+
+    A COS row that is degenerate after centering is not detected here: the
+    cross_gram of the same rows raises on it.
+    """
     Zq = np.asarray(Zq, dtype=float)
     s = base.output_scale
-    if base.kind == "COS":
-        if center is None:
-            raise InputError("COS gram_diag needs the support centering mean")
-        _cos_normalize(Zq - center)  # raises on degenerate rows
-        return np.full(Zq.shape[0], s)
-    if base.kind == "RBF":
+    if base.kind in ("COS", "RBF"):
         return np.full(Zq.shape[0], s)
     return s * (np.sum(Zq * Zq, axis=1) + base.offset) ** base.degree

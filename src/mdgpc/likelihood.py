@@ -28,9 +28,10 @@ Every Monte Carlo softmax (these estimators and the label probabilities of
 lays the logits out (S, C, N): each class is an (S, N) slice, so reductions
 over the few classes are elementwise operations on whole slices instead of
 many short last-axis reductions, and the mean over draws still reduces a
-leading axis. The class sums are one running sum, the order numpy's
-last-axis sum uses below 8 terms, so for fewer than 8 classes the results
-equal the (S, N, C) formulas bit for bit; with more they differ by rounding.
+leading axis. numpy reduces the class axis, which is not the innermost,
+as one running sum, the order its last-axis sum uses below 8 terms, so for
+fewer than 8 classes the results equal the (S, N, C) formulas bit for bit;
+with more they differ by rounding.
 """
 
 from dataclasses import dataclass
@@ -82,14 +83,6 @@ def _prepare_batch(m, v, eps):
     return m, v, eps
 
 
-def _class_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the leading (class) axis as one in-place running sum."""
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
-    return total
-
-
 def _softmax_terms(m, sd, eps):
     """Softmax pieces of f = m + sd * eps, laid out (S, C, N).
 
@@ -105,7 +98,7 @@ def _softmax_terms(m, sd, eps):
     stable += m.T
     stable -= np.maximum.reduce(stable, axis=1, keepdims=True)
     e = np.exp(stable)
-    return stable, e, _class_sum(e.swapaxes(0, 1))[:, None, :]
+    return stable, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
@@ -118,7 +111,7 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     log_p, _, total = _softmax_terms(m, np.sqrt(v), eps)
     log_p -= np.log(total)
     log_p *= np.asarray(Y, dtype=float).T
-    ll = _class_sum(log_p.swapaxes(0, 1))  # (S, N)
+    ll = np.add.reduce(log_p, axis=1)  # (S, N)
     if weights is None:
         return float(np.sum(np.mean(ll, axis=0)))
     return float(np.sum(np.asarray(weights, dtype=float) @ ll))

@@ -97,7 +97,7 @@ def outer_grad(fit: model.FittedEpisode) -> np.ndarray:
         # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1})
         G_K = -0.5 * (core - np.outer(u, u))
         G_K = 0.5 * (G_K + G_K.T)
-        dZ, dparams = kernels.gram_backward(kernel.base[c], fit.grams[c], G_K)
+        dZ, dparams = kernels.gram_backward(kernel.base[c], fit.features, fit.grams[c], G_K)
         dZ_total += dZ
         kernel_grads.append(dparams)
     wgrads, bgrads = kernels.extractor_backward(kernel.extractor, fit.cache, dZ_total)

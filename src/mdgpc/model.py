@@ -81,7 +81,7 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     for c, (u, core) in enumerate(zip(*fit.terms)):
         base, g = fit.kernel.base[c], fit.grams[c]
         kx = kernels.cross_gram(base, Zq, fit.features, center=g.center)
-        kdiag = kernels.gram_diag(base, Zq, center=g.center)
+        kdiag = kernels.gram_diag(base, Zq)
         mu[:, c] = kx @ u
         var[:, c] = kdiag - np.sum((kx @ core) * kx, axis=1)
     return mu, var

@@ -52,7 +52,6 @@ class TaskGenConfig:
     prototype_scale: float = 3.0
     within_scale: float = 0.5
     domain_shift: Optional[tuple] = None  # (angle_degrees, scale)
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -82,9 +81,9 @@ def _apply_shift(X: np.ndarray, shift) -> np.ndarray:
     return scale * X
 
 
-def gen_episode(cfg: TaskGenConfig, seed: Optional[int] = None) -> Episode:
+def gen_episode(cfg: TaskGenConfig, seed: int) -> Episode:
     """One synthetic episode; deterministic in (cfg, seed)."""
-    rng = rng_for(cfg.seed if seed is None else seed)
+    rng = rng_for(seed)
     c, l, m, d = cfg.n_classes, cfg.shots, cfg.queries, cfg.dim
     protos = cfg.prototype_scale * rng.standard_normal((c, d))
     support = np.empty((c * l, d))
@@ -139,10 +138,6 @@ class DatasetSource:
 
     X: np.ndarray
     labels: np.ndarray
-
-    @property
-    def class_ids(self) -> np.ndarray:
-        return np.unique(self.labels)
 
     def rows_for(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id)

@@ -108,7 +108,7 @@ def moments_kl(q, p) -> float:
     """KL(q || p) of two (m, Sigma) pairs, p's covariance factored by
     spd_cholesky first."""
     (m_q, S_q), (m_p, S_p) = q, p
-    return gaussian_kl(m_q, S_q, spd_cholesky(S_p)[0], m_p)
+    return gaussian_kl(m_q - m_p, S_q, spd_cholesky(S_p)[0])
 
 
 def dual_coords_to_mean(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

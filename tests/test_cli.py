@@ -115,6 +115,13 @@ class TestConfigHandling:
         with pytest.raises(InputError, match=re.escape(f"'{key}' must be {rule}, got")):
             cli._coerce_leaf(key, as_value(bound + 1))
 
+    def test_rules_are_in_use(self):
+        """Every rule is named by some config key, and every rule with
+        boundary values is a rule."""
+        named = {rule for _, _, rule in cli._TABLE}
+        assert set(cli._RULES) - named == set()
+        assert set(BOUNDARY_VALUES) - set(cli._RULES) == set()
+
     def test_int_promotes_to_float(self, tmp_path):
         path = write_cfg(tmp_path, {"task": {"tau": 3}})
         cfg = cli.load_config(path)
@@ -611,7 +618,6 @@ FUZZ_VALUES = ["-1", "0", "0.0", "NaN", "Infinity", "-Infinity", "1e-300", "1e30
 BOUNDARY_VALUES = {
     ">= 0": ["-1", "0"],
     ">= 1": ["0", "1"],
-    ">= 2": ["1", "2"],
     "> 0": ["0", "5e-324"],
     "in (0, 1]": ["0", "1", "1.0000000000000002"],
     "in [2, 10^3]": ["1", "2", "1000", "1001"],

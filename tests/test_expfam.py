@@ -215,7 +215,7 @@ class TestLapackPath:
         q = (rng.standard_normal(n), spd_matrix(n + 1, n))
         p = (rng.standard_normal(n), spd_matrix(n + 2, n))
         Lp, _ = spd_cholesky(p[1])
-        assert gaussian_kl(*q, Lp, p[0]) == scipy_gaussian_kl(q, p)
+        assert gaussian_kl(q[0] - p[0], q[1], Lp) == scipy_gaussian_kl(q, p)
         prior = (np.zeros(n), p[1])
         assert gaussian_kl(*q, Lp) == scipy_gaussian_kl(q, prior)
 

@@ -12,6 +12,7 @@ import pytest
 import mdgpc
 from mdgpc import inference, kernels, likelihood, tasks
 from mdgpc.errors import InputError
+from mdgpc.expfam import chol_solve
 from mdgpc.inference import (
     InnerConfig,
     elbo,
@@ -44,7 +45,7 @@ def toy_labels(seed: int, n: int, c: int) -> np.ndarray:
 
 
 def episode_grams(seed: int, shots: int = 5):
-    cfg = tasks.TaskGenConfig(n_classes=5, shots=shots, queries=4, dim=8, seed=0)
+    cfg = tasks.TaskGenConfig(n_classes=5, shots=shots, queries=4, dim=8)
     ep = tasks.gen_episode(cfg, seed=seed)
     fe = kernels.init_extractor([8, 32, 32, 16], seed=derive_seed(seed, 99))
     Z, _ = kernels.extract(fe, ep.support_x)
@@ -168,6 +169,15 @@ class TestGdBaseline:
         for m, Sigma, g in zip(state.m, state.Sigma, grams):
             np.testing.assert_array_equal(m, np.zeros(5))
             np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-10)
+
+    def test_gd_init_kinv_is_per_class_solve(self):
+        # one solve with the stacked factors equals each class's own solve bit
+        # for bit; COS on 6 points in 2 dims takes jitter
+        Z = np.random.default_rng(13).standard_normal((6, 2))
+        grams = [kernels.gram(kernels.BaseKernelConfig(k), Z) for k in ("COS", "RBF", "POL2")]
+        kinv = gd_init(grams).kinv
+        for c, g in enumerate(grams):
+            assert np.array_equal(kinv[c], chol_solve(g.chol, np.eye(6)))
 
     def test_gd_step_follows_elbo_gradient(self):
         # recover the implied gradient from one small step and compare with

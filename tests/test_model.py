@@ -24,7 +24,7 @@ def make_kernel(c: int = 5, seed: int = 0, dim: int = 8) -> kernels.DeepKernel:
 
 
 def make_episode(seed: int, shots: int = 5):
-    cfg = tasks.TaskGenConfig(n_classes=5, shots=shots, queries=6, dim=8, seed=0)
+    cfg = tasks.TaskGenConfig(n_classes=5, shots=shots, queries=6, dim=8)
     return tasks.gen_episode(cfg, seed=seed)
 
 
@@ -39,7 +39,7 @@ class TestPriorPredictive:
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
         np.testing.assert_array_equal(mu, np.zeros_like(mu))
         for c in range(5):
-            prior_diag = kernels.gram_diag(kern.base[c], Zq, center=fit.grams[c].center)
+            prior_diag = kernels.gram_diag(kern.base[c], Zq)
             np.testing.assert_allclose(var[:, c], prior_diag, atol=1e-10)
 
     def test_gd_state_also_starts_at_prior(self):
@@ -52,7 +52,7 @@ class TestPriorPredictive:
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
         np.testing.assert_allclose(mu, np.zeros_like(mu), atol=1e-10)
         for c in range(5):
-            prior_diag = kernels.gram_diag(kern.base[c], Zq, center=fit.grams[c].center)
+            prior_diag = kernels.gram_diag(kern.base[c], Zq)
             np.testing.assert_allclose(var[:, c], prior_diag, atol=1e-8)
 
 
@@ -72,7 +72,7 @@ class TestConditioning:
         for c in range(5):
             g = fit.grams[c]
             kx = kernels.cross_gram(kern.base[c], Zq, fit.features, center=g.center)
-            kdiag = kernels.gram_diag(kern.base[c], Zq, center=g.center)
+            kdiag = kernels.gram_diag(kern.base[c], Zq)
             Kinv = np.linalg.inv(g.k_eff)
             mu_dense = kx @ Kinv @ fit.state.m[c]
             var_dense = (

@@ -8,6 +8,8 @@ RUNTIME = (
     "tasks", "kernels", "expfam", "likelihood", "inference", "model", "meta", "metrics",
     "seeding", "errors",
 )
+# every module of src/mdgpc but verify.py, parsed
+TREES = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "verify"}
 
 
 def reads(node) -> set:
@@ -24,8 +26,7 @@ def test_runtime_definitions_are_read_outside_verify():
     top-level statement of src/mdgpc other than its own definition, in a
     module other than verify.py; code that only the checks or the tests
     read belongs in verify.py or in tests/."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "verify"}
-    statements = [(stem, stmt) for stem, tree in trees.items() for stmt in tree.body]
+    statements = [(stem, stmt) for stem, tree in TREES.items() for stmt in tree.body]
     read_by = [(stmt, reads(stmt)) for _, stmt in statements]
     unread = [
         f"{stem}.{stmt.name}"
@@ -33,5 +34,37 @@ def test_runtime_definitions_are_read_outside_verify():
         if stem in RUNTIME
         and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not any(stmt.name in names for other, names in read_by if other is not stmt)
+    ]
+    assert unread == []
+
+
+def members(cls: ast.ClassDef):
+    """Annotated fields, properties and non-dunder methods of a class body."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif isinstance(stmt, ast.FunctionDef) and not (
+            stmt.name.startswith("__") and stmt.name.endswith("__")
+        ):
+            yield stmt.name
+
+
+def test_runtime_class_members_are_read_outside_verify():
+    """Each field, property and method of a class in a runtime module is read
+    as an attribute somewhere in src/mdgpc other than verify.py; a member
+    that only the checks or the tests read does not belong on the class."""
+    attrs = {
+        n.attr
+        for tree in TREES.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{stem}.{cls.name}.{name}"
+        for stem in RUNTIME
+        for cls in TREES[stem].body
+        if isinstance(cls, ast.ClassDef)
+        for name in members(cls)
+        if name not in attrs
     ]
     assert unread == []

@@ -13,6 +13,10 @@ eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
 config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
 ``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and
 compare-inner, so the class sums of 8 or more terms are covered too: 19 runs.
+Last, ``BASE`` with ``kernel.kind=COS`` and with ``kernel.kind=POL2`` each
+runs train and eval at ``--parallel-episodes`` 1 on that checkpoint, so the
+COS and POL branches of the Gram, its diagonal and its backward pass are
+covered too: 23 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -58,14 +62,23 @@ def run_set() -> list[tuple[str, list[str]]]:
         add("compare-outer", "compare-outer", *(outer if label == "defaults" else []))
         for seed in (0, 7):
             add(f"verify-s{seed}", "verify", "--set", f"seed={seed}")
-    c10 = ["--config", "base.json", "--set", "task.C=10"]
-    ckpt = "out/base-c10-train/checkpoint.json"
-    for name, *args in (
-        ("train", "train"),
-        ("eval-p1", "eval", "--checkpoint", ckpt, "--parallel-episodes", "1"),
-        ("compare-inner", "compare-inner"),
+    for label, setting, names in (
+        ("base-c10", "task.C=10", ("train", "eval-p1", "compare-inner")),
+        ("base-cos", "kernel.kind=COS", ("train", "eval-p1")),
+        ("base-pol2", "kernel.kind=POL2", ("train", "eval-p1")),
     ):
-        runs.append((f"base-c10-{name}", [*args, *c10, "--set", f"output_dir=out/base-c10-{name}"]))
+        ckpt = f"out/{label}-train/checkpoint.json"
+        args = {
+            "train": ["train"],
+            "eval-p1": ["eval", "--checkpoint", ckpt, "--parallel-episodes", "1"],
+            "compare-inner": ["compare-inner"],
+        }
+        for name in names:
+            runs.append((
+                f"{label}-{name}",
+                [*args[name], "--config", "base.json", "--set", setting,
+                 "--set", f"output_dir=out/{label}-{name}"],
+            ))
     return runs
 
 
