@@ -20,13 +20,15 @@ Subcommands:
 
 Exit status: 0 success, 1 invalid input (:class:`~mdgpc.errors.InputError`)
 or out of memory, 2 numerical failure (:class:`~mdgpc.errors.NumericalError`),
-3 verification failure.
+3 verification failure, 141 (128 + SIGPIPE, as a shell reports a process the
+signal ended) standard output closed by its reader, e.g. ``| head -1``.
 """
 
 import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -42,6 +44,7 @@ from .seeding import derive_seed, with_draw_seed
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
 CHECKPOINT_FORMAT_VERSION = 1
+EXIT_STDOUT_CLOSED = 141
 
 
 # Rules a config value must meet, by the name the table below gives them.
@@ -58,6 +61,7 @@ _RULES = {
     "in [1, 10^4]": lambda x: 1 <= x <= 10**4,
     "in [2, 10^4]": lambda x: 2 <= x <= 10**4,
     "in [1, 10^5]": lambda x: 1 <= x <= 10**5,
+    "in [0, 10^6]": lambda x: 0 <= x <= 10**6,
     "in [1, 10^6]": lambda x: 1 <= x <= 10**6,
     "in [1, 10^9]": lambda x: 1 <= x <= 10**9,
     "2+ sizes in [1, 10^5]": lambda x: len(x) >= 2 and min(x) >= 1 and max(x) <= 10**5,
@@ -74,7 +78,9 @@ _RULES = {
 # its rule. This is the only place a key's type and range are written. The
 # sizes' upper bounds keep every array a run allocates below numpy's 2^63-byte
 # limit, so a run too large for the host ends in MemoryError rather than in
-# numpy's ValueError, and they keep the per-class loops short.
+# numpy's ValueError, and they keep the per-class loops short. The run counts
+# (steps, epochs, episodes, seeds, iterations, instances) are bounded at 10^6
+# too, so a huge count fails at once instead of running until stopped.
 _TABLE = (
     ("seed", 0, ">= 0"),
     ("output_dir", "run_out", "a path"),
@@ -95,32 +101,32 @@ _TABLE = (
     ("kernel.init_scales.output_scale", 4.0, "> 0"),
     ("kernel.init_scales.offset", 1.0, "> 0"),
     ("inner.rho", 1.0, "in (0, 1]"),
-    ("inner.steps", 3, ">= 0"),
+    ("inner.steps", 3, "in [0, 10^6]"),
     ("inner.mc_samples", 64, "in [1, 10^6]"),
     ("eval_inner.rho", 0.5, "in (0, 1]"),
-    ("eval_inner.steps", 50, ">= 0"),
+    ("eval_inner.steps", 50, "in [0, 10^6]"),
     ("eval_inner.mc_samples", 512, "in [1, 10^6]"),
     ("outer.lr_net", 1e-3, ">= 0"),
     ("outer.lr_kernel", 1e-4, ">= 0"),
-    ("outer.epochs", 1, ">= 0"),
-    ("outer.episodes_per_epoch", 100, ">= 0"),
+    ("outer.epochs", 1, "in [0, 10^6]"),
+    ("outer.episodes_per_epoch", 100, "in [0, 10^6]"),
     ("eval.episodes", 100, "in [1, 10^6]"),
     ("eval.batches", 100, ">= 1"),
     ("eval.bins", 15, "in [1, 10^6]"),
     ("eval.pred_samples", 512, "in [1, 10^6]"),
     ("compare_inner.episodes", 20, "in [1, 10^6]"),
     ("compare_inner.rate", 0.005, "in (0, 1]"),
-    ("compare_inner.steps", 30, ">= 0"),
+    ("compare_inner.steps", 30, "in [0, 10^6]"),
     ("compare_inner.mc_samples", 64, "in [1, 10^6]"),
-    ("compare_outer.seeds", 10, ">= 1"),
-    ("compare_outer.iterations", 30, ">= 0"),
-    ("compare_outer.inner_steps", 2, ">= 0"),
+    ("compare_outer.seeds", 10, "in [1, 10^6]"),
+    ("compare_outer.iterations", 30, "in [0, 10^6]"),
+    ("compare_outer.inner_steps", 2, "in [0, 10^6]"),
     ("compare_outer.inner_rate", 0.02, "in (0, 1]"),
     ("compare_outer.outer_lr", 1e-3, ">= 0"),
-    ("compare_outer.monitor_episodes", 8, ">= 1"),
+    ("compare_outer.monitor_episodes", 8, "in [1, 10^6]"),
     ("compare_outer.mc_samples", 64, "in [1, 10^6]"),
     ("compare_outer.pred_samples", 512, "in [1, 10^6]"),
-    ("verify.instances", 10, ">= 1"),
+    ("verify.instances", 10, "in [1, 10^6]"),
     ("verify.fd_step", 1e-4, "> 0"),
     ("verify.gh_nodes", 40, "in [1, 10^3]"),
     ("verify.tolerance", 1e-3, ">= 0"),
@@ -645,7 +651,18 @@ _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u202
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        rc = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()  # buffered output meets a closed pipe here
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so the flush at exit
+        # cannot fail again (the recipe of Python's note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
+    return rc
+
+
+def _run(args) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args.set)
         if args.command == "gen-data":

@@ -278,7 +278,7 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
         with named_failures(f"{method} step {t}"):
             if lik is None:
                 step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, 1))
-                lik = SoftmaxLikelihood.from_seed(step_mc, n, c)
+                lik = SoftmaxLikelihood.from_seed(step_mc, c)
             state = step_fn(state, Y, cfg.rho, lik)
             if not (np.isfinite(state.m).all() and np.isfinite(state.Sigma).all()):
                 raise NumericalError("non-finite posterior moments")
@@ -293,8 +293,7 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     step t names the method and t, as `inner_states` does for the step.
     Returns (final_state, elbos) with steps + 1 values, the first at the prior.
     """
-    n, c = prior_grams[0].K.shape[0], len(prior_grams)
-    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
+    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, len(prior_grams))
     elbos = []
     for t, state in enumerate(inner_states(method, prior_grams, Y, cfg)):
         with named_failures(f"{method.upper()} step {t}"):

@@ -5,8 +5,8 @@ classes) and one-hot label y, the expected log-likelihood
 
     E_q[ log p(y | f) ] = E_q[ y . f - logsumexp(f) ]
 
-has no closed form; it is estimated by Monte Carlo with the
-reparameterization f^(s) = m + sqrt(v) * eps^(s). The gradients with respect
+has no closed form; it is averaged over S standard normal nodes eps^(s)
+with the reparameterization f^(s) = m + sqrt(v) * eps^(s). The gradients with respect
 to the marginal mean and variance use the Gaussian expectation identities
 
     g_m = E[ y - softmax(f) ],
@@ -20,8 +20,17 @@ mean parameters (mu1, mu2) = (m, v + m^2) gives
 
 Estimators accept explicit draws ``eps`` and optional ``weights`` so tests
 and the checks of :mod:`mdgpc.verify` can substitute deterministic weighted
-node sets (its Gauss-Hermite rule) for seeded Monte Carlo draws; both then
-evaluate the same functional on common numbers.
+node sets (its Gauss-Hermite rule) for seeded draws; both then evaluate the
+same functional on common numbers.
+
+Each expectation is only C-dimensional, so the seeded draws are one
+randomized quasi-Monte Carlo node set of shape (S, C) that every point
+shares (Buchholz, Wenzel & Mandt, "Quasi-Monte Carlo Variational
+Inference", ICML 2018): the first S points of the Sobol sequence, with Joe
+& Kuo's direction numbers (SIAM J. Sci. Comput. 2008) as scipy ships them,
+digitally shifted by a seeded 52-bit mask per dimension and mapped through
+the standard normal quantile (Wichura's AS241). The unshifted net is built
+once per (S, C) and cached; a power-of-two S keeps it balanced.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) goes through `_softmax_terms`, which
@@ -34,9 +43,13 @@ fewer than 8 classes the results equal the (S, N, C) formulas bit for bit;
 with more they differ by rounding.
 """
 
+import functools
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import InputError
 
@@ -51,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings: S draws from a seeded generator."""
+    """Monte Carlo settings: S nodes of the node set of a seed."""
 
     samples: int = 64
     seed: int = 0
@@ -61,9 +74,119 @@ class McConfig:
             raise InputError(f"samples must be >= 1, got {self.samples}")
 
 
+# Joe & Kuo's primitive polynomials and initial direction numbers, as scipy
+# ships them: poly.npy (21201,) and vinit.npy (21201, 18), Fortran-ordered.
+_DIRECTION_NUMBERS = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+_BITS = 52  # Sobol points as 52-bit integers, the resolution of a float in [0, 1)
+
+# Wichura's AS241 rational approximations (numerator, denominator), highest
+# power first: |q| <= 0.425 in r = 0.180625 - q^2, then the tails in
+# r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5 and r - 5 beyond.
+_AS241 = (
+    (
+        (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853,
+         45921.953931549871457, 13731.693765509461125, 1971.5909503065514427,
+         133.14166789178437745, 3.387132872796366608),
+        (5226.495278852854561, 28729.085735721942674, 39307.89580009271061,
+         21213.794301586595867, 5394.1960214247511077, 687.1870074920579083,
+         42.313330701600911252, 1.0),
+    ),
+    (
+        (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177,
+         1.27045825245236838258, 3.64784832476320460504, 5.7694972214606914055,
+         4.6303378461565452959, 1.42343711074968357734),
+        (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966,
+         0.14810397642748007459, 0.68976733498510000455, 1.6763848301838038494,
+         2.05319162663775882187, 1.0),
+    ),
+    (
+        (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386,
+         0.026532189526576123093, 0.29656057182850489123, 1.7848265399172913358,
+         5.4637849111641143699, 6.6579046435011037772),
+        (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+         7.868691311456132591e-4, 0.0148753612908506148525, 0.13692988092273580531,
+         0.59983220655588793769, 1.0),
+    ),
+)
+
+
+def _rational(coeffs, r):
+    """num(r) / den(r) for one AS241 pair, each by Horner's rule as written."""
+    num, den = (np.full_like(r, c[0]) for c in coeffs)
+    for a, b in zip(*(c[1:] for c in coeffs)):
+        num = num * r + a
+        den = den * r + b
+    return num / den
+
+
+def _norm_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of p in (0, 1), by AS241 (Wichura, Applied
+    Statistics 37, 1988), the method of ``statistics.NormalDist.inv_cdf``."""
+    q = p - 0.5
+    central = q * _rational(_AS241[0], 0.180625 - q * q)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+    return np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
+
+
+def _npy_columns(archive: zipfile.ZipFile, name: str, rows: int, cols: int) -> np.ndarray:
+    """The first `rows` entries of the first `cols` columns of an int64 .npy
+    member, streamed one column at a time, so the table is never loaded."""
+    with archive.open(name) as f:
+        np.lib.format.read_magic(f)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+        if dtype != np.int64 or (len(shape) > 1 and not fortran):
+            raise InputError(f"unexpected layout of {name} in {_DIRECTION_NUMBERS}")
+        if rows > shape[0]:
+            raise InputError(f"a Sobol node set has at most {shape[0]} dimensions, got {rows}")
+        out = np.empty((rows, cols), dtype=np.int64)
+        for j in range(cols):
+            out[:, j] = np.frombuffer(f.read(8 * shape[0]), dtype=dtype, count=rows)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _sobol_net(n: int, dim: int) -> np.ndarray:
+    """The first n points of the unscrambled Gray-code Sobol sequence in dim
+    dimensions as 52-bit integers, (n, dim), the points of
+    ``scipy.stats.qmc.Sobol(dim, scramble=False, bits=52)`` times 2^52.
+    Read-only: every caller shares the cached array."""
+    bits = max(1, (n - 1).bit_length())  # the first n Gray codes use this many
+    with zipfile.ZipFile(_DIRECTION_NUMBERS) as archive:
+        poly = _npy_columns(archive, "poly.npy", dim, 1)[:, 0].tolist()
+        degrees = [p.bit_length() - 1 for p in poly]
+        vinit = _npy_columns(archive, "vinit.npy", dim, max(degrees)).tolist()
+    v = np.empty((dim, bits), dtype=np.uint64)
+    for d, (p, s) in enumerate(zip(poly, degrees)):
+        m = vinit[d][:s] if s else [1] * bits  # dimension 0 is van der Corput's
+        for j in range(len(m), bits):  # Bratley & Fox's recurrence
+            new = m[j - s]
+            for k in range(1, s + 1):
+                if (p >> (s - k)) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        v[d] = [x << (_BITS - 1 - j) for j, x in enumerate(m[:bits])]
+    i = np.arange(n, dtype=np.uint64)
+    gray = i ^ (i >> 1)
+    net = np.zeros((n, dim), dtype=np.uint64)
+    for j in range(bits):
+        net ^= ((gray >> j) & 1)[:, None] * v[:, j]
+    net.flags.writeable = False
+    return net
+
+
 def normal_draws(seed: int, shape: tuple) -> np.ndarray:
-    """Standard normal draws from a fresh seeded generator."""
-    return np.random.default_rng(seed).standard_normal(shape)
+    """The randomized Sobol node set of `seed`, shape (S, C), for all points.
+
+    The cached net's dimensions are each XORed with a 52-bit mask from
+    ``np.random.default_rng(seed)`` (a digital shift), and each integer x is
+    mapped to u = (x + 1/2) 2^-52, never 0 or 1, and on to its normal
+    quantile. More than the 21201 dimensions of the direction-number table
+    raise InputError.
+    """
+    n, dim = (int(x) for x in shape)
+    shift = np.random.default_rng(seed).integers(1 << _BITS, size=dim, dtype=np.uint64)
+    return _norm_quantile(((_sobol_net(n, dim) ^ shift) + 0.5) * 2.0**-_BITS)
 
 
 def _prepare_batch(m, v, eps):
@@ -151,8 +274,9 @@ class SoftmaxLikelihood:
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
 
     @classmethod
-    def from_seed(cls, mc: McConfig, n_points: int, n_classes: int):
-        return cls(normal_draws(mc.seed, (mc.samples, n_points, n_classes)))
+    def from_seed(cls, mc: McConfig, n_classes: int):
+        """Bound to the node set of mc, shared by all points."""
+        return cls(normal_draws(mc.seed, (mc.samples, n_classes)))
 
     def expected_loglik(self, m, v, Y) -> float:
         return batch_expected_loglik(m, v, Y, self.eps, self.weights)

@@ -15,8 +15,9 @@ reached. The GP posterior at a query point x* is then
     sig*^2c = k** - k*' core^c k*
 
 and zero sites (core = 0) give back the prior predictive exactly. Class
-label probabilities are Monte Carlo averages of the softmax over
-independent per-class predictive normals.
+label probabilities average the softmax over independent per-class
+predictive normals, on one randomized Sobol node set (S, C) that every
+query shares.
 """
 
 from dataclasses import dataclass
@@ -88,10 +89,10 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
 
 
 def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:
-    """Monte Carlo softmax class probabilities from the latent predictive,
-    (M, C) with rows summing to 1."""
+    """Softmax class probabilities from the latent predictive over the node
+    set of mc, read as (S, 1, C); (M, C) with rows summing to 1."""
     mu, var = predict_latent(fit, query_x)
-    eps = normal_draws(mc.seed, (mc.samples, mu.shape[0], mu.shape[1]))
+    eps = normal_draws(mc.seed, (mc.samples, mu.shape[1]))[:, None, :]
     _, e, total = _softmax_terms(mu, np.sqrt(np.maximum(var, 0.0)), eps)
     e /= total
     return np.ascontiguousarray(np.mean(e, axis=0).T)

@@ -1,4 +1,4 @@
-"""Reference formulas that only the tests use.
+"""Reference formulas and draws that only the tests use.
 
 The softmax formulas reduce over a last class axis, (S, N, C), the way the
 package computed them before its class-leading kernel; the tests hold the
@@ -11,7 +11,9 @@ the second covariance factored first. `dual_coords_to_mean` inverts the dual
 minimal coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
 `scipy_chol_solve` and `scipy_gaussian_kl` are the package's SPD kernels as
 written on ``scipy.linalg`` before they called LAPACK directly; the tests
-hold the direct calls to them bit for bit.
+hold the direct calls to them bit for bit. `iid_draws` gives tests that need
+a general (S, N, C) array their own independent normal draws, since the
+package's draws are one node set (S, C) for all points.
 """
 
 import dataclasses
@@ -25,6 +27,11 @@ from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
 from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.likelihood import _prepare_batch
+
+
+def iid_draws(seed: int, shape: tuple) -> np.ndarray:
+    """Independent standard normal draws of any shape from a seeded generator."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:

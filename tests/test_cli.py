@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -487,6 +490,9 @@ class TestExitCodes:
             # a huge node count ended in hermegauss's OverflowError traceback
             ("verify", "verify.gh_nodes=1001", 1),
             ("verify", "verify.gh_nodes=100000000000000000000000", 1),
+            # a huge run count ran until stopped
+            ("compare-outer", "compare_outer.seeds=100000000000000000000000", 1),
+            ("train", "outer.episodes_per_epoch=100000000000000000000000", 1),
         ],
     )
     def test_rejected_config_writes_nothing(
@@ -599,6 +605,26 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        """A reader that closes stdout first (`mdgpc verify | head -1`) gets
+        the documented exit code and no traceback."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = ["verify", "--set", "verify.instances=2", "--set", f"output_dir={tmp_path / 'o'}"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mdgpc.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the child has imported, so every write fails
+        try:
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (rc, err) == (cli.EXIT_STDOUT_CLOSED, b"")
+
 
 # Config sections each fuzzed subcommand reads.
 FUZZ_SECTIONS = {
@@ -625,6 +651,7 @@ BOUNDARY_VALUES = {
     "in [1, 10^4]": ["0", "1", "10000", "10001"],
     "in [2, 10^4]": ["1", "2", "10000", "10001"],
     "in [1, 10^5]": ["0", "1", "100000", "100001"],
+    "in [0, 10^6]": ["-1", "0", "1000000", "1000001"],
     "in [1, 10^6]": ["0", "1", "1000000", "1000001"],
     "in [1, 10^9]": ["0", "1", "1000000000", "1000000001"],
 }

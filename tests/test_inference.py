@@ -57,10 +57,10 @@ def episode_grams(seed: int, shots: int = 5):
     return [kernels.gram(base, Z) for _ in range(5)], ep.support_y
 
 
-def seeded_lik(mc: McConfig, t: int, n: int, c: int) -> SoftmaxLikelihood:
+def seeded_lik(mc: McConfig, t: int, c: int) -> SoftmaxLikelihood:
     """The draw set of seed derive_seed(mc.seed, t). Every step of an
     `inner_states` loop seeded by mc reads the set of t = 1."""
-    return SoftmaxLikelihood.from_seed(McConfig(mc.samples, derive_seed(mc.seed, t)), n, c)
+    return SoftmaxLikelihood.from_seed(McConfig(mc.samples, derive_seed(mc.seed, t)), c)
 
 
 class TestInitAndCombine:
@@ -78,7 +78,7 @@ class TestInitAndCombine:
         Y = toy_labels(2, 5, 3)
         md = md_init(grams)
         gd = gd_init(grams)
-        lik = seeded_lik(McConfig(), 0, 5, 3)
+        lik = seeded_lik(McConfig(), 0, 3)
         stepped = [md_step(md, Y, 0.5, lik), gd_step(gd, Y, 0.1, lik)]
         for state in [md, gd, *stepped]:
             for Sigma in state.Sigma:
@@ -92,7 +92,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, 3))
         for step in range(3):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
             np.testing.assert_allclose(prec @ state.Sigma[i], np.eye(5), atol=1e-8)
@@ -110,7 +110,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(32, 7))
         for step in range(10):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
             assert np.all(state.beta <= 0.0)
 
     def test_refresh_moments_matches_cache(self):
@@ -119,7 +119,7 @@ class TestInitAndCombine:
         state = md_init(grams)
         cfg = InnerConfig(rho=0.9, steps=1, mc=McConfig(64, 11))
         for step in range(4):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
         refreshed = refresh_moments(state)
         np.testing.assert_allclose(state.m, refreshed.m, atol=1e-10)
         np.testing.assert_allclose(state.Sigma, refreshed.Sigma, atol=1e-10)
@@ -233,7 +233,7 @@ class TestRunInner:
         grams, Y = episode_grams(100)
         cfg = InnerConfig(rho=0.5, steps=6, mc=McConfig(32, 5))
         state, elbos = run_inner("MD", grams, Y, cfg)
-        lik = SoftmaxLikelihood.from_seed(cfg.mc, *Y.shape)
+        lik = SoftmaxLikelihood.from_seed(cfg.mc, Y.shape[1])
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
         prior = md_init(grams)
@@ -246,11 +246,11 @@ class TestRunInner:
         # ELBOs share the draws of mc
         grams, Y = episode_grams(104)
         cfg = InnerConfig(rho=0.05, steps=4, mc=McConfig(32, 13))
-        n, c = Y.shape
+        c = Y.shape[1]
         step_fn = md_step if method == "MD" else gd_step
         states = list(inner_states(method, grams, Y, cfg))
         assert len(states) == cfg.steps + 1
-        lik = seeded_lik(cfg.mc, 1, n, c)
+        lik = seeded_lik(cfg.mc, 1, c)
         for t in range(1, cfg.steps + 1):
             want = step_fn(states[t - 1], Y, cfg.rho, lik)
             got = states[t]
@@ -262,7 +262,7 @@ class TestRunInner:
             np.testing.assert_array_equal(got.m, want.m)
             np.testing.assert_array_equal(got.Sigma, want.Sigma)
         _, elbos = run_inner(method, grams, Y, cfg)
-        lik = SoftmaxLikelihood.from_seed(cfg.mc, n, c)
+        lik = SoftmaxLikelihood.from_seed(cfg.mc, c)
         assert elbos == [elbo(st.m, st.Sigma, grams, Y, lik) for st in states]
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
@@ -271,8 +271,7 @@ class TestRunInner:
         # without the helper, so the first state after the prior is pinned
         # bit for bit
         grams, Y = episode_grams(106)
-        n, c = Y.shape
-        lik = SoftmaxLikelihood.from_seed(McConfig(64, derive_seed(19, 1)), n, c)
+        lik = SoftmaxLikelihood.from_seed(McConfig(64, derive_seed(19, 1)), Y.shape[1])
         cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(64, 19))
         prior, first = inner_states(method, grams, Y, cfg)
         want = (md_step if method == "MD" else gd_step)(prior, Y, cfg.rho, lik)
@@ -331,7 +330,7 @@ class TestRunInner:
         grams, Y = episode_grams(103)
         state = md_init(grams)
         mc = McConfig(64, 3)
-        lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[0], Y.shape[1])
+        lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[1])
         m, v = inference.marginal_mats(state.m, state.Sigma)
         assert elbo(state.m, state.Sigma, grams, Y, lik) == pytest.approx(
             lik.expected_loglik(m, v, Y), abs=1e-10

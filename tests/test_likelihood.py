@@ -1,8 +1,16 @@
-"""Softmax expected log-likelihood estimators and their gradients."""
+"""Softmax expected log-likelihood estimators, their gradients and draws."""
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from mdgpc import likelihood, model
 from mdgpc.errors import InputError
@@ -57,6 +65,80 @@ class TestDraws:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (4, 3)
 
+    @pytest.mark.parametrize("n,d", [(8, 10), (64, 5), (512, 5), (1024, 40), (64, 1000)])
+    def test_net_is_scipy_sobol(self, n, d):
+        # past n = 8 the points depend on the recurrence's polynomial bits
+        want = qmc.Sobol(d, scramble=False, bits=52).random(n) * 2.0**52
+        got = likelihood._sobol_net(n, d)
+        assert got.dtype == np.uint64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want.astype(np.uint64))
+
+    def test_quantile_matches_ndtri(self):
+        p = np.concatenate(
+            [
+                np.linspace(1e-6, 1.0 - 1e-6, 20001),
+                np.logspace(-300, -1, 600),
+                1.0 - np.logspace(-16, -1, 300),
+                [1e-300, 1.0 - 1e-16, 2.0**-53, 1.0 - 2.0**-53],
+            ]
+        )
+        want = ndtri(p)
+        got = likelihood._norm_quantile(p)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+
+    def test_nodes_finite_for_many_seeds(self):
+        for seed in range(200):
+            assert np.isfinite(normal_draws(seed, (512, 5))).all()
+
+    def test_too_many_dimensions_rejected(self):
+        with pytest.raises(InputError, match="at most 21201 dimensions, got 21202"):
+            normal_draws(0, (8, 21202))
+
+    def test_qmc_beats_iid_on_fixed_instance(self):
+        # N = 25 points, C = 5, means ~ N(0, 4), variances U(0.3, 4); the
+        # reference is a 10^5-node Gauss-Hermite rule, about 4e-5 from 12^5
+        rng = np.random.default_rng(0)
+        n, c, s = 25, 5, 64
+        m = 2.0 * rng.standard_normal((n, c))
+        v = rng.uniform(0.3, 4.0, (n, c))
+        Y = np.eye(c)[rng.integers(0, c, size=n)]
+        eps_gh, w_gh = gauss_hermite_draws(10, c)
+        ref = np.concatenate(
+            [batch_grads_mv(m[i : i + 1], v[i : i + 1], Y[i : i + 1], eps_gh, w_gh)[0] for i in range(n)]
+        )
+
+        def rmse(draws):
+            errs = [batch_grads_mv(m, v, Y, draws(seed))[0] - ref for seed in range(40)]
+            return float(np.sqrt(np.mean(np.square(errs))))
+
+        assert rmse(lambda seed: normal_draws(seed, (s, c))) < rmse(
+            lambda seed: oracles.iid_draws(seed, (s, n, c))
+        )
+
+    def test_net_cache_filled_from_threads(self):
+        # concurrent first calls for one (S, C) must all give the serial sets
+        likelihood._sobol_net.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda seed: normal_draws(seed, (256, 7)), range(32)))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, eps in enumerate(got):
+            np.testing.assert_array_equal(eps, normal_draws(seed, (256, 7)))
+
+    def test_cli_import_loads_no_scipy_stats_or_special(self):
+        code = (
+            "import sys, mdgpc.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(likelihood.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_gauss_hermite_moments(self):
         eps, w = gauss_hermite_draws(16, 2)
         assert eps.shape == (256, 2)
@@ -92,7 +174,7 @@ class TestEstimator:
         m = rng.standard_normal((n, c))
         v = 0.5 + rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        eps = normal_draws(9, (64, n, c))
+        eps = oracles.iid_draws(9, (64, n, c))
         total = batch_expected_loglik(m, v, Y, eps)
         parts = sum(
             batch_expected_loglik(
@@ -111,7 +193,7 @@ class TestGradients:
         m = 3.0 * rng.standard_normal((n, c))
         v = 0.01 + 3.0 * rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        eps = normal_draws(11, (8, n, c))
+        eps = oracles.iid_draws(11, (8, n, c))
         g_m, g_v = batch_grads_mv(m, v, Y, eps)
         assert g_m.shape == (n, c) and g_v.shape == (n, c)
         assert np.all(g_m >= -1.0 - 1e-12) and np.all(g_m <= 1.0 + 1e-12)
@@ -192,7 +274,7 @@ class TestClassLeadingKernel:
         m = rng.uniform(-1.0, 1.0, (n, c)) * 10.0 ** rng.integers(-2, 4, (n, 1))
         v = rng.random((n, c)) * 10.0 ** rng.integers(-3, 3, (n, 1))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        eps = normal_draws(c, (s, n, c))
+        eps = oracles.iid_draws(c, (s, n, c))
         w = rng.random(s)
         nodes = max(1, int(1024 ** (1.0 / c)))
         eps_gh, w_gh = gauss_hermite_draws(nodes, c)
@@ -224,7 +306,7 @@ class TestClassLeadingKernel:
         monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m, var))
         mc = McConfig(samples=33, seed=4)
         probs = model.predict_labels(None, None, mc)
-        eps = normal_draws(mc.seed, (mc.samples,) + m.shape)
+        eps = normal_draws(mc.seed, (mc.samples, c))[:, None, :]
         self.assert_matches(c, probs, oracles.label_probs(m, var, eps))
 
 
@@ -235,8 +317,8 @@ class TestLikelihoodObjects:
         m = rng.standard_normal((n, c))
         v = 0.5 + rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        lik1 = SoftmaxLikelihood.from_seed(McConfig(32, 13), n, c)
-        lik2 = SoftmaxLikelihood.from_seed(McConfig(32, 13), n, c)
+        lik1 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
+        lik2 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
         assert lik1.expected_loglik(m, v, Y) == lik2.expected_loglik(m, v, Y)
 
     def test_gaussian_site_likelihood(self):
