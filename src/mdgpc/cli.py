@@ -45,6 +45,8 @@ __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
 CHECKPOINT_FORMAT_VERSION = 1
 EXIT_STDOUT_CLOSED = 141
+# eval starts min(N, eval.episodes) threads for --parallel-episodes N at once
+MAX_PARALLEL_EPISODES = 256
 
 
 # Rules a config value must meet, by the name the table below gives them.
@@ -58,6 +60,7 @@ _RULES = {
     "in (0, 1]": lambda x: 0 < x <= 1,
     "in [2, 10^3]": lambda x: 2 <= x <= 10**3,
     "in [1, 10^3]": lambda x: 1 <= x <= 10**3,
+    "in [1, 300]": lambda x: 1 <= x <= 300,
     "in [1, 10^4]": lambda x: 1 <= x <= 10**4,
     "in [2, 10^4]": lambda x: 2 <= x <= 10**4,
     "in [1, 10^5]": lambda x: 1 <= x <= 10**5,
@@ -128,7 +131,7 @@ _TABLE = (
     ("compare_outer.pred_samples", 512, "in [1, 10^6]"),
     ("verify.instances", 10, "in [1, 10^6]"),
     ("verify.fd_step", 1e-4, "> 0"),
-    ("verify.gh_nodes", 40, "in [1, 10^3]"),
+    ("verify.gh_nodes", 40, "in [1, 300]"),
     ("verify.tolerance", 1e-3, ">= 0"),
     ("gen_data.classes", 15, "in [2, 10^4]"),
     ("gen_data.rows_per_class", 50, "in [1, 10^9]"),
@@ -641,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="fit evaluation episodes on N threads",
+                help=f"fit evaluation episodes on N threads, 1 <= N <= {MAX_PARALLEL_EPISODES}",
             )
     return parser
 
@@ -670,8 +673,8 @@ def _run(args) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":
-            if args.parallel_episodes < 1:
-                raise InputError("--parallel-episodes must be >= 1")
+            if not 1 <= args.parallel_episodes <= MAX_PARALLEL_EPISODES:
+                raise InputError(f"--parallel-episodes must be in [1, {MAX_PARALLEL_EPISODES}]")
             return cmd_eval(cfg, args.checkpoint, args.parallel_episodes)
         if args.command == "compare-inner":
             return cmd_compare_inner(cfg)

@@ -3,10 +3,10 @@
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
 :class:`~mdgpc.errors.NumericalError`. :func:`gaussian_kl` takes plain
-arrays, ``gaussian_kl(m_q, S_q, L_p)``, where m_q is the first mean measured
-from the second and L_p is the lower Cholesky factor of the second
-covariance, so a caller that holds the factor of a zero-mean GP prior (the
-ELBO's KL term) never factors the prior again.
+arrays, ``gaussian_kl(m_q, L_q, L_p)``, where m_q is the first mean measured
+from the second and L_q and L_p are the lower Cholesky factors of the two
+covariances, so it factors nothing: a caller holds the factor of its
+posterior and of its zero-mean GP prior.
 
 The kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs`` solves
 with a factor and ``dtrtrs`` does the triangular solves of
@@ -15,8 +15,8 @@ with a factor and ``dtrtrs`` does the triangular solves of
 same, without scipy's per-call wrapper cost. The finite checks that scipy's
 ``check_finite`` made live here instead: :func:`spd_cholesky` tests its
 input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
-difference (its factors come from :func:`spd_cholesky`). A non-finite
-operand raises :class:`~mdgpc.errors.NumericalError`.
+difference and q's factor (p's comes from :func:`spd_cholesky`). A
+non-finite operand raises :class:`~mdgpc.errors.NumericalError`.
 
 :func:`spd_cholesky` and :func:`chol_solve` also take a (C, N, N) stack, with
 one right-hand side per factor. They check the stack once, then call LAPACK
@@ -120,22 +120,21 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def gaussian_kl(m_q: np.ndarray, S_q: np.ndarray, L_p: np.ndarray) -> float:
-    """KL( N(m_q, S_q) || N(0, S_p) ) via Cholesky factors of S_p, S_q.
+def gaussian_kl(m_q: np.ndarray, L_q: np.ndarray, L_p: np.ndarray) -> float:
+    """KL( N(m_q, L_q L_q') || N(0, L_p L_p') ) from the lower Cholesky factors.
 
-    L_p is the lower factor that :func:`spd_cholesky` returned for S_p, which
-    is not factored again. The KL is translation-invariant, so against a
-    mean m_p the caller passes m_q - m_p.
+    L_p is the factor that :func:`spd_cholesky` returned for S_p. The KL is
+    translation-invariant, so against a mean m_p the caller passes m_q - m_p.
     """
     n = m_q.shape[0]
-    if S_q.shape != (n, n) or L_p.shape != (n, n):
-        raise InputError(f"dimension mismatch: m_q {m_q.shape}, S_q {S_q.shape}, L_p {L_p.shape}")
-    Lq, _ = spd_cholesky(S_q)
+    if L_q.shape != (n, n) or L_p.shape != (n, n):
+        raise InputError(f"dimension mismatch: m_q {m_q.shape}, L_q {L_q.shape}, L_p {L_p.shape}")
     _check_finite(m_q, "mean difference")
+    _check_finite(L_q, "Cholesky factor")
     sol = _solve_lower(L_p, m_q)
     # tr(S_p^{-1} S_q) = || L_p^{-1} L_q ||_F^2
-    w = _solve_lower(L_p, Lq)
+    w = _solve_lower(L_p, L_q)
     trace_term = float(np.sum(w * w))
     return 0.5 * (
-        trace_term + float(sol @ sol) - n + chol_logdet(L_p) - chol_logdet(Lq)
+        trace_term + float(sol @ sol) - n + chol_logdet(L_p) - chol_logdet(L_q)
     )

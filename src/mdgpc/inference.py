@@ -11,19 +11,32 @@ diagonal Gaussian sites:
     theta~_t = (1 - rho) theta~_{t-1} + rho * grad_mu E_q[log p(y | f)],
     theta_{t+1} = theta~_t + eta_prior,        theta~_0 = 0,
 
-where the site naturals are alpha (linear) and beta (quadratic, beta <= 0).
-The posterior for each class is recovered from the sites with one SPD solve:
+where the site naturals are alpha (linear) and beta (quadratic, beta <= 0),
+so Sigma^c = (K^{c-1} - 2 diag(beta^c))^{-1} and m^c = Sigma^c alpha^c. With
+W = sqrt(-2 beta), B = I + W K W = L_B L_B' and X = B^{-1} W K, the step and
+the ELBO read only what `posterior_from_sites` takes from L_B and X:
 
-    Sigma^c = (K^{c-1} - 2 diag(beta^c))^{-1},     m^c = Sigma^c alpha^c,
+    u = K^{-1} m = alpha - W X alpha,     m = K u,
+    v = diag K - rowsum(K W o X'),
+    KL(q || prior) = 1/2 (m' u - sum_i W_i X_ii) + sum log diag L_B
 
-implemented in the Woodbury form Sigma = K - K W B^{-1} W K with
-W = sqrt(-2 beta) and B = I + W K W, which never inverts K and yields the
-prior exactly at zero sites.
+(Rasmussen & Williams 2006, Sec. 3.4).
+Nothing inverts K or forms Sigma, and zero sites give the prior exactly.
 
 A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
-storage for L) optimizes the same ELBO for the convergence comparisons.
-Both states reduce q to the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma
-K^{-1}) that prediction and the outer gradient use.
+storage for L) optimizes the same ELBO for the convergence comparisons; its
+marginal variances are the row sums of L o L and its KL comes from L.
+
+Every state gives the same three things: means ``m`` and marginal variances
+``v``, both (C, N) with row c for class c, the per-class KL to the prior
+``kl`` (C,), and the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
+that prediction and the outer gradient use, from ``kinv_terms``. The
+mirror-descent state holds its (C, N) site naturals ``alpha`` and ``beta``,
+the gradient-ascent state its (C, N, N) Cholesky factors ``chol``.
+``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``. The step
+arithmetic is written once for all classes, with batched ``@`` on the
+stacks; only the SPD factorizations and solves of :mod:`mdgpc.expfam` run
+slice by slice, each as it would for one class.
 
 Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 ``gd_step(state, Y, lr, lik)`` take checked one-hot labels, a rate and the
@@ -31,27 +44,17 @@ likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and drives every step with one likelihood on one draw set (seed
 derive_seed(mc.seed, 1)), so the draw schedule is written only there.
-``elbo(m, Sigma, prior_grams, Y, lik)`` scores a posterior under a given
-likelihood; `run_inner` scores every state with one fixed draw set.
-
-Every state holds its posterior one way: the means stacked as a (C, N)
-array ``m`` and the covariances as a (C, N, N) array ``Sigma``, row or
-slice c being class c. The mirror-descent state adds its (C, N) site
-naturals ``alpha`` and ``beta``, the gradient-ascent state its (C, N, N)
-Cholesky factors ``chol``. The marginals the likelihood reads are views of
-these arrays. The step arithmetic is written once for all classes, with
-batched ``@`` on the stacks; only the SPD factorizations and solves of
-:mod:`mdgpc.expfam` run slice by slice, each as it would for one class.
+`run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes K + jitter I and its Cholesky factor once. `md_init` and `gd_init`
 stack what their steps read, once per episode, into the state: K + jitter I
 for mirror descent, the factors and K^{-1} (one stacked solve) for gradient
-ascent. The steps, `kinv_terms` and the ELBO's KL to the prior never factor
-or invert K again.
+ascent. Neither factors anything else: the only factorizations at run time
+are those of the Grams and of B.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +76,6 @@ __all__ = [
     "run_inner",
     "site_factor",
     "posterior_from_sites",
-    "marginal_mats",
 ]
 
 
@@ -84,7 +86,8 @@ class VariationalState:
     alpha: np.ndarray  # (C, N) linear site naturals; rows are classes
     beta: np.ndarray  # (C, N) quadratic site naturals, <= 0
     m: np.ndarray  # (C, N) posterior means
-    Sigma: np.ndarray  # (C, N, N) posterior covariances
+    v: np.ndarray  # (C, N) posterior marginal variances
+    kl: np.ndarray  # (C,) KL(q^c || prior^c)
     k_eff: np.ndarray  # (C, N, N) prior covariances, stacked once by md_init
 
     def kinv_terms(self) -> tuple:
@@ -100,24 +103,28 @@ class VariationalState:
 
 @dataclass
 class GdState:
-    """Gradient-ascent state: per-class mean and Cholesky factor of Sigma.
-
-    The covariances Sigma = L L' are built once, with the state.
-    """
+    """Gradient-ascent state: per-class mean and Cholesky factor L of Sigma = L L'."""
 
     m: np.ndarray  # (C, N) posterior means
     chol: np.ndarray  # (C, N, N) lower-triangular factors
     prior_chol: np.ndarray  # (C, N, N) prior factors, stacked once by gd_init
     kinv: np.ndarray  # (C, N, N) prior inverses, stacked once by gd_init
-    Sigma: np.ndarray = field(init=False)  # (C, N, N) posterior covariances
 
-    def __post_init__(self):
-        self.Sigma = _symmetrize(self.chol @ self.chol.swapaxes(1, 2))
+    @property
+    def v(self) -> np.ndarray:
+        """(C, N) marginal variances diag(L L'), the row sums of L o L."""
+        return np.sum(self.chol * self.chol, axis=2)
+
+    @property
+    def kl(self) -> np.ndarray:
+        """(C,) KL(q^c || prior^c) from the factors of both covariances."""
+        return np.array([gaussian_kl(*args) for args in zip(self.m, self.chol, self.prior_chol)])
 
     def kinv_terms(self) -> tuple:
-        """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), dense."""
+        """(u, core) = (K^{-1} m, K^{-1} - (K^{-1} L)(K^{-1} L)'), dense."""
         Kinv = _symmetrize(self.kinv)
-        return _matvec(Kinv, self.m), Kinv - Kinv @ self.Sigma @ Kinv
+        KiL = Kinv @ self.chol
+        return _matvec(Kinv, self.m), Kinv - KiL @ KiL.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -163,22 +170,19 @@ def site_factor(K: np.ndarray, beta: np.ndarray):
 
 
 def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(m, Sigma) = ((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse), stacked.
-
-    Woodbury form; exact prior at zero sites and SPD by construction.
+    """(m, v, kl): the means, marginal variances and KL to the prior N(0, K)
+    of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse),
+    stacked by class, from the factor of B and X = B^{-1} W K alone.
     """
     W, LB = site_factor(K, beta)
     KW = K * W[:, None, :]
-    Sigma = _symmetrize(K - KW @ chol_solve(LB, KW.swapaxes(1, 2)))
-    return _matvec(Sigma, alpha), Sigma
-
-
-def marginal_mats(m: np.ndarray, Sigma: np.ndarray):
-    """Per-point marginal means and variances as (N, C) views of m and Sigma."""
-    v_mat = np.diagonal(Sigma, axis1=1, axis2=2).T
-    if np.any(v_mat <= 0.0):
-        raise NumericalError("non-positive marginal variance in state")
-    return m.T, v_mat
+    X = chol_solve(LB, KW.swapaxes(1, 2))
+    u = alpha - W * _matvec(X, alpha)  # K^{-1} m
+    m = _matvec(K, u)
+    v = np.diagonal(K, axis1=1, axis2=2) - np.einsum("cij,cji->ci", KW, X)
+    # tr(K^{-1} Sigma) = N - sum_i W_i X_ii and log|K| - log|Sigma| = log|B|
+    half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
+    return m, v, 0.5 * np.sum(m * u - W * np.diagonal(X, axis1=1, axis2=2), axis=1) + half_logdet_b
 
 
 def md_init(prior_grams: list) -> VariationalState:
@@ -186,8 +190,9 @@ def md_init(prior_grams: list) -> VariationalState:
     if not prior_grams:
         raise InputError("need at least one class")
     k_eff = np.stack([g.k_eff for g in prior_grams])
-    zeros = np.zeros(k_eff.shape[:2])
-    return VariationalState(alpha=zeros, beta=zeros, m=zeros, Sigma=k_eff, k_eff=k_eff)
+    zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
+    kl = np.zeros(len(k_eff))
+    return VariationalState(alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, k_eff=k_eff)
 
 
 def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
@@ -195,14 +200,13 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
 
     Y must be checked (N, C) one-hot labels; `lik` supplies the gradients.
     """
-    m_mat, v_mat = marginal_mats(state.m, state.Sigma)
-    g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
-    d1 = (g_m - 2.0 * g_v * m_mat).T  # (C, N) mean-parameter gradients
+    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
+    d1 = (g_m - 2.0 * g_v * state.m.T).T  # (C, N) mean-parameter gradients
     d2 = g_v.T
     alpha = (1.0 - rho) * state.alpha + rho * d1
     beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
-    m, Sigma = posterior_from_sites(state.k_eff, alpha, beta)
-    return replace(state, alpha=alpha, beta=beta, m=m, Sigma=Sigma)
+    m, v, kl = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl)
 
 
 def gd_init(prior_grams: list) -> GdState:
@@ -226,8 +230,7 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
         dELBO/dSigma = diag(g_v) - 1/2 (K^{-1} - Sigma^{-1})
         dELBO/dL = 2 sym(dELBO/dSigma) L  (lower triangle)
     """
-    m_mat, v_mat = marginal_mats(state.m, state.Sigma)
-    g_m, g_v = lik.grads_mv(m_mat, v_mat, Y)
+    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
     m, L = state.m, state.chol
     d = np.arange(m.shape[1])  # diagonal entries are [:, d, d]
     grad_m = g_m.T - chol_solve(state.prior_chol, m)
@@ -242,16 +245,10 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
     return replace(state, m=m + lr * grad_m, chol=Lnew)
 
 
-def elbo(m: np.ndarray, Sigma: np.ndarray, prior_grams: list, Y: np.ndarray, lik) -> float:
-    """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`.
-
-    m is (C, N) and Sigma (C, N, N), as every state holds them.
-    """
-    m_mat, v_mat = marginal_mats(m, Sigma)
-    total = lik.expected_loglik(m_mat, v_mat, Y)
-    for m_c, Sigma_c, g in zip(m, Sigma, prior_grams):
-        total -= gaussian_kl(m_c, Sigma_c, g.chol)
-    return float(total)
+def elbo(state, Y: np.ndarray, lik) -> float:
+    """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`,
+    from the marginals and KLs the state gives."""
+    return float(lik.expected_loglik(state.m.T, state.v.T, Y) - np.sum(state.kl))
 
 
 def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
@@ -261,9 +258,10 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     draw set, of seed derive_seed(cfg.mc.seed, 1), drawn at step 1 (so a loop
     of no steps draws nothing): the loop is a deterministic fixed-point
     iteration on one sample-average surrogate of the ELBO. A step that fails
-    numerically or leaves non-finite moments raises NumericalError naming the
-    method and the step; numpy's floating-point warnings are silenced inside
-    the step, since this check reports the failure.
+    numerically or leaves a non-finite mean or a marginal variance outside
+    (0, inf) raises NumericalError naming the method and the step; numpy's
+    floating-point warnings are silenced inside the step, since this check
+    reports the failure.
     """
     method = method.upper()
     if method not in ("MD", "GD"):
@@ -280,8 +278,9 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
                 step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, 1))
                 lik = SoftmaxLikelihood.from_seed(step_mc, c)
             state = step_fn(state, Y, cfg.rho, lik)
-            if not (np.isfinite(state.m).all() and np.isfinite(state.Sigma).all()):
-                raise NumericalError("non-finite posterior moments")
+            v = state.v
+            if not (np.isfinite(state.m).all() and ((0.0 < v) & (v < np.inf)).all()):
+                raise NumericalError("non-finite posterior mean or variance outside (0, inf)")
         yield state
 
 
@@ -297,5 +296,5 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     elbos = []
     for t, state in enumerate(inner_states(method, prior_grams, Y, cfg)):
         with named_failures(f"{method.upper()} step {t}"):
-            elbos.append(elbo(state.m, state.Sigma, prior_grams, Y, eval_lik))
+            elbos.append(elbo(state, Y, eval_lik))
     return state, elbos

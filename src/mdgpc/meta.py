@@ -205,7 +205,7 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
         Y = episode.support_y
         with named_failures(f"MD episode {it}"):
             lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it).mc, Y.shape[1])
-            objective = inference.elbo(fit.state.m, fit.state.Sigma, fit.grams, Y, lik)
+            objective = inference.elbo(fit.state, Y, lik)
             probs, y_idx = _query_probs(fit, episode, pred_mc)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
         history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})

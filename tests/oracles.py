@@ -4,10 +4,11 @@ The softmax formulas reduce over a last class axis, (S, N, C), the way the
 package computed them before its class-leading kernel; the tests hold the
 package to these bit for bit. `point_loglik` and `point_grads` evaluate the
 package's estimators at one point, and `grad_mean_params` chains its
-gradients to the point's mean parameters. `refresh_moments` recomputes a
-mirror-descent state's (m, Sigma) by dense solves, independent of the
-Woodbury path. `moments_kl` is `gaussian_kl` between two (m, Sigma) pairs,
-the second covariance factored first. `dual_coords_to_mean` inverts the dual
+gradients to the point's mean parameters. `dense_moments` gives a state's
+means and full covariances: a mirror-descent state's by dense solves from
+its sites, independent of the site-form path, a gradient-ascent state's as
+L L'. `moments_kl` is `gaussian_kl` between two (m, Sigma) pairs, both
+covariances factored first. `dual_coords_to_mean` inverts the dual
 minimal coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
 `scipy_chol_solve` and `scipy_gaussian_kl` are the package's SPD kernels as
 written on ``scipy.linalg`` before they called LAPACK directly; the tests
@@ -15,8 +16,6 @@ hold the direct calls to them bit for bit. `iid_draws` gives tests that need
 a general (S, N, C) array their own independent normal draws, since the
 package's draws are one node set (S, C) for all points.
 """
-
-import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -98,8 +97,13 @@ def grad_mean_params(m, v, y, eps, weights=None):
     return g_m - 2.0 * g_v * m, g_v
 
 
-def refresh_moments(state: VariationalState) -> VariationalState:
-    """Recompute a state's (m, Sigma) from its naturals by direct dense solves."""
+def dense_moments(state) -> tuple:
+    """(m, Sigma), (C, N) and (C, N, N), of a state's posterior. For a
+    mirror-descent state both come from (alpha, beta, k_eff) by direct dense
+    solves, m = (K^{-1} - 2 diag(beta))^{-1} alpha; for a gradient-ascent
+    state they are its m and L L'."""
+    if not isinstance(state, VariationalState):
+        return state.m, state.chol @ state.chol.swapaxes(1, 2)
     means, covs = [], []
     for i, K in enumerate(state.k_eff):
         prec = chol_solve(spd_cholesky(K)[0], np.eye(K.shape[0]))
@@ -108,14 +112,14 @@ def refresh_moments(state: VariationalState) -> VariationalState:
         Sigma = chol_solve(Lp, np.eye(K.shape[0]))
         means.append(chol_solve(Lp, state.alpha[i]))
         covs.append(0.5 * (Sigma + Sigma.T))
-    return dataclasses.replace(state, m=np.stack(means), Sigma=np.stack(covs))
+    return np.stack(means), np.stack(covs)
 
 
 def moments_kl(q, p) -> float:
-    """KL(q || p) of two (m, Sigma) pairs, p's covariance factored by
+    """KL(q || p) of two (m, Sigma) pairs, both covariances factored by
     spd_cholesky first."""
     (m_q, S_q), (m_p, S_p) = q, p
-    return gaussian_kl(m_q - m_p, S_q, spd_cholesky(S_p)[0])
+    return gaussian_kl(m_q - m_p, spd_cholesky(S_q)[0], spd_cholesky(S_p)[0])
 
 
 def dual_coords_to_mean(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, random_moments, tiny_instance
-from oracles import dual_coords_to_mean, moments_kl, point_grads, point_loglik
+from oracles import dense_moments, dual_coords_to_mean, moments_kl, point_grads, point_loglik
 
 
 def read_csv(path):
@@ -61,10 +61,13 @@ def test_criterion_02_full_rate_step_is_exact_conjugate_update():
         lik = GaussianSiteLikelihood(a, b)
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         state = inference.md_step(inference.md_init(grams), Y, 1.0, lik)
+        _, core = state.kinv_terms()
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
-            worst = max(worst, np.max(np.abs(state.Sigma[i] - sigma)))
+            Sigma = g.k_eff - g.k_eff @ core[i] @ g.k_eff
+            worst = max(worst, np.max(np.abs(Sigma - sigma)))
+            worst = max(worst, np.max(np.abs(state.v[i] - np.diag(sigma))))
             worst = max(worst, np.max(np.abs(state.m[i] - sigma @ a[:, i])))
     print(f"criterion 2: max deviation from closed form {worst:.3e} (tol 1e-8)")
     assert worst <= 1e-8
@@ -216,7 +219,7 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
     assert all(g.k_eff is g.K for g in fit.grams)
     grad = meta.outer_grad(fit)
     flat = meta.flatten_hypers(kern)
-    m, Sigma = fit.state.m, fit.state.Sigma
+    m, Sigma = fit.state.m, dense_moments(fit.state)[1]
 
     def objective(x):
         k2 = meta.unflatten_hypers(x, kern)
@@ -224,7 +227,8 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
         total = 0.0
         for c in range(3):
             g = kernels.gram(k2.base[c], Z)
-            total -= expfam.gaussian_kl(m[c], Sigma[c], expfam.spd_cholesky(g.k_eff)[0])
+            L_q = expfam.spd_cholesky(Sigma[c])[0]
+            total -= expfam.gaussian_kl(m[c], L_q, expfam.spd_cholesky(g.k_eff)[0])
         return total
 
     fd = np.zeros_like(flat)
@@ -323,6 +327,7 @@ def test_criterion_08_predictive_consistency():
         kern, ep.support_x, ep.support_y, InnerConfig(rho=0.7, steps=4, mc=McConfig(64, 5))
     )
     mu, var = model.predict_latent(fit, ep.query_x)
+    Sigma = dense_moments(fit.state)[1]
     worst_dense = 0.0
     for c in range(5):
         g = fit.grams[c]
@@ -332,7 +337,7 @@ def test_criterion_08_predictive_consistency():
         mu_dense = kx @ Kinv @ fit.state.m[c]
         KiK = kx @ Kinv
         var_dense = kdiag - np.einsum("ij,ij->i", KiK, kx) + np.einsum(
-            "ij,jk,ik->i", KiK, fit.state.Sigma[c], KiK
+            "ij,jk,ik->i", KiK, Sigma[c], KiK
         )
         worst_dense = max(worst_dense, np.max(np.abs(mu[:, c] - mu_dense)))
         worst_dense = max(worst_dense, np.max(np.abs(var[:, c] - var_dense)))

@@ -108,7 +108,7 @@ class TestConfigHandling:
         for key, default, _ in cli._TABLE:
             assert cli._coerce_leaf(key, json.loads(json.dumps(default))) == default
 
-    @pytest.mark.parametrize("key", [key for key, _, rule in cli._TABLE if "10^" in rule])
+    @pytest.mark.parametrize("key", [key for key, _, rule in cli._TABLE if "in [" in rule])
     def test_size_upper_bounds(self, key):
         """Each size accepts its upper bound and rejects the next integer."""
         rule = cli._ROWS[key][1]
@@ -284,6 +284,16 @@ class TestTrain:
         assert (out / "outer_trace.csv").read_bytes() == first_trace
         assert (out / "checkpoint.json").read_bytes() == first_ckpt
 
+    def test_singular_cos_prior_keeps_objective_in_range(self, tmp_path):
+        # the COS Gram has rank N - 1; a KL that factored the fitted
+        # covariance under jitter once wrote an objective near -2.5e7
+        out = tmp_path / "out"
+        assert run("train", write_cfg(tmp_path), out, "--set", "kernel.kind=COS") == 0
+        rows = (out / "outer_trace.csv").read_text().splitlines()[1:]
+        objectives = [float(row.split(",")[1]) for row in rows]
+        assert len(objectives) == 2
+        assert all(np.isfinite(v) and v > -1e3 for v in objectives)
+
 
 class TestCompare:
     def test_compare_inner_rows_and_determinism(self, tmp_path):
@@ -328,6 +338,14 @@ class TestVerify:
         assert doc["passed"] is False
         failed = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failed == ["ngd_equivalence"]
+
+    def test_largest_node_count_passes(self, tmp_path):
+        # the rule's upper bound; numpy's hermegauss weights are all zero at
+        # 371 nodes and non-finite from 372
+        out = tmp_path / "out"
+        argv = ["--set", "verify.instances=1", "--set", "verify.gh_nodes=300"]
+        assert run("verify", write_cfg(tmp_path), out, *argv) == 0
+        assert json.loads((out / "verification.json").read_text())["passed"] is True
 
 
 class TestExitCodes:
@@ -421,6 +439,17 @@ class TestExitCodes:
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("jobs", [0, cli.MAX_PARALLEL_EPISODES + 1])
+    def test_parallel_episodes_out_of_range(self, tmp_path, capsys, jobs):
+        # checked before the checkpoint is read, so a missing one is not named
+        out = tmp_path / "e"
+        argv = ["--checkpoint", str(tmp_path / "missing.json"), "--parallel-episodes", str(jobs)]
+        assert run("eval", write_cfg(tmp_path), out, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --parallel-episodes must be in [1, 256]")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_checkpoint_without_contents(self, tmp_path, capsys):
         ckpt = tmp_path / "c.json"
         ckpt.write_text('{"format_version": 1}')
@@ -490,6 +519,8 @@ class TestExitCodes:
             # a huge node count ended in hermegauss's OverflowError traceback
             ("verify", "verify.gh_nodes=1001", 1),
             ("verify", "verify.gh_nodes=100000000000000000000000", 1),
+            # hermegauss gives zero weights at 371 nodes, non-finite from 372
+            ("verify", "verify.gh_nodes=301", 1),
             # a huge run count ran until stopped
             ("compare-outer", "compare_outer.seeds=100000000000000000000000", 1),
             ("train", "outer.episodes_per_epoch=100000000000000000000000", 1),
@@ -648,6 +679,7 @@ BOUNDARY_VALUES = {
     "in (0, 1]": ["0", "1", "1.0000000000000002"],
     "in [2, 10^3]": ["1", "2", "1000", "1001"],
     "in [1, 10^3]": ["0", "1", "1000", "1001"],
+    "in [1, 300]": ["0", "1", "300", "301"],
     "in [1, 10^4]": ["0", "1", "10000", "10001"],
     "in [2, 10^4]": ["1", "2", "10000", "10001"],
     "in [1, 10^5]": ["0", "1", "100000", "100001"],
@@ -658,8 +690,8 @@ BOUNDARY_VALUES = {
 # The size rules' upper bounds, the third of their boundary values. A run at
 # one takes minutes or gigabytes by design, so the fuzz leaves it out;
 # test_size_upper_bounds checks at config level that each is accepted and the
-# next integer rejected.
-UPPER_BOUNDS = {rule: values[2] for rule, values in BOUNDARY_VALUES.items() if "10^" in rule}
+# next integer rejected (and TestVerify runs verify.gh_nodes at its bound).
+UPPER_BOUNDS = {rule: values[2] for rule, values in BOUNDARY_VALUES.items() if "in [" in rule}
 
 
 def fuzz_overrides(cmd: str):

@@ -215,9 +215,10 @@ class TestLapackPath:
         q = (rng.standard_normal(n), spd_matrix(n + 1, n))
         p = (rng.standard_normal(n), spd_matrix(n + 2, n))
         Lp, _ = spd_cholesky(p[1])
-        assert gaussian_kl(q[0] - p[0], q[1], Lp) == scipy_gaussian_kl(q, p)
+        Lq, _ = spd_cholesky(q[1])
+        assert gaussian_kl(q[0] - p[0], Lq, Lp) == scipy_gaussian_kl(q, p)
         prior = (np.zeros(n), p[1])
-        assert gaussian_kl(*q, Lp) == scipy_gaussian_kl(q, prior)
+        assert gaussian_kl(q[0], Lq, Lp) == scipy_gaussian_kl(q, prior)
 
     def test_stacked_calls_match_per_matrix_calls(self):
         rng = np.random.default_rng(9)

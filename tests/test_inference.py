@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import mdgpc
-from mdgpc import inference, kernels, likelihood, tasks
+from mdgpc import kernels, likelihood, tasks
 from mdgpc.errors import InputError
-from mdgpc.expfam import chol_solve
+from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import (
     InnerConfig,
     elbo,
@@ -27,7 +27,7 @@ from mdgpc.inference import (
 from mdgpc.likelihood import McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, ngd_verify, tiny_instance
-from oracles import refresh_moments
+from oracles import dense_moments
 
 
 def toy_grams(seed: int, n: int = 5, c: int = 3, kind: str = "RBF"):
@@ -67,22 +67,11 @@ class TestInitAndCombine:
     def test_md_init_is_prior(self):
         grams = toy_grams(0)
         state = md_init(grams)
-        for m, Sigma, g in zip(state.m, state.Sigma, grams):
+        for m, v, g in zip(state.m, state.v, grams):
             np.testing.assert_array_equal(m, np.zeros(5))
-            np.testing.assert_allclose(Sigma, g.k_eff, atol=0)
+            np.testing.assert_allclose(v, np.diag(g.k_eff), atol=0)
+        np.testing.assert_array_equal(state.kl, np.zeros(3))
         assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
-
-    def test_built_covariances_are_bitwise_symmetric(self):
-        # every state's covariances are symmetric bit for bit
-        grams = toy_grams(2)
-        Y = toy_labels(2, 5, 3)
-        md = md_init(grams)
-        gd = gd_init(grams)
-        lik = seeded_lik(McConfig(), 0, 3)
-        stepped = [md_step(md, Y, 0.5, lik), gd_step(gd, Y, 0.1, lik)]
-        for state in [md, gd, *stepped]:
-            for Sigma in state.Sigma:
-                assert np.array_equal(Sigma, Sigma.T)
 
     def test_combine_identity_dense(self):
         # posterior precision = prior precision - 2 diag(beta),
@@ -93,16 +82,20 @@ class TestInitAndCombine:
         cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, 3))
         for step in range(3):
             state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
+        _, core = state.kinv_terms()
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
-            np.testing.assert_allclose(prec @ state.Sigma[i], np.eye(5), atol=1e-8)
+            Sigma = g.k_eff - g.k_eff @ core[i] @ g.k_eff
+            np.testing.assert_allclose(prec @ Sigma, np.eye(5), atol=1e-8)
+            np.testing.assert_allclose(np.diag(Sigma), state.v[i], atol=1e-8)
             np.testing.assert_allclose(prec @ state.m[i], state.alpha[i], atol=1e-8)
 
     def test_posterior_from_sites_zero_sites(self):
         K = np.stack([g.k_eff for g in toy_grams(4)])
-        m, Sigma = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
-        np.testing.assert_allclose(Sigma, K, atol=1e-12)
+        m, v, kl = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
+        np.testing.assert_allclose(v, np.diagonal(K, axis1=1, axis2=2), atol=1e-12)
         np.testing.assert_array_equal(m, np.zeros((3, 5)))
+        np.testing.assert_array_equal(kl, np.zeros(3))
 
     def test_beta_stays_nonpositive(self):
         grams = toy_grams(5)
@@ -120,9 +113,27 @@ class TestInitAndCombine:
         cfg = InnerConfig(rho=0.9, steps=1, mc=McConfig(64, 11))
         for step in range(4):
             state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
-        refreshed = refresh_moments(state)
-        np.testing.assert_allclose(state.m, refreshed.m, atol=1e-10)
-        np.testing.assert_allclose(state.Sigma, refreshed.Sigma, atol=1e-10)
+        m, Sigma = dense_moments(state)
+        np.testing.assert_allclose(state.m, m, atol=1e-10)
+        np.testing.assert_allclose(state.v, np.diagonal(Sigma, axis1=1, axis2=2), atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [120, 121, 122])
+    def test_site_form_matches_dense_oracle(self, seed):
+        # m, v and the KL to the prior from the factor of B alone agree with
+        # dense solves and a dense KL; relative to each quantity's scale
+        grams, Y = episode_grams(seed)
+        state = md_init(grams)
+        cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, seed))
+        for step in range(4):
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5))
+        m, Sigma = dense_moments(state)
+        kl = [gaussian_kl(m[c], spd_cholesky(Sigma[c])[0], g.chol) for c, g in enumerate(grams)]
+        for got, want in [
+            (state.m, m),
+            (state.v, np.diagonal(Sigma, axis1=1, axis2=2)),
+            (state.kl, np.array(kl)),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_bad_labels_rejected(self):
         grams = toy_grams(10)
@@ -141,10 +152,12 @@ class TestConjugateLimit:
         lik = GaussianSiteLikelihood(a, b)
         Y = toy_labels(seed, 4, 2)
         state = md_step(md_init(grams), Y, 1.0, lik)
+        _, core = state.kinv_terms()
         for i, g in enumerate(grams):
             prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
-            np.testing.assert_allclose(state.Sigma[i], sigma, atol=1e-8)
+            np.testing.assert_allclose(g.k_eff - g.k_eff @ core[i] @ g.k_eff, sigma, atol=1e-8)
+            np.testing.assert_allclose(state.v[i], np.diag(sigma), atol=1e-8)
             np.testing.assert_allclose(state.m[i], sigma @ a[:, i], atol=1e-8)
 
     def test_fixed_point_once_converged(self):
@@ -159,16 +172,29 @@ class TestConjugateLimit:
         state = md_step(md_init(grams), Y, 1.0, lik)
         again = md_step(state, Y, 0.3, lik)
         np.testing.assert_allclose(state.m, again.m, atol=1e-10)
-        np.testing.assert_allclose(state.Sigma, again.Sigma, atol=1e-10)
+        np.testing.assert_allclose(state.v, again.v, atol=1e-10)
+        np.testing.assert_allclose(state.beta, again.beta, atol=1e-10)
 
 
 class TestGdBaseline:
     def test_gd_init_is_prior(self):
         grams = toy_grams(11)
         state = gd_init(grams)
-        for m, Sigma, g in zip(state.m, state.Sigma, grams):
+        for m, Sigma, g in zip(*dense_moments(state), grams):
             np.testing.assert_array_equal(m, np.zeros(5))
             np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-10)
+        np.testing.assert_allclose(state.kl, np.zeros(3), atol=1e-10)
+
+    def test_kl_from_factor_matches_refactored_covariance(self):
+        # the KL that GD reads from its factor L equals gaussian_kl of
+        # Sigma = L L' factored again
+        grams, Y = episode_grams(108)
+        cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 29))
+        *_, state = inner_states("GD", grams, Y, cfg)
+        m, Sigma = dense_moments(state)
+        for c, g in enumerate(grams):
+            want = gaussian_kl(m[c], spd_cholesky(Sigma[c])[0], g.chol)
+            assert state.kl[c] == pytest.approx(want, rel=1e-12)
 
     def test_gd_init_kinv_is_per_class_solve(self):
         # one solve with the stacked factors equals each class's own solve bit
@@ -198,7 +224,7 @@ class TestGdBaseline:
 
         def objective(m, chol):
             trial = dataclasses.replace(state, m=m.copy(), chol=chol.copy())
-            return elbo(trial.m, trial.Sigma, grams, Y, lik)
+            return elbo(trial, Y, lik)
 
         h = 1e-5
         for i in range(c):
@@ -237,8 +263,8 @@ class TestRunInner:
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
         prior = md_init(grams)
-        assert elbos[0] == elbo(prior.m, prior.Sigma, grams, Y, lik)
-        assert elbos[-1] == elbo(state.m, state.Sigma, grams, Y, lik)
+        assert elbos[0] == elbo(prior, Y, lik)
+        assert elbos[-1] == elbo(state, Y, lik)
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_draw_schedule(self, method):
@@ -260,10 +286,11 @@ class TestRunInner:
             else:
                 np.testing.assert_array_equal(got.chol, want.chol)
             np.testing.assert_array_equal(got.m, want.m)
-            np.testing.assert_array_equal(got.Sigma, want.Sigma)
+            np.testing.assert_array_equal(got.v, want.v)
+            np.testing.assert_array_equal(got.kl, want.kl)
         _, elbos = run_inner(method, grams, Y, cfg)
         lik = SoftmaxLikelihood.from_seed(cfg.mc, c)
-        assert elbos == [elbo(st.m, st.Sigma, grams, Y, lik) for st in states]
+        assert elbos == [elbo(st, Y, lik) for st in states]
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_first_step_keeps_its_draws(self, method):
@@ -276,7 +303,7 @@ class TestRunInner:
         prior, first = inner_states(method, grams, Y, cfg)
         want = (md_step if method == "MD" else gd_step)(prior, Y, cfg.rho, lik)
         np.testing.assert_array_equal(first.m, want.m)
-        np.testing.assert_array_equal(first.Sigma, want.Sigma)
+        np.testing.assert_array_equal(first.v, want.v)
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_one_draw_per_loop(self, monkeypatch, steps):
@@ -299,7 +326,7 @@ class TestRunInner:
         # nor into the prior's zero arrays or stacked factors
         grams, Y = episode_grams(105)
         cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 17))
-        names = ("m", "Sigma") + (("alpha", "beta") if method == "MD" else ("chol",))
+        names = ("m", "v") + (("alpha", "beta", "kl") if method == "MD" else ("chol",))
         states = inner_states(method, grams, Y, cfg)
         earlier = [next(states), next(states)]  # states 0 and 1
         kept = [{name: getattr(st, name).copy() for name in names} for st in earlier]
@@ -331,9 +358,8 @@ class TestRunInner:
         state = md_init(grams)
         mc = McConfig(64, 3)
         lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[1])
-        m, v = inference.marginal_mats(state.m, state.Sigma)
-        assert elbo(state.m, state.Sigma, grams, Y, lik) == pytest.approx(
-            lik.expected_loglik(m, v, Y), abs=1e-10
+        assert elbo(state, Y, lik) == pytest.approx(
+            lik.expected_loglik(state.m.T, state.v.T, Y), abs=1e-10
         )
 
     def test_elbo_monotone_under_small_rate_and_many_samples(self):

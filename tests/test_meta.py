@@ -10,6 +10,7 @@ from mdgpc.errors import InputError, NumericalError
 from mdgpc.inference import InnerConfig
 from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
+from oracles import dense_moments
 
 ADAM_EPS = 1e-8
 
@@ -39,7 +40,8 @@ def prior_term(flat, template, support_x, m, Sigma):
     total = 0.0
     for c in range(kern.n_classes):
         g = kernels.gram(kern.base[c], Z)
-        total -= expfam.gaussian_kl(m[c], Sigma[c], expfam.spd_cholesky(g.k_eff)[0])
+        L_q = expfam.spd_cholesky(Sigma[c])[0]
+        total -= expfam.gaussian_kl(m[c], L_q, expfam.spd_cholesky(g.k_eff)[0])
     return total
 
 
@@ -92,7 +94,7 @@ class TestOuterGrad:
         assert all(g.k_eff is g.K for g in fit.grams)
         grad = meta.outer_grad(fit)
         flat = meta.flatten_hypers(kern)
-        m, Sigma = fit.state.m, fit.state.Sigma
+        m, Sigma = fit.state.m, dense_moments(fit.state)[1]
         fd = np.zeros_like(flat)
         h = 1e-5
         for k in range(flat.shape[0]):
