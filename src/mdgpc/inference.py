@@ -32,7 +32,9 @@ Every state gives the same three things: means ``m`` and marginal variances
 ``kl`` (C,), and the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
 that prediction and the outer gradient use, from ``kinv_terms``. The
 mirror-descent state holds its (C, N) site naturals ``alpha`` and ``beta``,
-the gradient-ascent state its (C, N, N) Cholesky factors ``chol``.
+and the ``u`` and factor ``chol_b`` of B its last step computed, so
+``kinv_terms`` factors nothing; the gradient-ascent state holds its
+(C, N, N) Cholesky factors ``chol``.
 ``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``. The step
 arithmetic is written once for all classes, with batched ``@`` on the
 stacks; only the SPD factorizations and solves of :mod:`mdgpc.expfam` run
@@ -88,17 +90,18 @@ class VariationalState:
     m: np.ndarray  # (C, N) posterior means
     v: np.ndarray  # (C, N) posterior marginal variances
     kl: np.ndarray  # (C,) KL(q^c || prior^c)
+    u: np.ndarray  # (C, N) K^{-1} m
+    chol_b: np.ndarray  # (C, N, N) Cholesky factors of B = I + W K W
     k_eff: np.ndarray  # (C, N, N) prior covariances, stacked once by md_init
 
     def kinv_terms(self) -> tuple:
         """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), (C, N) and (C, N, N).
 
-        Woodbury form: core = W B^{-1} W and u = alpha - W B^{-1} W (K alpha).
+        Woodbury form: core = W B^{-1} W, from the factor of B the last step kept.
         """
-        W, LB = site_factor(self.k_eff, self.beta)
-        core = W[:, :, None] * chol_solve(LB, W[:, :, None] * np.eye(W.shape[1]))
-        u = self.alpha - W * chol_solve(LB, W * _matvec(self.k_eff, self.alpha))
-        return u, core
+        W = _site_scale(self.beta)
+        core = W[:, :, None] * chol_solve(self.chol_b, W[:, :, None] * np.eye(W.shape[1]))
+        return self.u, core
 
 
 @dataclass
@@ -160,19 +163,25 @@ def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[:, :, None])[:, :, 0]
 
 
+def _site_scale(beta: np.ndarray) -> np.ndarray:
+    """W = sqrt(-2 beta), the square roots of the site precisions."""
+    return np.sqrt(-2.0 * np.minimum(beta, 0.0))
+
+
 def site_factor(K: np.ndarray, beta: np.ndarray):
     """W = sqrt(-2 beta) and the Cholesky factors of B = I + W K W, for the
     (C, N, N) prior covariances K and the (C, N) sites beta."""
-    W = np.sqrt(-2.0 * np.minimum(beta, 0.0))
+    W = _site_scale(beta)
     B = np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
     LB, _ = spd_cholesky(B)
     return W, LB
 
 
 def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(m, v, kl): the means, marginal variances and KL to the prior N(0, K)
-    of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse),
-    stacked by class, from the factor of B and X = B^{-1} W K alone.
+    """(m, v, kl, u, LB): the means, marginal variances and KL to the prior
+    N(0, K) of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same
+    inverse), stacked by class, from the factor LB of B and X = B^{-1} W K
+    alone; u = K^{-1} m and LB are kept for `kinv_terms`.
     """
     W, LB = site_factor(K, beta)
     KW = K * W[:, None, :]
@@ -182,17 +191,20 @@ def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     v = np.diagonal(K, axis1=1, axis2=2) - np.einsum("cij,cji->ci", KW, X)
     # tr(K^{-1} Sigma) = N - sum_i W_i X_ii and log|K| - log|Sigma| = log|B|
     half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
-    return m, v, 0.5 * np.sum(m * u - W * np.diagonal(X, axis1=1, axis2=2), axis=1) + half_logdet_b
+    kl = 0.5 * np.sum(m * u - W * np.diagonal(X, axis1=1, axis2=2), axis=1) + half_logdet_b
+    return m, v, kl, u, LB
 
 
 def md_init(prior_grams: list) -> VariationalState:
-    """Zero sites; the posterior starts at the prior."""
+    """Zero sites; the posterior starts at the prior, where B = I and u = 0."""
     if not prior_grams:
         raise InputError("need at least one class")
     k_eff = np.stack([g.k_eff for g in prior_grams])
     zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
-    kl = np.zeros(len(k_eff))
-    return VariationalState(alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, k_eff=k_eff)
+    kl, chol_b = np.zeros(len(k_eff)), np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
+    return VariationalState(
+        alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, u=zeros, chol_b=chol_b, k_eff=k_eff
+    )
 
 
 def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
@@ -205,8 +217,8 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     d2 = g_v.T
     alpha = (1.0 - rho) * state.alpha + rho * d1
     beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
-    m, v, kl = posterior_from_sites(state.k_eff, alpha, beta)
-    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl)
+    m, v, kl, u, chol_b = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, chol_b=chol_b)
 
 
 def gd_init(prior_grams: list) -> GdState:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import mdgpc
-from mdgpc import kernels, likelihood, tasks
+import mdgpc.cli
+from mdgpc import inference, kernels, likelihood, tasks
 from mdgpc.errors import InputError
 from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import (
@@ -23,6 +24,7 @@ from mdgpc.inference import (
     md_step,
     posterior_from_sites,
     run_inner,
+    site_factor,
 )
 from mdgpc.likelihood import McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
@@ -71,6 +73,8 @@ class TestInitAndCombine:
             np.testing.assert_array_equal(m, np.zeros(5))
             np.testing.assert_allclose(v, np.diag(g.k_eff), atol=0)
         np.testing.assert_array_equal(state.kl, np.zeros(3))
+        np.testing.assert_array_equal(state.u, np.zeros((3, 5)))
+        np.testing.assert_array_equal(state.chol_b, np.broadcast_to(np.eye(5), (3, 5, 5)))
         assert np.all(state.alpha == 0.0) and np.all(state.beta == 0.0)
 
     def test_combine_identity_dense(self):
@@ -92,10 +96,28 @@ class TestInitAndCombine:
 
     def test_posterior_from_sites_zero_sites(self):
         K = np.stack([g.k_eff for g in toy_grams(4)])
-        m, v, kl = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
+        m, v, kl, u, LB = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
         np.testing.assert_allclose(v, np.diagonal(K, axis1=1, axis2=2), atol=1e-12)
         np.testing.assert_array_equal(m, np.zeros((3, 5)))
         np.testing.assert_array_equal(kl, np.zeros(3))
+        np.testing.assert_array_equal(u, np.zeros((3, 5)))
+        np.testing.assert_array_equal(LB, np.broadcast_to(np.eye(5), (3, 5, 5)))
+
+    def test_kinv_terms_reads_the_last_factor(self, monkeypatch):
+        # kinv_terms factors nothing: core comes from the factor of B the
+        # last step kept, bit for bit what factoring B again gives, and u
+        # from that step agrees with the Woodbury solve for K^{-1} m
+        grams, Y = episode_grams(123)
+        cfg = InnerConfig(rho=0.7, steps=3, mc=McConfig(64, 5))
+        *_, state = inner_states("MD", grams, Y, cfg)
+        W, LB = site_factor(state.k_eff, state.beta)
+        factored = []
+        monkeypatch.setattr(inference, "spd_cholesky", lambda *a: factored.append(a))
+        u, core = state.kinv_terms()
+        assert factored == []
+        np.testing.assert_array_equal(core, W[:, :, None] * chol_solve(LB, np.eye(25) * W[:, :, None]))
+        want = state.alpha - W * chol_solve(LB, W * np.einsum("cij,cj->ci", state.k_eff, state.alpha))
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_beta_stays_nonpositive(self):
         grams = toy_grams(5)
@@ -132,6 +154,7 @@ class TestInitAndCombine:
             (state.m, m),
             (state.v, np.diagonal(Sigma, axis1=1, axis2=2)),
             (state.kl, np.array(kl)),
+            (state.u, state.alpha + 2.0 * state.beta * m),  # K^{-1} m = alpha - W^2 m
         ]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -375,6 +398,26 @@ class TestRunInner:
             diffs = np.diff(elbos)
             ok += bool(np.all(diffs >= -5e-3))
         assert ok >= 18
+
+
+class TestEvalNodeCount:
+    @staticmethod
+    def fixed_point(samples: int):
+        # one fixed 5-way 5-shot episode fitted as eval fits it by default
+        ev = mdgpc.cli.default_config()["eval_inner"]
+        grams, Y = episode_grams(130)
+        cfg = InnerConfig(rho=ev["rho"], steps=ev["steps"], mc=McConfig(samples, 0))
+        *_, state = inner_states("MD", grams, Y, cfg)
+        return state
+
+    def test_default_fixed_point_is_near_the_reference(self):
+        # eval's default node count against S = 4096. Measured: 3.0e-2 in m
+        # and 3.9e-2 in v at S = 64 (S = 512: 3.8e-3 and 4.6e-3; S = 8: 0.13
+        # and 0.13, which fails)
+        ref = self.fixed_point(4096)
+        got = self.fixed_point(mdgpc.cli.default_config()["eval_inner"]["mc_samples"])
+        assert np.max(np.abs(got.m - ref.m)) <= 5e-2 * np.max(np.abs(ref.m))
+        assert np.max(np.abs(got.v - ref.v) / ref.v) <= 5e-2
 
 
 class TestNgdEquivalence:
