@@ -108,7 +108,7 @@ _TABLE = (
     ("inner.mc_samples", 64, "in [1, 10^6]"),
     ("eval_inner.rho", 0.5, "in (0, 1]"),
     ("eval_inner.steps", 50, "in [0, 10^6]"),
-    ("eval_inner.mc_samples", 64, "in [1, 10^6]"),
+    ("eval_inner.mc_samples", 512, "in [1, 10^6]"),
     ("outer.lr_net", 1e-3, ">= 0"),
     ("outer.lr_kernel", 1e-4, ">= 0"),
     ("outer.epochs", 1, "in [0, 10^6]"),

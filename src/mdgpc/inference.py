@@ -45,7 +45,8 @@ Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and drives every step with one likelihood on one draw set (seed
-derive_seed(mc.seed, 1)), so the draw schedule is written only there.
+derive_seed(mc.seed, 1)), or on its first COARSE_NODES nodes for the first
+``coarse_steps`` steps, so the draw schedule is written only there.
 `run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
@@ -130,13 +131,20 @@ class GdState:
         return _matvec(Kinv, self.m), Kinv - KiL @ KiL.swapaxes(1, 2)
 
 
+# The first 2^6 points of a Sobol set are a balanced net of their own.
+COARSE_NODES = 64
+
+
 @dataclass(frozen=True)
 class InnerConfig:
-    """Inner-loop settings; rho is the mirror rate or the GD step size."""
+    """Inner-loop settings; rho is the mirror rate or the GD step size. The
+    first `coarse_steps` steps read only the first COARSE_NODES nodes of the
+    draw set, the rest all of it."""
 
     rho: float = 1.0
     steps: int = 3
     mc: McConfig = McConfig()
+    coarse_steps: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
@@ -269,7 +277,10 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     The labels are checked once, before the prior state. Every step reads one
     draw set, of seed derive_seed(cfg.mc.seed, 1), drawn at step 1 (so a loop
     of no steps draws nothing): the loop is a deterministic fixed-point
-    iteration on one sample-average surrogate of the ELBO. A step that fails
+    iteration on one sample-average surrogate of the ELBO. The first
+    cfg.coarse_steps steps read only its first COARSE_NODES nodes, a cheaper
+    surrogate whose fixed point lies near the full set's, so the steps after
+    them start close to where they converge. A step that fails
     numerically or leaves a non-finite mean or a marginal variance outside
     (0, inf) raises NumericalError naming the method and the step; numpy's
     floating-point warnings are silenced inside the step, since this check
@@ -289,7 +300,8 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
             if lik is None:
                 step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, 1))
                 lik = SoftmaxLikelihood.from_seed(step_mc, c)
-            state = step_fn(state, Y, cfg.rho, lik)
+                coarse = SoftmaxLikelihood(lik.eps[:COARSE_NODES])
+            state = step_fn(state, Y, cfg.rho, coarse if t <= cfg.coarse_steps else lik)
             v = state.v
             if not (np.isfinite(state.m).all() and ((0.0 < v) & (v < np.inf)).all()):
                 raise NumericalError("non-finite posterior mean or variance outside (0, inf)")

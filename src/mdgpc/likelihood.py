@@ -30,9 +30,7 @@ Inference", ICML 2018): the first S points of the Sobol sequence, with Joe
 & Kuo's direction numbers (SIAM J. Sci. Comput. 2008) as scipy ships them,
 digitally shifted by a seeded 52-bit mask per dimension and mapped through
 the standard normal quantile (Wichura's AS241). The unshifted net is built
-once per (S, C) and cached; a power-of-two S keeps it balanced. Each node
-set of at most 2^16 values is cached too, read-only, so a loop that comes
-back to a seed (the monitor bank of compare-outer) builds its set once.
+once per (S, C) and cached; a power-of-two S keeps it balanced.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) goes through `_softmax_terms`, which
@@ -177,13 +175,6 @@ def _sobol_net(n: int, dim: int) -> np.ndarray:
     return net
 
 
-# Node sets of at most this many values are cached. 64 sets cover the 17 a
-# compare-outer iteration cycles through at defaults (a fresh training set and
-# two per monitor episode) with room for larger monitor banks, and hold at most
-# 64 * 2^16 * 8 bytes = 32 MiB; larger sets are built at every call.
-_CACHED_VALUES = 1 << 16
-
-
 def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     """The randomized Sobol node set of `seed`, shape (S, C), for all points.
 
@@ -191,21 +182,11 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     ``np.random.default_rng(seed)`` (a digital shift), and each integer x is
     mapped to u = (x + 1/2) 2^-52, never 0 or 1, and on to its normal
     quantile. More than the 21201 dimensions of the direction-number table
-    raise InputError. Read-only: a repeated (seed, shape) of at most
-    `_CACHED_VALUES` values returns the same cached array.
+    raise InputError.
     """
     n, dim = (int(x) for x in shape)
-    if n * dim > _CACHED_VALUES:
-        return _shifted_normal_net.__wrapped__(seed, n, dim)
-    return _shifted_normal_net(seed, n, dim)
-
-
-@functools.lru_cache(maxsize=64)
-def _shifted_normal_net(seed: int, n: int, dim: int) -> np.ndarray:
     shift = np.random.default_rng(seed).integers(1 << _BITS, size=dim, dtype=np.uint64)
-    eps = _norm_quantile(((_sobol_net(n, dim) ^ shift) + 0.5) * 2.0**-_BITS)
-    eps.flags.writeable = False
-    return eps
+    return _norm_quantile(((_sobol_net(n, dim) ^ shift) + 0.5) * 2.0**-_BITS)
 
 
 def _prepare_batch(m, v, eps):

@@ -272,10 +272,14 @@ def evaluate(
 ) -> EvalResult:
     """Fit and predict on held-out episodes; aggregates raw predictions.
 
-    Episodes are independent and fully seeded by their index, so with
-    n_jobs > 1 they are fitted on a thread pool and reassembled in index
-    order; results match the sequential path.
+    The first half of each fit's steps read only the first COARSE_NODES nodes
+    of its draw set (`InnerConfig.coarse_steps`); the second half converge
+    from there on the whole set, to its fixed point. Episodes are independent
+    and fully seeded by their index, so with n_jobs > 1 they are fitted on a
+    thread pool and reassembled in index order; results match the sequential
+    path.
     """
+    inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
     def eval_one(i: int):
         episode = task_source(i)

@@ -65,20 +65,6 @@ class TestDraws:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (4, 3)
 
-    def test_repeated_draws_are_one_read_only_array(self):
-        a = normal_draws(7, (64, 5))
-        assert normal_draws(7, (np.int64(64), 5)) is a
-        assert normal_draws(8, (64, 5)) is not a
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 0.0
-
-    def test_large_draws_are_built_at_every_call(self):
-        shape = (likelihood._CACHED_VALUES // 4 + 1, 4)
-        a, b = normal_draws(7, shape), normal_draws(7, shape)
-        assert a is not b and not a.flags.writeable
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a[:64], normal_draws(7, (64, 4)))
-
     @pytest.mark.parametrize("n,d", [(8, 10), (64, 5), (512, 5), (1024, 40), (64, 1000)])
     def test_net_is_scipy_sobol(self, n, d):
         # past n = 8 the points depend on the recurrence's polynomial bits

@@ -233,6 +233,18 @@ class TestEvaluate:
         single = meta.evaluate(kern, src, 1, inner, McConfig(32, 0))
         assert single.accuracies.shape == (1,)
 
+    def test_first_half_of_the_steps_is_coarse(self, monkeypatch):
+        fit_episode, seen = model.fit_episode, []
+
+        def record(kernel, x, y, cfg, *args):
+            seen.append(cfg)
+            return fit_episode(kernel, x, y, cfg, *args)
+
+        monkeypatch.setattr(model, "fit_episode", record)
+        inner = InnerConfig(rho=0.5, steps=5, mc=McConfig(128, 0))
+        meta.evaluate(small_kernel(22), small_source(22), 2, inner, McConfig(32, 0))
+        assert [(cfg.steps, cfg.coarse_steps, cfg.mc.samples) for cfg in seen] == [(5, 2, 128)] * 2
+
 
 class TestCompareOuter:
     def test_row_structure_and_determinism(self):

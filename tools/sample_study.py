@@ -8,13 +8,13 @@ Usage, from the root of a checkout:
 
 The `--set` values apply to every run. The script trains one checkpoint at
 that config, then runs `mdgpc eval` on it with `eval_inner.mc_samples` at the
-reference node count (`--reference`, 4096) and at each of `--samples` (64,
-128, 256 and 512). For each node count it prints accuracy, nll, ece and mce,
-how far nll, ece and mce are from the reference, and the wall time of the
-eval process. Every run is a fresh interpreter on the `src/` of this checkout
-with OPENBLAS_NUM_THREADS=1, in a temporary directory, so nothing is written
-into the checkout. It is slow: at defaults the reference eval alone runs for
-about a minute.
+reference node count (4096) and at each of 64, 128, 256 and 512; every eval
+fits the first half of its steps on the first 64 nodes of its set. For each
+node count it prints accuracy, nll, ece and mce, how far nll, ece and mce are
+from the reference, and the wall time of the eval process. Every run is a
+fresh interpreter on the `src/` of this checkout with OPENBLAS_NUM_THREADS=1,
+in a temporary directory, so nothing is written into the checkout. It is
+slow: at defaults the reference eval alone runs for about a minute.
 """
 
 import argparse
@@ -28,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("nll", "ece", "mce")
+REFERENCE = 4096
+SAMPLES = (64, 128, 256, 512)
 
 
 def run_cli(args: list, work: Path, env: dict) -> float:
@@ -45,8 +47,6 @@ def run_cli(args: list, work: Path, env: dict) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    parser.add_argument("--samples", type=int, nargs="+", default=[64, 128, 256, 512])
-    parser.add_argument("--reference", type=int, default=4096)
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         run_cli(["train", *config, "--set", "output_dir=train"], work, env)
         results = {}
-        for s in [args.reference, *args.samples]:
+        for s in (REFERENCE, *SAMPLES):
             out = f"eval-{s}"
             wall = run_cli(
                 ["eval", "--checkpoint", "train/checkpoint.json", "--parallel-episodes", "1",
@@ -64,8 +64,8 @@ def main(argv=None) -> int:
                 work, env,
             )
             results[s] = (json.loads((work / out / "metrics.json").read_text()), wall)
-    ref, _ = results[args.reference]
-    print(f"config: {' '.join(args.set) or 'defaults'}; reference S = {args.reference}")
+    ref, _ = results[REFERENCE]
+    print(f"config: {' '.join(args.set) or 'defaults'}; reference S = {REFERENCE}")
     print("S".rjust(6), "accuracy".rjust(9), *(m.rjust(9) for m in METRICS),
           *(f"|d {m}|".rjust(9) for m in METRICS), "wall_s".rjust(7))
     for s, (rep, wall) in results.items():
