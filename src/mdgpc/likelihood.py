@@ -33,14 +33,14 @@ the standard normal quantile (Wichura's AS241). The unshifted net is built
 once per (S, C) and cached; a power-of-two S keeps it balanced.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
-:func:`~mdgpc.model.predict_labels`) goes through `_softmax_terms`, which
-lays the logits out (S, C, N): each class is an (S, N) slice, so reductions
-over the few classes are elementwise operations on whole slices instead of
-many short last-axis reductions, and the mean over draws still reduces a
-leading axis. numpy reduces the class axis, which is not the innermost,
-as one running sum, the order its last-axis sum uses below 8 terms, so for
-fewer than 8 classes the results equal the (S, N, C) formulas bit for bit;
-with more they differ by rounding.
+:func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), with the
+nodes innermost and contiguous. A node set (S, C) is transposed once per
+call to (C, 1, S) and broadcast over the points; per-point draws (S, N, C)
+are read as (C, N, S). The class max and the class sum are then elementwise
+passes over whole (N, S) slices, the softmax is exp(f - max) / sum in one
+buffer that every step updates in place, and the mean over nodes is a
+last-axis reduction (or a product with the weights). The results equal the
+last-axis (S, N, C) formulas to rounding, not bit for bit.
 """
 
 import functools
@@ -190,6 +190,8 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
 
 
 def _prepare_batch(m, v, eps):
+    """Checked (N, C) marginals and the draws laid out (C, N, S), or
+    (C, 1, S) for one node set (S, C) shared by all points."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
@@ -203,25 +205,38 @@ def _prepare_batch(m, v, eps):
         eps = eps[:, None, :]
     if eps.ndim != 3 or eps.shape[2] != m.shape[1]:
         raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
-    return m, v, eps
+    # a shared set is small: copy it to contiguous (C, 1, S) rows
+    return m, v, np.ascontiguousarray(eps.T) if eps.shape[1] == 1 else eps.T
 
 
-def _softmax_terms(m, sd, eps):
-    """Softmax pieces of f = m + sd * eps, laid out (S, C, N).
+def _stable_logits(m, sd, eps):
+    """f - max_c f for f = m + sd * eps, in one fresh C-ordered (C, N, S) buffer.
 
-    m, sd: (N, C); eps: (S, N, C), or (S, 1, C) for one node set shared by
-    all points. Returns (stable, e, total): stable = f - max_c f and
-    e = exp(stable), both (S, C, N) and fresh, so callers may overwrite them
-    in place, and total = sum_c e, (S, 1, N). In-place updates keep the
-    number of fresh (S, C, N) buffers, and the page faults of filling them,
-    low.
+    m, sd: (N, C); eps: (C, N, S) or (C, 1, S) from `_prepare_batch`. The
+    nodes are the innermost, contiguous axis, so the class max here and the
+    class sums of the callers are elementwise passes over (N, S) slices.
+    Callers update the buffer in place; it is the only one of its size.
     """
-    stable = np.empty((eps.shape[0],) + m.T.shape)
-    np.multiply(sd.T, eps.swapaxes(1, 2), out=stable)
-    stable += m.T
-    stable -= np.maximum.reduce(stable, axis=1, keepdims=True)
-    e = np.exp(stable)
-    return stable, e, np.add.reduce(e, axis=1, keepdims=True)
+    f = np.empty(m.T.shape + eps.shape[2:])
+    np.multiply(sd.T[:, :, None], eps, out=f)
+    f += m.T[:, :, None]
+    f -= np.maximum.reduce(f, axis=0)
+    return f
+
+
+def _softmax(m, sd, eps):
+    """softmax(f) = exp(f - max) / sum_c exp(f - max), laid out (C, N, S)."""
+    p = _stable_logits(m, sd, eps)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=0)
+    return p
+
+
+def _node_mean(x, weights):
+    """Mean of x over its last (node) axis, or x @ weights for a weighted set."""
+    if weights is None:
+        return np.mean(x, axis=-1)
+    return x @ np.asarray(weights, dtype=float)
 
 
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
@@ -231,34 +246,24 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     (uniform). With weights, the estimate is sum_s w_s log p(y | f^(s)).
     """
     m, v, eps = _prepare_batch(m, v, eps)
-    log_p, _, total = _softmax_terms(m, np.sqrt(v), eps)
-    log_p -= np.log(total)
-    log_p *= np.asarray(Y, dtype=float).T
-    ll = np.add.reduce(log_p, axis=1)  # (S, N)
-    if weights is None:
-        return float(np.sum(np.mean(ll, axis=0)))
-    return float(np.sum(np.asarray(weights, dtype=float) @ ll))
+    stable = _stable_logits(m, np.sqrt(v), eps)
+    # y . (f - max) - log sum_c exp(f - max), for one-hot y
+    ll = np.einsum("cn,cns->ns", np.asarray(Y, dtype=float).T, stable)
+    np.exp(stable, out=stable)
+    ll -= np.log(np.add.reduce(stable, axis=0))
+    return float(np.sum(_node_mean(ll, weights)))
 
 
 def batch_grads_mv(m, v, Y, eps, weights=None):
     """Estimated (g_m, g_v) for every point at once; each of shape (N, C)."""
     m, v, eps = _prepare_batch(m, v, eps)
-    p, q, total = _softmax_terms(m, np.sqrt(v), eps)
-    p -= np.log(total)
-    np.exp(p, out=p)  # softmax as exp(log-softmax)
-    np.multiply(p, p, out=q)
-    q -= p
-    if weights is None:
-        p_bar = np.mean(p, axis=0)
-        q_bar = np.mean(q, axis=0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        p_bar = np.einsum("s,scn->cn", w, p)
-        q_bar = np.einsum("s,scn->cn", w, q)
+    p = _softmax(m, np.sqrt(v), eps)
+    p_bar = _node_mean(p, weights)
     g_m = np.asarray(Y, dtype=float) - p_bar.T
-    # row-major (N, C), like the (S, N, C) formulas return, so downstream BLAS calls
-    # see the same strides
-    return np.ascontiguousarray(g_m), np.ascontiguousarray(0.5 * q_bar.T)
+    p *= p
+    g_v = 0.5 * (_node_mean(p, weights) - p_bar).T  # E[p^2 - p] / 2
+    # row-major (N, C), so downstream BLAS calls see the same strides
+    return np.ascontiguousarray(g_m), np.ascontiguousarray(g_v)
 
 
 class SoftmaxLikelihood:

@@ -6,6 +6,12 @@ Confidence is the maximum predicted probability, a prediction counts as
 correct when its argmax matches the true label.
 
     ECE = sum_b (n_b / n) |acc_b - conf_b|,    MCE = max over nonempty bins.
+
+MCE weighs a bin by nothing but its being non-empty, so one prediction alone
+in a bin sets it: at eval's defaults one query of 8 000, alone in bin 5,
+gives an MCE of 0.668, and a shift of 0.002 in its confidence moves it to
+the next bin and the MCE to 0.528. Read MCE beside the bin counts of
+`reliability_table` (the `count` column of eval's ``calibration.csv``).
 """
 
 from dataclasses import dataclass

@@ -27,7 +27,7 @@ import numpy as np
 from . import inference, kernels
 from .errors import InputError
 from .inference import InnerConfig
-from .likelihood import McConfig, _softmax_terms, normal_draws
+from .likelihood import McConfig, _prepare_batch, _softmax, normal_draws
 
 __all__ = ["FittedEpisode", "fit_episode", "predict_latent", "predict_labels"]
 
@@ -89,10 +89,10 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
 
 
 def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:
-    """Softmax class probabilities from the latent predictive over the node
-    set of mc, read as (S, 1, C); (M, C) with rows summing to 1."""
+    """Softmax class probabilities from the latent predictive, averaged over
+    the node set of mc, which every query shares; (M, C) with rows summing
+    to 1."""
     mu, var = predict_latent(fit, query_x)
-    eps = normal_draws(mc.seed, (mc.samples, mu.shape[1]))[:, None, :]
-    _, e, total = _softmax_terms(mu, np.sqrt(np.maximum(var, 0.0)), eps)
-    e /= total
-    return np.ascontiguousarray(np.mean(e, axis=0).T)
+    eps = normal_draws(mc.seed, (mc.samples, mu.shape[1]))
+    mu, var, eps = _prepare_batch(mu, np.maximum(var, 0.0), eps)
+    return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), eps), axis=-1).T)

@@ -1,9 +1,10 @@
 """Reference formulas and draws that only the tests use.
 
 The softmax formulas reduce over a last class axis, (S, N, C), the way the
-package computed them before its class-leading kernel; the tests hold the
-package to these bit for bit. `point_loglik` and `point_grads` evaluate the
-package's estimators at one point, and `grad_mean_params` chains its
+package computed them before its class-leading kernel. That kernel lays the
+logits out (C, N, S) and forms p as e / sum, so the tests hold it to these
+formulas within rounding, not bit for bit. `point_loglik` and `point_grads`
+evaluate the package's estimators at one point, and `grad_mean_params` chains its
 gradients to the point's mean parameters. `dense_moments` gives a state's
 means and full covariances: a mirror-descent state's by dense solves from
 its sites, independent of the site-form path, a gradient-ascent state's as
@@ -50,6 +51,7 @@ def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
 
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     m, v, eps = _prepare_batch(m, v, eps)
+    eps = eps.T  # back to (S, N or 1, C)
     f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
     ll = np.sum(np.asarray(Y, dtype=float)[None, :, :] * last_axis_log_softmax(f), axis=2)
     if weights is None:
@@ -59,6 +61,7 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
 
 def batch_grads_mv(m, v, Y, eps, weights=None):
     m, v, eps = _prepare_batch(m, v, eps)
+    eps = eps.T  # back to (S, N or 1, C)
     f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
     p = np.exp(last_axis_log_softmax(f))
     Y = np.asarray(Y, dtype=float)

@@ -88,6 +88,22 @@ class TestReliabilityTable:
         assert t.total == 1
         assert np.sum(t.count > 0) == 1
 
+    def test_lone_prediction_sets_mce(self):
+        # 16 calibrated predictions at confidence 0.3125 with 5 hits fill bin
+        # 5 of 15; one correct prediction alone in bin 6 sets the MCE by
+        # itself. At a confidence 0.01 lower it joins bin 5, and the MCE
+        # falls to the ECE, which barely moves.
+        group = [[0.3125, 0.3125, 0.25, 0.125]] * 16
+        y = np.array([0] * 5 + [1] * 11 + [0])
+        alone = np.array(group + [[0.34, 0.22, 0.22, 0.22]])
+        joined = np.array(group + [[0.33, 0.23, 0.22, 0.22]])
+        assert list(metrics.reliability_table(alone, y).count[4:6]) == [16, 1]
+        assert metrics.mce(alone, y) == pytest.approx(0.66, abs=1e-12)
+        assert metrics.ece(alone, y) == pytest.approx(0.66 / 17, abs=1e-12)
+        assert list(metrics.reliability_table(joined, y).count[4:6]) == [17, 0]
+        assert metrics.mce(joined, y) == pytest.approx(0.67 / 17, abs=1e-12)
+        assert metrics.ece(joined, y) == pytest.approx(0.67 / 17, abs=1e-12)
+
     def test_counts_sum_to_m_and_table_matches_ece(self):
         probs, y = random_case(0)
         t = metrics.reliability_table(probs, y, bins=15)

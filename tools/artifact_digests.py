@@ -22,9 +22,22 @@ For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
 artifact bytes passes when ``diff`` finds nothing between the outputs of the
 parent and of the change.
+
+    python3 tools/artifact_digests.py --compare ../parent > changes.txt
+
+runs the same set on the ``src/`` of a second checkout too (here
+``../parent``, read as the old side) and prints, for each run, file and
+numeric column (CSV) or key (JSON), the largest absolute and relative
+difference between the two sides, or ``identical``. JSON keys are dotted
+paths; list entries count as one key, ``[]``, or ``[name]`` for entries
+that carry a ``name``. Text that differs prints ``differs``, and a run
+whose exit code differs says so. A change that moves artifacts by rounding
+reports its largest moves from this output.
 """
 
+import argparse
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -82,19 +95,114 @@ def run_set() -> list[tuple[str, list[str]]]:
     return runs
 
 
-def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+def run_in(root: Path, work: Path):
+    """Run the run set on the src/ of checkout `root`, in `work`; yield
+    (name, completed process, output directory) after each run."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
+    (work / "base.json").write_text(json.dumps(base_config()), encoding="utf-8")
+    for name, args in run_set():
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdgpc.cli", *args],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        yield name, proc, work / "out" / name
+
+
+def _flatten(obj, path: str, out: dict) -> None:
+    """Leaves of a JSON value by dotted key path, list entries merged."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _flatten(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(obj, list):
+        for item in obj:
+            label = item.get("name") if isinstance(item, dict) else None
+            _flatten(item, f"{path}[{label if isinstance(label, str) else ''}]", out)
+    else:
+        out.setdefault(path, []).append(obj)
+
+
+def _fields(path: Path) -> dict:
+    """A CSV's columns or a JSON file's keys, each a list of its values;
+    any other file is one field of its bytes."""
+    if path.suffix == ".csv":
+        with path.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        return {col: [row[j] for row in rows[1:]] for j, col in enumerate(rows[0])} if rows else {}
+    if path.suffix == ".json":
+        out = {}
+        _flatten(json.loads(path.read_text(encoding="utf-8")), "", out)
+        return out
+    return {"(bytes)": [path.read_bytes()]}
+
+
+def _as_floats(values: list):
+    """The values as floats, or None if any is not a number."""
+    if any(isinstance(v, (bool, bytes)) for v in values):
+        return None
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        return None
+
+
+def compare_field(old: list, new: list) -> str:
+    """`identical`, the largest absolute and relative difference, or `differs`."""
+    if old == new:
+        return "identical"
+    a, b = _as_floats(old), _as_floats(new)
+    if a is None or b is None or len(a) != len(b):
+        return "differs"
+    diff = [abs(x - y) for x, y in zip(a, b)]
+    rel = [d / max(abs(x), abs(y)) for d, x, y in zip(diff, a, b) if d > 0.0]
+    return f"max abs {max(diff):.2g}, max rel {max(rel, default=0.0):.2g}"
+
+
+def compare_dirs(old: Path, new: Path) -> list[str]:
+    """One `file field: result` line for every field of every file either
+    output directory holds."""
+    files = sorted({
+        p.relative_to(d).as_posix()
+        for d in (old, new) if d.is_dir()
+        for p in d.rglob("*") if p.is_file()
+    })
+    lines = []
+    for rel in files:
+        if not (old / rel).is_file() or not (new / rel).is_file():
+            lines.append(f"{rel}: only in the {'new' if (new / rel).is_file() else 'old'} output")
+            continue
+        a, b = _fields(old / rel), _fields(new / rel)
+        for key in list(a) + [k for k in b if k not in a]:
+            if key not in a or key not in b:
+                lines.append(f"{rel} {key}: only in the {'new' if key in b else 'old'} output")
+            else:
+                lines.append(f"{rel} {key}: {compare_field(a[key], b[key])}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", type=Path, metavar="CHECKOUT",
+                        help="also run the set on the src/ of CHECKOUT (the old side) and print "
+                             "the largest difference of every artifact value instead of digests")
+    args = parser.parse_args()
+    if args.compare is not None and not (args.compare / "src" / "mdgpc").is_dir():
+        parser.error(f"{args.compare} holds no src/mdgpc")
     with tempfile.TemporaryDirectory(prefix="artifact_digests_") as tmp:
-        work = Path(tmp)
-        (work / "base.json").write_text(json.dumps(base_config()), encoding="utf-8")
-        for name, args in run_set():
-            proc = subprocess.run(
-                [sys.executable, "-m", "mdgpc.cli", *args],
-                cwd=work, env=env, capture_output=True, text=True,
-            )
-            out = work / "out" / name
+        if args.compare is not None:
+            old, new = Path(tmp, "old"), Path(tmp, "new")
+            codes = []
+            for work, root in ((old, args.compare.resolve()), (new, ROOT)):
+                work.mkdir()
+                codes.append({name: proc.returncode for name, proc, _ in run_in(root, work)})
+            for name, _ in run_set():
+                if codes[0][name] != codes[1][name]:
+                    print(f"{name}: exit {codes[0][name]} -> {codes[1][name]}")
+                for line in compare_dirs(old / "out" / name, new / "out" / name):
+                    print(f"{name}/{line}", flush=True)
+            return 0
+        for name, proc, out in run_in(ROOT, Path(tmp)):
             files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
             for path in files:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
