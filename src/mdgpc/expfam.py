@@ -1,27 +1,26 @@
-"""SPD kernels: jittered Cholesky factors, solves, log-determinants and the KL.
+"""SPD kernels on numpy: jittered Cholesky factors, solves and the Gaussian KL.
 
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
 :class:`~mdgpc.errors.NumericalError`. :func:`gaussian_kl` takes plain
-arrays, ``gaussian_kl(m_q, L_q, L_p)``, where m_q is the first mean measured
-from the second and L_q and L_p are the lower Cholesky factors of the two
-covariances, so it factors nothing: a caller holds the factor of its
-posterior and of its zero-mean GP prior.
+arrays, ``gaussian_kl(m_q, L_q, Lp_inv)``, where m_q is the first mean
+measured from the second, L_q is the lower Cholesky factor of the first
+covariance and Lp_inv the inverse of the second's, so it neither factors nor
+solves: a caller holds the factor of its posterior and inverts its zero-mean
+GP prior's factor once.
 
-The kernels call LAPACK directly: ``dpotrf`` factors, ``dpotrs`` solves
-with a factor and ``dtrtrs`` does the triangular solves of
-:func:`gaussian_kl`. These are the routines behind ``scipy.linalg.cholesky``,
-``cho_solve`` and ``solve_triangular``, so the results are bit for bit the
-same, without scipy's per-call wrapper cost. The finite checks that scipy's
-``check_finite`` made live here instead: :func:`spd_cholesky` tests its
+Every kernel is written on ``np.linalg`` and takes a single matrix or a
+(C, N, N) stack, one right-hand side or mean per slice. numpy has no
+triangular solve, so :func:`chol_solve` inverts the factor and multiplies
+twice. Finite checks guard the operands: :func:`spd_cholesky` tests its
 input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
 difference and q's factor (p's comes from :func:`spd_cholesky`). A
-non-finite operand raises :class:`~mdgpc.errors.NumericalError`.
+non-finite operand, or a singular factor passed to :func:`chol_solve`,
+raises :class:`~mdgpc.errors.NumericalError`.
 
-:func:`spd_cholesky` and :func:`chol_solve` also take a (C, N, N) stack, with
-one right-hand side per factor. They check the stack once, then call LAPACK
-slice by slice (scipy has no batched form), so each slice is bit for bit the
-result for that matrix alone, jitter ladder included.
+:func:`spd_cholesky` factors a stack in one call. Only if that call fails
+does it run the jitter ladder, slice by slice, so each slice is bit for bit
+the factor of that matrix alone, jitter included.
 
 The exponential-family identities these kernels serve (natural and mean
 parameters, the log-partition function and its Fenchel conjugate, the
@@ -29,7 +28,6 @@ Bregman divergence) are checked by :mod:`mdgpc.verify`.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import InputError, NumericalError
 
@@ -61,6 +59,10 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise InputError(f"expected square matrix, got shape {a.shape}")
     _check_finite(a, "matrix")
+    try:
+        return np.linalg.cholesky(a), 0.0
+    except np.linalg.LinAlgError:
+        pass
     if a.ndim == 2:
         return _jittered_cholesky(a)
     factors, jitters = zip(*map(_jittered_cholesky, a))
@@ -71,22 +73,15 @@ def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     while True:
         target = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-        L, info = dpotrf(target, lower=1, clean=1)
-        if info == 0:
-            return L, jitter
-        if info < 0:
-            raise NumericalError(f"dpotrf rejected argument {-info} for shape {a.shape}")
-        jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
+        try:
+            return np.linalg.cholesky(target), jitter
+        except np.linalg.LinAlgError:
+            jitter = JITTER_INITIAL if jitter == 0.0 else 2.0 * jitter
         if jitter > JITTER_MAX:
             raise NumericalError(
                 f"matrix of shape {a.shape} not positive definite "
                 f"(jitter ladder exhausted at {JITTER_MAX:g})"
             )
-
-
-def chol_logdet(chol_lower: np.ndarray) -> float:
-    """log-determinant of A from its lower Cholesky factor."""
-    return float(2.0 * np.sum(np.log(np.diag(chol_lower))))
 
 
 def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,44 +92,37 @@ def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InputError(f"factor of shape {chol_lower.shape} and right-hand side {b.shape}")
     _check_finite(chol_lower, "Cholesky factor")
     _check_finite(b, "right-hand side")
-    if chol_lower.ndim == 2:
-        return _potrs(chol_lower, b)
-    return np.stack([_potrs(L, rhs) for L, rhs in zip(chol_lower, b)])
+    try:
+        inv = np.linalg.inv(chol_lower)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"Cholesky factor of shape {chol_lower.shape} is singular") from None
+    column = b.ndim < chol_lower.ndim
+    x = inv.swapaxes(-1, -2) @ (inv @ (b[..., None] if column else b))
+    return x[..., 0] if column else x
 
 
-def _potrs(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, info = dpotrs(chol_lower, b, lower=1)
-    if info != 0:
-        raise NumericalError(f"dpotrs rejected argument {-info}")
-    return x
+def gaussian_kl(m_q: np.ndarray, L_q: np.ndarray, Lp_inv: np.ndarray) -> np.ndarray:
+    """KL( N(m_q, L_q L_q') || N(0, S_p) ) from q's lower Cholesky factor L_q
+    and the inverse Lp_inv of the lower Cholesky factor of S_p.
 
-
-def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for lower-triangular L, as scipy's solve_triangular orders it."""
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, b, lower=1)
-    else:  # dtrtrs reads Fortran order: solve the transposed system
-        x, info = dtrtrs(L.T, b, lower=0, trans=1)
-    if info != 0:
-        raise NumericalError(f"dtrtrs failed with info {info}")
-    return x
-
-
-def gaussian_kl(m_q: np.ndarray, L_q: np.ndarray, L_p: np.ndarray) -> float:
-    """KL( N(m_q, L_q L_q') || N(0, L_p L_p') ) from the lower Cholesky factors.
-
-    L_p is the factor that :func:`spd_cholesky` returned for S_p. The KL is
+    Takes one Gaussian, m_q (N,), or a stack, m_q (C, N) with (C, N, N)
+    factors, and returns the KL of each, () or (C,). The KL is
     translation-invariant, so against a mean m_p the caller passes m_q - m_p.
     """
-    n = m_q.shape[0]
-    if L_q.shape != (n, n) or L_p.shape != (n, n):
-        raise InputError(f"dimension mismatch: m_q {m_q.shape}, L_q {L_q.shape}, L_p {L_p.shape}")
+    n = m_q.shape[-1]
+    if L_q.shape != m_q.shape + (n,) or Lp_inv.shape != L_q.shape:
+        raise InputError(
+            f"dimension mismatch: m_q {m_q.shape}, L_q {L_q.shape}, Lp_inv {Lp_inv.shape}"
+        )
     _check_finite(m_q, "mean difference")
     _check_finite(L_q, "Cholesky factor")
-    sol = _solve_lower(L_p, m_q)
+    sol = Lp_inv @ m_q[..., None]
     # tr(S_p^{-1} S_q) = || L_p^{-1} L_q ||_F^2
-    w = _solve_lower(L_p, L_q)
-    trace_term = float(np.sum(w * w))
-    return 0.5 * (
-        trace_term + float(sol @ sol) - n + chol_logdet(L_p) - chol_logdet(L_q)
+    w = Lp_inv @ L_q
+    half_logdet_p = -np.sum(np.log(np.diagonal(Lp_inv, axis1=-2, axis2=-1)), axis=-1)
+    half_logdet_q = np.sum(np.log(np.diagonal(L_q, axis1=-2, axis2=-1)), axis=-1)
+    return (
+        0.5 * (np.sum(w * w, axis=(-2, -1)) + np.sum(sol * sol, axis=(-2, -1)) - n)
+        + half_logdet_p
+        - half_logdet_q
     )

@@ -14,7 +14,7 @@ diagonal Gaussian sites:
 where the site naturals are alpha (linear) and beta (quadratic, beta <= 0),
 so Sigma^c = (K^{c-1} - 2 diag(beta^c))^{-1} and m^c = Sigma^c alpha^c. With
 W = sqrt(-2 beta), B = I + W K W = L_B L_B' and X = B^{-1} W K, the step and
-the ELBO read only what `posterior_from_sites` takes from L_B and X:
+the ELBO read only what `posterior_from_sites` takes from L_B, B^{-1} and X:
 
     u = K^{-1} m = alpha - W X alpha,     m = K u,
     v = diag K - rowsum(K W o X'),
@@ -32,13 +32,13 @@ Every state gives the same three things: means ``m`` and marginal variances
 ``kl`` (C,), and the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
 that prediction and the outer gradient use, from ``kinv_terms``. The
 mirror-descent state holds its (C, N) site naturals ``alpha`` and ``beta``,
-and the ``u`` and factor ``chol_b`` of B its last step computed, so
-``kinv_terms`` factors nothing; the gradient-ascent state holds its
-(C, N, N) Cholesky factors ``chol``.
+and the ``u`` and inverse ``binv`` of B its last step computed, so
+``kinv_terms`` is the elementwise product W B^{-1} W and neither factors
+nor solves; the gradient-ascent state holds its (C, N, N) Cholesky factors
+``chol``.
 ``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``. The step
 arithmetic is written once for all classes, with batched ``@`` on the
-stacks; only the SPD factorizations and solves of :mod:`mdgpc.expfam` run
-slice by slice, each as it would for one class.
+stacks, and the SPD kernels of :mod:`mdgpc.expfam` take the stacks whole.
 
 Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 ``gd_step(state, Y, lr, lik)`` take checked one-hot labels, a rate and the
@@ -52,9 +52,11 @@ derive_seed(mc.seed, 1)), or on its first COARSE_NODES nodes for the first
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes K + jitter I and its Cholesky factor once. `md_init` and `gd_init`
 stack what their steps read, once per episode, into the state: K + jitter I
-for mirror descent, the factors and K^{-1} (one stacked solve) for gradient
-ascent. Neither factors anything else: the only factorizations at run time
-are those of the Grams and of B.
+for mirror descent; for gradient ascent the inverses of the prior factors,
+which its KL reads, and the symmetric K^{-1} formed from them. Neither
+factors anything else: the only factorizations at run time are those of the
+Grams and of B. B's eigenvalues are at least 1, so a mirror step inverts B
+itself; a gradient-ascent step inverts its factor L for Sigma^{-1}.
 """
 
 from dataclasses import dataclass, replace
@@ -77,7 +79,6 @@ __all__ = [
     "elbo",
     "inner_states",
     "run_inner",
-    "site_factor",
     "posterior_from_sites",
 ]
 
@@ -92,17 +93,16 @@ class VariationalState:
     v: np.ndarray  # (C, N) posterior marginal variances
     kl: np.ndarray  # (C,) KL(q^c || prior^c)
     u: np.ndarray  # (C, N) K^{-1} m
-    chol_b: np.ndarray  # (C, N, N) Cholesky factors of B = I + W K W
+    binv: np.ndarray  # (C, N, N) inverses of B = I + W K W
     k_eff: np.ndarray  # (C, N, N) prior covariances, stacked once by md_init
 
     def kinv_terms(self) -> tuple:
         """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), (C, N) and (C, N, N).
 
-        Woodbury form: core = W B^{-1} W, from the factor of B the last step kept.
+        Woodbury form: core = W B^{-1} W, from the inverse of B the last step kept.
         """
         W = _site_scale(self.beta)
-        core = W[:, :, None] * chol_solve(self.chol_b, W[:, :, None] * np.eye(W.shape[1]))
-        return self.u, core
+        return self.u, W[:, :, None] * self.binv * W[:, None, :]
 
 
 @dataclass
@@ -111,8 +111,8 @@ class GdState:
 
     m: np.ndarray  # (C, N) posterior means
     chol: np.ndarray  # (C, N, N) lower-triangular factors
-    prior_chol: np.ndarray  # (C, N, N) prior factors, stacked once by gd_init
-    kinv: np.ndarray  # (C, N, N) prior inverses, stacked once by gd_init
+    prior_chol_inv: np.ndarray  # (C, N, N) inverses of the prior factors, from gd_init
+    kinv: np.ndarray  # (C, N, N) symmetric prior inverses, from gd_init
 
     @property
     def v(self) -> np.ndarray:
@@ -121,14 +121,13 @@ class GdState:
 
     @property
     def kl(self) -> np.ndarray:
-        """(C,) KL(q^c || prior^c) from the factors of both covariances."""
-        return np.array([gaussian_kl(*args) for args in zip(self.m, self.chol, self.prior_chol)])
+        """(C,) KL(q^c || prior^c) from L and the inverses of the prior factors."""
+        return gaussian_kl(self.m, self.chol, self.prior_chol_inv)
 
     def kinv_terms(self) -> tuple:
         """(u, core) = (K^{-1} m, K^{-1} - (K^{-1} L)(K^{-1} L)'), dense."""
-        Kinv = _symmetrize(self.kinv)
-        KiL = Kinv @ self.chol
-        return _matvec(Kinv, self.m), Kinv - KiL @ KiL.swapaxes(1, 2)
+        KiL = self.kinv @ self.chol
+        return _matvec(self.kinv, self.m), self.kinv - KiL @ KiL.swapaxes(1, 2)
 
 
 # The first 2^6 points of a Sobol set are a balanced net of their own.
@@ -176,31 +175,27 @@ def _site_scale(beta: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.minimum(beta, 0.0))
 
 
-def site_factor(K: np.ndarray, beta: np.ndarray):
-    """W = sqrt(-2 beta) and the Cholesky factors of B = I + W K W, for the
-    (C, N, N) prior covariances K and the (C, N) sites beta."""
+def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """(m, v, kl, u, binv): the means, marginal variances and KL to the prior
+    N(0, K) of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same
+    inverse), stacked by class, from B = I + W K W alone, with W = sqrt(-2
+    beta): log|B| from its factor LB and X = B^{-1} W K from its inverse binv.
+    B's eigenvalues are at least 1, so the inverse is well conditioned;
+    u = K^{-1} m and binv are kept for `kinv_terms`.
+    """
     W = _site_scale(beta)
     B = np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
     LB, _ = spd_cholesky(B)
-    return W, LB
-
-
-def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(m, v, kl, u, LB): the means, marginal variances and KL to the prior
-    N(0, K) of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same
-    inverse), stacked by class, from the factor LB of B and X = B^{-1} W K
-    alone; u = K^{-1} m and LB are kept for `kinv_terms`.
-    """
-    W, LB = site_factor(K, beta)
+    binv = np.linalg.inv(B)
     KW = K * W[:, None, :]
-    X = chol_solve(LB, KW.swapaxes(1, 2))
+    X = binv @ KW.swapaxes(1, 2)
     u = alpha - W * _matvec(X, alpha)  # K^{-1} m
     m = _matvec(K, u)
     v = np.diagonal(K, axis1=1, axis2=2) - np.einsum("cij,cji->ci", KW, X)
     # tr(K^{-1} Sigma) = N - sum_i W_i X_ii and log|K| - log|Sigma| = log|B|
     half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
     kl = 0.5 * np.sum(m * u - W * np.diagonal(X, axis1=1, axis2=2), axis=1) + half_logdet_b
-    return m, v, kl, u, LB
+    return m, v, kl, u, binv
 
 
 def md_init(prior_grams: list) -> VariationalState:
@@ -209,9 +204,9 @@ def md_init(prior_grams: list) -> VariationalState:
         raise InputError("need at least one class")
     k_eff = np.stack([g.k_eff for g in prior_grams])
     zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
-    kl, chol_b = np.zeros(len(k_eff)), np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
+    kl, binv = np.zeros(len(k_eff)), np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
     return VariationalState(
-        alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, u=zeros, chol_b=chol_b, k_eff=k_eff
+        alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, u=zeros, binv=binv, k_eff=k_eff
     )
 
 
@@ -225,8 +220,8 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     d2 = g_v.T
     alpha = (1.0 - rho) * state.alpha + rho * d1
     beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
-    m, v, kl, u, chol_b = posterior_from_sites(state.k_eff, alpha, beta)
-    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, chol_b=chol_b)
+    m, v, kl, u, binv = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, binv=binv)
 
 
 def gd_init(prior_grams: list) -> GdState:
@@ -234,8 +229,9 @@ def gd_init(prior_grams: list) -> GdState:
     if not prior_grams:
         raise InputError("need at least one class")
     chol = np.stack([g.chol for g in prior_grams])
-    kinv = chol_solve(chol, np.broadcast_to(np.eye(chol.shape[1]), chol.shape))
-    return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol=chol, kinv=kinv)
+    chol_inv = np.linalg.inv(chol)
+    kinv = _symmetrize(chol_inv.swapaxes(1, 2) @ chol_inv)
+    return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol_inv=chol_inv, kinv=kinv)
 
 
 def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
@@ -253,7 +249,7 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
     g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
     m, L = state.m, state.chol
     d = np.arange(m.shape[1])  # diagonal entries are [:, d, d]
-    grad_m = g_m.T - chol_solve(state.prior_chol, m)
+    grad_m = g_m.T - _matvec(state.kinv, m)
     Sinv = chol_solve(L, np.broadcast_to(np.eye(d.size), L.shape))
     GSig = np.zeros_like(Sinv)
     GSig[:, d, d] = g_v.T

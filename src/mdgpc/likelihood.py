@@ -30,7 +30,8 @@ Inference", ICML 2018): the first S points of the Sobol sequence, with Joe
 & Kuo's direction numbers (SIAM J. Sci. Comput. 2008) as scipy ships them,
 digitally shifted by a seeded 52-bit mask per dimension and mapped through
 the standard normal quantile (Wichura's AS241). The unshifted net is built
-once per (S, C) and cached; a power-of-two S keeps it balanced.
+once per (S, C) and cached, under a lock, so threads that ask for one net
+at once read the table once; a power-of-two S keeps it balanced.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), with the
@@ -44,6 +45,7 @@ last-axis (S, N, C) formulas to rounding, not bit for bit.
 """
 
 import functools
+import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,6 +147,11 @@ def _npy_columns(archive: zipfile.ZipFile, name: str, rows: int, cols: int) -> n
     return out
 
 
+# lru_cache lets two threads compute one missing entry at once; normal_draws
+# holds this lock around the lookup, so each (n, dim) net is read once.
+_NET_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=16)
 def _sobol_net(n: int, dim: int) -> np.ndarray:
     """The first n points of the unscrambled Gray-code Sobol sequence in dim
@@ -186,7 +193,9 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     """
     n, dim = (int(x) for x in shape)
     shift = np.random.default_rng(seed).integers(1 << _BITS, size=dim, dtype=np.uint64)
-    return _norm_quantile(((_sobol_net(n, dim) ^ shift) + 0.5) * 2.0**-_BITS)
+    with _NET_LOCK:
+        net = _sobol_net(n, dim)
+    return _norm_quantile(((net ^ shift) + 0.5) * 2.0**-_BITS)
 
 
 def _prepare_batch(m, v, eps):

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
-from .expfam import chol_logdet, chol_solve, gaussian_kl, spd_cholesky
+from .expfam import chol_solve, gaussian_kl, spd_cholesky
 from .inference import _validate_labels, md_init, md_step
 from .likelihood import SoftmaxLikelihood, batch_expected_loglik, batch_grads_mv
 from .seeding import derive_seed, rng_for
@@ -66,9 +66,14 @@ __all__ = [
     "run", "ngd_verify", "central_diff", "random_moments", "tiny_instance",
     "moments_to_natural", "natural_to_moments", "moments_to_mean", "log_partition",
     "neg_entropy", "pairing", "bregman_h", "sym_coord_count", "natural_to_coords",
-    "coords_to_natural", "mean_to_dual_coords", "gauss_hermite_draws",
+    "coords_to_natural", "mean_to_dual_coords", "gauss_hermite_draws", "chol_logdet",
     "GaussianSiteLikelihood",
 ]
+
+
+def chol_logdet(chol_lower: np.ndarray) -> float:
+    """log-determinant of A from its lower Cholesky factor."""
+    return float(2.0 * np.sum(np.log(np.diag(chol_lower))))
 
 
 def moments_to_natural(m: np.ndarray, Sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,11 +238,11 @@ def _objective_at(coords, prior_grams, Y, lik, n, c):
     means, covs = zip(
         *(natural_to_moments(*coords_to_natural(coords[i * p : (i + 1) * p], n)) for i in range(c))
     )
-    variances = np.stack([np.diag(S) for S in covs])
-    total = lik.expected_loglik(np.stack(means).T, variances.T, Y)
-    for m_c, S_c, g in zip(means, covs, prior_grams):
-        total -= gaussian_kl(m_c, spd_cholesky(S_c)[0], g.chol)
-    return float(total)
+    means, covs = np.stack(means), np.stack(covs)
+    variances = np.diagonal(covs, axis1=1, axis2=2)
+    prior_chol_inv = np.linalg.inv(np.stack([g.chol for g in prior_grams]))
+    kl = gaussian_kl(means, spd_cholesky(covs)[0], prior_chol_inv)
+    return float(lik.expected_loglik(means.T, variances.T, Y) - np.sum(kl))
 
 
 def ngd_verify(
@@ -350,7 +355,7 @@ def _check_bregman_kl(seed: int) -> float:
         rng = rng_for(seed, seeding.STREAM_VERIFY, 3, i)
         (m_q, S_q), (m_p, S_p) = random_moments(rng, 3), random_moments(rng, 3)
         breg = bregman_h(*moments_to_mean(m_q, S_q), *moments_to_mean(m_p, S_p))
-        kl = gaussian_kl(m_q - m_p, spd_cholesky(S_q)[0], spd_cholesky(S_p)[0])
+        kl = gaussian_kl(m_q - m_p, spd_cholesky(S_q)[0], np.linalg.inv(spd_cholesky(S_p)[0]))
         worst = max(worst, abs(breg - kl))
     return worst
 

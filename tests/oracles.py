@@ -11,9 +11,12 @@ its sites, independent of the site-form path, a gradient-ascent state's as
 L L'. `moments_kl` is `gaussian_kl` between two (m, Sigma) pairs, both
 covariances factored first. `dual_coords_to_mean` inverts the dual
 minimal coordinates of :mod:`mdgpc.verify`. `scipy_spd_cholesky`,
-`scipy_chol_solve` and `scipy_gaussian_kl` are the package's SPD kernels as
-written on ``scipy.linalg`` before they called LAPACK directly; the tests
-hold the direct calls to them bit for bit. `iid_draws` gives tests that need
+`scipy_chol_solve`, `scipy_factor_kl` and `scipy_gaussian_kl` are the
+package's SPD kernels as written on ``scipy.linalg``, with triangular solves
+where the package, on numpy alone, inverts; the tests hold the numpy kernels
+to them within rounding. `scipy_gd_step` is the gradient-ascent step on
+those solves, one class at a time: K^{-1} m by a solve with the prior factor
+and Sigma^{-1} by a solve with L. `iid_draws` gives tests that need
 a general (S, N, C) array their own independent normal draws, since the
 package's draws are one node set (S, C) for all points.
 """
@@ -23,10 +26,10 @@ import scipy.linalg
 
 from mdgpc import likelihood
 from mdgpc.errors import InputError, NumericalError
-from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_logdet
-from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
+from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.likelihood import _prepare_batch
+from mdgpc.verify import chol_logdet
 
 
 def iid_draws(seed: int, shape: tuple) -> np.ndarray:
@@ -122,7 +125,7 @@ def moments_kl(q, p) -> float:
     """KL(q || p) of two (m, Sigma) pairs, both covariances factored by
     spd_cholesky first."""
     (m_q, S_q), (m_p, S_p) = q, p
-    return gaussian_kl(m_q - m_p, spd_cholesky(S_q)[0], spd_cholesky(S_p)[0])
+    return gaussian_kl(m_q - m_p, spd_cholesky(S_q)[0], np.linalg.inv(spd_cholesky(S_p)[0]))
 
 
 def dual_coords_to_mean(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,14 +158,36 @@ def scipy_chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((chol_lower, True), b)
 
 
-def scipy_gaussian_kl(q, p) -> float:
-    (m_q, S_q), (m_p, S_p) = q, p
+def scipy_factor_kl(m_q: np.ndarray, Lq: np.ndarray, Lp: np.ndarray) -> float:
+    """KL( N(m_q, Lq Lq') || N(0, Lp Lp') ) by triangular solves with Lp."""
     n = m_q.shape[0]
-    Lp, _ = scipy_spd_cholesky(S_p)
-    Lq, _ = scipy_spd_cholesky(S_q)
-    sol = scipy.linalg.solve_triangular(Lp, m_q - m_p, lower=True)
+    sol = scipy.linalg.solve_triangular(Lp, m_q, lower=True)
     w = scipy.linalg.solve_triangular(Lp, Lq, lower=True)
     trace_term = float(np.sum(w * w))
     return 0.5 * (
         trace_term + float(sol @ sol) - n + chol_logdet(Lp) - chol_logdet(Lq)
     )
+
+
+def scipy_gaussian_kl(q, p) -> float:
+    """KL(q || p) of two (m, Sigma) pairs, both covariances factored by
+    scipy_spd_cholesky."""
+    (m_q, S_q), (m_p, S_p) = q, p
+    return scipy_factor_kl(m_q - m_p, scipy_spd_cholesky(S_q)[0], scipy_spd_cholesky(S_p)[0])
+
+
+def scipy_gd_step(state, prior_grams: list, Y: np.ndarray, lr: float, lik):
+    """(m, chol) after one gradient-ascent step, class by class on scipy
+    solves with the prior factors of `prior_grams` and with L."""
+    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
+    means, factors = [], []
+    for c, (m, L, g) in enumerate(zip(state.m, state.chol, prior_grams)):
+        eye = np.eye(m.shape[0])
+        GSig = np.diag(g_v[:, c]) - 0.5 * (scipy_chol_solve(g.chol, eye) - scipy_chol_solve(L, eye))
+        GL = np.tril(2.0 * (0.5 * (GSig + GSig.T)) @ L)
+        Lnew = L + lr * np.tril(GL, -1)
+        d = np.diag_indices(m.shape[0])
+        Lnew[d] = L[d] * np.exp(lr * GL[d] * L[d])
+        means.append(m + lr * (g_m[:, c] - scipy_chol_solve(g.chol, m)))
+        factors.append(Lnew)
+    return np.stack(means), np.stack(factors)

@@ -3,11 +3,10 @@ mdgpc.verify builds on them: conversions, potentials, duality."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgpc import expfam, verify
+from mdgpc import verify
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.verify import (
@@ -186,14 +185,27 @@ class TestSpdCholesky:
         with pytest.raises(NumericalError, match="non-finite entries"):
             moments_kl(q, (np.zeros(2), np.eye(2)))
 
+    def test_singular_factor_raises(self):
+        # a factor whose diagonal underflowed to 0 is a numerical failure
+        with pytest.raises(NumericalError, match="singular"):
+            chol_solve(np.diag([1.0, 0.0]), np.ones(2))
+
 
 def spd_matrix(seed: int, n: int) -> np.ndarray:
     a = np.random.default_rng(seed).standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
 
 
+def max_rel(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestLapackPath:
-    """The direct LAPACK calls against their scipy.linalg forms, bit for bit."""
+    """The numpy kernels against their scipy.linalg forms, within rounding.
+    The bounds are 10x the worst deviation measured over these cases, each
+    relative to the largest entry of the scipy result: 2.3e-13 for the
+    factor (the rank-one matrix at n = 25, jittered), 1.0e-15 for the solve
+    and 4.2e-16 for the KL."""
 
     @pytest.mark.parametrize("n", [1, 2, 25])
     def test_factor_and_solve_match_scipy(self, n):
@@ -205,20 +217,24 @@ class TestLapackPath:
             L, jitter = spd_cholesky(a)
             L_ref, jitter_ref = scipy_spd_cholesky(a)
             assert jitter == jitter_ref
-            assert np.array_equal(L, L_ref)
+            assert max_rel(L, L_ref) <= 2.3e-12
             for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.eye(n)):
-                assert np.array_equal(chol_solve(L, b), scipy_chol_solve(L, b))
+                assert max_rel(chol_solve(L, b), scipy_chol_solve(L, b)) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 25])
     def test_kl_matches_scipy(self, n):
         rng = np.random.default_rng(n + 50)
         q = (rng.standard_normal(n), spd_matrix(n + 1, n))
         p = (rng.standard_normal(n), spd_matrix(n + 2, n))
-        Lp, _ = spd_cholesky(p[1])
+        Lp_inv = np.linalg.inv(spd_cholesky(p[1])[0])
         Lq, _ = spd_cholesky(q[1])
-        assert gaussian_kl(q[0] - p[0], Lq, Lp) == scipy_gaussian_kl(q, p)
+        assert gaussian_kl(q[0] - p[0], Lq, Lp_inv) == pytest.approx(
+            scipy_gaussian_kl(q, p), rel=4.2e-15
+        )
         prior = (np.zeros(n), p[1])
-        assert gaussian_kl(q[0], Lq, Lp) == scipy_gaussian_kl(q, prior)
+        assert gaussian_kl(q[0], Lq, Lp_inv) == pytest.approx(
+            scipy_gaussian_kl(q, prior), rel=4.2e-15
+        )
 
     def test_stacked_calls_match_per_matrix_calls(self):
         rng = np.random.default_rng(9)
@@ -234,6 +250,27 @@ class TestLapackPath:
             assert x.shape == b.shape
             assert all(np.array_equal(x[i], chol_solve(L[i], b[i])) for i in range(3))
 
+    def test_only_the_failing_slice_is_jittered(self):
+        # the stacked factorization fails, so the ladder runs slice by slice:
+        # the definite slices keep their jitter-0 factors, and the jitter
+        # returned is the one the rank-one slice needs on its own
+        u = np.random.default_rng(10).standard_normal(6)
+        stack = np.stack([spd_matrix(3, 6), spd_matrix(4, 6), np.outer(u, u)])
+        L, jitter = spd_cholesky(stack)
+        assert jitter > 0.0 and jitter == spd_cholesky(stack[2])[1]
+        for i in (0, 1):
+            assert np.array_equal(L[i], np.linalg.cholesky(stack[i]))
+        assert np.array_equal(L[2], np.linalg.cholesky(stack[2] + jitter * np.eye(6)))
+
+    def test_stacked_kl_matches_per_gaussian_calls(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((3, 6))
+        Lq, _ = spd_cholesky(np.stack([spd_matrix(5 + i, 6) for i in range(3)]))
+        Lp_inv = np.linalg.inv(spd_cholesky(np.stack([spd_matrix(8 + i, 6) for i in range(3)]))[0])
+        kl = gaussian_kl(m, Lq, Lp_inv)
+        assert kl.shape == (3,)
+        assert all(kl[i] == gaussian_kl(m[i], Lq[i], Lp_inv[i]) for i in range(3))
+
     def test_stacked_calls_reject_bad_input(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -5.0])])
         with pytest.raises(NumericalError, match="jitter ladder exhausted"):
@@ -243,10 +280,3 @@ class TestLapackPath:
             spd_cholesky(stack)
         with pytest.raises(InputError, match="right-hand side"):
             chol_solve(np.stack([np.eye(2)] * 3), np.ones((2, 2)))
-
-    def test_triangular_solve_matches_scipy_in_either_layout(self):
-        L, _ = spd_cholesky(spd_matrix(7, 25))
-        b = np.random.default_rng(8).standard_normal((25, 4))
-        for factor in (L, np.ascontiguousarray(L)):
-            ref = scipy.linalg.solve_triangular(factor, b, lower=True)
-            assert np.array_equal(expfam._solve_lower(factor, b), ref)

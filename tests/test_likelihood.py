@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -128,10 +130,37 @@ class TestDraws:
         for seed, eps in enumerate(got):
             np.testing.assert_array_equal(eps, normal_draws(seed, (256, 7)))
 
+    def test_net_is_read_by_one_thread_at_a_time(self, monkeypatch):
+        # threads that miss the cache together wait for the first one's read,
+        # so the table is read once per (S, C)
+        likelihood._sobol_net.cache_clear()
+        inside, overlaps, reads, read = [0], [], [], likelihood._npy_columns
+        count_lock = threading.Lock()
+
+        def slow_read(*args):
+            with count_lock:
+                inside[0] += 1
+                overlaps.append(inside[0] > 1)
+                reads.append(args[1])
+            time.sleep(0.02)
+            with count_lock:
+                inside[0] -= 1
+            return read(*args)
+
+        monkeypatch.setattr(likelihood, "_npy_columns", slow_read)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(lambda seed: normal_draws(seed, (128, 6)), range(8)))
+        finally:
+            likelihood._sobol_net.cache_clear()
+        assert not any(overlaps)
+        assert reads == ["poly.npy", "vinit.npy"]
+
     def test_cli_import_loads_no_scipy_stats_or_special(self):
         code = (
             "import sys, mdgpc.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+            "if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(likelihood.__file__).parents[1]))
         out = subprocess.run(

@@ -68,3 +68,16 @@ def test_compare_field_reads_numbers_from_text(tool):
     assert tool.compare_field(["a", "1"], ["b", "1"]) == "differs"
     assert tool.compare_field([1.0, 2.0], [1.0]) == "differs"
     assert tool.compare_field([None], [0.0]) == "differs"
+
+
+def test_compare_runs_reports_exit_code_and_stderr(tool):
+    fail = "mdgpc: numerical failure: episode 2: GD step 29: non-finite posterior moments\n"
+    moved = fail.replace("episode 2: GD step 29", "episode 18: GD step 3")
+    assert tool.compare_runs("ci", (0, ""), (0, "")) == []
+    assert tool.compare_runs("ci", (2, fail), (2, fail)) == []
+    assert tool.compare_runs("ci", (2, fail), (2, moved)) == [
+        f"ci: stderr {fail.strip()!r} -> {moved.strip()!r}"
+    ]
+    assert tool.compare_runs("ci", (2, fail), (0, "")) == [
+        "ci: exit 2 -> 0", f"ci: stderr {fail.strip()!r} -> ''"
+    ]

@@ -13,10 +13,12 @@ eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
 config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
 ``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and
 compare-inner, so the class sums of 8 or more terms are covered too: 19 runs.
-Last, ``BASE`` with ``kernel.kind=COS`` and with ``kernel.kind=POL2`` each
+Then ``BASE`` with ``kernel.kind=COS`` and with ``kernel.kind=POL2`` each
 runs train and eval at ``--parallel-episodes`` 1 on that checkpoint, so the
 COS and POL branches of the Gram, its diagonal and its backward pass are
-covered too: 23 runs.
+covered too: 23 runs. Last, compare-inner at the default config with
+``kernel.kind`` POL1, POL2 and COS, whose GD baseline fails on a singular
+prior, so the step and message of each failure are pinned too: 26 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -31,8 +33,8 @@ numeric column (CSV) or key (JSON), the largest absolute and relative
 difference between the two sides, or ``identical``. JSON keys are dotted
 paths; list entries count as one key, ``[]``, or ``[name]`` for entries
 that carry a ``name``. Text that differs prints ``differs``, and a run
-whose exit code differs says so. A change that moves artifacts by rounding
-reports its largest moves from this output.
+whose exit code or stderr differs says so, with both sides. A change that
+moves artifacts by rounding reports its largest moves from this output.
 """
 
 import argparse
@@ -75,10 +77,14 @@ def run_set() -> list[tuple[str, list[str]]]:
         add("compare-outer", "compare-outer", *(outer if label == "defaults" else []))
         for seed in (0, 7):
             add(f"verify-s{seed}", "verify", "--set", f"seed={seed}")
-    for label, setting, names in (
-        ("base-c10", "task.C=10", ("train", "eval-p1", "compare-inner")),
-        ("base-cos", "kernel.kind=COS", ("train", "eval-p1")),
-        ("base-pol2", "kernel.kind=POL2", ("train", "eval-p1")),
+    base = ["--config", "base.json"]
+    for label, config, setting, names in (
+        ("base-c10", base, "task.C=10", ("train", "eval-p1", "compare-inner")),
+        ("base-cos", base, "kernel.kind=COS", ("train", "eval-p1")),
+        ("base-pol2", base, "kernel.kind=POL2", ("train", "eval-p1")),
+        ("defaults-pol1", [], "kernel.kind=POL1", ("compare-inner",)),
+        ("defaults-pol2", [], "kernel.kind=POL2", ("compare-inner",)),
+        ("defaults-cos", [], "kernel.kind=COS", ("compare-inner",)),
     ):
         ckpt = f"out/{label}-train/checkpoint.json"
         args = {
@@ -89,7 +95,7 @@ def run_set() -> list[tuple[str, list[str]]]:
         for name in names:
             runs.append((
                 f"{label}-{name}",
-                [*args[name], "--config", "base.json", "--set", setting,
+                [*args[name], *config, "--set", setting,
                  "--set", f"output_dir=out/{label}-{name}"],
             ))
     return runs
@@ -159,6 +165,17 @@ def compare_field(old: list, new: list) -> str:
     return f"max abs {max(diff):.2g}, max rel {max(rel, default=0.0):.2g}"
 
 
+def compare_runs(name: str, old: tuple, new: tuple) -> list[str]:
+    """A line each for the exit code and the stderr of run `name` that differ
+    between the old and new (exit code, stderr)."""
+    lines = []
+    if old[0] != new[0]:
+        lines.append(f"{name}: exit {old[0]} -> {new[0]}")
+    if old[1] != new[1]:
+        lines.append(f"{name}: stderr {old[1].strip()!r} -> {new[1].strip()!r}")
+    return lines
+
+
 def compare_dirs(old: Path, new: Path) -> list[str]:
     """One `file field: result` line for every field of every file either
     output directory holds."""
@@ -192,13 +209,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="artifact_digests_") as tmp:
         if args.compare is not None:
             old, new = Path(tmp, "old"), Path(tmp, "new")
-            codes = []
+            ends = []
             for work, root in ((old, args.compare.resolve()), (new, ROOT)):
                 work.mkdir()
-                codes.append({name: proc.returncode for name, proc, _ in run_in(root, work)})
+                ends.append({
+                    name: (proc.returncode, proc.stderr) for name, proc, _ in run_in(root, work)
+                })
             for name, _ in run_set():
-                if codes[0][name] != codes[1][name]:
-                    print(f"{name}: exit {codes[0][name]} -> {codes[1][name]}")
+                for line in compare_runs(name, ends[0][name], ends[1][name]):
+                    print(line)
                 for line in compare_dirs(old / "out" / name, new / "out" / name):
                     print(f"{name}/{line}", flush=True)
             return 0
