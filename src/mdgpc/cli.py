@@ -79,9 +79,9 @@ _RULES = {
 # One row per config key: (dotted key, default, rule). The default's type is
 # the key's type (a list holds integers); a null default takes its type from
 # its rule. This is the only place a key's type and range are written. The
-# sizes' upper bounds keep every array a run allocates below numpy's 2^63-byte
-# limit, so a run too large for the host ends in MemoryError rather than in
-# numpy's ValueError, and they keep the per-class loops short. The run counts
+# sizes' upper bounds keep every array a run allocates, the (C, N, N) class
+# stacks included, below numpy's 2^63-byte limit, so a run too large for the
+# host ends in MemoryError rather than in numpy's ValueError. The run counts
 # (steps, epochs, episodes, seeds, iterations, instances) are bounded at 10^6
 # too, so a huge count fails at once instead of running until stopped.
 _TABLE = (
@@ -288,15 +288,9 @@ def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
     kc = cfg["kernel"]
     sc = kc["init_scales"]
     fe = kernels.init_extractor(kc["net_dims"], seed=extractor_seed, weight_std=sc["weight_std"])
-    base = [
-        kernels.BaseKernelConfig(
-            kc["kind"],
-            length_scale_raw=float(kernels.softplus_inv(sc["length_scale"])),
-            offset_raw=float(kernels.softplus_inv(sc["offset"])),
-            output_scale_raw=float(kernels.softplus_inv(sc["output_scale"])),
-        )
-        for _ in range(cfg["task"]["C"])
-    ]
+    base = kernels.BaseKernels.at_scales(
+        kc["kind"], cfg["task"]["C"], sc["length_scale"], sc["offset"], sc["output_scale"]
+    )
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
@@ -335,7 +329,7 @@ def _episode_sources(cfg: dict, split: str):
 
 
 def _checkpoint_dict(kernel: kernels.DeepKernel, cfg: dict) -> dict:
-    fe = kernel.extractor
+    fe, base = kernel.extractor, kernel.base
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": [int(d) for d in fe.layer_dims],
@@ -343,10 +337,10 @@ def _checkpoint_dict(kernel: kernels.DeepKernel, cfg: dict) -> dict:
         "biases": [b.tolist() for b in fe.biases],
         "kernels": [
             {
-                "kind": b.kind,
-                "raws": {name: float(getattr(b, name)) for name in b.raw_names()},
+                "kind": base.kind,
+                "raws": {name: float(getattr(base, name)[c]) for name in base.raw_names()},
             }
-            for b in kernel.base
+            for c in range(base.n_classes)
         ],
         "config": cfg,
     }
@@ -386,19 +380,21 @@ def _kernel_from_checkpoint(doc) -> kernels.DeepKernel:
     entries = doc.get("kernels")
     if not isinstance(entries, list) or not entries:
         raise InputError("checkpoint key 'kernels' must be a non-empty list")
-    base = []
-    for i, entry in enumerate(entries):
-        entry = entry if isinstance(entry, dict) else {}
-        b = kernels.BaseKernelConfig(entry.get("kind"))
+    entries = [entry if isinstance(entry, dict) else {} for entry in entries]
+    base = kernels.BaseKernels.at_scales(entries[0].get("kind"), len(entries))
+    names = base.raw_names()
+    for i, entry in enumerate(entries):  # every class has entry 0's kind
         raws = entry.get("raws")
         if not (
-            isinstance(raws, dict)
-            and sorted(raws) == sorted(b.raw_names())
+            entry.get("kind") == base.kind
+            and isinstance(raws, dict)
+            and sorted(raws) == sorted(names)
             and all(map(_finite_number, raws.values()))
         ):
-            raise InputError(f"checkpoint key 'kernels' entry {i} needs raws {b.raw_names()}")
-        base.append(replace(b, **{k: float(v) for k, v in raws.items()}))
-    return kernels.DeepKernel(extractor=fe, base=base)
+            need = f"kind {base.kind!r} and raws {names}"
+            raise InputError(f"checkpoint key 'kernels' entry {i} needs {need}")
+    raws = {name: [entry["raws"][name] for entry in entries] for name in names}
+    return kernels.DeepKernel(extractor=fe, base=replace(base, **raws))
 
 
 def cmd_gen_data(cfg: dict) -> int:
@@ -453,9 +449,9 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
     kern = _kernel_from_checkpoint(_read_json(checkpoint_path, "checkpoint"))
-    if kern.n_classes != cfg["task"]["C"]:
+    if kern.base.n_classes != cfg["task"]["C"]:
         raise InputError(
-            f"checkpoint holds {kern.n_classes} per-class kernels "
+            f"checkpoint holds {kern.base.n_classes} per-class kernels "
             f"but task.C = {cfg['task']['C']}"
         )
     if kern.extractor.layer_dims[0] != cfg["task"]["D"]:
@@ -531,7 +527,7 @@ def cmd_compare_inner(cfg: dict) -> int:
         finals = {}
         with named_failures(f"episode {i}"):
             Z, _ = kernels.extract(kern.extractor, episode.support_x)
-            grams = [kernels.gram(b, Z) for b in kern.base]
+            grams = kernels.gram(kern.base, Z)
             for method in ("MD", "GD"):
                 _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
                 rows.extend([method, i, step, value] for step, value in enumerate(elbos))

@@ -40,14 +40,16 @@ def _check_finite(x: np.ndarray, name: str) -> None:
         raise NumericalError(f"{name} of shape {x.shape} has non-finite entries")
 
 
-def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+def spd_cholesky(a: np.ndarray, slice_jitters=None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of an SPD matrix with a jitter ladder.
 
     Tries ``a`` as given first (jitter 0), then adds ``eps * I`` with eps
     doubling from 1e-8 to 1e-2. Returns ``(L, jitter_used)`` where
     ``L @ L.T = a + jitter_used * I``. For a stack (C, N, N) each slice is
     factored on its own ladder; L is the stack of factors and jitter_used
-    the largest jitter any slice needed.
+    the largest jitter any slice needed. A caller that needs each slice's
+    own jitter passes a (C,) float array as ``slice_jitters``, which
+    receives them.
 
     Raises
     ------
@@ -60,13 +62,15 @@ def spd_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
         raise InputError(f"expected square matrix, got shape {a.shape}")
     _check_finite(a, "matrix")
     try:
-        return np.linalg.cholesky(a), 0.0
+        L, jitters = np.linalg.cholesky(a), (0.0,)
     except np.linalg.LinAlgError:
-        pass
-    if a.ndim == 2:
-        return _jittered_cholesky(a)
-    factors, jitters = zip(*map(_jittered_cholesky, a))
-    return np.stack(factors), max(jitters)
+        if a.ndim == 2:
+            return _jittered_cholesky(a)
+        factors, jitters = zip(*map(_jittered_cholesky, a))
+        L = np.stack(factors)
+    if slice_jitters is not None:
+        slice_jitters[...] = jitters
+    return L, max(jitters)
 
 
 def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:

@@ -50,13 +50,15 @@ derive_seed(mc.seed, 1)), or on its first COARSE_NODES nodes for the first
 `run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
-computes K + jitter I and its Cholesky factor once. `md_init` and `gd_init`
-stack what their steps read, once per episode, into the state: K + jitter I
-for mirror descent; for gradient ascent the inverses of the prior factors,
-which its KL reads, and the symmetric K^{-1} formed from them. Neither
-factors anything else: the only factorizations at run time are those of the
-Grams and of B. B's eigenvalues are at least 1, so a mirror step inverts B
-itself; a gradient-ascent step inverts its factor L for Sigma^{-1}.
+computes the stacked K + jitter I and its Cholesky factors once, as one
+:class:`~mdgpc.kernels.GramResult` that `inner_states`, `md_init` and
+`gd_init` take whole. The inits put what the steps read into the state:
+K + jitter I for mirror descent; for gradient ascent the inverses of the
+prior factors, which its KL reads, and the symmetric K^{-1} formed from
+them. Neither factors anything else: the only factorizations at run time
+are those of the Grams and of B. B's eigenvalues are at least 1, so a
+mirror step inverts B itself; a gradient-ascent step inverts its factor L
+for Sigma^{-1}.
 """
 
 from dataclasses import dataclass, replace
@@ -65,6 +67,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, named_failures
 from .expfam import chol_solve, gaussian_kl, spd_cholesky
+from .kernels import GramResult
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
 
@@ -94,7 +97,7 @@ class VariationalState:
     kl: np.ndarray  # (C,) KL(q^c || prior^c)
     u: np.ndarray  # (C, N) K^{-1} m
     binv: np.ndarray  # (C, N, N) inverses of B = I + W K W
-    k_eff: np.ndarray  # (C, N, N) prior covariances, stacked once by md_init
+    k_eff: np.ndarray  # (C, N, N) prior covariances, from the prior's GramResult
 
     def kinv_terms(self) -> tuple:
         """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), (C, N) and (C, N, N).
@@ -198,11 +201,9 @@ def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     return m, v, kl, u, binv
 
 
-def md_init(prior_grams: list) -> VariationalState:
+def md_init(prior: GramResult) -> VariationalState:
     """Zero sites; the posterior starts at the prior, where B = I and u = 0."""
-    if not prior_grams:
-        raise InputError("need at least one class")
-    k_eff = np.stack([g.k_eff for g in prior_grams])
+    k_eff = prior.k_eff
     zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
     kl, binv = np.zeros(len(k_eff)), np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
     return VariationalState(
@@ -224,11 +225,9 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, binv=binv)
 
 
-def gd_init(prior_grams: list) -> GdState:
+def gd_init(prior: GramResult) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
-    if not prior_grams:
-        raise InputError("need at least one class")
-    chol = np.stack([g.chol for g in prior_grams])
+    chol = prior.chol
     chol_inv = np.linalg.inv(chol)
     kinv = _symmetrize(chol_inv.swapaxes(1, 2) @ chol_inv)
     return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol_inv=chol_inv, kinv=kinv)
@@ -267,7 +266,7 @@ def elbo(state, Y: np.ndarray, lik) -> float:
     return float(lik.expected_loglik(state.m.T, state.v.T, Y) - np.sum(state.kl))
 
 
-def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
+def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):
     """Yield the prior state, then the state after each of `steps` updates.
 
     The labels are checked once, before the prior state. Every step reads one
@@ -285,9 +284,9 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
     method = method.upper()
     if method not in ("MD", "GD"):
         raise InputError(f"unknown inner method {method!r}")
-    state = md_init(prior_grams) if method == "MD" else gd_init(prior_grams)
+    state = md_init(prior) if method == "MD" else gd_init(prior)
     step_fn = md_step if method == "MD" else gd_step
-    n, c = prior_grams[0].K.shape[0], len(prior_grams)
+    c, n, _ = prior.K.shape
     Y = _validate_labels(Y, n, c)
     yield state
     lik = None
@@ -304,7 +303,7 @@ def inner_states(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig
         yield state
 
 
-def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
+def run_inner(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):
     """Run the inner loop, recording the ELBO of every state it visits.
 
     The ELBO is evaluated with one fixed draw set (seed cfg.mc.seed) so
@@ -312,9 +311,9 @@ def run_inner(method: str, prior_grams: list, Y: np.ndarray, cfg: InnerConfig):
     step t names the method and t, as `inner_states` does for the step.
     Returns (final_state, elbos) with steps + 1 values, the first at the prior.
     """
-    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, len(prior_grams))
+    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, len(prior.K))
     elbos = []
-    for t, state in enumerate(inner_states(method, prior_grams, Y, cfg)):
+    for t, state in enumerate(inner_states(method, prior, Y, cfg)):
         with named_failures(f"{method.upper()} step {t}"):
             elbos.append(elbo(state, Y, eval_lik))
     return state, elbos

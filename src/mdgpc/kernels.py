@@ -12,6 +12,11 @@ each multiplied by a trainable output scale. Positive quantities
 mapped through softplus; gradients returned by the backward passes are with
 respect to the raw values.
 
+The C classes' base kernels share one kind and one feature batch and
+differ only in their scales, held as (C,) raw vectors. The Gram functions
+compute the feature-level term once and scale it per class into (C, N, N)
+and (C, M, N) stacks; one `spd_cholesky` call factors a stack.
+
 The extractor's forward pass caches the activations its backward pass
 needs; the Gram's backward pass takes the features from its caller. The
 backward passes implement exact reverse-mode calculus for the maps above,
@@ -155,34 +160,50 @@ def extractor_backward(fe: FeatureExtractor, cache: ForwardCache, dZ: np.ndarray
 
 
 @dataclass
-class BaseKernelConfig:
-    """One base kernel: kind plus raw (pre-softplus) scalar parameters.
+class BaseKernels:
+    """The C base kernels of a deep kernel: one kind, and per raw
+    (pre-softplus) scalar a (C,) vector whose entry c is class c's.
 
     length_scale applies to RBF, offset to POL; output_scale to all kinds.
-    Scales are numpy floats: an overflowing power is inf, not OverflowError.
+    The scales are numpy arrays: an overflowing power is inf, not
+    OverflowError.
     """
 
     kind: str
-    length_scale_raw: float = float(softplus_inv(1.0))
-    offset_raw: float = float(softplus_inv(1.0))
-    output_scale_raw: float = float(softplus_inv(1.0))
+    length_scale_raw: np.ndarray
+    offset_raw: np.ndarray
+    output_scale_raw: np.ndarray
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InputError(
                 f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}"
             )
+        for name in ("length_scale_raw", "offset_raw", "output_scale_raw"):
+            setattr(self, name, np.array(getattr(self, name), dtype=float))
+        if self.n_classes == 0:
+            raise InputError("need at least one class")
+
+    @classmethod
+    def at_scales(cls, kind: str, n_classes: int, length_scale=1.0, offset=1.0, output_scale=1.0):
+        """n_classes base kernels of one kind, every class at the same scales."""
+        scales = (length_scale, offset, output_scale)
+        return cls(kind, *(np.full(n_classes, float(softplus_inv(x))) for x in scales))
 
     @property
-    def length_scale(self) -> float:
+    def n_classes(self) -> int:
+        return self.output_scale_raw.shape[0]
+
+    @property
+    def length_scale(self) -> np.ndarray:
         return softplus(self.length_scale_raw)
 
     @property
-    def offset(self) -> float:
+    def offset(self) -> np.ndarray:
         return softplus(self.offset_raw)
 
     @property
-    def output_scale(self) -> float:
+    def output_scale(self) -> np.ndarray:
         return softplus(self.output_scale_raw)
 
     @property
@@ -200,27 +221,24 @@ class BaseKernelConfig:
 
 @dataclass
 class DeepKernel:
-    """Shared feature extractor plus one base kernel per class."""
+    """Shared feature extractor plus the base kernels, one per class."""
 
     extractor: FeatureExtractor
-    base: list  # list[BaseKernelConfig], length C
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.base)
+    base: BaseKernels
 
 
 @dataclass
 class GramResult:
-    """Gram matrix and the prior covariance factored from it.
+    """The C Gram matrices of a feature batch and the prior covariances
+    factored from them, each stacked (C, N, N).
 
-    K is the raw kernel matrix; k_eff = K + jitter * I, with the jitter
-    :func:`~mdgpc.expfam.spd_cholesky` needed, is the prior covariance the
-    inner loops use (K itself when no jitter was added) and chol its lower
-    Cholesky factor. They are computed once per Gram, since the prior is
-    fixed for a whole episode, and are read-only, so no step can alter them
-    for the steps after it. center is the feature mean used by COS centering
-    (None for other kinds) and is reused for query points at prediction.
+    K is the raw kernel stack; k_eff[c] = K[c] + jitter_c * I, with the
+    jitter :func:`~mdgpc.expfam.spd_cholesky` needed for slice c, is the
+    prior covariance the inner loops use (K itself when no slice needed
+    jitter) and chol its lower Cholesky factors. They are computed once, since
+    the prior is fixed for a whole episode, and are read-only, so no step can
+    alter them for the steps after it. center is the feature mean used by COS
+    centering (None for other kinds), reused for query points at prediction.
     """
 
     K: np.ndarray
@@ -245,36 +263,47 @@ def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def gram(base: BaseKernelConfig, Z: np.ndarray) -> GramResult:
-    """Gram matrix of the base kernel on feature rows Z, plus its factor."""
+def _pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e as float64 scalars take it, one per class (C's pow, inf on
+    overflow): numpy's vectorized power can round the last bit differently,
+    and a class's Gram must not depend on how many classes share its stack."""
+    return np.array([v**e for v in x])
+
+
+def gram(base: BaseKernels, Z: np.ndarray) -> GramResult:
+    """The C Gram matrices of the base kernels on feature rows Z, plus their
+    factors. The feature-level term (U U', the squared distances or Z Z') is
+    computed once and scaled per class."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise InputError(f"Z must be (N, d), got shape {Z.shape}")
     if Z.shape[0] == 0:
         raise InputError("empty feature batch")
-    s = base.output_scale
+    s = base.output_scale[:, None, None]
     center = None
     if base.kind == "COS":
         center = Z.mean(axis=0)
         U, _ = _cos_normalize(Z - center)
         K = s * (U @ U.T)
     elif base.kind == "RBF":
-        l2 = base.length_scale**2
-        K = s * np.exp(-_pairwise_sqdist(Z, Z) / (2.0 * l2))
+        two_l2 = 2.0 * _pow(base.length_scale, 2)
+        K = s * np.exp(-_pairwise_sqdist(Z, Z) / two_l2[:, None, None])
     else:
-        K = s * (Z @ Z.T + base.offset) ** base.degree
-    K = 0.5 * (K + K.T)
-    L, jitter = spd_cholesky(K)
-    # the same sum spd_cholesky factored on its last try
-    k_eff = K + jitter * np.eye(K.shape[0]) if jitter else K
+        K = s * (Z @ Z.T + base.offset[:, None, None]) ** base.degree
+    K = 0.5 * (K + K.swapaxes(1, 2))
+    jitters = np.empty(base.n_classes)
+    L, jitter = spd_cholesky(K, jitters)
+    # each slice's sum spd_cholesky factored on its last try
+    k_eff = K + jitters[:, None, None] * np.eye(K.shape[1]) if jitter else K
     for arr in (K, L, k_eff):
         arr.flags.writeable = False
     return GramResult(K=K, k_eff=k_eff, chol=L, center=center)
 
 
-def gram_backward(base: BaseKernelConfig, Z: np.ndarray, res: GramResult, dK: np.ndarray):
-    """Reverse-mode map from dL/dK to (dL/dZ, dL/d raw params), for the
-    result res of gram(base, Z).
+def gram_backward(base: BaseKernels, Z: np.ndarray, res: GramResult, dK: np.ndarray):
+    """Reverse-mode map from the stack dL/dK (C, N, N) to (dL/dZ, dL/d raw
+    params), for the result res of gram(base, Z). dL/dZ (N, d) sums the
+    classes' terms, since they share Z; each raw gradient is a (C,) vector.
 
     dK is symmetrized first, consistent with K being used only through
     symmetric expressions. Raw-parameter gradients include the softplus
@@ -283,52 +312,42 @@ def gram_backward(base: BaseKernelConfig, Z: np.ndarray, res: GramResult, dK: np
     dK = np.asarray(dK, dtype=float)
     if dK.shape != res.K.shape:
         raise InputError(f"dK shape {dK.shape} != K shape {res.K.shape}")
-    G = 0.5 * (dK + dK.T)
+    G = 0.5 * (dK + dK.swapaxes(1, 2))
     s = base.output_scale
     grads = {}
     if base.kind == "COS":
-        Zc = Z - res.center
-        U, norms = _cos_normalize(Zc)
+        U, norms = _cos_normalize(Z - res.center)
         Ktil = U @ U.T
-        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(
-            base.output_scale_raw
-        )
-        dU = 2.0 * s * (G @ U)
-        dZc = (dU - np.sum(dU * U, axis=1)[:, None] * U) / norms[:, None]
-        dZ = dZc - dZc.mean(axis=0)
+        dU = (2.0 * s)[:, None, None] * (G @ U)
+        dZc = (dU - np.sum(dU * U, axis=2)[:, :, None] * U) / norms[:, None]
+        dZ = dZc - dZc.mean(axis=1, keepdims=True)
     elif base.kind == "RBF":
         l = base.length_scale
         D2 = _pairwise_sqdist(Z, Z)
-        Ktil = np.exp(-D2 / (2.0 * l * l))
-        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(
-            base.output_scale_raw
+        Ktil = np.exp(-D2 / (2.0 * l * l)[:, None, None])
+        W = s[:, None, None] * G * Ktil
+        grads["length_scale_raw"] = (
+            np.sum(W * D2, axis=(1, 2)) / _pow(l, 3) * _sigmoid(base.length_scale_raw)
         )
-        W = s * G * Ktil
-        grads["length_scale_raw"] = float(np.sum(W * D2) / l**3) * _sigmoid(
-            base.length_scale_raw
-        )
-        dZ = (-2.0 / (l * l)) * (W.sum(axis=1)[:, None] * Z - W @ Z)
+        dZ = (-2.0 / (l * l))[:, None, None] * (W.sum(axis=2)[:, :, None] * Z - W @ Z)
     else:
-        c, d = base.offset, base.degree
-        P = Z @ Z.T + c
+        d = base.degree
+        P = Z @ Z.T + base.offset[:, None, None]
         Pm1 = P ** (d - 1)
         Ktil = Pm1 * P
-        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(
-            base.output_scale_raw
-        )
-        grads["offset_raw"] = float(s * d * np.sum(G * Pm1)) * _sigmoid(base.offset_raw)
-        M = s * d * (G * Pm1)
+        grads["offset_raw"] = s * d * np.sum(G * Pm1, axis=(1, 2)) * _sigmoid(base.offset_raw)
+        M = (s * d)[:, None, None] * (G * Pm1)
         dZ = 2.0 * (M @ Z)
-    return dZ, grads
+    # K = s Ktil for every kind
+    grads["output_scale_raw"] = np.sum(G * Ktil, axis=(1, 2)) * _sigmoid(base.output_scale_raw)
+    return dZ.sum(axis=0), grads
 
 
-def cross_gram(
-    base: BaseKernelConfig, Zq: np.ndarray, Zs: np.ndarray, center=None
-) -> np.ndarray:
-    """k(query, support) matrix; COS centers both sides with the given mean."""
+def cross_gram(base: BaseKernels, Zq: np.ndarray, Zs: np.ndarray, center=None) -> np.ndarray:
+    """k(query, support) per class, (C, M, N); COS centers both sides with center."""
     Zq = np.asarray(Zq, dtype=float)
     Zs = np.asarray(Zs, dtype=float)
-    s = base.output_scale
+    s = base.output_scale[:, None, None]
     if base.kind == "COS":
         if center is None:
             raise InputError("COS cross_gram needs the support centering mean")
@@ -336,19 +355,20 @@ def cross_gram(
         Us, _ = _cos_normalize(Zs - center)
         return s * (Uq @ Us.T)
     if base.kind == "RBF":
-        l2 = base.length_scale**2
-        return s * np.exp(-_pairwise_sqdist(Zq, Zs) / (2.0 * l2))
-    return s * (Zq @ Zs.T + base.offset) ** base.degree
+        two_l2 = 2.0 * _pow(base.length_scale, 2)
+        return s * np.exp(-_pairwise_sqdist(Zq, Zs) / two_l2[:, None, None])
+    return s * (Zq @ Zs.T + base.offset[:, None, None]) ** base.degree
 
 
-def gram_diag(base: BaseKernelConfig, Zq: np.ndarray) -> np.ndarray:
-    """Diagonal k(z, z) for query rows; equals output_scale for COS and RBF.
+def gram_diag(base: BaseKernels, Zq: np.ndarray) -> np.ndarray:
+    """Diagonal k(z, z) per class for query rows, (C, M); row c equals class
+    c's output scale for COS and RBF.
 
     A COS row that is degenerate after centering is not detected here: the
     cross_gram of the same rows raises on it.
     """
     Zq = np.asarray(Zq, dtype=float)
-    s = base.output_scale
+    s = base.output_scale[:, None]
     if base.kind in ("COS", "RBF"):
-        return np.full(Zq.shape[0], s)
-    return s * (np.sum(Zq * Zq, axis=1) + base.offset) ** base.degree
+        return np.broadcast_to(s, (s.shape[0], Zq.shape[0]))
+    return s * (np.sum(Zq * Zq, axis=1) + base.offset[:, None]) ** base.degree

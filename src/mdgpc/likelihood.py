@@ -35,9 +35,9 @@ at once read the table once; a power-of-two S keeps it balanced.
 
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), with the
-nodes innermost and contiguous. A node set (S, C) is transposed once per
-call to (C, 1, S) and broadcast over the points; per-point draws (S, N, C)
-are read as (C, N, S). The class max and the class sum are then elementwise
+nodes innermost and contiguous. Every estimator takes one node set (S, C)
+for all points, transposed once per call to (C, 1, S) and broadcast over
+the points. The class max and the class sum are then elementwise
 passes over whole (N, S) slices, the softmax is exp(f - max) / sum in one
 buffer that every step updates in place, and the mean over nodes is a
 last-axis reduction (or a product with the weights). The results equal the
@@ -199,8 +199,8 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
 
 
 def _prepare_batch(m, v, eps):
-    """Checked (N, C) marginals and the draws laid out (C, N, S), or
-    (C, 1, S) for one node set (S, C) shared by all points."""
+    """Checked (N, C) marginals and the node set (S, C) that all points
+    share, laid out as contiguous (C, 1, S) rows."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
@@ -210,18 +210,15 @@ def _prepare_batch(m, v, eps):
     if np.any(v < 0.0):
         raise InputError("negative marginal variance")
     eps = np.asarray(eps, dtype=float)
-    if eps.ndim == 2:  # shared node set (S, C) broadcast over points
-        eps = eps[:, None, :]
-    if eps.ndim != 3 or eps.shape[2] != m.shape[1]:
+    if eps.ndim != 2 or eps.shape[1] != m.shape[1]:
         raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
-    # a shared set is small: copy it to contiguous (C, 1, S) rows
-    return m, v, np.ascontiguousarray(eps.T) if eps.shape[1] == 1 else eps.T
+    return m, v, np.ascontiguousarray(eps.T[:, None, :])
 
 
 def _stable_logits(m, sd, eps):
     """f - max_c f for f = m + sd * eps, in one fresh C-ordered (C, N, S) buffer.
 
-    m, sd: (N, C); eps: (C, N, S) or (C, 1, S) from `_prepare_batch`. The
+    m, sd: (N, C); eps: (C, 1, S) from `_prepare_batch`. The
     nodes are the innermost, contiguous axis, so the class max here and the
     class sums of the callers are elementwise passes over (N, S) slices.
     Callers update the buffer in place; it is the only one of its size.
@@ -251,8 +248,8 @@ def _node_mean(x, weights):
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     """Sum over points of the estimated E[log p(y_n | f_n)].
 
-    m, v, Y: (N, C); eps: (S, N, C) or (S, C); weights: (S,) or None
-    (uniform). With weights, the estimate is sum_s w_s log p(y | f^(s)).
+    m, v, Y: (N, C); eps: (S, C), one node set for all points; weights: (S,)
+    or None (uniform). With weights, the estimate is sum_s w_s log p(y | f^(s)).
     """
     m, v, eps = _prepare_batch(m, v, eps)
     stable = _stable_logits(m, np.sqrt(v), eps)

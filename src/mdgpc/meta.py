@@ -7,10 +7,11 @@ depends on eta, with exact gradient per class
 
     dL/dK^c = -1/2 ( K^{c-1} - K^{c-1} (Sigma^c + m^c m^c') K^{c-1} ),
 
-which vanishes identically when the posterior equals the prior. The
-gradient is chained through the Gram construction and the feature extractor
-(feature gradients summed over classes) and applied with Adam, using
-separate learning rates for network weights and base-kernel parameters.
+which vanishes identically when the posterior equals the prior. The C
+gradients form one (C, N, N) stack, chained in one pass through the stacked
+Gram construction and the feature extractor (feature gradients summed over
+classes), and are applied with Adam, using separate learning rates for
+network weights and base-kernel parameters.
 """
 
 import concurrent.futures
@@ -49,15 +50,17 @@ def net_param_count(fe: FeatureExtractor) -> int:
     return sum(w.size + b.size for w, b in zip(fe.weights, fe.biases))
 
 
+def _flat(weights: list, biases: list, raws: list) -> np.ndarray:
+    """One vector: each layer's weights then biases, then the (C,) kernel raws
+    class by class, class 0's in raw_names order first."""
+    layers = [x.ravel() for pair in zip(weights, biases) for x in pair]
+    return np.concatenate(layers + [np.stack(raws, axis=1).ravel()])
+
+
 def flatten_hypers(kernel: DeepKernel) -> np.ndarray:
     """Flatten trainable scalars: network weights first, then kernel raws."""
-    parts = []
-    for w, b in zip(kernel.extractor.weights, kernel.extractor.biases):
-        parts.append(w.reshape(-1))
-        parts.append(b)
-    for base in kernel.base:
-        parts.append(np.array([getattr(base, name) for name in base.raw_names()]))
-    return np.concatenate(parts)
+    fe, base = kernel.extractor, kernel.base
+    return _flat(fe.weights, fe.biases, [getattr(base, name) for name in base.raw_names()])
 
 
 def unflatten_hypers(flat: np.ndarray, template: DeepKernel) -> DeepKernel:
@@ -75,12 +78,9 @@ def unflatten_hypers(flat: np.ndarray, template: DeepKernel) -> DeepKernel:
         biases.append(flat[pos : pos + b.size].copy())
         pos += b.size
     new_fe = FeatureExtractor(list(fe.layer_dims), weights, biases)
-    new_base = []
-    for base in template.base:
-        names = base.raw_names()
-        vals = {name: float(flat[pos + i]) for i, name in enumerate(names)}
-        pos += len(names)
-        new_base.append(replace(base, **vals))
+    names = template.base.raw_names()
+    raws = flat[pos:].reshape(template.base.n_classes, len(names))
+    new_base = replace(template.base, **{name: raws[:, i] for i, name in enumerate(names)})
     return DeepKernel(extractor=new_fe, base=new_base)
 
 
@@ -90,24 +90,13 @@ def outer_grad(fit: model.FittedEpisode) -> np.ndarray:
     The variational posterior (m, Sigma) is treated as a constant. Returned
     in ascent convention (apply with a maximizing optimizer).
     """
-    kernel = fit.kernel
-    dZ_total = np.zeros_like(fit.features)
-    kernel_grads = []
-    for c, (u, core) in enumerate(zip(*fit.terms)):
-        # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1})
-        G_K = -0.5 * (core - np.outer(u, u))
-        G_K = 0.5 * (G_K + G_K.T)
-        dZ, dparams = kernels.gram_backward(kernel.base[c], fit.features, fit.grams[c], G_K)
-        dZ_total += dZ
-        kernel_grads.append(dparams)
-    wgrads, bgrads = kernels.extractor_backward(kernel.extractor, fit.cache, dZ_total)
-    parts = []
-    for dw, db in zip(wgrads, bgrads):
-        parts.append(dw.reshape(-1))
-        parts.append(db)
-    for c, base in enumerate(kernel.base):
-        parts.append(np.array([kernel_grads[c][name] for name in base.raw_names()]))
-    return np.concatenate(parts)
+    kernel, (u, core) = fit.kernel, fit.terms
+    # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1}), stacked by class
+    G_K = -0.5 * (core - u[:, :, None] * u[:, None, :])
+    G_K = 0.5 * (G_K + G_K.swapaxes(1, 2))
+    dZ, dparams = kernels.gram_backward(kernel.base, fit.features, fit.grams, G_K)
+    wgrads, bgrads = kernels.extractor_backward(kernel.extractor, fit.cache, dZ)
+    return _flat(wgrads, bgrads, [dparams[name] for name in kernel.base.raw_names()])
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Episode-level model: fit the variational posterior, predict query labels.
 
-Fitting runs the inner loop on the support set of an episode with per-class
-Gram matrices from the deep kernel, then reduces the posterior q^c =
-N(m^c, Sigma^c) to the two terms every consumer needs:
+Fitting builds the episode's C Gram matrices from the deep kernel in one
+stack, runs the inner loop on the support set with that stacked prior, then
+reduces the posterior q^c = N(m^c, Sigma^c) to the two terms every consumer
+needs:
 
     u^c    = K^{-1} m^c
     core^c = K^{-1} - K^{-1} Sigma^c K^{-1}
@@ -14,6 +15,7 @@ reached. The GP posterior at a query point x* is then
     mu*^c   = k*' u^c
     sig*^2c = k** - k*' core^c k*
 
+for all classes at once, from the (C, M, N) stack of cross-covariances,
 and zero sites (core = 0) give back the prior predictive exactly. Class
 label probabilities average the softmax over independent per-class
 predictive normals, on one randomized Sobol node set (S, C) that every
@@ -38,7 +40,7 @@ class FittedEpisode:
 
     kernel: kernels.DeepKernel
     state: object  # VariationalState or GdState
-    grams: list  # per-class GramResult on support features
+    grams: kernels.GramResult  # the stacked prior: (C, N, N) Grams on support features
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
     terms: tuple  # (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), stacked by class
@@ -51,16 +53,16 @@ def fit_episode(
     cfg: InnerConfig,
     method: str = "MD",
 ) -> FittedEpisode:
-    """Extract features, build per-class Grams, run the inner loop and keep
+    """Extract features, build the stacked Grams, run the inner loop and keep
     the final posterior's per-class (u, core) terms."""
     support_y = np.asarray(support_y, dtype=float)
-    if support_y.ndim != 2 or support_y.shape[1] != kernel.n_classes:
+    if support_y.ndim != 2 or support_y.shape[1] != kernel.base.n_classes:
         raise InputError(
             f"support labels shape {support_y.shape} does not match "
-            f"{kernel.n_classes} kernel classes"
+            f"{kernel.base.n_classes} kernel classes"
         )
     Z, cache = kernels.extract(kernel.extractor, support_x)
-    grams = [kernels.gram(base, Z) for base in kernel.base]
+    grams = kernels.gram(kernel.base, Z)
     for state in inference.inner_states(method, grams, support_y, cfg):
         pass
     return FittedEpisode(
@@ -76,16 +78,11 @@ def fit_episode(
 def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     """Latent predictive (mu*, var*) per query row and class, both (M, C)."""
     Zq, _ = kernels.extract(fit.kernel.extractor, query_x)
-    n_classes = fit.kernel.n_classes
-    mu = np.empty((Zq.shape[0], n_classes))
-    var = np.empty((Zq.shape[0], n_classes))
-    for c, (u, core) in enumerate(zip(*fit.terms)):
-        base, g = fit.kernel.base[c], fit.grams[c]
-        kx = kernels.cross_gram(base, Zq, fit.features, center=g.center)
-        kdiag = kernels.gram_diag(base, Zq)
-        mu[:, c] = kx @ u
-        var[:, c] = kdiag - np.sum((kx @ core) * kx, axis=1)
-    return mu, var
+    base, (u, core) = fit.kernel.base, fit.terms
+    kx = kernels.cross_gram(base, Zq, fit.features, center=fit.grams.center)
+    mu = (kx @ u[:, :, None])[:, :, 0]
+    var = kernels.gram_diag(base, Zq) - np.sum((kx @ core) * kx, axis=2)
+    return mu.T, var.T
 
 
 def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:

@@ -136,8 +136,10 @@ def sym_coord_count(n: int) -> int:
 
 
 def natural_to_coords(theta1: np.ndarray, Theta2: np.ndarray) -> np.ndarray:
-    """Stack (theta1, upper-triangle of Theta2) into a coordinate vector."""
-    return np.concatenate([theta1, Theta2[np.triu_indices(theta1.shape[0])]])
+    """Stack (theta1, upper-triangle of Theta2) into a coordinate vector; for
+    stacks (C, N) and (C, N, N), one such row per class."""
+    rows, cols = np.triu_indices(theta1.shape[-1])
+    return np.concatenate([theta1, Theta2[..., rows, cols]], axis=-1)
 
 
 def coords_to_natural(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,22 +218,22 @@ def central_diff(fun, x0: np.ndarray, fd_step: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _state_coords(state, prior_grams: list) -> np.ndarray:
+def _state_coords(state, prior) -> np.ndarray:
     """Natural coordinates of the full per-class posterior, concatenated."""
-    parts = []
-    for i, g in enumerate(prior_grams):
-        Kinv = chol_solve(g.chol, np.eye(g.chol.shape[0]))
-        Kinv = 0.5 * (Kinv + Kinv.T)
-        parts.append(natural_to_coords(state.alpha[i], -0.5 * Kinv + np.diag(state.beta[i])))
-    return np.concatenate(parts)
+    n = prior.chol.shape[1]
+    Kinv = chol_solve(prior.chol, np.broadcast_to(np.eye(n), prior.chol.shape))
+    Theta2 = -0.5 * (0.5 * (Kinv + Kinv.swapaxes(1, 2)))
+    d = np.arange(n)
+    Theta2[:, d, d] += state.beta
+    return natural_to_coords(state.alpha, Theta2).ravel()
 
 
-def _md_direction(state, prior_grams, Y, lik, rho: float) -> np.ndarray:
+def _md_direction(state, prior, Y, lik, rho: float) -> np.ndarray:
     stepped = md_step(state, Y, rho, lik)
-    return (_state_coords(stepped, prior_grams) - _state_coords(state, prior_grams)) / rho
+    return (_state_coords(stepped, prior) - _state_coords(state, prior)) / rho
 
 
-def _objective_at(coords, prior_grams, Y, lik, n, c):
+def _objective_at(coords, prior, Y, lik, n, c):
     """The ELBO at natural coordinates, from each class's dense mean and
     covariance rather than from a state's site form."""
     p = sym_coord_count(n)
@@ -240,13 +242,13 @@ def _objective_at(coords, prior_grams, Y, lik, n, c):
     )
     means, covs = np.stack(means), np.stack(covs)
     variances = np.diagonal(covs, axis1=1, axis2=2)
-    prior_chol_inv = np.linalg.inv(np.stack([g.chol for g in prior_grams]))
+    prior_chol_inv = np.linalg.inv(prior.chol)
     kl = gaussian_kl(means, spd_cholesky(covs)[0], prior_chol_inv)
     return float(lik.expected_loglik(means.T, variances.T, Y) - np.sum(kl))
 
 
 def ngd_verify(
-    prior_grams: list, Y: np.ndarray, lik=None, warmup_steps=2, fd_step=1e-4, gh_nodes=40
+    prior: kernels.GramResult, Y: np.ndarray, lik=None, warmup_steps=2, fd_step=1e-4, gh_nodes=40
 ) -> dict:
     """Check that the mirror step equals the natural-gradient step.
 
@@ -263,26 +265,26 @@ def ngd_verify(
 
     Intended for tiny instances (N <= 3 per class, C = 2).
     """
-    n, c = prior_grams[0].K.shape[0], len(prior_grams)
+    c, n, _ = prior.K.shape
     Y = _validate_labels(Y, n, c)
     if lik is None:
         if c != 2:
             raise InputError("default node set covers the binary case only")
         lik = SoftmaxLikelihood(*gauss_hermite_draws(gh_nodes, c))
 
-    state = md_init(prior_grams)
+    state = md_init(prior)
     for t in range(warmup_steps):
         state = md_step(state, Y, 0.5, lik)
 
-    md_dir = _md_direction(state, prior_grams, Y, lik, rho=1.0)
-    md_dir_small = _md_direction(state, prior_grams, Y, lik, rho=0.1)
+    md_dir = _md_direction(state, prior, Y, lik, rho=1.0)
+    md_dir_small = _md_direction(state, prior, Y, lik, rho=0.1)
     scale = max(np.max(np.abs(md_dir)), 1e-12)
     rho_deviation = float(np.max(np.abs(md_dir - md_dir_small)) / scale)
 
-    coords0 = _state_coords(state, prior_grams)
+    coords0 = _state_coords(state, prior)
     p = sym_coord_count(n)
     grad_theta = central_diff(
-        lambda x: _objective_at(x, prior_grams, Y, lik, n, c), coords0, fd_step
+        lambda x: _objective_at(x, prior, Y, lik, n, c), coords0, fd_step
     )
 
     def dual_of(t):
@@ -316,14 +318,12 @@ def random_moments(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tiny_instance(seed: int):
-    """(grams, labels) of a binary one-shot episode: two points, two classes."""
+    """(stacked Grams, labels) of a binary one-shot episode: two points, two
+    classes."""
     gen_cfg = tasks.TaskGenConfig(n_classes=2, shots=1, queries=1, dim=2)
     episode = tasks.gen_episode(gen_cfg, seed=seed)
-    base = kernels.BaseKernelConfig(
-        "RBF", length_scale_raw=float(kernels.softplus_inv(3.0))
-    )
-    grams = [kernels.gram(base, episode.support_x) for _ in range(2)]
-    return grams, episode.support_y
+    base = kernels.BaseKernels.at_scales("RBF", 2, length_scale=3.0)
+    return kernels.gram(base, episode.support_x), episode.support_y
 
 
 def _check_roundtrip(seed: int) -> float:
@@ -393,7 +393,6 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
     Y = np.zeros((1, c))
     Y[0, 0] = 1.0
     eps, weights = gauss_hermite_draws(16, c)
-    eps = eps[:, None, :]
 
     def marginals(mm, vv):
         """The point's (1, C) mean and variance, the variance taken back from
@@ -422,33 +421,30 @@ def _check_conjugate_step(seed: int) -> float:
     rng = rng_for(seed, seeding.STREAM_VERIFY, 7)
     n, c = 3, 2
     Z = rng.standard_normal((n, 2))
-    base = kernels.BaseKernelConfig("RBF")
-    grams = [kernels.gram(base, Z) for _ in range(c)]
+    prior = kernels.gram(kernels.BaseKernels.at_scales("RBF", c), Z)
     a = rng.standard_normal((n, c))
     b = -0.1 - 0.4 * rng.random((n, c))
     Y = np.zeros((n, c))
     Y[:, 0] = 1.0
-    stepped = md_step(md_init(grams), Y, 1.0, GaussianSiteLikelihood(a, b))
+    stepped = md_step(md_init(prior), Y, 1.0, GaussianSiteLikelihood(a, b))
     _, core = stepped.kinv_terms()
-    worst = 0.0
-    for i, g in enumerate(grams):
-        prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
-        sigma = np.linalg.inv(prec)
-        mean = sigma @ a[:, i]
-        worst = max(
-            worst,
-            float(np.max(np.abs(g.k_eff - g.k_eff @ core[i] @ g.k_eff - sigma))),
-            float(np.max(np.abs(stepped.m[i] - mean))),
-        )
-    return worst
+    K, d = prior.k_eff, np.arange(n)
+    prec = np.linalg.inv(K)
+    prec[:, d, d] -= 2.0 * b.T
+    sigma = np.linalg.inv(prec)
+    mean = (sigma @ a.T[:, :, None])[:, :, 0]
+    return max(
+        float(np.max(np.abs(K - K @ core @ K - sigma))),
+        float(np.max(np.abs(stepped.m - mean))),
+    )
 
 
 def _check_ngd(seed: int, instances: int, fd_step: float, gh_nodes: int) -> tuple:
     worst_dev, worst_rho = 0.0, 0.0
     for i in range(instances):
         with named_failures(f"ngd_equivalence instance {i}"):
-            grams, Y = tiny_instance(derive_seed(seed, seeding.STREAM_VERIFY, 8, i))
-            report = ngd_verify(grams, Y, fd_step=fd_step, gh_nodes=gh_nodes)
+            prior, Y = tiny_instance(derive_seed(seed, seeding.STREAM_VERIFY, 8, i))
+            report = ngd_verify(prior, Y, fd_step=fd_step, gh_nodes=gh_nodes)
         worst_dev = max(worst_dev, report["deviation"])
         worst_rho = max(worst_rho, report["rho_deviation"])
     return worst_dev, worst_rho

@@ -16,19 +16,30 @@ package's SPD kernels as written on ``scipy.linalg``, with triangular solves
 where the package, on numpy alone, inverts; the tests hold the numpy kernels
 to them within rounding. `scipy_gd_step` is the gradient-ascent step on
 those solves, one class at a time: K^{-1} m by a solve with the prior factor
-and Sigma^{-1} by a solve with L. `iid_draws` gives tests that need
-a general (S, N, C) array their own independent normal draws, since the
-package's draws are one node set (S, C) for all points.
+and Sigma^{-1} by a solve with L. `iid_draws` gives tests their own
+independent normal draws of any shape; the package's estimators take one
+node set (S, C) for all points, and only the last-axis formulas here also
+take per-point draws (S, N, C).
+
+`OneKernel` is one class's base kernel alone, its raws as floats, and
+`one_gram`, `one_gram_backward`, `one_cross_gram` and `one_gram_diag` are
+the base-kernel formulas for it as the package computed them class by class
+before it stacked the classes: the tests hold each slice of the stacked
+results to them bit for bit. `stack_priors` stacks the Grams of separate
+calls into one prior, for tests whose classes have different kinds or
+features.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from mdgpc import likelihood
+from mdgpc import kernels, likelihood
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_solve, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
-from mdgpc.likelihood import _prepare_batch
+from mdgpc.kernels import GramResult, _cos_normalize, _pairwise_sqdist, _sigmoid, softplus
 from mdgpc.verify import chol_logdet
 
 
@@ -52,9 +63,16 @@ def log_softmax_lik(y: np.ndarray, f: np.ndarray) -> float:
     return float(np.sum(y * last_axis_log_softmax(f)))
 
 
+def _per_point(eps) -> np.ndarray:
+    """Draws as (S, N or 1, C). A shared node set (S, C) gains a point axis,
+    its memory laid out (C, 1, S) as the package lays it out: the layout
+    sets the order of the node sums, and so their rounding."""
+    eps = np.asarray(eps, dtype=float)
+    return np.ascontiguousarray(eps.T[:, None, :]).T if eps.ndim == 2 else eps
+
+
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
-    m, v, eps = _prepare_batch(m, v, eps)
-    eps = eps.T  # back to (S, N or 1, C)
+    eps = _per_point(eps)
     f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
     ll = np.sum(np.asarray(Y, dtype=float)[None, :, :] * last_axis_log_softmax(f), axis=2)
     if weights is None:
@@ -63,8 +81,7 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
 
 
 def batch_grads_mv(m, v, Y, eps, weights=None):
-    m, v, eps = _prepare_batch(m, v, eps)
-    eps = eps.T  # back to (S, N or 1, C)
+    eps = _per_point(eps)
     f = m[None, :, :] + np.sqrt(v)[None, :, :] * eps
     p = np.exp(last_axis_log_softmax(f))
     Y = np.asarray(Y, dtype=float)
@@ -176,18 +193,132 @@ def scipy_gaussian_kl(q, p) -> float:
     return scipy_factor_kl(m_q - m_p, scipy_spd_cholesky(S_q)[0], scipy_spd_cholesky(S_p)[0])
 
 
-def scipy_gd_step(state, prior_grams: list, Y: np.ndarray, lr: float, lik):
+def scipy_gd_step(state, prior: GramResult, Y: np.ndarray, lr: float, lik):
     """(m, chol) after one gradient-ascent step, class by class on scipy
-    solves with the prior factors of `prior_grams` and with L."""
+    solves with the prior factors of `prior` and with L."""
     g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
     means, factors = [], []
-    for c, (m, L, g) in enumerate(zip(state.m, state.chol, prior_grams)):
+    for c, (m, L, Lk) in enumerate(zip(state.m, state.chol, prior.chol)):
         eye = np.eye(m.shape[0])
-        GSig = np.diag(g_v[:, c]) - 0.5 * (scipy_chol_solve(g.chol, eye) - scipy_chol_solve(L, eye))
+        GSig = np.diag(g_v[:, c]) - 0.5 * (scipy_chol_solve(Lk, eye) - scipy_chol_solve(L, eye))
         GL = np.tril(2.0 * (0.5 * (GSig + GSig.T)) @ L)
         Lnew = L + lr * np.tril(GL, -1)
         d = np.diag_indices(m.shape[0])
         Lnew[d] = L[d] * np.exp(lr * GL[d] * L[d])
-        means.append(m + lr * (g_m[:, c] - scipy_chol_solve(g.chol, m)))
+        means.append(m + lr * (g_m[:, c] - scipy_chol_solve(Lk, m)))
         factors.append(Lnew)
     return np.stack(means), np.stack(factors)
+
+
+def stack_priors(priors) -> GramResult:
+    """One stacked prior from the GramResults of separate `kernels.gram`
+    calls, their classes in order."""
+    priors = list(priors)
+    return GramResult(*(np.concatenate([getattr(p, f) for p in priors]) for f in ("K", "k_eff", "chol")))
+
+
+@dataclass
+class OneKernel:
+    """Class c's base kernel alone: kind plus raw (pre-softplus) floats."""
+
+    kind: str
+    length_scale_raw: float
+    offset_raw: float
+    output_scale_raw: float
+
+    @classmethod
+    def of(cls, base: kernels.BaseKernels, c: int) -> "OneKernel":
+        return cls(
+            base.kind,
+            float(base.length_scale_raw[c]),
+            float(base.offset_raw[c]),
+            float(base.output_scale_raw[c]),
+        )
+
+    @property
+    def length_scale(self) -> float:
+        return softplus(self.length_scale_raw)
+
+    @property
+    def offset(self) -> float:
+        return softplus(self.offset_raw)
+
+    @property
+    def output_scale(self) -> float:
+        return softplus(self.output_scale_raw)
+
+    @property
+    def degree(self) -> int:
+        return {"POL1": 1, "POL2": 2}.get(self.kind, 0)
+
+
+def one_gram(base: OneKernel, Z: np.ndarray) -> GramResult:
+    """Gram matrix of one base kernel on feature rows Z, plus its factor."""
+    s = base.output_scale
+    center = None
+    if base.kind == "COS":
+        center = Z.mean(axis=0)
+        U, _ = _cos_normalize(Z - center)
+        K = s * (U @ U.T)
+    elif base.kind == "RBF":
+        l2 = base.length_scale**2
+        K = s * np.exp(-_pairwise_sqdist(Z, Z) / (2.0 * l2))
+    else:
+        K = s * (Z @ Z.T + base.offset) ** base.degree
+    K = 0.5 * (K + K.T)
+    L, jitter = spd_cholesky(K)
+    k_eff = K + jitter * np.eye(K.shape[0]) if jitter else K
+    return GramResult(K=K, k_eff=k_eff, chol=L, center=center)
+
+
+def one_gram_backward(base: OneKernel, Z: np.ndarray, res: GramResult, dK: np.ndarray):
+    """(dL/dZ, {raw name: dL/d raw}) of one base kernel from dL/dK."""
+    G = 0.5 * (dK + dK.T)
+    s = base.output_scale
+    grads = {}
+    if base.kind == "COS":
+        U, norms = _cos_normalize(Z - res.center)
+        Ktil = U @ U.T
+        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(base.output_scale_raw)
+        dU = 2.0 * s * (G @ U)
+        dZc = (dU - np.sum(dU * U, axis=1)[:, None] * U) / norms[:, None]
+        dZ = dZc - dZc.mean(axis=0)
+    elif base.kind == "RBF":
+        l = base.length_scale
+        D2 = _pairwise_sqdist(Z, Z)
+        Ktil = np.exp(-D2 / (2.0 * l * l))
+        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(base.output_scale_raw)
+        W = s * G * Ktil
+        grads["length_scale_raw"] = float(np.sum(W * D2) / l**3) * _sigmoid(base.length_scale_raw)
+        dZ = (-2.0 / (l * l)) * (W.sum(axis=1)[:, None] * Z - W @ Z)
+    else:
+        c, d = base.offset, base.degree
+        P = Z @ Z.T + c
+        Pm1 = P ** (d - 1)
+        Ktil = Pm1 * P
+        grads["output_scale_raw"] = float(np.sum(G * Ktil)) * _sigmoid(base.output_scale_raw)
+        grads["offset_raw"] = float(s * d * np.sum(G * Pm1)) * _sigmoid(base.offset_raw)
+        M = s * d * (G * Pm1)
+        dZ = 2.0 * (M @ Z)
+    return dZ, grads
+
+
+def one_cross_gram(base: OneKernel, Zq: np.ndarray, Zs: np.ndarray, center=None) -> np.ndarray:
+    """k(query, support) of one base kernel; COS centers both sides with center."""
+    s = base.output_scale
+    if base.kind == "COS":
+        Uq, _ = _cos_normalize(Zq - center)
+        Us, _ = _cos_normalize(Zs - center)
+        return s * (Uq @ Us.T)
+    if base.kind == "RBF":
+        l2 = base.length_scale**2
+        return s * np.exp(-_pairwise_sqdist(Zq, Zs) / (2.0 * l2))
+    return s * (Zq @ Zs.T + base.offset) ** base.degree
+
+
+def one_gram_diag(base: OneKernel, Zq: np.ndarray) -> np.ndarray:
+    """Diagonal k(z, z) of one base kernel for query rows."""
+    s = base.output_scale
+    if base.kind in ("COS", "RBF"):
+        return np.full(Zq.shape[0], s)
+    return s * (np.sum(Zq * Zq, axis=1) + base.offset) ** base.degree

@@ -19,7 +19,7 @@ from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, random_moments, tiny_instance
 from oracles import dense_moments, dual_coords_to_mean, moments_kl, point_grads, point_loglik
-from oracles import scipy_gaussian_kl
+from oracles import scipy_gaussian_kl, stack_priors
 
 
 def read_csv(path):
@@ -48,25 +48,19 @@ def test_criterion_02_full_rate_step_is_exact_conjugate_update():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n, c = 4, 2
-        grams = [
-            kernels.gram(
-                kernels.BaseKernelConfig(
-                    "RBF", length_scale_raw=float(kernels.softplus_inv(2.0))
-                ),
-                rng.standard_normal((n, 3)),
-            )
-            for _ in range(c)
-        ]
+        # each class on its own features
+        base = kernels.BaseKernels.at_scales("RBF", 1, length_scale=2.0)
+        grams = stack_priors(kernels.gram(base, rng.standard_normal((n, 3))) for _ in range(c))
         a = rng.standard_normal((n, c))
         b = -0.1 - 0.5 * rng.random((n, c))
         lik = GaussianSiteLikelihood(a, b)
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         state = inference.md_step(inference.md_init(grams), Y, 1.0, lik)
         _, core = state.kinv_terms()
-        for i, g in enumerate(grams):
-            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
+        for i, K in enumerate(grams.k_eff):
+            prec = np.linalg.inv(K) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
-            Sigma = g.k_eff - g.k_eff @ core[i] @ g.k_eff
+            Sigma = K - K @ core[i] @ K
             worst = max(worst, np.max(np.abs(Sigma - sigma)))
             worst = max(worst, np.max(np.abs(state.v[i] - np.diag(sigma))))
             worst = max(worst, np.max(np.abs(state.m[i] - sigma @ a[:, i])))
@@ -85,7 +79,7 @@ def test_criterion_03_likelihood_gradient_identities():
         m = 3.0 * rng.standard_normal((n, c))
         v = rng.gamma(2.0, 1.0, (n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        eps = rng.standard_normal((8, n, c))
+        eps = rng.standard_normal((8, c))  # one node set for all points
         g_m, g_v = likelihood.batch_grads_mv(m, v, Y, eps)
         assert np.all(g_m >= -1.0) and np.all(g_m <= 1.0)
         assert np.all(g_v >= -0.125) and np.all(g_v <= 0.0)
@@ -199,14 +193,7 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
     """Hyperparameter gradient matches central FD to 1e-3 relative; exactly
     zero at the prior."""
     fe = kernels.init_extractor([4, 8, 6], seed=derive_seed(6, 99))
-    base = [
-        kernels.BaseKernelConfig(
-            "RBF",
-            length_scale_raw=float(kernels.softplus_inv(1.5)),
-            output_scale_raw=float(kernels.softplus_inv(2.0)),
-        )
-        for _ in range(3)
-    ]
+    base = kernels.BaseKernels.at_scales("RBF", 3, length_scale=1.5, output_scale=2.0)
     kern = kernels.DeepKernel(extractor=fe, base=base)
     ep = tasks.gen_episode(
         tasks.TaskGenConfig(n_classes=3, shots=2, queries=2, dim=4), seed=6
@@ -217,7 +204,7 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
 
     cfg = InnerConfig(rho=0.8, steps=3, mc=McConfig(64, 5))
     fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
-    assert all(g.k_eff is g.K for g in fit.grams)
+    assert fit.grams.k_eff is fit.grams.K
     grad = meta.outer_grad(fit)
     flat = meta.flatten_hypers(kern)
     m, Sigma = fit.state.m, dense_moments(fit.state)[1]
@@ -226,9 +213,9 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
         k2 = meta.unflatten_hypers(x, kern)
         Z, _ = kernels.extract(k2.extractor, ep.support_x)
         total = 0.0
+        g = kernels.gram(k2.base, Z)
         for c in range(3):
-            g = kernels.gram(k2.base[c], Z)
-            total -= scipy_gaussian_kl((m[c], Sigma[c]), (np.zeros_like(m[c]), g.k_eff))
+            total -= scipy_gaussian_kl((m[c], Sigma[c]), (np.zeros_like(m[c]), g.k_eff[c]))
         return total
 
     fd = np.zeros_like(flat)
@@ -304,14 +291,7 @@ def test_criterion_08_predictive_consistency():
     """Zero sites reproduce the prior predictive to 1e-10; fitted sites match
     the dense conditioning formula to 1e-8."""
     fe = kernels.init_extractor([8, 32, 32, 16], seed=derive_seed(8, 99))
-    base = [
-        kernels.BaseKernelConfig(
-            "RBF",
-            length_scale_raw=float(kernels.softplus_inv(5.0)),
-            output_scale_raw=float(kernels.softplus_inv(4.0)),
-        )
-        for _ in range(5)
-    ]
+    base = kernels.BaseKernels.at_scales("RBF", 5, length_scale=5.0, output_scale=4.0)
     kern = kernels.DeepKernel(extractor=fe, base=base)
     ep = tasks.gen_episode(tasks.TaskGenConfig(), seed=8)
 
@@ -319,9 +299,9 @@ def test_criterion_08_predictive_consistency():
     mu0, var0 = model.predict_latent(at_prior, ep.query_x)
     Zq, _ = kernels.extract(kern.extractor, ep.query_x)
     worst_prior = np.max(np.abs(mu0))
+    prior_diag = kernels.gram_diag(kern.base, Zq)
     for c in range(5):
-        prior_diag = kernels.gram_diag(kern.base[c], Zq)
-        worst_prior = max(worst_prior, np.max(np.abs(var0[:, c] - prior_diag)))
+        worst_prior = max(worst_prior, np.max(np.abs(var0[:, c] - prior_diag[c])))
 
     fit = model.fit_episode(
         kern, ep.support_x, ep.support_y, InnerConfig(rho=0.7, steps=4, mc=McConfig(64, 5))
@@ -329,11 +309,11 @@ def test_criterion_08_predictive_consistency():
     mu, var = model.predict_latent(fit, ep.query_x)
     Sigma = dense_moments(fit.state)[1]
     worst_dense = 0.0
+    kxs = kernels.cross_gram(kern.base, Zq, fit.features, center=fit.grams.center)
+    kdiags = kernels.gram_diag(kern.base, Zq)
     for c in range(5):
-        g = fit.grams[c]
-        kx = kernels.cross_gram(kern.base[c], Zq, fit.features, center=g.center)
-        kdiag = kernels.gram_diag(kern.base[c], Zq)
-        Kinv = np.linalg.inv(g.k_eff)
+        kx, kdiag = kxs[c], kdiags[c]
+        Kinv = np.linalg.inv(fit.grams.k_eff[c])
         mu_dense = kx @ Kinv @ fit.state.m[c]
         KiK = kx @ Kinv
         var_dense = kdiag - np.einsum("ij,ij->i", KiK, kx) + np.einsum(

@@ -196,6 +196,15 @@ class TestConfigHandling:
             ("biases", {"biases": [[0.0] * 8, [0.0] * 8]}),
             ("kernels", {"kernels": []}),
             ("kernels", {"kernels": [{"kind": "RBF", "raws": {}}]}),
+            (
+                "kernels",
+                {
+                    "kernels": [
+                        {"kind": "RBF", "raws": {"length_scale_raw": 1.0, "output_scale_raw": 1.0}},
+                        {"kind": "COS", "raws": {"output_scale_raw": 1.0}},
+                    ]
+                },
+            ),
         ],
     )
     def test_malformed_checkpoint_names_key(self, key, patch):

@@ -28,16 +28,13 @@ from mdgpc.inference import (
 from mdgpc.likelihood import McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, ngd_verify, tiny_instance
-from oracles import dense_moments, scipy_factor_kl, scipy_gd_step, scipy_spd_cholesky
+from oracles import dense_moments, scipy_factor_kl, scipy_gd_step, scipy_spd_cholesky, stack_priors
 
 
 def toy_grams(seed: int, n: int = 5, c: int = 3, kind: str = "RBF"):
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, 3))
-    base = kernels.BaseKernelConfig(
-        kind, length_scale_raw=float(kernels.softplus_inv(2.0))
-    )
-    return [kernels.gram(base, Z) for _ in range(c)]
+    return kernels.gram(kernels.BaseKernels.at_scales(kind, c, length_scale=2.0), Z)
 
 
 def toy_labels(seed: int, n: int, c: int) -> np.ndarray:
@@ -50,12 +47,8 @@ def episode_grams(seed: int, shots: int = 5):
     ep = tasks.gen_episode(cfg, seed=seed)
     fe = kernels.init_extractor([8, 32, 32, 16], seed=derive_seed(seed, 99))
     Z, _ = kernels.extract(fe, ep.support_x)
-    base = kernels.BaseKernelConfig(
-        "RBF",
-        length_scale_raw=float(kernels.softplus_inv(5.0)),
-        output_scale_raw=float(kernels.softplus_inv(4.0)),
-    )
-    return [kernels.gram(base, Z) for _ in range(5)], ep.support_y
+    base = kernels.BaseKernels.at_scales("RBF", 5, length_scale=5.0, output_scale=4.0)
+    return kernels.gram(base, Z), ep.support_y
 
 
 def seeded_lik(mc: McConfig, t: int, c: int) -> SoftmaxLikelihood:
@@ -68,9 +61,9 @@ class TestInitAndCombine:
     def test_md_init_is_prior(self):
         grams = toy_grams(0)
         state = md_init(grams)
-        for m, v, g in zip(state.m, state.v, grams):
+        for m, v, K in zip(state.m, state.v, grams.k_eff):
             np.testing.assert_array_equal(m, np.zeros(5))
-            np.testing.assert_allclose(v, np.diag(g.k_eff), atol=0)
+            np.testing.assert_allclose(v, np.diag(K), atol=0)
         np.testing.assert_array_equal(state.kl, np.zeros(3))
         np.testing.assert_array_equal(state.u, np.zeros((3, 5)))
         np.testing.assert_array_equal(state.binv, np.broadcast_to(np.eye(5), (3, 5, 5)))
@@ -86,15 +79,15 @@ class TestInitAndCombine:
         for step in range(3):
             state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
         _, core = state.kinv_terms()
-        for i, g in enumerate(grams):
-            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(state.beta[i])
-            Sigma = g.k_eff - g.k_eff @ core[i] @ g.k_eff
+        for i, K in enumerate(grams.k_eff):
+            prec = np.linalg.inv(K) - 2.0 * np.diag(state.beta[i])
+            Sigma = K - K @ core[i] @ K
             np.testing.assert_allclose(prec @ Sigma, np.eye(5), atol=1e-8)
             np.testing.assert_allclose(np.diag(Sigma), state.v[i], atol=1e-8)
             np.testing.assert_allclose(prec @ state.m[i], state.alpha[i], atol=1e-8)
 
     def test_posterior_from_sites_zero_sites(self):
-        K = np.stack([g.k_eff for g in toy_grams(4)])
+        K = toy_grams(4).k_eff
         m, v, kl, u, binv = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
         np.testing.assert_allclose(v, np.diagonal(K, axis1=1, axis2=2), atol=1e-12)
         np.testing.assert_array_equal(m, np.zeros((3, 5)))
@@ -152,7 +145,7 @@ class TestInitAndCombine:
         for step in range(4):
             state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5))
         m, Sigma = dense_moments(state)
-        kl = [scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], g.chol) for c, g in enumerate(grams)]
+        kl = [scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], L) for c, L in enumerate(grams.chol)]
         for got, want in [
             (state.m, m),
             (state.v, np.diagonal(Sigma, axis1=1, axis2=2)),
@@ -179,10 +172,10 @@ class TestConjugateLimit:
         Y = toy_labels(seed, 4, 2)
         state = md_step(md_init(grams), Y, 1.0, lik)
         _, core = state.kinv_terms()
-        for i, g in enumerate(grams):
-            prec = np.linalg.inv(g.k_eff) - 2.0 * np.diag(b[:, i])
+        for i, K in enumerate(grams.k_eff):
+            prec = np.linalg.inv(K) - 2.0 * np.diag(b[:, i])
             sigma = np.linalg.inv(prec)
-            np.testing.assert_allclose(g.k_eff - g.k_eff @ core[i] @ g.k_eff, sigma, atol=1e-8)
+            np.testing.assert_allclose(K - K @ core[i] @ K, sigma, atol=1e-8)
             np.testing.assert_allclose(state.v[i], np.diag(sigma), atol=1e-8)
             np.testing.assert_allclose(state.m[i], sigma @ a[:, i], atol=1e-8)
 
@@ -206,9 +199,9 @@ class TestGdBaseline:
     def test_gd_init_is_prior(self):
         grams = toy_grams(11)
         state = gd_init(grams)
-        for m, Sigma, g in zip(*dense_moments(state), grams):
+        for m, Sigma, K in zip(*dense_moments(state), grams.k_eff):
             np.testing.assert_array_equal(m, np.zeros(5))
-            np.testing.assert_allclose(Sigma, g.k_eff, atol=1e-10)
+            np.testing.assert_allclose(Sigma, K, atol=1e-10)
         np.testing.assert_allclose(state.kl, np.zeros(3), atol=1e-10)
 
     def test_kl_from_factor_matches_refactored_covariance(self):
@@ -218,18 +211,20 @@ class TestGdBaseline:
         cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 29))
         *_, state = inner_states("GD", grams, Y, cfg)
         m, Sigma = dense_moments(state)
-        for c, g in enumerate(grams):
-            want = scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], g.chol)
+        for c, L in enumerate(grams.chol):
+            want = scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], L)
             assert state.kl[c] == pytest.approx(want, rel=1e-12)
 
     def test_gd_init_kinv_is_per_class_solve(self):
         # one solve with the stacked factors equals each class's own solve bit
         # for bit; COS on 6 points in 2 dims takes jitter
         Z = np.random.default_rng(13).standard_normal((6, 2))
-        grams = [kernels.gram(kernels.BaseKernelConfig(k), Z) for k in ("COS", "RBF", "POL2")]
+        grams = stack_priors(
+            kernels.gram(kernels.BaseKernels.at_scales(k, 1), Z) for k in ("COS", "RBF", "POL2")
+        )
         kinv = gd_init(grams).kinv
-        for c, g in enumerate(grams):
-            assert np.array_equal(kinv[c], chol_solve(g.chol, np.eye(6)))
+        for c, L in enumerate(grams.chol):
+            assert np.array_equal(kinv[c], chol_solve(L, np.eye(6)))
 
     def test_steps_and_kl_match_per_class_scipy_solves(self):
         # K^{-1} m from the stored K^{-1}, Sigma^{-1} from the inverse of L
@@ -249,7 +244,7 @@ class TestGdBaseline:
             m, chol = scipy_gd_step(state, grams, Y, ci["rate"], lik)
             state = gd_step(state, Y, ci["rate"], lik)
             assert rel(state.m, m) <= 1e-12 and rel(state.chol, chol) <= 1e-12
-            want = [scipy_factor_kl(*args, g.chol) for *args, g in zip(state.m, state.chol, grams)]
+            want = [scipy_factor_kl(*args) for args in zip(state.m, state.chol, grams.chol)]
             assert np.max(np.abs(state.kl - want)) <= 1e-12 * Y.shape[0]
 
     def test_gd_step_follows_elbo_gradient(self):
@@ -386,7 +381,7 @@ class TestRunInner:
     def test_empty_class_list_rejected(self, method):
         cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0))
         with pytest.raises(InputError, match="need at least one class"):
-            next(inner_states(method, [], np.zeros((5, 0)), cfg))
+            next(inner_states(method, toy_grams(0, c=0), np.zeros((5, 0)), cfg))
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)

@@ -13,12 +13,13 @@ eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
 config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
 ``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and
 compare-inner, so the class sums of 8 or more terms are covered too: 19 runs.
-Then ``BASE`` with ``kernel.kind=COS`` and with ``kernel.kind=POL2`` each
-runs train and eval at ``--parallel-episodes`` 1 on that checkpoint, so the
-COS and POL branches of the Gram, its diagonal and its backward pass are
-covered too: 23 runs. Last, compare-inner at the default config with
-``kernel.kind`` POL1, POL2 and COS, whose GD baseline fails on a singular
-prior, so the step and message of each failure are pinned too: 26 runs.
+Then ``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and
+eval at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
+branches of the Gram, its diagonal and its backward pass are covered too,
+POL1's degree-1 power ``P ** 0`` included: 25 runs. Last, compare-inner at
+the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
+baseline fails on a singular prior, so the step and message of each failure
+are pinned too: 28 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -82,6 +83,7 @@ def run_set() -> list[tuple[str, list[str]]]:
         ("base-c10", base, "task.C=10", ("train", "eval-p1", "compare-inner")),
         ("base-cos", base, "kernel.kind=COS", ("train", "eval-p1")),
         ("base-pol2", base, "kernel.kind=POL2", ("train", "eval-p1")),
+        ("base-pol1", base, "kernel.kind=POL1", ("train", "eval-p1")),
         ("defaults-pol1", [], "kernel.kind=POL1", ("compare-inner",)),
         ("defaults-pol2", [], "kernel.kind=POL2", ("compare-inner",)),
         ("defaults-cos", [], "kernel.kind=COS", ("compare-inner",)),
