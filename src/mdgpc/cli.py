@@ -294,10 +294,10 @@ def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
-def _episode_sources(cfg: dict, split: str):
-    """Check the task and data config (loading data.path once) and return
-    make(stream, seed): an episode factory keyed by index, synthetic unless
-    data.path is set."""
+def _episode_sources(cfg: dict, *splits):
+    """Check the task and data config, loading data.path once, and return one
+    make(stream, seed) per split: an episode factory keyed by index, synthetic
+    unless data.path is set, else sampling the split's checked class pool."""
     t = cfg["task"]
     shift = t["domain_shift"]
     gen_cfg = tasks.TaskGenConfig(
@@ -309,23 +309,26 @@ def _episode_sources(cfg: dict, split: str):
         within_scale=t["sigma_w"],
         domain_shift=None if shift is None else (shift[0], shift[1]),
     )
-    if cfg["data"]["path"] is not None:
-        ds = tasks.load_csv_dataset(cfg["data"]["path"])
-        splits = cfg["data"]["splits"]
-        tasks.check_disjoint_splits(splits["train"], splits["test"])
-        pool = splits[split]
-        if not pool:
+    if cfg["data"]["path"] is None:
+        synthetic = lambda stream, seed: lambda i: tasks.gen_episode(
+            gen_cfg, seed=derive_seed(seed, stream, i)
+        )
+        return [synthetic] * len(splits)
+    ds = tasks.load_csv_dataset(cfg["data"]["path"])
+    pools = cfg["data"]["splits"]
+    tasks.check_disjoint_splits(pools["train"], pools["test"])
+    for split in splits:
+        if not pools[split]:
             raise InputError(f"data.splits.{split} is empty")
         if ds.X.shape[1] != t["D"]:
-            raise InputError(
-                f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}"
-            )
-        return lambda stream, seed: lambda i: tasks.sample_episode_from_dataset(
+            raise InputError(f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}")
+        tasks.check_class_pool(ds, pools[split], t["C"], t["L"] + t["M"])
+    return [
+        lambda stream, seed, pool=pools[split]: lambda i: tasks.sample_episode_from_dataset(
             ds, pool, t["C"], t["L"], t["M"], seed=derive_seed(seed, stream, i)
         )
-    return lambda stream, seed: lambda i: tasks.gen_episode(
-        gen_cfg, seed=derive_seed(seed, stream, i)
-    )
+        for split in splits
+    ]
 
 
 def _checkpoint_dict(kernel: kernels.DeepKernel, cfg: dict) -> dict:
@@ -420,7 +423,7 @@ def cmd_train(cfg: dict) -> int:
     inn = cfg["inner"]
     _check_net_dims(cfg)
     kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
-    source = _episode_sources(cfg, "train")(seeding.STREAM_TRAIN_EP, cfg["seed"])
+    source = _episode_sources(cfg, "train")[0](seeding.STREAM_TRAIN_EP, cfg["seed"])
     train_cfg = meta.TrainConfig(
         episodes=o["epochs"] * o["episodes_per_epoch"],
         lr_net=o["lr_net"],
@@ -466,7 +469,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
             f"eval.batches = {ev['batches']} must divide eval.episodes = "
             f"{ev['episodes']}"
         )
-    source = _episode_sources(cfg, "test")(seeding.STREAM_EVAL_EP, cfg["seed"])
+    source = _episode_sources(cfg, "test")[0](seeding.STREAM_EVAL_EP, cfg["seed"])
     inner = InnerConfig(einn["rho"], einn["steps"], McConfig(einn["mc_samples"]))
     pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
     out = _prepare_output(cfg)
@@ -513,7 +516,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
     _check_net_dims(cfg)
-    source = _episode_sources(cfg, "train")(seeding.STREAM_COMPARE_EP, cfg["seed"])
+    source = _episode_sources(cfg, "train")[0](seeding.STREAM_COMPARE_EP, cfg["seed"])
     inner_tpl = InnerConfig(
         rho=ci["rate"], steps=ci["steps"], mc=McConfig(samples=ci["mc_samples"])
     )
@@ -545,8 +548,7 @@ def cmd_compare_inner(cfg: dict) -> int:
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
     _check_net_dims(cfg)
-    train_sources = _episode_sources(cfg, "train")
-    monitor_sources = _episode_sources(cfg, "test")
+    train_sources, monitor_sources = _episode_sources(cfg, "train", "test")
     run_tpl = meta.TrainConfig(
         episodes=co["iterations"],
         lr_net=co["outer_lr"],

@@ -36,7 +36,8 @@ and the ``u`` and inverse ``binv`` of B its last step computed, so
 ``kinv_terms`` is the elementwise product W B^{-1} W and neither factors
 nor solves; the gradient-ascent state holds its (C, N, N) Cholesky factors
 ``chol``.
-``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``. The step
+``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``; it and the steps
+hand ``m`` and ``v`` to the likelihood in this layout, untransposed. The step
 arithmetic is written once for all classes, with batched ``@`` on the
 stacks, and the SPD kernels of :mod:`mdgpc.expfam` take the stacks whole.
 
@@ -216,11 +217,10 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
 
     Y must be checked (N, C) one-hot labels; `lik` supplies the gradients.
     """
-    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
-    d1 = (g_m - 2.0 * g_v * state.m.T).T  # (C, N) mean-parameter gradients
-    d2 = g_v.T
-    alpha = (1.0 - rho) * state.alpha + rho * d1
-    beta = np.minimum((1.0 - rho) * state.beta + rho * d2, 0.0)
+    g_m, g_v = lik.grads_mv(state.m, state.v, Y)
+    # toward the mean-parameter gradients (g_m - 2 g_v m, g_v)
+    alpha = (1.0 - rho) * state.alpha + rho * (g_m - 2.0 * g_v * state.m)
+    beta = np.minimum((1.0 - rho) * state.beta + rho * g_v, 0.0)
     m, v, kl, u, binv = posterior_from_sites(state.k_eff, alpha, beta)
     return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, binv=binv)
 
@@ -245,13 +245,13 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
         dELBO/dSigma = diag(g_v) - 1/2 (K^{-1} - Sigma^{-1})
         dELBO/dL = 2 sym(dELBO/dSigma) L  (lower triangle)
     """
-    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
+    g_m, g_v = lik.grads_mv(state.m, state.v, Y)
     m, L = state.m, state.chol
     d = np.arange(m.shape[1])  # diagonal entries are [:, d, d]
-    grad_m = g_m.T - _matvec(state.kinv, m)
+    grad_m = g_m - _matvec(state.kinv, m)
     Sinv = chol_solve(L, np.broadcast_to(np.eye(d.size), L.shape))
     GSig = np.zeros_like(Sinv)
-    GSig[:, d, d] = g_v.T
+    GSig[:, d, d] = g_v
     GSig -= 0.5 * (state.kinv - Sinv)
     GL = np.tril(2.0 * _symmetrize(GSig) @ L)
     # ascent in (off-diagonal L, log-diagonal L, m)
@@ -263,7 +263,7 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
 def elbo(state, Y: np.ndarray, lik) -> float:
     """sum_n E_q[log p(y_n | f_n)] - sum_c KL(q^c || prior^c) under `lik`,
     from the marginals and KLs the state gives."""
-    return float(lik.expected_loglik(state.m.T, state.v.T, Y) - np.sum(state.kl))
+    return float(lik.expected_loglik(state.m, state.v, Y) - np.sum(state.kl))
 
 
 def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):

@@ -13,9 +13,10 @@ mapped through softplus; gradients returned by the backward passes are with
 respect to the raw values.
 
 The C classes' base kernels share one kind and one feature batch and
-differ only in their scales, held as (C,) raw vectors. The Gram functions
-compute the feature-level term once and scale it per class into (C, N, N)
-and (C, M, N) stacks; one `spd_cholesky` call factors a stack.
+differ only in their scales, held as (C,) raw vectors. Each kind's formula
+is written once, in `cross_gram`, which scales the feature-level term per
+class into a (C, M, N) stack; `gram` is the cross_gram of the support with
+itself, (C, N, N), and one `spd_cholesky` call factors that stack.
 
 The extractor's forward pass caches the activations its backward pass
 needs; the Gram's backward pass takes the features from its caller. The
@@ -272,24 +273,15 @@ def _pow(x: np.ndarray, e: int) -> np.ndarray:
 
 def gram(base: BaseKernels, Z: np.ndarray) -> GramResult:
     """The C Gram matrices of the base kernels on feature rows Z, plus their
-    factors. The feature-level term (U U', the squared distances or Z Z') is
-    computed once and scaled per class."""
+    factors: the symmetrized cross_gram of Z with itself, centered at the
+    feature mean for COS."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2:
         raise InputError(f"Z must be (N, d), got shape {Z.shape}")
     if Z.shape[0] == 0:
         raise InputError("empty feature batch")
-    s = base.output_scale[:, None, None]
-    center = None
-    if base.kind == "COS":
-        center = Z.mean(axis=0)
-        U, _ = _cos_normalize(Z - center)
-        K = s * (U @ U.T)
-    elif base.kind == "RBF":
-        two_l2 = 2.0 * _pow(base.length_scale, 2)
-        K = s * np.exp(-_pairwise_sqdist(Z, Z) / two_l2[:, None, None])
-    else:
-        K = s * (Z @ Z.T + base.offset[:, None, None]) ** base.degree
+    center = Z.mean(axis=0) if base.kind == "COS" else None
+    K = cross_gram(base, Z, Z, center)
     K = 0.5 * (K + K.swapaxes(1, 2))
     jitters = np.empty(base.n_classes)
     L, jitter = spd_cholesky(K, jitters)
@@ -352,7 +344,8 @@ def cross_gram(base: BaseKernels, Zq: np.ndarray, Zs: np.ndarray, center=None) -
         if center is None:
             raise InputError("COS cross_gram needs the support centering mean")
         Uq, _ = _cos_normalize(Zq - center)
-        Us, _ = _cos_normalize(Zs - center)
+        # one buffer for the support's own Gram, so U U' is one product's bits
+        Us = Uq if Zs is Zq else _cos_normalize(Zs - center)[0]
         return s * (Uq @ Us.T)
     if base.kind == "RBF":
         two_l2 = 2.0 * _pow(base.length_scale, 2)

@@ -33,15 +33,16 @@ the standard normal quantile (Wichura's AS241). The unshifted net is built
 once per (S, C) and cached, under a lock, so threads that ask for one net
 at once read the table once; a power-of-two S keeps it balanced.
 
+The marginals m, v and the gradients are (C, N), as every inner-loop state
+holds them; the labels Y are (N, C) one-hot rows, as episodes give them.
 Every Monte Carlo softmax (these estimators and the label probabilities of
-:func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), with the
-nodes innermost and contiguous. Every estimator takes one node set (S, C)
-for all points, transposed once per call to (C, 1, S) and broadcast over
-the points. The class max and the class sum are then elementwise
-passes over whole (N, S) slices, the softmax is exp(f - max) / sum in one
-buffer that every step updates in place, and the mean over nodes is a
-last-axis reduction (or a product with the weights). The results equal the
-last-axis (S, N, C) formulas to rounding, not bit for bit.
+:func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), nodes
+innermost and contiguous, from one node set (S, C) for all points, laid out
+(C, 1, S). The class max and the class sum are then elementwise passes over
+whole (N, S) slices, the softmax is exp(f - max) / sum in one buffer that
+every step updates in place, and the mean over nodes is a last-axis
+reduction (or a product with the weights). The results equal the last-axis
+(S, N, C) formulas to rounding, not bit for bit.
 """
 
 import functools
@@ -199,18 +200,18 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
 
 
 def _prepare_batch(m, v, eps):
-    """Checked (N, C) marginals and the node set (S, C) that all points
+    """Checked (C, N) marginals and the node set (S, C) that all points
     share, laid out as contiguous (C, 1, S) rows."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
         raise InputError(
-            f"marginals must be (N, C) arrays, got {m.shape} and {v.shape}"
+            f"marginals must be (C, N) arrays, got {m.shape} and {v.shape}"
         )
     if np.any(v < 0.0):
         raise InputError("negative marginal variance")
     eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 2 or eps.shape[1] != m.shape[1]:
+    if eps.ndim != 2 or eps.shape[1] != m.shape[0]:
         raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
     return m, v, np.ascontiguousarray(eps.T[:, None, :])
 
@@ -218,14 +219,14 @@ def _prepare_batch(m, v, eps):
 def _stable_logits(m, sd, eps):
     """f - max_c f for f = m + sd * eps, in one fresh C-ordered (C, N, S) buffer.
 
-    m, sd: (N, C); eps: (C, 1, S) from `_prepare_batch`. The
+    m, sd: (C, N); eps: (C, 1, S) from `_prepare_batch`. The
     nodes are the innermost, contiguous axis, so the class max here and the
     class sums of the callers are elementwise passes over (N, S) slices.
     Callers update the buffer in place; it is the only one of its size.
     """
-    f = np.empty(m.T.shape + eps.shape[2:])
-    np.multiply(sd.T[:, :, None], eps, out=f)
-    f += m.T[:, :, None]
+    f = np.empty(m.shape + eps.shape[2:])
+    np.multiply(sd[:, :, None], eps, out=f)
+    f += m[:, :, None]
     f -= np.maximum.reduce(f, axis=0)
     return f
 
@@ -248,8 +249,8 @@ def _node_mean(x, weights):
 def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     """Sum over points of the estimated E[log p(y_n | f_n)].
 
-    m, v, Y: (N, C); eps: (S, C), one node set for all points; weights: (S,)
-    or None (uniform). With weights, the estimate is sum_s w_s log p(y | f^(s)).
+    m, v: (C, N); Y: (N, C); eps: (S, C), one node set for all points;
+    weights: (S,) or None (uniform), else the estimate is sum_s w_s log p(y | f^(s)).
     """
     m, v, eps = _prepare_batch(m, v, eps)
     stable = _stable_logits(m, np.sqrt(v), eps)
@@ -261,15 +262,14 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
 
 
 def batch_grads_mv(m, v, Y, eps, weights=None):
-    """Estimated (g_m, g_v) for every point at once; each of shape (N, C)."""
+    """Estimated (g_m, g_v) for every point at once, each (C, N) like m and v."""
     m, v, eps = _prepare_batch(m, v, eps)
     p = _softmax(m, np.sqrt(v), eps)
     p_bar = _node_mean(p, weights)
-    g_m = np.asarray(Y, dtype=float) - p_bar.T
+    g_m = np.asarray(Y, dtype=float).T - p_bar
     p *= p
-    g_v = 0.5 * (_node_mean(p, weights) - p_bar).T  # E[p^2 - p] / 2
-    # row-major (N, C), so downstream BLAS calls see the same strides
-    return np.ascontiguousarray(g_m), np.ascontiguousarray(g_v)
+    g_v = 0.5 * (_node_mean(p, weights) - p_bar)  # E[p^2 - p] / 2
+    return g_m, g_v
 
 
 class SoftmaxLikelihood:

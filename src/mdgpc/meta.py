@@ -91,9 +91,9 @@ def outer_grad(fit: model.FittedEpisode) -> np.ndarray:
     in ascent convention (apply with a maximizing optimizer).
     """
     kernel, (u, core) = fit.kernel, fit.terms
-    # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1}), stacked by class
+    # dL/dK = -1/2 (K^{-1} - K^{-1} (Sigma + m m') K^{-1}), stacked by class;
+    # gram_backward symmetrizes it
     G_K = -0.5 * (core - u[:, :, None] * u[:, None, :])
-    G_K = 0.5 * (G_K + G_K.swapaxes(1, 2))
     dZ, dparams = kernels.gram_backward(kernel.base, fit.features, fit.grams, G_K)
     wgrads, bgrads = kernels.extractor_backward(kernel.extractor, fit.cache, dZ)
     return _flat(wgrads, bgrads, [dparams[name] for name in kernel.base.raw_names()])

@@ -15,11 +15,11 @@ reached. The GP posterior at a query point x* is then
     mu*^c   = k*' u^c
     sig*^2c = k** - k*' core^c k*
 
-for all classes at once, from the (C, M, N) stack of cross-covariances,
-and zero sites (core = 0) give back the prior predictive exactly. Class
-label probabilities average the softmax over independent per-class
-predictive normals, on one randomized Sobol node set (S, C) that every
-query shares.
+for all classes at once, as (C, M) stacks from the (C, M, N) stack of
+cross-covariances, and zero sites (core = 0) give back the prior predictive
+exactly. Class label probabilities average the softmax over independent
+per-class predictive normals, on one randomized Sobol node set (S, C) that
+every query shares, as (M, C) rows.
 """
 
 from dataclasses import dataclass
@@ -76,20 +76,20 @@ def fit_episode(
 
 
 def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
-    """Latent predictive (mu*, var*) per query row and class, both (M, C)."""
+    """Latent predictive (mu*, var*) per class and query row, both (C, M)."""
     Zq, _ = kernels.extract(fit.kernel.extractor, query_x)
     base, (u, core) = fit.kernel.base, fit.terms
     kx = kernels.cross_gram(base, Zq, fit.features, center=fit.grams.center)
     mu = (kx @ u[:, :, None])[:, :, 0]
     var = kernels.gram_diag(base, Zq) - np.sum((kx @ core) * kx, axis=2)
-    return mu.T, var.T
+    return mu, var
 
 
 def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:
     """Softmax class probabilities from the latent predictive, averaged over
-    the node set of mc, which every query shares; (M, C) with rows summing
-    to 1."""
+    the node set of mc, which every query shares; (M, C) rows summing to 1,
+    the one transpose of the predictive's (C, M) stacks."""
     mu, var = predict_latent(fit, query_x)
-    eps = normal_draws(mc.seed, (mc.samples, mu.shape[1]))
+    eps = normal_draws(mc.seed, (mc.samples, mu.shape[0]))
     mu, var, eps = _prepare_batch(mu, np.maximum(var, 0.0), eps)
     return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), eps), axis=-1).T)

@@ -192,6 +192,20 @@ def check_disjoint_splits(train_classes, test_classes) -> None:
         raise InputError(f"classes {overlap} appear in both splits")
 
 
+def check_class_pool(ds: DatasetSource, class_pool, n_way: int, rows: int) -> None:
+    """Raise InputError unless the pool holds n_way or more classes, each in
+    ds with at least `rows` rows."""
+    pool = [int(cid) for cid in class_pool]
+    missing = [cid for cid in pool if ds.rows_for(cid).size == 0]
+    if missing:
+        raise InputError(f"classes {missing} not present in dataset")
+    if len(pool) < n_way:
+        raise InputError(f"pool has {len(pool)} classes, need {n_way}")
+    for cid in pool:
+        if ds.rows_for(cid).size < rows:
+            raise InputError(f"class {cid} has {ds.rows_for(cid).size} rows, needs {rows}")
+
+
 def sample_episode_from_dataset(
     ds: DatasetSource,
     class_pool,
@@ -200,28 +214,18 @@ def sample_episode_from_dataset(
     queries: int,
     seed: int,
 ) -> Episode:
-    """Sample an n_way episode from the given class pool, no replacement."""
-    pool = [int(cid) for cid in class_pool]
-    missing = [cid for cid in pool if ds.rows_for(cid).size == 0]
-    if missing:
-        raise InputError(f"classes {missing} not present in dataset")
-    if len(pool) < n_way:
-        raise InputError(f"pool has {len(pool)} classes, need {n_way}")
+    """Sample an n_way episode from the given class pool, no replacement; the
+    pool must pass :func:`check_class_pool` for shots + queries rows."""
     rng = rng_for(seed)
-    chosen = rng.choice(np.array(pool), size=n_way, replace=False)
+    chosen = rng.choice(np.array([int(cid) for cid in class_pool]), size=n_way, replace=False)
     sup_x, q_x = [], []
-    need = shots + queries
     for cid in chosen:
-        rows = ds.rows_for(int(cid))
-        if rows.size < need:
-            raise InputError(f"class {int(cid)} has {rows.size} rows, needs {need}")
-        pick = rng.choice(rows, size=need, replace=False)
+        pick = rng.choice(ds.rows_for(int(cid)), size=shots + queries, replace=False)
         sup_x.append(ds.X[pick[:shots]])
         q_x.append(ds.X[pick[shots:]])
-    c = n_way
     return Episode(
         support_x=np.vstack(sup_x),
-        support_y=one_hot(np.repeat(np.arange(c), shots), c),
+        support_y=one_hot(np.repeat(np.arange(n_way), shots), n_way),
         query_x=np.vstack(q_x),
-        query_y=one_hot(np.repeat(np.arange(c), queries), c),
+        query_y=one_hot(np.repeat(np.arange(n_way), queries), n_way),
     )

@@ -184,14 +184,14 @@ class GaussianSiteLikelihood:
 
     Its mean-parameter gradients are the constants (a, b), so a single
     mirror step with rho = 1 must land exactly on the conjugate posterior
-    with site naturals (a, b).
+    with site naturals (a, b), both (C, N) like the marginals.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape != b.shape or a.ndim != 2:
-            raise InputError("a, b must both be (N, C)")
+            raise InputError("a, b must both be (C, N)")
         if np.any(b > 0.0):
             raise InputError("quadratic site coefficients must be <= 0")
         self.a = a
@@ -244,7 +244,7 @@ def _objective_at(coords, prior, Y, lik, n, c):
     variances = np.diagonal(covs, axis1=1, axis2=2)
     prior_chol_inv = np.linalg.inv(prior.chol)
     kl = gaussian_kl(means, spd_cholesky(covs)[0], prior_chol_inv)
-    return float(lik.expected_loglik(means.T, variances.T, Y) - np.sum(kl))
+    return float(lik.expected_loglik(means, variances, Y) - np.sum(kl))
 
 
 def ngd_verify(
@@ -395,9 +395,9 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
     eps, weights = gauss_hermite_draws(16, c)
 
     def marginals(mm, vv):
-        """The point's (1, C) mean and variance, the variance taken back from
+        """The point's (C, 1) mean and variance, the variance taken back from
         the mean parameter mu2 = v + m^2."""
-        return mm[None, :], ((vv + mm * mm) - mm**2)[None, :]
+        return mm[:, None], ((vv + mm * mm) - mm**2)[:, None]
 
     g_m, g_v = batch_grads_mv(*marginals(m, v), Y, eps, weights)
     worst = 0.0
@@ -412,7 +412,7 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
                     vv[j] = v[j] + sgn * fd_step
                 vals.append(batch_expected_loglik(*marginals(mm, vv), Y, eps, weights))
             fd = (vals[0] - vals[1]) / (2.0 * fd_step)
-            exact = g_m[0, j] if which == "m" else g_v[0, j]
+            exact = g_m[j, 0] if which == "m" else g_v[j, 0]
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     return worst
 
@@ -422,17 +422,17 @@ def _check_conjugate_step(seed: int) -> float:
     n, c = 3, 2
     Z = rng.standard_normal((n, 2))
     prior = kernels.gram(kernels.BaseKernels.at_scales("RBF", c), Z)
-    a = rng.standard_normal((n, c))
-    b = -0.1 - 0.4 * rng.random((n, c))
+    a = rng.standard_normal((n, c)).T  # (C, N), drawn point by point
+    b = (-0.1 - 0.4 * rng.random((n, c))).T
     Y = np.zeros((n, c))
     Y[:, 0] = 1.0
     stepped = md_step(md_init(prior), Y, 1.0, GaussianSiteLikelihood(a, b))
     _, core = stepped.kinv_terms()
     K, d = prior.k_eff, np.arange(n)
     prec = np.linalg.inv(K)
-    prec[:, d, d] -= 2.0 * b.T
+    prec[:, d, d] -= 2.0 * b
     sigma = np.linalg.inv(prec)
-    mean = (sigma @ a.T[:, :, None])[:, :, 0]
+    mean = (sigma @ a[:, :, None])[:, :, 0]
     return max(
         float(np.max(np.abs(K - K @ core @ K - sigma))),
         float(np.max(np.abs(stepped.m - mean))),

@@ -101,13 +101,13 @@ def label_probs(mu, var, eps) -> np.ndarray:
 def point_loglik(m, v, y, eps, weights=None) -> float:
     """The package's estimate of E[log p(y | f)] at one point with (C,)
     marginal means m and variances v, over an (S, C) node set."""
-    return likelihood.batch_expected_loglik(m[None], v[None], y[None], eps, weights)
+    return likelihood.batch_expected_loglik(m[:, None], v[:, None], y[None], eps, weights)
 
 
 def point_grads(m, v, y, eps, weights=None):
     """The package's (g_m, g_v) at one point, each of shape (C,)."""
-    g_m, g_v = likelihood.batch_grads_mv(m[None], v[None], y[None], eps, weights)
-    return g_m[0], g_v[0]
+    g_m, g_v = likelihood.batch_grads_mv(m[:, None], v[:, None], y[None], eps, weights)
+    return g_m[:, 0], g_v[:, 0]
 
 
 def grad_mean_params(m, v, y, eps, weights=None):
@@ -196,16 +196,16 @@ def scipy_gaussian_kl(q, p) -> float:
 def scipy_gd_step(state, prior: GramResult, Y: np.ndarray, lr: float, lik):
     """(m, chol) after one gradient-ascent step, class by class on scipy
     solves with the prior factors of `prior` and with L."""
-    g_m, g_v = lik.grads_mv(state.m.T, state.v.T, Y)
+    g_m, g_v = lik.grads_mv(state.m, state.v, Y)
     means, factors = [], []
     for c, (m, L, Lk) in enumerate(zip(state.m, state.chol, prior.chol)):
         eye = np.eye(m.shape[0])
-        GSig = np.diag(g_v[:, c]) - 0.5 * (scipy_chol_solve(Lk, eye) - scipy_chol_solve(L, eye))
+        GSig = np.diag(g_v[c]) - 0.5 * (scipy_chol_solve(Lk, eye) - scipy_chol_solve(L, eye))
         GL = np.tril(2.0 * (0.5 * (GSig + GSig.T)) @ L)
         Lnew = L + lr * np.tril(GL, -1)
         d = np.diag_indices(m.shape[0])
         Lnew[d] = L[d] * np.exp(lr * GL[d] * L[d])
-        means.append(m + lr * (g_m[:, c] - scipy_chol_solve(Lk, m)))
+        means.append(m + lr * (g_m[c] - scipy_chol_solve(Lk, m)))
         factors.append(Lnew)
     return np.stack(means), np.stack(factors)
 

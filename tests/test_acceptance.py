@@ -53,7 +53,7 @@ def test_criterion_02_full_rate_step_is_exact_conjugate_update():
         grams = stack_priors(kernels.gram(base, rng.standard_normal((n, 3))) for _ in range(c))
         a = rng.standard_normal((n, c))
         b = -0.1 - 0.5 * rng.random((n, c))
-        lik = GaussianSiteLikelihood(a, b)
+        lik = GaussianSiteLikelihood(a.T, b.T)
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         state = inference.md_step(inference.md_init(grams), Y, 1.0, lik)
         _, core = state.kinv_terms()
@@ -80,7 +80,7 @@ def test_criterion_03_likelihood_gradient_identities():
         v = rng.gamma(2.0, 1.0, (n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         eps = rng.standard_normal((8, c))  # one node set for all points
-        g_m, g_v = likelihood.batch_grads_mv(m, v, Y, eps)
+        g_m, g_v = likelihood.batch_grads_mv(m.T, v.T, Y, eps)
         assert np.all(g_m >= -1.0) and np.all(g_m <= 1.0)
         assert np.all(g_v >= -0.125) and np.all(g_v <= 0.0)
         checked += n
@@ -301,7 +301,7 @@ def test_criterion_08_predictive_consistency():
     worst_prior = np.max(np.abs(mu0))
     prior_diag = kernels.gram_diag(kern.base, Zq)
     for c in range(5):
-        worst_prior = max(worst_prior, np.max(np.abs(var0[:, c] - prior_diag[c])))
+        worst_prior = max(worst_prior, np.max(np.abs(var0[c] - prior_diag[c])))
 
     fit = model.fit_episode(
         kern, ep.support_x, ep.support_y, InnerConfig(rho=0.7, steps=4, mc=McConfig(64, 5))
@@ -319,8 +319,8 @@ def test_criterion_08_predictive_consistency():
         var_dense = kdiag - np.einsum("ij,ij->i", KiK, kx) + np.einsum(
             "ij,jk,ik->i", KiK, Sigma[c], KiK
         )
-        worst_dense = max(worst_dense, np.max(np.abs(mu[:, c] - mu_dense)))
-        worst_dense = max(worst_dense, np.max(np.abs(var[:, c] - var_dense)))
+        worst_dense = max(worst_dense, np.max(np.abs(mu[c] - mu_dense)))
+        worst_dense = max(worst_dense, np.max(np.abs(var[c] - var_dense)))
     print(
         f"criterion 8: prior reproduction {worst_prior:.3e} (tol 1e-10), "
         f"dense cross-check {worst_dense:.3e} (tol 1e-8)"

@@ -533,6 +533,24 @@ class TestExitCodes:
             # a huge run count ran until stopped
             ("compare-outer", "compare_outer.seeds=100000000000000000000000", 1),
             ("train", "outer.episodes_per_epoch=100000000000000000000000", 1),
+            # a split's class pool is checked against the data file before
+            # output_dir is made: every class present with L + M rows, C of them
+            pytest.param(
+                "train", ("data.path={tmp}/pool.csv", "data.splits.train=[0, 2, 3, 99]"), 1,
+                id="train-pool-missing-class",
+            ),
+            pytest.param(
+                "train", ("data.path={tmp}/pool.csv", "data.splits.train=[0, 2]"), 1,
+                id="train-pool-too-small",
+            ),
+            pytest.param(
+                "train", ("data.path={tmp}/pool.csv", "data.splits.train=[0, 2, 3]", "task.M=60"), 1,
+                id="train-pool-too-few-rows",
+            ),
+            pytest.param(
+                "eval", ("data.path={tmp}/pool.csv", "data.splits.test=[1, 2]"), 1,
+                id="eval-pool-too-small",
+            ),
         ],
     )
     def test_rejected_config_writes_nothing(
@@ -540,11 +558,14 @@ class TestExitCodes:
     ):
         (tmp_path / "header_only.csv").write_text("f0,f1,f2,f3,label\n")
         (tmp_path / "nan_cell.csv").write_text("f0,f1,f2,f3,label\n1.0,nan,0.0,0.0,0\n")
+        # 6 classes of 8 rows in BASE's 4 dimensions
+        tasks.save_csv_dataset(tmp_path / "pool.csv", *tasks.gen_dataset(6, 8, 4, 3.0, 0.5, seed=0))
         cfg_path = write_cfg(tmp_path, {"data": {"splits": {"train": [0], "test": [1]}}})
         out = tmp_path / "o"
-        override = override.format(tmp=tmp_path, huge="1" + "0" * 400)
+        overrides = [override] if isinstance(override, str) else override
+        sets = [x for o in overrides for x in ("--set", o.format(tmp=tmp_path, huge="1" + "0" * 400))]
         extra = ["--checkpoint", str(base_checkpoint)] if cmd == "eval" else []
-        assert run(cmd, cfg_path, out, "--set", override, *extra) == rc
+        assert run(cmd, cfg_path, out, *sets, *extra) == rc
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

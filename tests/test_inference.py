@@ -168,7 +168,7 @@ class TestConjugateLimit:
         grams = toy_grams(seed, n=4, c=2)
         a = rng.standard_normal((4, 2))
         b = -0.1 - 0.5 * rng.random((4, 2))
-        lik = GaussianSiteLikelihood(a, b)
+        lik = GaussianSiteLikelihood(a.T, b.T)
         Y = toy_labels(seed, 4, 2)
         state = md_step(md_init(grams), Y, 1.0, lik)
         _, core = state.kinv_terms()
@@ -185,7 +185,7 @@ class TestConjugateLimit:
         rng = np.random.default_rng(3)
         grams = toy_grams(3, n=4, c=2)
         lik = GaussianSiteLikelihood(
-            rng.standard_normal((4, 2)), -0.2 - rng.random((4, 2))
+            rng.standard_normal((4, 2)).T, (-0.2 - rng.random((4, 2))).T
         )
         Y = toy_labels(3, 4, 2)
         state = md_step(md_init(grams), Y, 1.0, lik)
@@ -254,7 +254,7 @@ class TestGdBaseline:
         n, c = 4, 2
         grams = toy_grams(12, n=n, c=c)
         lik = GaussianSiteLikelihood(
-            rng.standard_normal((n, c)), -0.1 - rng.random((n, c))
+            rng.standard_normal((n, c)).T, (-0.1 - rng.random((n, c))).T
         )
         Y = toy_labels(12, n, c)
         lr = 1e-7
@@ -401,7 +401,7 @@ class TestRunInner:
         mc = McConfig(64, 3)
         lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[1])
         assert elbo(state, Y, lik) == pytest.approx(
-            lik.expected_loglik(state.m.T, state.v.T, Y), abs=1e-10
+            lik.expected_loglik(state.m, state.v, Y), abs=1e-10
         )
 
     def test_elbo_monotone_under_small_rate_and_many_samples(self):
@@ -492,7 +492,7 @@ class TestNgdEquivalence:
         grams = toy_grams(302, n=3, c=2)
         a = rng.standard_normal((3, 2))
         b = -0.2 - 0.3 * rng.random((3, 2))
-        lik = GaussianSiteLikelihood(a, b)
+        lik = GaussianSiteLikelihood(a.T, b.T)
         Y = toy_labels(302, 3, 2)
         report = ngd_verify(grams, Y, lik=lik, warmup_steps=0)
         assert report["deviation"] <= 1e-3

@@ -183,6 +183,17 @@ class TestGramForward:
         cross = cross_gram(base_for(kind), Z, Z)
         np.testing.assert_allclose(cross, res.K, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n_classes,n", [(5, 25), (10, 100)])
+    def test_gram_is_symmetrized_cross_gram(self, kind, n_classes, n):
+        # one formula per kind: the support's Gram is its cross_gram with
+        # itself, symmetrized, bit for bit
+        Z = np.random.default_rng(n).standard_normal((n, 16))
+        base = spread_base(kind, n_classes, seed=n_classes)
+        center = Z.mean(axis=0) if kind == "COS" else None
+        X = cross_gram(base, Z, Z, center)
+        assert np.array_equal(gram(base, Z).K, 0.5 * (X + X.swapaxes(1, 2)))
+
     def test_cos_cross_gram_uses_support_center(self):
         rng = np.random.default_rng(7)
         Z = rng.standard_normal((5, 3))

@@ -105,18 +105,24 @@ class TestDraws:
         v = rng.uniform(0.3, 4.0, (n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         eps_gh, w_gh = gauss_hermite_draws(10, c)
+
+        def package(m, v, Y, eps, w=None):
+            """The package's g_m, (N, C) like the oracle's, from (C, N) marginals."""
+            return batch_grads_mv(m.T, v.T, Y, eps, w)[0].T
+
         ref = np.concatenate(
-            [batch_grads_mv(m[i : i + 1], v[i : i + 1], Y[i : i + 1], eps_gh, w_gh)[0] for i in range(n)]
+            [package(m[i : i + 1], v[i : i + 1], Y[i : i + 1], eps_gh, w_gh) for i in range(n)]
         )
 
-        def rmse(grads_mv, draws):
-            errs = [grads_mv(m, v, Y, draws(seed))[0] - ref for seed in range(40)]
+        def rmse(g_m, draws):
+            errs = [g_m(m, v, Y, draws(seed)) - ref for seed in range(40)]
             return float(np.sqrt(np.mean(np.square(errs))))
 
         # the package takes one node set for all points; the iid side draws
         # per point, (S, N, C), which only the last-axis oracle formulas take
-        assert rmse(batch_grads_mv, lambda seed: normal_draws(seed, (s, c))) < rmse(
-            oracles.batch_grads_mv, lambda seed: oracles.iid_draws(seed, (s, n, c))
+        assert rmse(package, lambda seed: normal_draws(seed, (s, c))) < rmse(
+            lambda *args: oracles.batch_grads_mv(*args)[0],
+            lambda seed: oracles.iid_draws(seed, (s, n, c)),
         )
 
     def test_net_cache_filled_from_threads(self):
@@ -206,9 +212,9 @@ class TestEstimator:
         v = 0.5 + rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         eps = oracles.iid_draws(9, (64, c))
-        total = batch_expected_loglik(m, v, Y, eps)
+        total = batch_expected_loglik(m.T, v.T, Y, eps)
         parts = sum(
-            batch_expected_loglik(m[i : i + 1], v[i : i + 1], Y[i : i + 1], eps)
+            batch_expected_loglik(m[i : i + 1].T, v[i : i + 1].T, Y[i : i + 1], eps)
             for i in range(n)
         )
         assert total == pytest.approx(parts, rel=1e-12)
@@ -223,8 +229,8 @@ class TestGradients:
         v = 0.01 + 3.0 * rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         eps = oracles.iid_draws(11, (8, c))
-        g_m, g_v = batch_grads_mv(m, v, Y, eps)
-        assert g_m.shape == (n, c) and g_v.shape == (n, c)
+        g_m, g_v = batch_grads_mv(m.T, v.T, Y, eps)
+        assert g_m.shape == (c, n) and g_v.shape == (c, n)
         assert np.all(g_m >= -1.0 - 1e-12) and np.all(g_m <= 1.0 + 1e-12)
         assert np.all(g_v >= -0.125 - 1e-12) and np.all(g_v <= 0.0 + 1e-12)
 
@@ -298,7 +304,8 @@ class TestClassLeadingKernel:
     and g_v 4.5e-15 absolute (both on the Gauss-Hermite set, where
     E[p^2] - E[p] cancels), log-likelihood 2.9e-16 relative, label
     probabilities 6.7e-16 absolute. The independent draws are per point,
-    (S, N, C); the package takes each point alone on its own draws."""
+    (S, N, C); the package takes each point alone on its own draws. The
+    package's marginals and gradients are (C, N), the oracles' (N, C)."""
 
     GM_ATOL = 5e-15
     GV_ATOL = 4e-14
@@ -322,10 +329,12 @@ class TestClassLeadingKernel:
 
     @classmethod
     def package(cls, m, v, Y, eps, w):
-        """The package's (g_m, g_v, summed log-likelihood). Per-point draws
-        (S, N, C) go in one point at a time, each point's draws its node set."""
+        """The package's (g_m, g_v, summed log-likelihood), the gradients
+        (N, C) like the oracles'. Per-point draws (S, N, C) go in one point
+        at a time, each point's draws its node set."""
         if eps.ndim == 2:
-            return (*batch_grads_mv(m, v, Y, eps, w), batch_expected_loglik(m, v, Y, eps, w))
+            g_m, g_v = batch_grads_mv(m.T, v.T, Y, eps, w)
+            return g_m.T, g_v.T, batch_expected_loglik(m.T, v.T, Y, eps, w)
         g_m, g_v, ll = zip(
             *(cls.package(m[i : i + 1], v[i : i + 1], Y[i : i + 1], eps[:, i], w) for i in range(len(m)))
         )
@@ -347,7 +356,7 @@ class TestClassLeadingKernel:
     def test_label_probs_match(self, c, monkeypatch):
         m, v, _, _ = self.case(c, 7)
         var = v - 0.1  # some negative predictive variances, clamped to 0
-        monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m, var))
+        monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m.T, var.T))
         mc = McConfig(samples=33, seed=4)
         probs = model.predict_labels(None, None, mc)
         eps = normal_draws(mc.seed, (mc.samples, c))[:, None, :]
@@ -364,7 +373,7 @@ class TestLikelihoodObjects:
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         lik1 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
         lik2 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
-        assert lik1.expected_loglik(m, v, Y) == lik2.expected_loglik(m, v, Y)
+        assert lik1.expected_loglik(m.T, v.T, Y) == lik2.expected_loglik(m.T, v.T, Y)
 
     def test_gaussian_site_likelihood(self):
         rng = np.random.default_rng(8)

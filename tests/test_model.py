@@ -34,7 +34,7 @@ class TestPriorPredictive:
         np.testing.assert_array_equal(mu, np.zeros_like(mu))
         prior_diag = kernels.gram_diag(kern.base, Zq)
         for c in range(5):
-            np.testing.assert_allclose(var[:, c], prior_diag[c], atol=1e-10)
+            np.testing.assert_allclose(var[c], prior_diag[c], atol=1e-10)
 
     def test_gd_state_also_starts_at_prior(self):
         kern = make_kernel()
@@ -47,7 +47,7 @@ class TestPriorPredictive:
         np.testing.assert_allclose(mu, np.zeros_like(mu), atol=1e-10)
         prior_diag = kernels.gram_diag(kern.base, Zq)
         for c in range(5):
-            np.testing.assert_allclose(var[:, c], prior_diag[c], atol=1e-8)
+            np.testing.assert_allclose(var[c], prior_diag[c], atol=1e-8)
 
 
 class TestConditioning:
@@ -75,8 +75,8 @@ class TestConditioning:
                 - np.einsum("ij,jk,ik->i", kx, Kinv, kx)
                 + np.einsum("ij,jk,ik->i", kx @ Kinv, Sigma[c], kx @ Kinv)
             )
-            np.testing.assert_allclose(mu[:, c], mu_dense, atol=1e-8)
-            np.testing.assert_allclose(var[:, c], var_dense, atol=1e-8)
+            np.testing.assert_allclose(mu[c], mu_dense, atol=1e-8)
+            np.testing.assert_allclose(var[c], var_dense, atol=1e-8)
 
     def test_variances_stay_positive(self):
         kern = make_kernel()

@@ -233,14 +233,23 @@ class TestSplitsAndSampling:
     def test_pool_too_small(self):
         ds = self.dataset()
         with pytest.raises(InputError, match="pool has 2 classes"):
-            tasks.sample_episode_from_dataset(ds, [0, 1], 3, 2, 2, seed=0)
+            tasks.check_class_pool(ds, [0, 1], 3, 2 + 2)
 
     def test_unknown_class_in_pool(self):
         ds = self.dataset()
         with pytest.raises(InputError, match=r"classes \[9\] not present"):
-            tasks.sample_episode_from_dataset(ds, [0, 1, 9], 3, 2, 2, seed=0)
+            tasks.check_class_pool(ds, [0, 1, 9], 3, 2 + 2)
 
     def test_not_enough_rows(self):
         ds = self.dataset()  # 8 rows per class
         with pytest.raises(InputError, match="has 8 rows, needs 9"):
-            tasks.sample_episode_from_dataset(ds, [0, 1, 2], 3, 5, 4, seed=0)
+            tasks.check_class_pool(ds, [0, 1, 2], 3, 5 + 4)
+
+    def test_rows_checked_for_every_pool_class(self):
+        # a class that an episode may never sample is still checked
+        ds = self.dataset()
+        keep = (ds.labels != 5) | (np.arange(ds.labels.size) % 8 < 3)
+        ds = tasks.DatasetSource(X=ds.X[keep], labels=ds.labels[keep])
+        tasks.check_class_pool(ds, [0, 1, 2], 3, 4)
+        with pytest.raises(InputError, match="class 5 has 3 rows, needs 4"):
+            tasks.check_class_pool(ds, [0, 1, 2, 5], 3, 4)

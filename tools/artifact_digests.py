@@ -11,15 +11,16 @@ every subcommand at the default config (compare-outer at ``seeds=1``,
 ``iterations=5``) and at the ``BASE`` config of ``tests/test_cli.py``, with
 eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
 config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
-``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and
-compare-inner, so the class sums of 8 or more terms are covered too: 19 runs.
-Then ``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and
-eval at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
+``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and 2 and
+compare-inner, so the class sums of 8 or more terms are covered too, and
+the threads are pinned at the class count where they pay: 20 runs. Then
+``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and eval
+at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
 branches of the Gram, its diagonal and its backward pass are covered too,
-POL1's degree-1 power ``P ** 0`` included: 25 runs. Last, compare-inner at
+POL1's degree-1 power ``P ** 0`` included: 26 runs. Last, compare-inner at
 the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
 baseline fails on a singular prior, so the step and message of each failure
-are pinned too: 28 runs.
+are pinned too: 29 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -80,7 +81,7 @@ def run_set() -> list[tuple[str, list[str]]]:
             add(f"verify-s{seed}", "verify", "--set", f"seed={seed}")
     base = ["--config", "base.json"]
     for label, config, setting, names in (
-        ("base-c10", base, "task.C=10", ("train", "eval-p1", "compare-inner")),
+        ("base-c10", base, "task.C=10", ("train", "eval-p1", "eval-p2", "compare-inner")),
         ("base-cos", base, "kernel.kind=COS", ("train", "eval-p1")),
         ("base-pol2", base, "kernel.kind=POL2", ("train", "eval-p1")),
         ("base-pol1", base, "kernel.kind=POL1", ("train", "eval-p1")),
@@ -92,6 +93,7 @@ def run_set() -> list[tuple[str, list[str]]]:
         args = {
             "train": ["train"],
             "eval-p1": ["eval", "--checkpoint", ckpt, "--parallel-episodes", "1"],
+            "eval-p2": ["eval", "--checkpoint", ckpt, "--parallel-episodes", "2"],
             "compare-inner": ["compare-inner"],
         }
         for name in names:
