@@ -13,14 +13,14 @@ diagonal Gaussian sites:
 
 where the site naturals are alpha (linear) and beta (quadratic, beta <= 0),
 so Sigma^c = (K^{c-1} - 2 diag(beta^c))^{-1} and m^c = Sigma^c alpha^c. With
-W = sqrt(-2 beta), B = I + W K W = L_B L_B' and X = B^{-1} W K, the step and
-the ELBO read only what `posterior_from_sites` takes from L_B, B^{-1} and X:
+W = sqrt(-2 beta), B = I + W K W and X = B^{-1} W K, a step reads only what
+`posterior_from_sites` takes from B^{-1} and X; the KL, which only the ELBO
+reads, adds the factor L_B L_B' = B (Rasmussen & Williams 2006, Sec. 3.4):
 
     u = K^{-1} m = alpha - W X alpha,     m = K u,
     v = diag K - rowsum(K W o X'),
-    KL(q || prior) = 1/2 (m' u - sum_i W_i X_ii) + sum log diag L_B
+    KL(q || prior) = 1/2 (m' u - sum_i W_i X_ii) + sum log diag L_B.
 
-(Rasmussen & Williams 2006, Sec. 3.4).
 Nothing inverts K or forms Sigma, and zero sites give the prior exactly.
 
 A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
@@ -35,7 +35,7 @@ mirror-descent state holds its (C, N) site naturals ``alpha`` and ``beta``,
 and the ``u`` and inverse ``binv`` of B its last step computed, so
 ``kinv_terms`` is the elementwise product W B^{-1} W and neither factors
 nor solves; the gradient-ascent state holds its (C, N, N) Cholesky factors
-``chol``.
+``chol``. Each state derives ``kl`` when it is read, from what it holds.
 ``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``; it and the steps
 hand ``m`` and ``v`` to the likelihood in this layout, untransposed. The step
 arithmetic is written once for all classes, with batched ``@`` on the
@@ -57,9 +57,9 @@ computes the stacked K + jitter I and its Cholesky factors once, as one
 K + jitter I for mirror descent; for gradient ascent the inverses of the
 prior factors, which its KL reads, and the symmetric K^{-1} formed from
 them. Neither factors anything else: the only factorizations at run time
-are those of the Grams and of B. B's eigenvalues are at least 1, so a
-mirror step inverts B itself; a gradient-ascent step inverts its factor L
-for Sigma^{-1}.
+are those of the Grams, and of B when an MD state's KL is read. B's
+eigenvalues are at least 1, so a mirror step inverts B itself and factors
+nothing; a gradient-ascent step inverts its factor L for Sigma^{-1}.
 """
 
 from dataclasses import dataclass, replace
@@ -73,17 +73,8 @@ from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
 
 __all__ = [
-    "VariationalState",
-    "GdState",
-    "InnerConfig",
-    "md_init",
-    "md_step",
-    "gd_init",
-    "gd_step",
-    "elbo",
-    "inner_states",
-    "run_inner",
-    "posterior_from_sites",
+    "VariationalState", "GdState", "InnerConfig", "md_init", "md_step", "gd_init", "gd_step",
+    "elbo", "inner_states", "run_inner", "posterior_from_sites",
 ]
 
 
@@ -95,10 +86,19 @@ class VariationalState:
     beta: np.ndarray  # (C, N) quadratic site naturals, <= 0
     m: np.ndarray  # (C, N) posterior means
     v: np.ndarray  # (C, N) posterior marginal variances
-    kl: np.ndarray  # (C,) KL(q^c || prior^c)
     u: np.ndarray  # (C, N) K^{-1} m
     binv: np.ndarray  # (C, N, N) inverses of B = I + W K W
     k_eff: np.ndarray  # (C, N, N) prior covariances, from the prior's GramResult
+
+    @property
+    def kl(self) -> np.ndarray:
+        """(C,) KL(q^c || prior^c), 1/2 (m' u - sum_i W_i X_ii) + sum log diag L_B,
+        with X_ii from the kept inverse of B and L_B from B factored here."""
+        W = _site_scale(self.beta)
+        LB, _ = spd_cholesky(_site_b(self.k_eff, W))
+        wx = W * np.einsum("cij,cij->ci", self.binv, self.k_eff * W[:, None, :])
+        half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
+        return 0.5 * np.sum(self.m * self.u - wx, axis=1) + half_logdet_b
 
     def kinv_terms(self) -> tuple:
         """(u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), (C, N) and (C, N, N).
@@ -179,37 +179,35 @@ def _site_scale(beta: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.minimum(beta, 0.0))
 
 
+def _site_b(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """B = I + W K W for every class."""
+    return np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
+
+
 def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(m, v, kl, u, binv): the means, marginal variances and KL to the prior
-    N(0, K) of the posterior N((K^{-1} - 2 diag(beta))^{-1} alpha, same
-    inverse), stacked by class, from B = I + W K W alone, with W = sqrt(-2
-    beta): log|B| from its factor LB and X = B^{-1} W K from its inverse binv.
-    B's eigenvalues are at least 1, so the inverse is well conditioned;
-    u = K^{-1} m and binv are kept for `kinv_terms`.
+    """(m, v, u, binv): the means and marginal variances of the posterior
+    N((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse) under the prior
+    N(0, K), stacked by class, from the inverse binv of B = I + W K W alone,
+    with W = sqrt(-2 beta) and X = B^{-1} W K. B's eigenvalues are at least
+    1, so the inverse is well conditioned; u = K^{-1} m and binv are kept
+    for `kinv_terms` and the state's KL. Nothing is factored.
     """
     W = _site_scale(beta)
-    B = np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
-    LB, _ = spd_cholesky(B)
-    binv = np.linalg.inv(B)
+    binv = np.linalg.inv(_site_b(K, W))
     KW = K * W[:, None, :]
     X = binv @ KW.swapaxes(1, 2)
     u = alpha - W * _matvec(X, alpha)  # K^{-1} m
     m = _matvec(K, u)
     v = np.diagonal(K, axis1=1, axis2=2) - np.einsum("cij,cji->ci", KW, X)
-    # tr(K^{-1} Sigma) = N - sum_i W_i X_ii and log|K| - log|Sigma| = log|B|
-    half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
-    kl = 0.5 * np.sum(m * u - W * np.diagonal(X, axis1=1, axis2=2), axis=1) + half_logdet_b
-    return m, v, kl, u, binv
+    return m, v, u, binv
 
 
 def md_init(prior: GramResult) -> VariationalState:
     """Zero sites; the posterior starts at the prior, where B = I and u = 0."""
     k_eff = prior.k_eff
     zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
-    kl, binv = np.zeros(len(k_eff)), np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
-    return VariationalState(
-        alpha=zeros, beta=zeros, m=zeros, v=v, kl=kl, u=zeros, binv=binv, k_eff=k_eff
-    )
+    binv = np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
+    return VariationalState(alpha=zeros, beta=zeros, m=zeros, v=v, u=zeros, binv=binv, k_eff=k_eff)
 
 
 def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
@@ -221,8 +219,8 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     # toward the mean-parameter gradients (g_m - 2 g_v m, g_v)
     alpha = (1.0 - rho) * state.alpha + rho * (g_m - 2.0 * g_v * state.m)
     beta = np.minimum((1.0 - rho) * state.beta + rho * g_v, 0.0)
-    m, v, kl, u, binv = posterior_from_sites(state.k_eff, alpha, beta)
-    return replace(state, alpha=alpha, beta=beta, m=m, v=v, kl=kl, u=u, binv=binv)
+    m, v, u, binv = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, v=v, u=u, binv=binv)
 
 
 def gd_init(prior: GramResult) -> GdState:

@@ -179,6 +179,8 @@ def load_csv_dataset(path) -> DatasetSource:
             raise InputError(f"{path}:{lineno}: non-finite value in column {col}")
         if values[d] != int(values[d]):
             raise InputError(f"{path}:{lineno}: non-integer label {row[d]!r}")
+        if not abs(values[d]) < 2**53:  # beyond it a float label may round to another
+            raise InputError(f"{path}:{lineno}: label {row[d]!r} is outside (-2^53, 2^53)")
         rows.append(values[:d])
         labels.append(int(values[d]))
     if not rows:

@@ -484,6 +484,9 @@ class TestExitCodes:
             ("train", "task.C=1", 1),
             ("train", "data.path={tmp}/header_only.csv", 1),
             ("train", "data.path={tmp}/nan_cell.csv", 1),
+            # a label beyond int64 ended in an OverflowError traceback
+            ("train", "data.path={tmp}/big_label.csv", 1),
+            ("train", "data.path={tmp}/long_label.csv", 1),
             ("train", "task.tau=NaN", 1),
             ("train", "kernel.init_scales.length_scale=Infinity", 1),
             ("train", "seed=-1", 1),
@@ -558,6 +561,8 @@ class TestExitCodes:
     ):
         (tmp_path / "header_only.csv").write_text("f0,f1,f2,f3,label\n")
         (tmp_path / "nan_cell.csv").write_text("f0,f1,f2,f3,label\n1.0,nan,0.0,0.0,0\n")
+        (tmp_path / "big_label.csv").write_text("f0,f1,f2,f3,label\n1,2,3,4,1e300\n")
+        (tmp_path / "long_label.csv").write_text("f0,f1,f2,f3,label\n1,2,3,4,99999999999999999999\n")
         # 6 classes of 8 rows in BASE's 4 dimensions
         tasks.save_csv_dataset(tmp_path / "pool.csv", *tasks.gen_dataset(6, 8, 4, 3.0, 0.5, seed=0))
         cfg_path = write_cfg(tmp_path, {"data": {"splits": {"train": [0], "test": [1]}}})

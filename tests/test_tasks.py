@@ -163,6 +163,20 @@ class TestCsvErrors:
         with pytest.raises(InputError, match="non-integer label"):
             tasks.load_csv_dataset(self.write(tmp_path, text))
 
+    @pytest.mark.parametrize("label", ["1e300", "99999999999999999999", "9007199254740993"])
+    def test_label_out_of_range_reports_line(self, tmp_path, label):
+        # beyond 2^53 a label parsed as float may round to another label
+        # (9007199254740993 to 9007199254740992), and beyond int64 it ended
+        # in an OverflowError traceback
+        text = f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,{label}\n"
+        with pytest.raises(InputError, match=rf":3: label '{label}' is outside \(-2\^53, 2\^53\)"):
+            tasks.load_csv_dataset(self.write(tmp_path, text))
+
+    def test_negative_and_large_labels_load(self, tmp_path):
+        text = "f0,f1,label\n1.0,2.0,-3\n1.0,2.0,-9007199254740991\n1.0,2.0,9007199254740991\n"
+        ds = tasks.load_csv_dataset(self.write(tmp_path, text))
+        np.testing.assert_array_equal(ds.labels, [-3, 1 - 2**53, 2**53 - 1])
+
     @pytest.mark.parametrize(
         "row, col", [("1.0,nan,0", "f1"), ("inf,2.0,0", "f0"), ("1.0,2.0,nan", "label")]
     )
