@@ -1,4 +1,4 @@
-"""SPD kernels on numpy: jittered Cholesky factors, solves and the Gaussian KL.
+"""SPD kernels on numpy: jittered Cholesky factors and the Gaussian KL.
 
 All SPD factorizations in the package go through :func:`spd_cholesky`, which
 escalates a diagonal jitter from 1e-8 by doubling up to 1e-2 before raising
@@ -9,14 +9,11 @@ covariance and Lp_inv the inverse of the second's, so it neither factors nor
 solves: a caller holds the factor of its posterior and inverts its zero-mean
 GP prior's factor once.
 
-Every kernel is written on ``np.linalg`` and takes a single matrix or a
-(C, N, N) stack, one right-hand side or mean per slice. numpy has no
-triangular solve, so :func:`chol_solve` inverts the factor and multiplies
-twice. Finite checks guard the operands: :func:`spd_cholesky` tests its
-input, :func:`chol_solve` both operands and :func:`gaussian_kl` the mean
+Both kernels are written on ``np.linalg`` and take a single matrix or a
+(C, N, N) stack, one mean per slice. Finite checks guard the operands:
+:func:`spd_cholesky` tests its input and :func:`gaussian_kl` the mean
 difference and q's factor (p's comes from :func:`spd_cholesky`). A
-non-finite operand, or a singular factor passed to :func:`chol_solve`,
-raises :class:`~mdgpc.errors.NumericalError`.
+non-finite operand raises :class:`~mdgpc.errors.NumericalError`.
 
 :func:`spd_cholesky` factors a stack in one call. Only if that call fails
 does it run the jitter ladder, slice by slice, so each slice is bit for bit
@@ -24,7 +21,8 @@ the factor of that matrix alone, jitter included.
 
 The exponential-family identities these kernels serve (natural and mean
 parameters, the log-partition function and its Fenchel conjugate, the
-Bregman divergence) are checked by :mod:`mdgpc.verify`.
+Bregman divergence) are checked by :mod:`mdgpc.verify`, which also holds the
+Cholesky solve those checks use.
 """
 
 import numpy as np
@@ -86,23 +84,6 @@ def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
                 f"matrix of shape {a.shape} not positive definite "
                 f"(jitter ladder exhausted at {JITTER_MAX:g})"
             )
-
-
-def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given the lower Cholesky factor of A; for a (C, N, N)
-    stack of factors, b is (C, N) or (C, N, K), one right-hand side each."""
-    b = np.asarray(b, dtype=float)
-    if b.shape[: chol_lower.ndim - 1] != chol_lower.shape[:-1]:
-        raise InputError(f"factor of shape {chol_lower.shape} and right-hand side {b.shape}")
-    _check_finite(chol_lower, "Cholesky factor")
-    _check_finite(b, "right-hand side")
-    try:
-        inv = np.linalg.inv(chol_lower)
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"Cholesky factor of shape {chol_lower.shape} is singular") from None
-    column = b.ndim < chol_lower.ndim
-    x = inv.swapaxes(-1, -2) @ (inv @ (b[..., None] if column else b))
-    return x[..., 0] if column else x
 
 
 def gaussian_kl(m_q: np.ndarray, L_q: np.ndarray, Lp_inv: np.ndarray) -> np.ndarray:

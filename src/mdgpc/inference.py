@@ -25,7 +25,8 @@ Nothing inverts K or forms Sigma, and zero sites give the prior exactly.
 
 A plain gradient-ascent baseline on (m, L) with Sigma = L L' (log-diagonal
 storage for L) optimizes the same ELBO for the convergence comparisons; its
-marginal variances are the row sums of L o L and its KL comes from L.
+marginal variances are the row sums of L o L, its KL comes from L, and its
+step reads Sigma^{-1} only as Sigma^{-1} L = L^{-T}, so it inverts nothing.
 
 Every state gives the same three things: means ``m`` and marginal variances
 ``v``, both (C, N) with row c for class c, the per-class KL to the prior
@@ -59,7 +60,7 @@ prior factors, which its KL reads, and the symmetric K^{-1} formed from
 them. Neither factors anything else: the only factorizations at run time
 are those of the Grams, and of B when an MD state's KL is read. B's
 eigenvalues are at least 1, so a mirror step inverts B itself and factors
-nothing; a gradient-ascent step inverts its factor L for Sigma^{-1}.
+nothing; a gradient-ascent step inverts, solves and factors nothing.
 """
 
 from dataclasses import dataclass, replace
@@ -67,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError, named_failures
-from .expfam import chol_solve, gaussian_kl, spd_cholesky
+from .expfam import gaussian_kl, spd_cholesky
 from .kernels import GramResult
 from .likelihood import McConfig, SoftmaxLikelihood
 from .seeding import derive_seed
@@ -165,10 +166,6 @@ def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray
     return Y
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A[c] @ x[c] for every class c: (C, N, N) and (C, N) give (C, N)."""
     return (A @ x[:, :, None])[:, :, 0]
@@ -227,7 +224,8 @@ def gd_init(prior: GramResult) -> GdState:
     """Start at the prior: m = 0, L = chol(K)."""
     chol = prior.chol
     chol_inv = np.linalg.inv(chol)
-    kinv = _symmetrize(chol_inv.swapaxes(1, 2) @ chol_inv)
+    kinv = chol_inv.swapaxes(1, 2) @ chol_inv
+    kinv = 0.5 * (kinv + kinv.swapaxes(1, 2))
     return GdState(m=np.zeros(chol.shape[:2]), chol=chol, prior_chol_inv=chol_inv, kinv=kinv)
 
 
@@ -241,17 +239,15 @@ def gd_step(state: GdState, Y: np.ndarray, lr: float, lik) -> GdState:
 
         dELBO/dm = g_m - K^{-1} m
         dELBO/dSigma = diag(g_v) - 1/2 (K^{-1} - Sigma^{-1})
-        dELBO/dL = 2 sym(dELBO/dSigma) L  (lower triangle)
+        dELBO/dL = tril(2 diag(g_v) L - K^{-1} L) + diag(1/L_ii)
     """
     g_m, g_v = lik.grads_mv(state.m, state.v, Y)
     m, L = state.m, state.chol
     d = np.arange(m.shape[1])  # diagonal entries are [:, d, d]
     grad_m = g_m - _matvec(state.kinv, m)
-    Sinv = chol_solve(L, np.broadcast_to(np.eye(d.size), L.shape))
-    GSig = np.zeros_like(Sinv)
-    GSig[:, d, d] = g_v
-    GSig -= 0.5 * (state.kinv - Sinv)
-    GL = np.tril(2.0 * _symmetrize(GSig) @ L)
+    # 2 dELBO/dSigma L; Sigma^{-1} L = L^{-T}, whose lower triangle is diag(1/L_ii)
+    GL = np.tril(2.0 * g_v[:, :, None] * L - state.kinv @ L)
+    GL[:, d, d] += 1.0 / L[:, d, d]
     # ascent in (off-diagonal L, log-diagonal L, m)
     Lnew = L + lr * np.tril(GL, -1)
     Lnew[:, d, d] = L[:, d, d] * np.exp(lr * GL[:, d, d] * L[:, d, d])

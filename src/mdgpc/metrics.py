@@ -38,7 +38,7 @@ def _validate(probs: np.ndarray, y_true: np.ndarray):
         )
     if np.any(y_true < 0) or np.any(y_true >= probs.shape[1]):
         raise InputError("true label outside [0, C)")
-    if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
+    if np.any(probs < 0.0) or not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6):
         raise InputError("probability rows must be nonnegative and sum to 1")
     return probs, y_true
 

@@ -8,7 +8,8 @@ likelihood gradients against finite differences, the full-rate mirror step
 on Gaussian sites against the conjugate posterior, and the mirror step
 against the natural-gradient step (:func:`ngd_verify`) and across rates.
 Each check runs under :func:`~mdgpc.errors.named_failures`, so a numerical
-failure names the check and the instance and prints no numpy warning.
+failure names the check and the instance and prints no numpy warning. Its
+solves go through :func:`chol_solve`, which no runtime step needs.
 
 A multivariate Gaussian over f in R^N is written in exponential form
 
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
-from .expfam import chol_solve, gaussian_kl, spd_cholesky
+from .expfam import _check_finite, gaussian_kl, spd_cholesky
 from .inference import _validate_labels, md_init, md_step
 from .likelihood import SoftmaxLikelihood, batch_expected_loglik, batch_grads_mv
 from .seeding import derive_seed, rng_for
@@ -66,9 +67,27 @@ __all__ = [
     "run", "ngd_verify", "central_diff", "random_moments", "tiny_instance",
     "moments_to_natural", "natural_to_moments", "moments_to_mean", "log_partition",
     "neg_entropy", "pairing", "bregman_h", "sym_coord_count", "natural_to_coords",
-    "coords_to_natural", "mean_to_dual_coords", "gauss_hermite_draws", "chol_logdet",
-    "GaussianSiteLikelihood",
+    "coords_to_natural", "mean_to_dual_coords", "gauss_hermite_draws", "chol_solve",
+    "chol_logdet", "GaussianSiteLikelihood",
 ]
+
+
+def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given the lower Cholesky factor of A; for a (C, N, N)
+    stack of factors, b is (C, N) or (C, N, K), one right-hand side each.
+    numpy has no triangular solve, so it inverts the factor."""
+    b = np.asarray(b, dtype=float)
+    if b.shape[: chol_lower.ndim - 1] != chol_lower.shape[:-1]:
+        raise InputError(f"factor of shape {chol_lower.shape} and right-hand side {b.shape}")
+    _check_finite(chol_lower, "Cholesky factor")
+    _check_finite(b, "right-hand side")
+    try:
+        inv = np.linalg.inv(chol_lower)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"Cholesky factor of shape {chol_lower.shape} is singular") from None
+    column = b.ndim < chol_lower.ndim
+    x = inv.swapaxes(-1, -2) @ (inv @ (b[..., None] if column else b))
+    return x[..., 0] if column else x
 
 
 def chol_logdet(chol_lower: np.ndarray) -> float:

@@ -37,10 +37,10 @@ import scipy.linalg
 
 from mdgpc import kernels, likelihood
 from mdgpc.errors import InputError, NumericalError
-from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, chol_solve, gaussian_kl, spd_cholesky
+from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.kernels import GramResult, _cos_normalize, _pairwise_sqdist, _sigmoid, softplus
-from mdgpc.verify import chol_logdet
+from mdgpc.verify import chol_logdet, chol_solve
 
 
 def iid_draws(seed: int, shape: tuple) -> np.ndarray:

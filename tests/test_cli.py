@@ -641,7 +641,11 @@ class TestExitCodes:
             # the GD monitor fit predicts NaN, which must not reach the CSV
             (
                 "compare-outer",
-                ["kernel.init_scales.output_scale=1e-300", "compare_outer.iterations=0"],
+                [
+                    "kernel.init_scales.output_scale=1e-300",
+                    "compare_outer.iterations=0",
+                    "compare_outer.inner_steps=1",
+                ],
                 "GD iteration 0, monitor episode 1: non-finite query probabilities",
             ),
             # the scaled features overflow in the pairwise distances of the first Gram

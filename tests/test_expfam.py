@@ -1,5 +1,6 @@
-"""The SPD kernels of mdgpc.expfam and the exponential-family algebra that
-mdgpc.verify builds on them: conversions, potentials, duality."""
+"""The SPD kernels of mdgpc.expfam, the Cholesky solve of mdgpc.verify and
+the exponential-family algebra that mdgpc.verify builds on them:
+conversions, potentials, duality."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from mdgpc import verify
 from mdgpc.errors import InputError, NumericalError
-from mdgpc.expfam import chol_solve, gaussian_kl, spd_cholesky
+from mdgpc.expfam import gaussian_kl, spd_cholesky
 from mdgpc.verify import (
     bregman_h,
+    chol_solve,
     coords_to_natural,
     log_partition,
     mean_to_dual_coords,

@@ -13,7 +13,6 @@ import mdgpc
 import mdgpc.cli
 from mdgpc import inference, kernels, likelihood, model, tasks
 from mdgpc.errors import InputError
-from mdgpc.expfam import chol_solve
 from mdgpc.inference import (
     InnerConfig,
     elbo,
@@ -27,7 +26,7 @@ from mdgpc.inference import (
 )
 from mdgpc.likelihood import McConfig, SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
-from mdgpc.verify import GaussianSiteLikelihood, ngd_verify, tiny_instance
+from mdgpc.verify import GaussianSiteLikelihood, chol_solve, ngd_verify, tiny_instance
 from oracles import dense_moments, scipy_factor_kl, scipy_gd_step, scipy_spd_cholesky, stack_priors
 
 
@@ -106,7 +105,6 @@ class TestInitAndCombine:
         B = np.eye(25) + (W[:, :, None] * state.k_eff) * W[:, None, :]
         calls = []
         monkeypatch.setattr(inference, "spd_cholesky", lambda *a: calls.append(a))
-        monkeypatch.setattr(inference, "chol_solve", lambda *a: calls.append(a))
         u, core = state.kinv_terms()
         assert calls == []
         np.testing.assert_array_equal(core, W[:, :, None] * np.linalg.inv(B) * W[:, None, :])
@@ -203,6 +201,27 @@ class TestInitAndCombine:
         model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
         assert calls == [(5, 25, 25)]
 
+    def test_gd_step_inverts_solves_and_factors_nothing(self, monkeypatch):
+        # Sigma^{-1} L = L^{-T}, so a GD step and the ELBO of its state read
+        # no inverse; gd_init inverts the prior factors once, for K^{-1}
+        grams, Y = episode_grams(151)
+        lik = seeded_lik(McConfig(64, 3), 1, 5)
+        calls = []
+        for name in ("inv", "solve", "cholesky"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        state = gd_init(grams)
+        assert calls == ["inv"]
+        calls.clear()
+        state = gd_step(state, Y, 0.005, lik)
+        assert calls == []
+        assert np.isfinite(elbo(state, Y, lik)) and calls == []
+
     def test_bad_labels_rejected(self):
         grams = toy_grams(10)
         cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(8, 0))
@@ -276,7 +295,7 @@ class TestGdBaseline:
             assert np.array_equal(kinv[c], chol_solve(L, np.eye(6)))
 
     def test_steps_and_kl_match_per_class_scipy_solves(self):
-        # K^{-1} m from the stored K^{-1}, Sigma^{-1} from the inverse of L
+        # K^{-1} m from the stored K^{-1}, the L step from Sigma^{-1} L = L^{-T}
         # and the KL from the inverted prior factors agree with per-class
         # scipy solves, from each state of compare-inner's default loop.
         # The KL is a difference of terms of size N, so its bound is 1e-12 N.

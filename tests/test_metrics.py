@@ -141,6 +141,18 @@ class TestValidation:
         with pytest.raises(InputError, match="nonnegative and sum to 1"):
             metrics.accuracy(np.array([[0.5, 0.4]]), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [metrics.accuracy, metrics.nll, metrics.ece, metrics.mce, metrics.reliability_table],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]], ids=["nan-nan", "nan-one"])
+    def test_nan_probability_rejected(self, entry, row):
+        # NaN compares false with everything, so the sum check must be
+        # written to fail on it; else a NaN row counts as a class-0 prediction
+        with pytest.raises(InputError, match="nonnegative and sum to 1"):
+            entry(np.array([row, [0.5, 0.5]]), np.array([0, 1]))
+
     def test_negative_probability_rejected(self):
         with pytest.raises(InputError, match="nonnegative and sum to 1"):
             metrics.accuracy(np.array([[-0.1, 1.1]]), np.array([0]))

@@ -19,8 +19,8 @@ at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
 branches of the Gram, its diagonal and its backward pass are covered too,
 POL1's degree-1 power ``P ** 0`` included: 26 runs. Last, compare-inner at
 the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
-baseline fails on a singular prior, so the step and message of each failure
-are pinned too: 29 runs.
+baseline fails on a singular prior (POL1, COS) or an ill-conditioned one
+(POL2), so the step and message of each failure are pinned too: 29 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
