@@ -18,7 +18,7 @@ Subcommands:
                    inner loops, monitored by query cross-entropy
     verify         numerical identity checks with measured deviations
 
-Exit status: 0 success, 1 invalid input (:class:`~mdgpc.errors.InputError`)
+Exit status: 0 success, 1 invalid input or usage (:class:`~mdgpc.errors.InputError`)
 or out of memory, 2 numerical failure (:class:`~mdgpc.errors.NumericalError`),
 3 verification failure, 141 (128 + SIGPIPE, as a shell reports a process the
 signal ended) standard output closed by its reader, e.g. ``| head -1``.
@@ -35,11 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import inference, kernels, meta, metrics, seeding, tasks, verify
-from .errors import InputError, NumericalError, named_failures
+from . import kernels, meta, metrics, seeding, tasks, verify
+from .errors import InputError, NumericalError
 from .inference import InnerConfig
 from .likelihood import McConfig
-from .seeding import derive_seed, with_draw_seed
+from .seeding import derive_seed
 
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
 
@@ -516,31 +516,20 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
     _check_net_dims(cfg)
-    source = _episode_sources(cfg, "train")[0](seeding.STREAM_COMPARE_EP, cfg["seed"])
-    inner_tpl = InnerConfig(
-        rho=ci["rate"], steps=ci["steps"], mc=McConfig(samples=ci["mc_samples"])
-    )
+    episodes = _episode_sources(cfg, "train")[0]
+    inner = InnerConfig(ci["rate"], ci["steps"], McConfig(ci["mc_samples"]))
     out = _prepare_output(cfg)
-    rows = []
-    wins = 0
-    for i in range(1, ci["episodes"] + 1):
-        kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_EXTRACTOR, i))
-        episode = source(i)
-        inner = with_draw_seed(inner_tpl, cfg["seed"], seeding.STREAM_COMPARE_MC, i)
-        finals = {}
-        with named_failures(f"episode {i}"):
-            Z, _ = kernels.extract(kern.extractor, episode.support_x)
-            grams = kernels.gram(kern.base, Z)
-            for method in ("MD", "GD"):
-                _, elbos = inference.run_inner(method, grams, episode.support_y, inner)
-                rows.extend([method, i, step, value] for step, value in enumerate(elbos))
-                finals[method] = elbos[-1]
-        wins += finals["MD"] >= finals["GD"]
+    new_kernel = lambda seed: _build_kernel(cfg, seed)
+    traces = meta.compare_inner(new_kernel, episodes, inner, ci["episodes"], cfg["seed"])
+    rows = [
+        [method, i, step, value]
+        for i, trace in enumerate(traces, 1)
+        for method, elbos in trace.items()
+        for step, value in enumerate(elbos)
+    ]
     _write_csv(out / "inner_trace.csv", ["method", "episode", "step", "elbo"], rows)
-    print(
-        f"final ELBO: mirror descent >= gradient descent on "
-        f"{wins}/{ci['episodes']} episodes"
-    )
+    wins = sum(trace["MD"][-1] >= trace["GD"][-1] for trace in traces)
+    print(f"final ELBO: mirror descent >= gradient descent on {wins}/{ci['episodes']} episodes")
     print(f"wrote {out / 'inner_trace.csv'}")
     return 0
 
@@ -548,39 +537,27 @@ def cmd_compare_inner(cfg: dict) -> int:
 def cmd_compare_outer(cfg: dict) -> int:
     co = cfg["compare_outer"]
     _check_net_dims(cfg)
-    train_sources, monitor_sources = _episode_sources(cfg, "train", "test")
-    run_tpl = meta.TrainConfig(
+    sources = _episode_sources(cfg, "train", "test")
+    train_cfg = meta.TrainConfig(
         episodes=co["iterations"],
         lr_net=co["outer_lr"],
         lr_kernel=co["outer_lr"],
         inner=InnerConfig(co["inner_rate"], co["inner_steps"], McConfig(co["mc_samples"])),
         pred_mc=McConfig(co["pred_samples"]),
+        seed=cfg["seed"],
     )
     out = _prepare_output(cfg)
-    rows = []
-    wins = 0
-    for s in range(1, co["seeds"] + 1):
-        run_seed = derive_seed(cfg["seed"], seeding.STREAM_COMPARE_OUTER, s)
-        kern = _build_kernel(cfg, derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR))
-        train_src = train_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
-        monitor_src = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
-        run_cfg = replace(run_tpl, seed=run_seed)
-        run_rows = meta.compare_outer(kern, train_src, monitor_src, run_cfg, co["monitor_episodes"])
-        rows.extend(
-            [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]
-            for r in run_rows
-        )
-        finals = {
-            r["method"]: r["query_ce"]
-            for r in run_rows
-            if r["iter"] == co["iterations"]
-        }
-        wins += finals["MD"] <= finals["GD"]
-    _write_csv(
-        out / "outer_compare.csv",
-        ["method", "seed", "iter", "query_ce", "query_acc"],
-        rows,
-    )
+    new_kernel = lambda seed: _build_kernel(cfg, seed)
+    runs = meta.compare_outer(new_kernel, *sources, train_cfg, co["monitor_episodes"], co["seeds"])
+    rows = [
+        [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]
+        for s, run in enumerate(runs, 1)
+        for r in run
+    ]
+    _write_csv(out / "outer_compare.csv", ["method", "seed", "iter", "query_ce", "query_acc"], rows)
+    # each method's last row in a run is its final iteration
+    finals = [{r["method"]: r["query_ce"] for r in run} for run in runs]
+    wins = sum(f["MD"] <= f["GD"] for f in finals)
     print(
         f"final cross-entropy: mirror-descent inner <= gradient-descent inner "
         f"on {wins}/{co['seeds']} seeds"
@@ -612,8 +589,15 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if all_ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1 and one `error: ...` line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdgpc",
         description="Few-shot Gaussian-process classification experiments.",
     )
@@ -653,7 +637,7 @@ _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u202
 
 def main(argv=None) -> int:
     try:
-        rc = _run(build_parser().parse_args(argv))
+        rc = _run(argv)
         sys.stdout.flush()  # buffered output meets a closed pipe here
     except BrokenPipeError:
         # The reader is gone. Point stdout at devnull so the flush at exit
@@ -663,8 +647,9 @@ def main(argv=None) -> int:
     return rc
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         cfg = apply_overrides(load_config(args.config), args.set)
         if args.command == "gen-data":
             return cmd_gen_data(cfg)

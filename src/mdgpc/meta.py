@@ -12,6 +12,9 @@ gradients form one (C, N, N) stack, chained in one pass through the stacked
 Gram construction and the feature extractor (feature gradients summed over
 classes), and are applied with Adam, using separate learning rates for
 network weights and base-kernel parameters.
+
+Evaluation and the two MD/GD comparisons each map `_by_index` over units
+seeded by their index alone; this module derives every per-unit seed.
 """
 
 import concurrent.futures
@@ -24,7 +27,7 @@ from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
 from .kernels import DeepKernel, FeatureExtractor
 from .likelihood import McConfig, SoftmaxLikelihood
-from .seeding import with_draw_seed
+from .seeding import derive_seed, with_draw_seed
 
 __all__ = [
     "AdamState",
@@ -37,6 +40,7 @@ __all__ = [
     "outer_steps",
     "train",
     "evaluate",
+    "compare_inner",
     "compare_outer",
     "EvalResult",
 ]
@@ -201,25 +205,42 @@ def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
     return kernel, history
 
 
-def compare_outer(
-    kernel: DeepKernel, task_source, monitor_source, cfg: TrainConfig, monitor_episodes: int
-) -> list[dict]:
-    """Meta-train twice from one initialization, inner loop MD then GD.
+def _by_index(unit, n: int, n_jobs: int = 1) -> list:
+    """[unit(1), ..., unit(n)], on n_jobs threads if n_jobs > 1; each unit
+    depends on its index alone, so the results do not depend on n_jobs."""
+    if n_jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(unit, range(1, n + 1)))
+    return [unit(i) for i in range(1, n + 1)]
 
-    Both variants see the same episode sequence, the same inner-loop draw
-    seeds and the same Adam rates, so the only difference is the inner
-    update rule. Progress is monitored with the predictive-likelihood loss:
-    refit a fixed bank of `monitor_episodes` held-out episodes with the
-    current hyperparameters (same inner settings as training) and average
-    the query cross-entropy and accuracy. One row is emitted per variant per
-    iteration, including iteration 0 at the shared initialization.
+
+def compare_inner(new_kernel, episodes, inner: InnerConfig, n_episodes: int, seed: int) -> list:
+    """MD and GD inner loops on frozen hyperparameters, per episode.
+
+    Episode i builds its kernel new_kernel(extractor seed), then its task
+    from episodes(stream, seed), and fits it with both methods from the
+    prior at the same settings and draws. Returns per episode each method's
+    ELBO before and after every step, {"MD": [...], "GD": [...]}.
     """
-    if monitor_episodes < 1:
-        raise InputError(f"monitor_episodes must be >= 1, got {monitor_episodes}")
+    source = episodes(seeding.STREAM_COMPARE_EP, seed)
+
+    def unit(i: int) -> dict:
+        kern = new_kernel(derive_seed(seed, seeding.STREAM_EXTRACTOR, i))
+        ep, cfg = source(i), with_draw_seed(inner, seed, seeding.STREAM_COMPARE_MC, i)
+        with named_failures(f"episode {i}"):
+            Z, _ = kernels.extract(kern.extractor, ep.support_x)
+            prior = kernels.gram(kern.base, Z)
+            return {m: inference.run_inner(m, prior, ep.support_y, cfg)[1] for m in ("MD", "GD")}
+
+    return _by_index(unit, n_episodes)
+
+
+def _compare_run(kernel: DeepKernel, task_source, monitor_source, cfg: TrainConfig, n_monitor: int):
+    """The rows of one seed of `compare_outer`."""
 
     def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
-        for j in range(1, monitor_episodes + 1):
+        for j in range(1, n_monitor + 1):
             ep = monitor_source(j)
             inner = with_draw_seed(cfg.inner, cfg.seed, seeding.STREAM_MONITOR_INNER, j)
             pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_MONITOR_PRED, j)
@@ -237,6 +258,35 @@ def compare_outer(
         for it, _, _, kern in outer_steps(kernel, task_source, cfg, method):
             rows.append(monitor(kern, method, it))
     return rows
+
+
+def compare_outer(
+    new_kernel, task_sources, monitor_sources, cfg: TrainConfig, monitor_episodes: int, seeds: int
+) -> list:
+    """Meta-train twice per seed from one initialization, inner loop MD then GD.
+
+    Seed s derives a run seed from cfg.seed and s, and from it the kernel
+    new_kernel(extractor seed), the episodes task_sources(stream, run seed),
+    the monitor bank monitor_sources(stream, run seed) and all draws. Both
+    variants see the same episode sequence, the same inner-loop draw seeds
+    and the same Adam rates, so the only difference is the inner update
+    rule. Progress is monitored with the predictive-likelihood loss: refit a
+    fixed bank of `monitor_episodes` held-out episodes with the current
+    hyperparameters (same inner settings as training) and average the query
+    cross-entropy and accuracy. Returns per seed one row per variant per
+    iteration, including iteration 0 at the shared initialization.
+    """
+    if monitor_episodes < 1:
+        raise InputError(f"monitor_episodes must be >= 1, got {monitor_episodes}")
+
+    def unit(s: int) -> list:
+        run_seed = derive_seed(cfg.seed, seeding.STREAM_COMPARE_OUTER, s)
+        kern = new_kernel(derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR))
+        src = task_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
+        bank = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
+        return _compare_run(kern, src, bank, replace(cfg, seed=run_seed), monitor_episodes)
+
+    return _by_index(unit, seeds)
 
 
 @dataclass
@@ -263,10 +313,9 @@ def evaluate(
 
     The first half of each fit's steps read only the first COARSE_NODES nodes
     of its draw set (`InnerConfig.coarse_steps`); the second half converge
-    from there on the whole set, to its fixed point. Episodes are independent
-    and fully seeded by their index, so with n_jobs > 1 they are fitted on a
-    thread pool and reassembled in index order; results match the sequential
-    path.
+    from there on the whole set, to its fixed point. Each episode is seeded
+    by its index alone; n_jobs is the map's thread count, and the results do
+    not depend on it.
     """
     inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
@@ -279,12 +328,7 @@ def evaluate(
             probs, y_idx = _query_probs(fit, episode, eval_mc)
         return metrics.accuracy(probs, y_idx), probs, y_idx
 
-    indices = range(1, n_episodes + 1)
-    if n_jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(eval_one, indices))
-    else:
-        results = [eval_one(i) for i in indices]
+    results = _by_index(eval_one, n_episodes, n_jobs)
     return EvalResult(
         accuracies=np.array([r[0] for r in results]),
         probs=np.concatenate([r[1] for r in results], axis=0),

@@ -267,6 +267,14 @@ class TestPipeline:
         manual_ece = float(np.sum(counts / counts.sum() * np.abs(acc - conf)))
         assert report["ece"] == pytest.approx(manual_ece, abs=1e-12)
 
+        # both comparisons sample the pool's splits too: train, and test for the monitor bank
+        for cmd, artifact, n_rows in (
+            ("compare-inner", "inner_trace.csv", 2 * 2 * (3 + 1)),  # methods x episodes x (steps+1)
+            ("compare-outer", "outer_compare.csv", 2 * 2 * (2 + 1)),  # seeds x methods x (iters+1)
+        ):
+            assert run(cmd, cfg_path, tmp_path / cmd) == 0
+            assert len((tmp_path / cmd / artifact).read_text().splitlines()) == 1 + n_rows
+
 
 class TestTrain:
     def test_zero_epochs_checkpoint_is_initialization(self, tmp_path):
@@ -397,6 +405,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {what} {path} is not valid JSON: ")
         assert err.count("\n") == 1
+
+    # a usage error is an input error too, not argparse's exit 2 and usage text
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--bogus"],
+            ["eval"],
+            ["eval", "--checkpoint", "c.json", "--parallel-episodes", "two"],
+            [],
+        ],
+        ids=["unknown-flag", "eval-without-checkpoint", "parallel-episodes-not-int", "no-subcommand"],
+    )
+    def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where the default output_dir would be made
+        assert cli.main(argv) == 1
+        assert not any(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["-h"], ["eval", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mdgpc")
 
     def test_bad_override(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

@@ -26,6 +26,17 @@ def small_source(base_seed: int = 0):
     return lambda i: tasks.gen_episode(cfg, seed=derive_seed(base_seed, i))
 
 
+def fixed(base_seed: int):
+    """A make(stream, seed) episode factory that gives small_source(base_seed)
+    whatever the stream and seed."""
+    return lambda stream, seed: small_source(base_seed)
+
+
+def seeded_sources(stream: int, seed: int):
+    """A make(stream, seed) episode factory whose episodes follow both."""
+    return small_source(derive_seed(seed, stream))
+
+
 def prior_term(flat, template, support_x, m, Sigma):
     """Sum of -KL(q_c || prior_c) with q fixed; the eta-dependent objective."""
     kern = meta.unflatten_hypers(flat, template)
@@ -249,17 +260,41 @@ class TestCompareOuter:
             pred_mc=McConfig(32),
             seed=5,
         )
-        rows = meta.compare_outer(kern, small_source(30), small_source(31), cfg, 2)
+        rows = meta.compare_outer(lambda _: kern, fixed(30), fixed(31), cfg, 2, 1)[0]
         assert len(rows) == 2 * (cfg.episodes + 1)
         assert [r["method"] for r in rows] == ["MD"] * 3 + ["GD"] * 3
         assert [r["iter"] for r in rows] == [0, 1, 2, 0, 1, 2]
         # both variants start from the same initialization but monitor with
         # method-specific refits, so iter-0 rows can differ between methods
-        again = meta.compare_outer(kern, small_source(30), small_source(31), cfg, 2)
+        again = meta.compare_outer(lambda _: kern, fixed(30), fixed(31), cfg, 2, 1)[0]
         assert rows == again
 
     def test_empty_monitor_bank_rejected(self):
         with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
-            meta.compare_outer(
-                small_kernel(32), small_source(32), small_source(33), meta.TrainConfig(), 0
-            )
+            meta.compare_outer(small_kernel, fixed(32), fixed(33), meta.TrainConfig(), 0, 1)
+
+
+class TestUnitsDependOnTheirIndexAlone:
+    """The first k results of a run of n > k units equal a run of k units."""
+
+    def test_compare_inner_episodes(self):
+        inner = InnerConfig(rho=0.05, steps=2, mc=McConfig(16))
+        run = lambda n: meta.compare_inner(small_kernel, seeded_sources, inner, n, seed=4)
+        assert run(3)[:2] == run(2)
+
+    def test_compare_outer_seeds(self):
+        cfg = meta.TrainConfig(
+            episodes=1,
+            lr_net=1e-3,
+            lr_kernel=1e-3,
+            inner=InnerConfig(rho=0.05, steps=1, mc=McConfig(8)),
+            pred_mc=McConfig(16),
+            seed=6,
+        )
+        run = lambda n: meta.compare_outer(small_kernel, seeded_sources, seeded_sources, cfg, 1, n)
+        assert run(3)[:2] == run(2)
+
+    def test_evaluate_episodes(self):
+        inner = InnerConfig(rho=1.0, steps=2, mc=McConfig(16, 0))
+        run = lambda n: meta.evaluate(small_kernel(23), small_source(23), n, inner, McConfig(32, 0))
+        np.testing.assert_array_equal(run(3).accuracies[:2], run(2).accuracies)

@@ -68,3 +68,13 @@ def test_runtime_class_members_are_read_outside_verify():
         if name not in attrs
     ]
     assert unread == []
+
+
+def test_cli_is_wiring():
+    """The CLI reads config, checks inputs, calls meta and writes files: it
+    runs no inner loop, builds no Gram, names no failure and derives no draw
+    seed, and the one thread pool of the package is meta's map."""
+    assert reads(TREES["cli"]) & {
+        "run_inner", "inner_states", "extract", "gram", "named_failures", "with_draw_seed"
+    } == set()
+    assert sum(p.read_text().count("ThreadPoolExecutor") for p in SRC.glob("*.py")) == 1

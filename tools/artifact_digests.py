@@ -17,10 +17,14 @@ the threads are pinned at the class count where they pay: 20 runs. Then
 ``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and eval
 at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
 branches of the Gram, its diagonal and its backward pass are covered too,
-POL1's degree-1 power ``P ** 0`` included: 26 runs. Last, compare-inner at
+POL1's degree-1 power ``P ** 0`` included: 26 runs. Then compare-inner at
 the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
 baseline fails on a singular prior (POL1, COS) or an ill-conditioned one
 (POL2), so the step and message of each failure are pinned too: 29 runs.
+Last, gen-data at ``BASE`` writes a pool, and train, eval at
+``--parallel-episodes`` 1, compare-inner and compare-outer sample it with
+``data.path`` set and classes 0-2 for training, 3-5 for testing, so the
+data-file branch of the episode sources is covered too: 34 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -80,27 +84,32 @@ def run_set() -> list[tuple[str, list[str]]]:
         for seed in (0, 7):
             add(f"verify-s{seed}", "verify", "--set", f"seed={seed}")
     base = ["--config", "base.json"]
-    for label, config, setting, names in (
-        ("base-c10", base, "task.C=10", ("train", "eval-p1", "eval-p2", "compare-inner")),
-        ("base-cos", base, "kernel.kind=COS", ("train", "eval-p1")),
-        ("base-pol2", base, "kernel.kind=POL2", ("train", "eval-p1")),
-        ("base-pol1", base, "kernel.kind=POL1", ("train", "eval-p1")),
-        ("defaults-pol1", [], "kernel.kind=POL1", ("compare-inner",)),
-        ("defaults-pol2", [], "kernel.kind=POL2", ("compare-inner",)),
-        ("defaults-cos", [], "kernel.kind=COS", ("compare-inner",)),
+    pool = ["data.path=out/base-csv-gen-data/dataset.csv",
+            "data.splits.train=[0,1,2]", "data.splits.test=[3,4,5]"]
+    for label, config, settings, names in (
+        ("base-c10", base, ["task.C=10"], ("train", "eval-p1", "eval-p2", "compare-inner")),
+        ("base-cos", base, ["kernel.kind=COS"], ("train", "eval-p1")),
+        ("base-pol2", base, ["kernel.kind=POL2"], ("train", "eval-p1")),
+        ("base-pol1", base, ["kernel.kind=POL1"], ("train", "eval-p1")),
+        ("defaults-pol1", [], ["kernel.kind=POL1"], ("compare-inner",)),
+        ("defaults-pol2", [], ["kernel.kind=POL2"], ("compare-inner",)),
+        ("defaults-cos", [], ["kernel.kind=COS"], ("compare-inner",)),
+        ("base-csv", base, pool, ("gen-data", "train", "eval-p1", "compare-inner", "compare-outer")),
     ):
         ckpt = f"out/{label}-train/checkpoint.json"
         args = {
+            "gen-data": ["gen-data"],
             "train": ["train"],
             "eval-p1": ["eval", "--checkpoint", ckpt, "--parallel-episodes", "1"],
             "eval-p2": ["eval", "--checkpoint", ckpt, "--parallel-episodes", "2"],
             "compare-inner": ["compare-inner"],
+            "compare-outer": ["compare-outer"],
         }
+        sets = [arg for setting in settings for arg in ("--set", setting)]
         for name in names:
             runs.append((
                 f"{label}-{name}",
-                [*args[name], *config, "--set", setting,
-                 "--set", f"output_dir=out/{label}-{name}"],
+                [*args[name], *config, *sets, "--set", f"output_dir=out/{label}-{name}"],
             ))
     return runs
 
