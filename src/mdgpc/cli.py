@@ -254,17 +254,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _prepare_output(cfg: dict) -> Path:
@@ -296,8 +301,8 @@ def _build_kernel(cfg: dict, extractor_seed: int) -> kernels.DeepKernel:
 
 def _episode_sources(cfg: dict, *splits):
     """Check the task and data config, loading data.path once, and return one
-    make(stream, seed) per split: an episode factory keyed by index, synthetic
-    unless data.path is set, else sampling the split's checked class pool."""
+    draw(seed) -> Episode per split: synthetic unless data.path is set, else
+    sampled from the split's checked class pool. `meta` derives every seed."""
     t = cfg["task"]
     shift = t["domain_shift"]
     gen_cfg = tasks.TaskGenConfig(
@@ -310,10 +315,7 @@ def _episode_sources(cfg: dict, *splits):
         domain_shift=None if shift is None else (shift[0], shift[1]),
     )
     if cfg["data"]["path"] is None:
-        synthetic = lambda stream, seed: lambda i: tasks.gen_episode(
-            gen_cfg, seed=derive_seed(seed, stream, i)
-        )
-        return [synthetic] * len(splits)
+        return [lambda seed: tasks.gen_episode(gen_cfg, seed)] * len(splits)
     ds = tasks.load_csv_dataset(cfg["data"]["path"])
     pools = cfg["data"]["splits"]
     tasks.check_disjoint_splits(pools["train"], pools["test"])
@@ -324,8 +326,8 @@ def _episode_sources(cfg: dict, *splits):
             raise InputError(f"dataset has {ds.X.shape[1]} features but task.D = {t['D']}")
         tasks.check_class_pool(ds, pools[split], t["C"], t["L"] + t["M"])
     return [
-        lambda stream, seed, pool=pools[split]: lambda i: tasks.sample_episode_from_dataset(
-            ds, pool, t["C"], t["L"], t["M"], seed=derive_seed(seed, stream, i)
+        lambda seed, pool=pools[split]: tasks.sample_episode_from_dataset(
+            ds, pool, t["C"], t["L"], t["M"], seed
         )
         for split in splits
     ]
@@ -422,8 +424,7 @@ def cmd_train(cfg: dict) -> int:
     o = cfg["outer"]
     inn = cfg["inner"]
     _check_net_dims(cfg)
-    kern = _build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
-    source = _episode_sources(cfg, "train")[0](seeding.STREAM_TRAIN_EP, cfg["seed"])
+    draw = _episode_sources(cfg, "train")[0]
     train_cfg = meta.TrainConfig(
         episodes=o["epochs"] * o["episodes_per_epoch"],
         lr_net=o["lr_net"],
@@ -433,7 +434,7 @@ def cmd_train(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     out = _prepare_output(cfg)
-    kern, history = meta.train(kern, source, train_cfg)
+    kern, history = meta.train(lambda seed: _build_kernel(cfg, seed), draw, train_cfg)
     _write_csv(
         out / "outer_trace.csv",
         ["iter", "objective", "query_ce", "query_acc"],
@@ -469,12 +470,12 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
             f"eval.batches = {ev['batches']} must divide eval.episodes = "
             f"{ev['episodes']}"
         )
-    source = _episode_sources(cfg, "test")[0](seeding.STREAM_EVAL_EP, cfg["seed"])
+    draw = _episode_sources(cfg, "test")[0]
     inner = InnerConfig(einn["rho"], einn["steps"], McConfig(einn["mc_samples"]))
     pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
     out = _prepare_output(cfg)
     result = meta.evaluate(
-        kern, source, ev["episodes"], inner, pred_mc, seed=cfg["seed"], n_jobs=n_jobs
+        kern, draw, ev["episodes"], inner, pred_mc, seed=cfg["seed"], n_jobs=n_jobs
     )
     groups = result.accuracies.reshape(ev["batches"], -1).mean(axis=1)
     if ev["batches"] > 1:
@@ -516,11 +517,11 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
 def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
     _check_net_dims(cfg)
-    episodes = _episode_sources(cfg, "train")[0]
+    draw = _episode_sources(cfg, "train")[0]
     inner = InnerConfig(ci["rate"], ci["steps"], McConfig(ci["mc_samples"]))
     out = _prepare_output(cfg)
     new_kernel = lambda seed: _build_kernel(cfg, seed)
-    traces = meta.compare_inner(new_kernel, episodes, inner, ci["episodes"], cfg["seed"])
+    traces = meta.compare_inner(new_kernel, draw, inner, ci["episodes"], cfg["seed"])
     rows = [
         [method, i, step, value]
         for i, trace in enumerate(traces, 1)

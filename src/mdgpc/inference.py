@@ -47,8 +47,9 @@ Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and drives every step with one likelihood on one draw set (seed
-derive_seed(mc.seed, 1)), or on its first COARSE_NODES nodes for the first
-``coarse_steps`` steps, so the draw schedule is written only there.
+derive_seed(mc.seed, STREAM_STEP_DRAWS)), or on its first COARSE_NODES nodes
+for the first ``coarse_steps`` steps, so the draw schedule is written only
+there.
 `run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
@@ -71,7 +72,7 @@ from .errors import InputError, NumericalError, named_failures
 from .expfam import gaussian_kl, spd_cholesky
 from .kernels import GramResult
 from .likelihood import McConfig, SoftmaxLikelihood
-from .seeding import derive_seed
+from .seeding import STREAM_STEP_DRAWS, derive_seed
 
 __all__ = [
     "VariationalState", "GdState", "InnerConfig", "md_init", "md_step", "gd_init", "gd_step",
@@ -264,12 +265,12 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
     """Yield the prior state, then the state after each of `steps` updates.
 
     The labels are checked once, before the prior state. Every step reads one
-    draw set, of seed derive_seed(cfg.mc.seed, 1), drawn at step 1 (so a loop
-    of no steps draws nothing): the loop is a deterministic fixed-point
-    iteration on one sample-average surrogate of the ELBO. The first
-    cfg.coarse_steps steps read only its first COARSE_NODES nodes, a cheaper
-    surrogate whose fixed point lies near the full set's, so the steps after
-    them start close to where they converge. A step that fails
+    draw set, of seed derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS), drawn at
+    step 1 (so a loop of no steps draws nothing): the loop is a deterministic
+    fixed-point iteration on one sample-average surrogate of the ELBO. The
+    first cfg.coarse_steps steps read only its first COARSE_NODES nodes, a
+    cheaper surrogate whose fixed point lies near the full set's, so the steps
+    after them start close to where they converge. A step that fails
     numerically or leaves a non-finite mean or a marginal variance outside
     (0, inf) raises NumericalError naming the method and the step; numpy's
     floating-point warnings are silenced inside the step, since this check
@@ -287,7 +288,7 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
     for t in range(1, cfg.steps + 1):
         with named_failures(f"{method} step {t}"):
             if lik is None:
-                step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, 1))
+                step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS))
                 lik = SoftmaxLikelihood.from_seed(step_mc, c)
                 coarse = SoftmaxLikelihood(lik.eps[:COARSE_NODES])
             state = step_fn(state, Y, cfg.rho, coarse if t <= cfg.coarse_steps else lik)

@@ -14,7 +14,10 @@ classes), and are applied with Adam, using separate learning rates for
 network weights and base-kernel parameters.
 
 Evaluation and the two MD/GD comparisons each map `_by_index` over units
-seeded by their index alone; this module derives every per-unit seed.
+seeded by their index alone. This module alone derives every experiment seed:
+each extractor seed, each episode's task seed and each draw seed comes from
+the run seed through a `seeding.STREAM_*` tag. Callers pass a kernel factory
+new_kernel(extractor seed) and an episode source draw(task seed) -> Episode.
 """
 
 import concurrent.futures
@@ -162,20 +165,20 @@ def _query_probs(fit: model.FittedEpisode, episode, pred_mc: McConfig):
     return probs, np.argmax(episode.query_y, axis=1)
 
 
-def outer_steps(kernel: DeepKernel, task_source, cfg: TrainConfig, method: str):
+def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method: str):
     """The outer loop: yield (it, episode, fit, updated kernel) per episode.
 
-    For it = 1..cfg.episodes: fit task_source(it) with the `method` inner
-    loop and cfg.inner_at(it), then take one Adam step along the outer
-    gradient. A failed fit, or a step to non-finite hyperparameters, raises
-    NumericalError naming the method and the episode.
+    For it = 1..cfg.episodes: fit draw(derive_seed(cfg.seed, stream, it))
+    with the `method` inner loop and cfg.inner_at(it), then take one Adam
+    step along the outer gradient. A failed fit, or a step to non-finite
+    hyperparameters, raises NumericalError naming the method and the episode.
     """
     flat = flatten_hypers(kernel)
     st = AdamState.zeros(flat.shape[0])
     lr = np.full(flat.shape[0], cfg.lr_kernel)
     lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
     for it in range(1, cfg.episodes + 1):
-        episode, inner = task_source(it), cfg.inner_at(it)
+        episode, inner = draw(derive_seed(cfg.seed, stream, it)), cfg.inner_at(it)
         with named_failures(f"{method} episode {it}"):
             fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner, method)
             flat, st = adam_step(flat, outer_grad(fit), st, lr)
@@ -185,15 +188,17 @@ def outer_steps(kernel: DeepKernel, task_source, cfg: TrainConfig, method: str):
         yield it, episode, fit, kernel
 
 
-def train(kernel: DeepKernel, task_source, cfg: TrainConfig):
+def train(new_kernel, draw, cfg: TrainConfig):
     """Meta-train with the mirror-descent inner loop.
 
-    Returns the trained kernel and one history row per episode with the
-    outer objective (episode ELBO at the fitted posterior) and query
-    monitoring metrics.
+    The kernel starts as new_kernel(extractor seed) and trains on the
+    episodes draw(task seed), both seeds derived from cfg.seed. Returns the
+    trained kernel and one history row per episode with the outer objective
+    (episode ELBO at the fitted posterior) and query monitoring metrics.
     """
+    kernel = new_kernel(derive_seed(cfg.seed, seeding.STREAM_TRAIN_EXTRACTOR))
     history = []
-    for it, episode, fit, kernel in outer_steps(kernel, task_source, cfg, "MD"):
+    for it, episode, fit, kernel in outer_steps(kernel, draw, seeding.STREAM_TRAIN_EP, cfg, "MD"):
         pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_TRAIN_PRED, it)
         Y = episode.support_y
         with named_failures(f"MD episode {it}"):
@@ -214,19 +219,19 @@ def _by_index(unit, n: int, n_jobs: int = 1) -> list:
     return [unit(i) for i in range(1, n + 1)]
 
 
-def compare_inner(new_kernel, episodes, inner: InnerConfig, n_episodes: int, seed: int) -> list:
+def compare_inner(new_kernel, draw, inner: InnerConfig, n_episodes: int, seed: int) -> list:
     """MD and GD inner loops on frozen hyperparameters, per episode.
 
     Episode i builds its kernel new_kernel(extractor seed), then its task
-    from episodes(stream, seed), and fits it with both methods from the
-    prior at the same settings and draws. Returns per episode each method's
-    ELBO before and after every step, {"MD": [...], "GD": [...]}.
+    draw(task seed), and fits it with both methods from the prior at the
+    same settings and draws. Returns per episode each method's ELBO before
+    and after every step, {"MD": [...], "GD": [...]}.
     """
-    source = episodes(seeding.STREAM_COMPARE_EP, seed)
 
     def unit(i: int) -> dict:
         kern = new_kernel(derive_seed(seed, seeding.STREAM_EXTRACTOR, i))
-        ep, cfg = source(i), with_draw_seed(inner, seed, seeding.STREAM_COMPARE_MC, i)
+        ep = draw(derive_seed(seed, seeding.STREAM_COMPARE_EP, i))
+        cfg = with_draw_seed(inner, seed, seeding.STREAM_COMPARE_MC, i)
         with named_failures(f"episode {i}"):
             Z, _ = kernels.extract(kern.extractor, ep.support_x)
             prior = kernels.gram(kern.base, Z)
@@ -235,13 +240,13 @@ def compare_inner(new_kernel, episodes, inner: InnerConfig, n_episodes: int, see
     return _by_index(unit, n_episodes)
 
 
-def _compare_run(kernel: DeepKernel, task_source, monitor_source, cfg: TrainConfig, n_monitor: int):
-    """The rows of one seed of `compare_outer`."""
+def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_monitor: int):
+    """The rows of one seed of `compare_outer`, at run seed cfg.seed."""
 
     def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
         for j in range(1, n_monitor + 1):
-            ep = monitor_source(j)
+            ep = draw_monitor(derive_seed(cfg.seed, seeding.STREAM_MONITOR_EP, j))
             inner = with_draw_seed(cfg.inner, cfg.seed, seeding.STREAM_MONITOR_INNER, j)
             pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_MONITOR_PRED, j)
             with named_failures(f"{method} iteration {it}, monitor episode {j}"):
@@ -255,19 +260,19 @@ def _compare_run(kernel: DeepKernel, task_source, monitor_source, cfg: TrainConf
     rows = []
     for method in ("MD", "GD"):
         rows.append(monitor(kernel, method, 0))
-        for it, _, _, kern in outer_steps(kernel, task_source, cfg, method):
-            rows.append(monitor(kern, method, it))
+        steps = outer_steps(kernel, draw, seeding.STREAM_COMPARE_OUTER_EP, cfg, method)
+        rows.extend(monitor(kern, method, it) for it, _, _, kern in steps)
     return rows
 
 
 def compare_outer(
-    new_kernel, task_sources, monitor_sources, cfg: TrainConfig, monitor_episodes: int, seeds: int
+    new_kernel, draw, draw_monitor, cfg: TrainConfig, monitor_episodes: int, seeds: int
 ) -> list:
     """Meta-train twice per seed from one initialization, inner loop MD then GD.
 
     Seed s derives a run seed from cfg.seed and s, and from it the kernel
-    new_kernel(extractor seed), the episodes task_sources(stream, run seed),
-    the monitor bank monitor_sources(stream, run seed) and all draws. Both
+    new_kernel(extractor seed), the episodes draw(task seed), the monitor
+    bank draw_monitor(task seed) and all draws. Both
     variants see the same episode sequence, the same inner-loop draw seeds
     and the same Adam rates, so the only difference is the inner update
     rule. Progress is monitored with the predictive-likelihood loss: refit a
@@ -282,9 +287,7 @@ def compare_outer(
     def unit(s: int) -> list:
         run_seed = derive_seed(cfg.seed, seeding.STREAM_COMPARE_OUTER, s)
         kern = new_kernel(derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR))
-        src = task_sources(seeding.STREAM_COMPARE_OUTER_EP, run_seed)
-        bank = monitor_sources(seeding.STREAM_MONITOR_EP, run_seed)
-        return _compare_run(kern, src, bank, replace(cfg, seed=run_seed), monitor_episodes)
+        return _compare_run(kern, draw, draw_monitor, replace(cfg, seed=run_seed), monitor_episodes)
 
     return _by_index(unit, seeds)
 
@@ -302,7 +305,7 @@ class EvalResult:
 
 def evaluate(
     kernel: DeepKernel,
-    task_source,
+    draw,
     n_episodes: int,
     inner_cfg: InnerConfig,
     pred_mc: McConfig,
@@ -313,14 +316,14 @@ def evaluate(
 
     The first half of each fit's steps read only the first COARSE_NODES nodes
     of its draw set (`InnerConfig.coarse_steps`); the second half converge
-    from there on the whole set, to its fixed point. Each episode is seeded
-    by its index alone; n_jobs is the map's thread count, and the results do
-    not depend on it.
+    from there on the whole set, to its fixed point. Episode i is
+    draw(task seed), its task seed and draws derived from seed and i alone;
+    n_jobs is the map's thread count, and the results do not depend on it.
     """
     inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
     def eval_one(i: int):
-        episode = task_source(i)
+        episode = draw(derive_seed(seed, seeding.STREAM_EVAL_EP, i))
         inner = with_draw_seed(inner_cfg, seed, seeding.STREAM_EVAL_INNER, i)
         eval_mc = with_draw_seed(pred_mc, seed, seeding.STREAM_EVAL_PRED, i)
         with named_failures(f"MD episode {i}"):

@@ -30,6 +30,9 @@ STREAM_GEN_DATA = 30  # gen-data pool
 STREAM_VERIFY = 40  # verify instances
 STREAM_EXTRACTOR = 99  # compare-inner extractor per episode
 STREAM_TRAIN_EXTRACTOR = 100  # train extractor initialization
+# A key after an inner loop's draw seed (McConfig.seed), not after a run seed,
+# so it may share its value with a tag above.
+STREAM_STEP_DRAWS = 1  # the one draw set every inner-loop step reads
 
 
 def derive_seed(seed: int, *key: int) -> int:

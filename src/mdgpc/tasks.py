@@ -145,11 +145,14 @@ class DatasetSource:
 
 def save_csv_dataset(path, X: np.ndarray, labels: np.ndarray) -> None:
     X = np.asarray(X, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(X.shape[1])] + ["label"])
-        for row, lab in zip(X, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(X.shape[1])] + ["label"])
+            for row, lab in zip(X, labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_csv_dataset(path) -> DatasetSource:

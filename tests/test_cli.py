@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgpc import cli, meta, tasks
+from mdgpc import cli, meta, seeding, tasks
 from mdgpc.errors import InputError
 from mdgpc.seeding import derive_seed
 
@@ -285,7 +285,7 @@ class TestTrain:
         cfg = cli.apply_overrides(
             cli.load_config(cfg_path), [f"output_dir={out}"]
         )
-        kern = cli._build_kernel(cfg, derive_seed(cfg["seed"], 100))
+        kern = cli._build_kernel(cfg, derive_seed(cfg["seed"], seeding.STREAM_TRAIN_EXTRACTOR))
         expected = json.loads(json.dumps(cli._checkpoint_dict(kern, cfg)))
         assert saved == expected
         trace = (out / "outer_trace.csv").read_text().splitlines()
@@ -707,6 +707,18 @@ class TestExitCodes:
         assert run(cmd, cfg_path, tmp_path / "o", "--set", override) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+
+    # an artifact path held by a directory ended in an IsADirectoryError traceback
+    @pytest.mark.parametrize(
+        "cmd, artifact",
+        [("train", "outer_trace.csv"), ("verify", "resolved_config.json"), ("gen-data", "dataset.csv")],
+    )
+    def test_unwritable_artifact_is_one_line(self, tmp_path, capsys, cmd, artifact):
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        assert run(cmd, write_cfg(tmp_path), out) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out / artifact}: ")
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """A reader that closes stdout first (`mdgpc verify | head -1`) gets

@@ -21,20 +21,10 @@ def small_kernel(seed: int = 0, c: int = 3, dim: int = 4) -> kernels.DeepKernel:
     return kernels.DeepKernel(extractor=fe, base=base)
 
 
-def small_source(base_seed: int = 0):
+def small_source(seed: int) -> tasks.Episode:
+    """A draw(seed) episode source: a 3-way, 2-shot, 4-query task."""
     cfg = tasks.TaskGenConfig(n_classes=3, shots=2, queries=4, dim=4)
-    return lambda i: tasks.gen_episode(cfg, seed=derive_seed(base_seed, i))
-
-
-def fixed(base_seed: int):
-    """A make(stream, seed) episode factory that gives small_source(base_seed)
-    whatever the stream and seed."""
-    return lambda stream, seed: small_source(base_seed)
-
-
-def seeded_sources(stream: int, seed: int):
-    """A make(stream, seed) episode factory whose episodes follow both."""
-    return small_source(derive_seed(seed, stream))
+    return tasks.gen_episode(cfg, seed)
 
 
 def prior_term(flat, template, support_x, m, Sigma):
@@ -76,13 +66,13 @@ class TestFlatten:
 class TestOuterGrad:
     def test_exactly_zero_at_prior(self):
         kern = small_kernel(4)
-        ep = small_source(4)(1)
+        ep = small_source(derive_seed(4, 1))
         fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0))
         np.testing.assert_array_equal(meta.outer_grad(fit), 0.0)
 
     def test_near_zero_at_prior_gd(self):
         kern = small_kernel(5)
-        ep = small_source(5)(1)
+        ep = small_source(derive_seed(5, 1))
         fit = model.fit_episode(
             kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), method="GD"
         )
@@ -91,7 +81,7 @@ class TestOuterGrad:
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_matches_finite_differences(self, method):
         kern = small_kernel(6)
-        ep = small_source(6)(1)
+        ep = small_source(derive_seed(6, 1))
         cfg = InnerConfig(rho=0.8 if method == "MD" else 0.05, steps=3, mc=McConfig(64, 5))
         fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, method=method)
         assert fit.grams.k_eff is fit.grams.K
@@ -158,9 +148,8 @@ class TestTrain:
         )
 
     def test_deterministic(self):
-        src = small_source(10)
-        k1, h1 = meta.train(small_kernel(10), src, self.cfg())
-        k2, h2 = meta.train(small_kernel(10), src, self.cfg())
+        k1, h1 = meta.train(small_kernel, small_source, self.cfg())
+        k2, h2 = meta.train(small_kernel, small_source, self.cfg())
         np.testing.assert_array_equal(
             meta.flatten_hypers(k1), meta.flatten_hypers(k2)
         )
@@ -168,14 +157,14 @@ class TestTrain:
 
     def test_zero_epochs_leaves_kernel_unchanged(self):
         kern = small_kernel(11)
-        trained, history = meta.train(kern, small_source(11), self.cfg(episodes=0))
+        trained, history = meta.train(lambda _: kern, small_source, self.cfg(episodes=0))
         np.testing.assert_array_equal(
             meta.flatten_hypers(trained), meta.flatten_hypers(kern)
         )
         assert history == []
 
     def test_history_rows_and_keys(self):
-        _, history = meta.train(small_kernel(12), small_source(12), self.cfg(episodes=6))
+        _, history = meta.train(small_kernel, small_source, self.cfg(episodes=6))
         assert len(history) == 6
         assert [row["iter"] for row in history] == [1, 2, 3, 4, 5, 6]
         assert set(history[0]) == {"iter", "objective", "query_ce", "query_acc"}
@@ -183,8 +172,8 @@ class TestTrain:
     def test_objective_improves_on_repeated_episode(self):
         # training on a single repeated episode should raise its ELBO
         kern = small_kernel(13)
-        ep = small_source(13)(1)
-        src = lambda i: ep
+        ep = small_source(derive_seed(13, 1))
+        src = lambda _: ep
         cfg = meta.TrainConfig(
             episodes=40,
             lr_net=1e-3,
@@ -193,7 +182,7 @@ class TestTrain:
             pred_mc=McConfig(samples=32, seed=0),
             seed=0,
         )
-        _, history = meta.train(kern, src, cfg)
+        _, history = meta.train(lambda _: kern, src, cfg)
         first = np.mean([r["objective"] for r in history[:5]])
         last = np.mean([r["objective"] for r in history[-5:]])
         assert last > first
@@ -209,31 +198,29 @@ class TestTrain:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericalError, match="^MD episode 2: "):
-                meta.train(small_kernel(14), small_source(14), self.cfg(lr=1e308))
+                meta.train(small_kernel, small_source, self.cfg(lr=1e308))
         assert not caught
 
 
 class TestEvaluate:
     def test_parallel_matches_sequential(self):
         kern = small_kernel(20)
-        src = small_source(20)
         inner = InnerConfig(rho=1.0, steps=2, mc=McConfig(32, 0))
-        seq = meta.evaluate(kern, src, 6, inner, McConfig(64, 0), seed=3, n_jobs=1)
-        par = meta.evaluate(kern, src, 6, inner, McConfig(64, 0), seed=3, n_jobs=2)
+        seq = meta.evaluate(kern, small_source, 6, inner, McConfig(64, 0), seed=3, n_jobs=1)
+        par = meta.evaluate(kern, small_source, 6, inner, McConfig(64, 0), seed=3, n_jobs=2)
         np.testing.assert_array_equal(seq.accuracies, par.accuracies)
         np.testing.assert_array_equal(seq.probs, par.probs)
         np.testing.assert_array_equal(seq.y_true, par.y_true)
 
     def test_aggregates(self):
         kern = small_kernel(21)
-        src = small_source(21)
         inner = InnerConfig(rho=1.0, steps=1, mc=McConfig(16, 0))
-        res = meta.evaluate(kern, src, 4, inner, McConfig(32, 0))
+        res = meta.evaluate(kern, small_source, 4, inner, McConfig(32, 0))
         assert res.accuracies.shape == (4,)
         assert res.probs.shape == (48, 3)  # 4 episodes x (4 queries per class x 3)
         assert res.y_true.shape == (48,)
         assert 0.0 <= res.accuracy_mean <= 1.0
-        single = meta.evaluate(kern, src, 1, inner, McConfig(32, 0))
+        single = meta.evaluate(kern, small_source, 1, inner, McConfig(32, 0))
         assert single.accuracies.shape == (1,)
 
     def test_first_half_of_the_steps_is_coarse(self, monkeypatch):
@@ -245,7 +232,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(model, "fit_episode", record)
         inner = InnerConfig(rho=0.5, steps=5, mc=McConfig(128, 0))
-        meta.evaluate(small_kernel(22), small_source(22), 2, inner, McConfig(32, 0))
+        meta.evaluate(small_kernel(22), small_source, 2, inner, McConfig(32, 0))
         assert [(cfg.steps, cfg.coarse_steps, cfg.mc.samples) for cfg in seen] == [(5, 2, 128)] * 2
 
 
@@ -260,18 +247,18 @@ class TestCompareOuter:
             pred_mc=McConfig(32),
             seed=5,
         )
-        rows = meta.compare_outer(lambda _: kern, fixed(30), fixed(31), cfg, 2, 1)[0]
+        rows = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
         assert len(rows) == 2 * (cfg.episodes + 1)
         assert [r["method"] for r in rows] == ["MD"] * 3 + ["GD"] * 3
         assert [r["iter"] for r in rows] == [0, 1, 2, 0, 1, 2]
         # both variants start from the same initialization but monitor with
         # method-specific refits, so iter-0 rows can differ between methods
-        again = meta.compare_outer(lambda _: kern, fixed(30), fixed(31), cfg, 2, 1)[0]
+        again = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
         assert rows == again
 
     def test_empty_monitor_bank_rejected(self):
         with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
-            meta.compare_outer(small_kernel, fixed(32), fixed(33), meta.TrainConfig(), 0, 1)
+            meta.compare_outer(small_kernel, small_source, small_source, meta.TrainConfig(), 0, 1)
 
 
 class TestUnitsDependOnTheirIndexAlone:
@@ -279,7 +266,7 @@ class TestUnitsDependOnTheirIndexAlone:
 
     def test_compare_inner_episodes(self):
         inner = InnerConfig(rho=0.05, steps=2, mc=McConfig(16))
-        run = lambda n: meta.compare_inner(small_kernel, seeded_sources, inner, n, seed=4)
+        run = lambda n: meta.compare_inner(small_kernel, small_source, inner, n, seed=4)
         assert run(3)[:2] == run(2)
 
     def test_compare_outer_seeds(self):
@@ -291,10 +278,22 @@ class TestUnitsDependOnTheirIndexAlone:
             pred_mc=McConfig(16),
             seed=6,
         )
-        run = lambda n: meta.compare_outer(small_kernel, seeded_sources, seeded_sources, cfg, 1, n)
+        run = lambda n: meta.compare_outer(small_kernel, small_source, small_source, cfg, 1, n)
         assert run(3)[:2] == run(2)
 
     def test_evaluate_episodes(self):
         inner = InnerConfig(rho=1.0, steps=2, mc=McConfig(16, 0))
-        run = lambda n: meta.evaluate(small_kernel(23), small_source(23), n, inner, McConfig(32, 0))
+        run = lambda n: meta.evaluate(small_kernel(23), small_source, n, inner, McConfig(32, 0))
         np.testing.assert_array_equal(run(3).accuracies[:2], run(2).accuracies)
+
+    def test_train_episodes(self):
+        cfg = lambda n: meta.TrainConfig(
+            episodes=n,
+            lr_net=1e-3,
+            lr_kernel=1e-4,
+            inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(16)),
+            pred_mc=McConfig(32),
+            seed=7,
+        )
+        run = lambda n: meta.train(small_kernel, small_source, cfg(n))[1]
+        assert run(3)[:2] == run(2)

@@ -72,9 +72,12 @@ def test_runtime_class_members_are_read_outside_verify():
 
 def test_cli_is_wiring():
     """The CLI reads config, checks inputs, calls meta and writes files: it
-    runs no inner loop, builds no Gram, names no failure and derives no draw
-    seed, and the one thread pool of the package is meta's map."""
-    assert reads(TREES["cli"]) & {
+    runs no inner loop, builds no Gram, names no failure and derives no draw,
+    task or extractor seed (gen-data's pool seed is its one stream), and the
+    one thread pool of the package is meta's map."""
+    cli = reads(TREES["cli"])
+    assert cli & {
         "run_inner", "inner_states", "extract", "gram", "named_failures", "with_draw_seed"
     } == set()
+    assert {name for name in cli if name.startswith("STREAM_")} == {"STREAM_GEN_DATA"}
     assert sum(p.read_text().count("ThreadPoolExecutor") for p in SRC.glob("*.py")) == 1
