@@ -272,12 +272,18 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare_output(cfg: dict) -> Path:
+def _prepare_output(cfg: dict, *artifacts: str) -> Path:
+    """Make output_dir and write `resolved_config.json` there, once no
+    artifact name the run will write is held by a directory, so a path that
+    cannot be written ends the run before its work, not after."""
     out = Path(cfg["output_dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output dir {out}: {exc}") from exc
+    for name in artifacts:
+        if (out / name).is_dir():
+            raise InputError(f"cannot write {out / name}: is a directory")
     _write_json(out / "resolved_config.json", cfg)
     return out
 
@@ -413,7 +419,7 @@ def cmd_gen_data(cfg: dict) -> int:
         t["sigma_w"],
         seed=derive_seed(cfg["seed"], seeding.STREAM_GEN_DATA),
     )
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, g["filename"])
     path = out / g["filename"]
     tasks.save_csv_dataset(path, X, labels)
     print(f"wrote {path} ({X.shape[0]} rows, {g['classes']} classes)")
@@ -433,7 +439,7 @@ def cmd_train(cfg: dict) -> int:
         pred_mc=McConfig(samples=cfg["eval"]["pred_samples"], seed=0),
         seed=cfg["seed"],
     )
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, "outer_trace.csv", "checkpoint.json")
     kern, history = meta.train(lambda seed: _build_kernel(cfg, seed), draw, train_cfg)
     _write_csv(
         out / "outer_trace.csv",
@@ -473,7 +479,7 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
     draw = _episode_sources(cfg, "test")[0]
     inner = InnerConfig(einn["rho"], einn["steps"], McConfig(einn["mc_samples"]))
     pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, "metrics.json", "calibration.csv")
     result = meta.evaluate(
         kern, draw, ev["episodes"], inner, pred_mc, seed=cfg["seed"], n_jobs=n_jobs
     )
@@ -519,7 +525,7 @@ def cmd_compare_inner(cfg: dict) -> int:
     _check_net_dims(cfg)
     draw = _episode_sources(cfg, "train")[0]
     inner = InnerConfig(ci["rate"], ci["steps"], McConfig(ci["mc_samples"]))
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, "inner_trace.csv")
     new_kernel = lambda seed: _build_kernel(cfg, seed)
     traces = meta.compare_inner(new_kernel, draw, inner, ci["episodes"], cfg["seed"])
     rows = [
@@ -547,7 +553,7 @@ def cmd_compare_outer(cfg: dict) -> int:
         pred_mc=McConfig(co["pred_samples"]),
         seed=cfg["seed"],
     )
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, "outer_compare.csv")
     new_kernel = lambda seed: _build_kernel(cfg, seed)
     runs = meta.compare_outer(new_kernel, *sources, train_cfg, co["monitor_episodes"], co["seeds"])
     rows = [
@@ -570,7 +576,7 @@ def cmd_compare_outer(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     v = cfg["verify"]
     checks = verify.run(cfg["seed"], v["instances"], v["fd_step"], v["gh_nodes"], v["tolerance"])
-    out = _prepare_output(cfg)
+    out = _prepare_output(cfg, "verification.json")
     report = []
     all_ok = True
     for name, deviation, tol in checks:

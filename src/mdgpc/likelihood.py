@@ -38,11 +38,15 @@ holds them; the labels Y are (N, C) one-hot rows, as episodes give them.
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), nodes
 innermost and contiguous, from one node set (S, C) for all points, laid out
-(C, 1, S). The class max and the class sum are then elementwise passes over
-whole (N, S) slices, the softmax is exp(f - max) / sum in one buffer that
-every step updates in place, and the mean over nodes is a last-axis
-reduction (or a product with the weights). The results equal the last-axis
-(S, N, C) formulas to rounding, not bit for bit.
+(C, 2, S): each class's nodes, then a row of ones. The logits are one
+batched product f = [sd, m] @ [eps; 1], (C, N, 2) @ (C, 2, S), written
+straight into their buffer; with two terms it rounds sd * eps and then the
+sum, as m + sd * eps does. The class max and the class sum are then
+elementwise passes over whole (N, S) slices, the softmax is
+exp(f - max) / sum in one buffer that every step updates in place, and the
+mean over nodes is a last-axis reduction (or a product with the weights).
+The results equal the last-axis (S, N, C) formulas to rounding, not bit for
+bit.
 """
 
 import functools
@@ -201,7 +205,8 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
 
 def _prepare_batch(m, v, eps):
     """Checked (C, N) marginals and the node set (S, C) that all points
-    share, laid out as contiguous (C, 1, S) rows."""
+    share, laid out as contiguous (C, 2, S) rows: each class's nodes, then a
+    row of ones, the right factor of `_stable_logits`' product."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
@@ -213,27 +218,33 @@ def _prepare_batch(m, v, eps):
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 2 or eps.shape[1] != m.shape[0]:
         raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
-    return m, v, np.ascontiguousarray(eps.T[:, None, :])
+    nodes = np.ones((m.shape[0], 2, eps.shape[0]))
+    nodes[:, 0, :] = eps.T
+    return m, v, nodes
 
 
-def _stable_logits(m, sd, eps):
+def _stable_logits(m, sd, nodes):
     """f - max_c f for f = m + sd * eps, in one fresh C-ordered (C, N, S) buffer.
 
-    m, sd: (C, N); eps: (C, 1, S) from `_prepare_batch`. The
-    nodes are the innermost, contiguous axis, so the class max here and the
-    class sums of the callers are elementwise passes over (N, S) slices.
-    Callers update the buffer in place; it is the only one of its size.
+    m, sd: (C, N); nodes: (C, 2, S) from `_prepare_batch`. f is the batched
+    product [sd, m] @ [eps; 1], (C, N, 2) @ (C, 2, S), which rounds
+    sd * eps and then its sum with m, as the elementwise form does (bit for
+    bit, but where N or S is 1 and the matrix-vector kernel may fuse the
+    multiply-add, moving f by at most one rounding). The nodes are the
+    innermost, contiguous axis, so the class max here and the class sums of
+    the callers are elementwise passes over (N, S) slices. Callers update
+    the buffer in place; it is the only one of its size.
     """
-    f = np.empty(m.shape + eps.shape[2:])
-    np.multiply(sd[:, :, None], eps, out=f)
-    f += m[:, :, None]
+    coef = np.empty(m.shape + (2,))
+    coef[..., 0], coef[..., 1] = sd, m
+    f = coef @ nodes
     f -= np.maximum.reduce(f, axis=0)
     return f
 
 
-def _softmax(m, sd, eps):
+def _softmax(m, sd, nodes):
     """softmax(f) = exp(f - max) / sum_c exp(f - max), laid out (C, N, S)."""
-    p = _stable_logits(m, sd, eps)
+    p = _stable_logits(m, sd, nodes)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=0)
     return p
@@ -252,8 +263,8 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     m, v: (C, N); Y: (N, C); eps: (S, C), one node set for all points;
     weights: (S,) or None (uniform), else the estimate is sum_s w_s log p(y | f^(s)).
     """
-    m, v, eps = _prepare_batch(m, v, eps)
-    stable = _stable_logits(m, np.sqrt(v), eps)
+    m, v, nodes = _prepare_batch(m, v, eps)
+    stable = _stable_logits(m, np.sqrt(v), nodes)
     # y . (f - max) - log sum_c exp(f - max), for one-hot y
     ll = np.einsum("cn,cns->ns", np.asarray(Y, dtype=float).T, stable)
     np.exp(stable, out=stable)
@@ -263,8 +274,8 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
 
 def batch_grads_mv(m, v, Y, eps, weights=None):
     """Estimated (g_m, g_v) for every point at once, each (C, N) like m and v."""
-    m, v, eps = _prepare_batch(m, v, eps)
-    p = _softmax(m, np.sqrt(v), eps)
+    m, v, nodes = _prepare_batch(m, v, eps)
+    p = _softmax(m, np.sqrt(v), nodes)
     p_bar = _node_mean(p, weights)
     g_m = np.asarray(Y, dtype=float).T - p_bar
     p *= p

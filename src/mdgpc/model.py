@@ -91,5 +91,5 @@ def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.
     the one transpose of the predictive's (C, M) stacks."""
     mu, var = predict_latent(fit, query_x)
     eps = normal_draws(mc.seed, (mc.samples, mu.shape[0]))
-    mu, var, eps = _prepare_batch(mu, np.maximum(var, 0.0), eps)
-    return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), eps), axis=-1).T)
+    mu, var, nodes = _prepare_batch(mu, np.maximum(var, 0.0), eps)
+    return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), nodes), axis=-1).T)

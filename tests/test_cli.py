@@ -720,6 +720,36 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out / artifact}: ")
 
+    # an artifact path held by a directory was found only after the whole run
+    @pytest.mark.parametrize(
+        "cmd, entry, artifact",
+        [
+            ("train", "train", "outer_trace.csv"),
+            ("train", "train", "checkpoint.json"),
+            ("eval", "evaluate", "metrics.json"),
+            ("eval", "evaluate", "calibration.csv"),
+            ("compare-inner", "compare_inner", "inner_trace.csv"),
+            ("compare-outer", "compare_outer", "outer_compare.csv"),
+        ],
+    )
+    def test_unwritable_artifact_fails_before_the_run(
+        self, tmp_path, monkeypatch, capsys, cmd, entry, artifact
+    ):
+        def not_called(*args, **kwargs):
+            pytest.fail(f"meta.{entry} ran before the artifact paths were checked")
+
+        monkeypatch.setattr(meta, entry, not_called)
+        cfg_path = write_cfg(tmp_path)
+        cfg = cli.load_config(cfg_path)
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(cli._checkpoint_dict(cli._build_kernel(cfg, 0), cfg)))
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        extra = ("--checkpoint", str(ckpt)) if cmd == "eval" else ()
+        assert run(cmd, cfg_path, out, *extra) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: cannot write {out / artifact}: is a directory"]
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """A reader that closes stdout first (`mdgpc verify | head -1`) gets
         the documented exit code and no traceback."""

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -362,6 +363,79 @@ class TestClassLeadingKernel:
         eps = normal_draws(mc.seed, (mc.samples, c))[:, None, :]
         want = oracles.label_probs(m, var, eps)
         np.testing.assert_allclose(probs, want, rtol=0, atol=self.PROBS_ATOL)
+
+
+def elementwise_logits(m, v, eps):
+    """f - max_c f for f = m + sqrt(v) * eps, (C, N, S), by broadcasting."""
+    f = m[:, :, None] + np.sqrt(v)[:, :, None] * eps.T[:, None, :]
+    return f - np.maximum.reduce(f, axis=0)
+
+
+def product_logits(m, v, eps):
+    """The package's logits, the batched product of `_stable_logits`."""
+    return likelihood._stable_logits(m, np.sqrt(v), likelihood._prepare_batch(m, v, eps)[2])
+
+
+class TestLogitsProduct:
+    """The logits as [sd, m] @ [eps; 1] against the elementwise m + sd * eps.
+    With two terms the product rounds sd * eps, then its sum with m, as the
+    elementwise form does, so the two are equal bit for bit; every default
+    artifact rests on that."""
+
+    @staticmethod
+    def marginals(c, n, s, seed=0):
+        rng = np.random.default_rng(seed)
+        m = 3.0 * rng.standard_normal((c, n))
+        v = 4.0 * rng.random((c, n))
+        return m, v, normal_draws(seed, (s, c))
+
+    @pytest.mark.parametrize(
+        "c, n, s", [(5, 25, 64), (5, 25, 512), (5, 80, 512), (10, 100, 512), (3, 4, 33)]
+    )
+    def test_equals_elementwise(self, c, n, s):
+        m, v, eps = self.marginals(c, n, s)
+        assert np.array_equal(product_logits(m, v, eps), elementwise_logits(m, v, eps))
+
+    @pytest.mark.parametrize("c", [2, 5, 8, 10, 20])
+    def test_equals_elementwise_at_large_logits(self, c):
+        m, v, _, draw_sets = TestClassLeadingKernel.case(c, 7)
+        for eps in (draw_sets[0][0][:, 0], draw_sets[2][0]):  # (S, C) sets
+            assert np.array_equal(product_logits(m.T, v.T, eps), elementwise_logits(m.T, v.T, eps))
+
+    @pytest.mark.parametrize("c, n, s", [(5, 1, 64), (10, 1, 512), (5, 25, 1), (10, 100, 1)])
+    def test_matrix_vector_within_one_rounding(self, c, n, s):
+        # At N = 1 or S = 1 the product may take a matrix-vector kernel that
+        # fuses the multiply-add: each logit then moves by at most one
+        # rounding at a = |sd * eps| + |m|, and each side's max shift rounds
+        # once at up to twice the class-max scale.
+        m, v, eps = self.marginals(c, n, s, seed=c + n)
+        a = np.abs(np.sqrt(v)[:, :, None] * eps.T[:, None, :]) + np.abs(m)[:, :, None]
+        err = np.abs(product_logits(m, v, eps) - elementwise_logits(m, v, eps))
+        assert np.all(err <= 4.0 * np.spacing(np.maximum.reduce(a, axis=0)))
+
+
+class TestMemory:
+    """tracemalloc peaks of the estimators at (C, N, S) = (10, 100, 512), in
+    units of one (C, N, S) float64 buffer, so that no new temporary of that
+    size slips in. Measured: 1.13 for the gradients (the logits buffer and
+    p^2 in place, the node means and the small node layout) and 1.32 for the
+    log-likelihood (its (N, S) rows on top)."""
+
+    @pytest.mark.parametrize(
+        "estimator, bound", [(batch_grads_mv, 1.2), (batch_expected_loglik, 1.4)]
+    )
+    def test_peak_is_one_logits_buffer(self, estimator, bound):
+        c, n, s = 10, 100, 512
+        m, v, eps = TestLogitsProduct.marginals(c, n, s)
+        Y = np.eye(c)[np.arange(n) % c]
+        estimator(m, v, Y, eps)  # any first-call allocation is not counted
+        tracemalloc.start()
+        try:
+            estimator(m, v, Y, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * c * n * s * 8
 
 
 class TestLikelihoodObjects:

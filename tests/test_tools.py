@@ -81,3 +81,15 @@ def test_compare_runs_reports_exit_code_and_stderr(tool):
     assert tool.compare_runs("ci", (2, fail), (0, "")) == [
         "ci: exit 2 -> 0", f"ci: stderr {fail.strip()!r} -> ''"
     ]
+
+
+def test_odd_s_block_sets_every_sample_count(tool):
+    from mdgpc import cli
+
+    runs = dict(tool.run_set())
+    assert len(runs) == 37
+    counts = {key for key, _, _ in cli._TABLE if key.endswith("samples")}
+    for name in ("train", "eval-p1", "compare-inner"):
+        args = runs[f"base-odd-s-{name}"]
+        sets = {args[i + 1] for i, arg in enumerate(args) if arg == "--set"}
+        assert {f"{key}=33" for key in counts} <= sets

@@ -21,10 +21,14 @@ POL1's degree-1 power ``P ** 0`` included: 26 runs. Then compare-inner at
 the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
 baseline fails on a singular prior (POL1, COS) or an ill-conditioned one
 (POL2), so the step and message of each failure are pinned too: 29 runs.
-Last, gen-data at ``BASE`` writes a pool, and train, eval at
+Then gen-data at ``BASE`` writes a pool, and train, eval at
 ``--parallel-episodes`` 1, compare-inner and compare-outer sample it with
 ``data.path`` set and classes 0-2 for training, 3-5 for testing, so the
-data-file branch of the episode sources is covered too: 34 runs.
+data-file branch of the episode sources is covered too: 34 runs. Last,
+``BASE`` with every Monte Carlo sample count set to 33 runs train, eval at
+``--parallel-episodes`` 1 and compare-inner, so the softmax's batched
+logits product is pinned at a node count that is not a power of two: 37
+runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -86,6 +90,10 @@ def run_set() -> list[tuple[str, list[str]]]:
     base = ["--config", "base.json"]
     pool = ["data.path=out/base-csv-gen-data/dataset.csv",
             "data.splits.train=[0,1,2]", "data.splits.test=[3,4,5]"]
+    odd_s = [f"{key}=33" for key in (
+        "inner.mc_samples", "eval_inner.mc_samples", "eval.pred_samples",
+        "compare_inner.mc_samples", "compare_outer.mc_samples", "compare_outer.pred_samples",
+    )]
     for label, config, settings, names in (
         ("base-c10", base, ["task.C=10"], ("train", "eval-p1", "eval-p2", "compare-inner")),
         ("base-cos", base, ["kernel.kind=COS"], ("train", "eval-p1")),
@@ -95,6 +103,7 @@ def run_set() -> list[tuple[str, list[str]]]:
         ("defaults-pol2", [], ["kernel.kind=POL2"], ("compare-inner",)),
         ("defaults-cos", [], ["kernel.kind=COS"], ("compare-inner",)),
         ("base-csv", base, pool, ("gen-data", "train", "eval-p1", "compare-inner", "compare-outer")),
+        ("base-odd-s", base, odd_s, ("train", "eval-p1", "compare-inner")),
     ):
         ckpt = f"out/{label}-train/checkpoint.json"
         args = {
