@@ -516,6 +516,11 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
         f"accuracy {report['accuracy_mean']:.4f} +- {report['accuracy_stderr']:.4f}, "
         f"nll {report['nll']:.4f}, ece {report['ece']:.4f}, mce {report['mce']:.4f}"
     )
+    steps = result.steps
+    print(
+        f"inner steps per episode: mean {steps.mean():.1f}, min {steps.min()}, "
+        f"max {steps.max()} of at most {inner.steps}"
+    )
     print(f"wrote {out / 'metrics.json'} and {out / 'calibration.csv'}")
     return 0
 
@@ -575,8 +580,8 @@ def cmd_compare_outer(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict) -> int:
     v = cfg["verify"]
-    checks = verify.run(cfg["seed"], v["instances"], v["fd_step"], v["gh_nodes"], v["tolerance"])
     out = _prepare_output(cfg, "verification.json")
+    checks = verify.run(cfg["seed"], v["instances"], v["fd_step"], v["gh_nodes"], v["tolerance"])
     report = []
     all_ok = True
     for name, deviation, tol in checks:

@@ -48,8 +48,9 @@ likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and drives every step with one likelihood on one draw set (seed
 derive_seed(mc.seed, STREAM_STEP_DRAWS)), or on its first COARSE_NODES nodes
-for the first ``coarse_steps`` steps, so the draw schedule is written only
-there.
+in a coarse stage of at most ``coarse_steps`` steps that ends once a step
+moves the posterior by less than SWITCH_TOL, so the draw schedule and the
+step count are written only there.
 `run_inner` scores every state with one fixed draw set.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
@@ -138,13 +139,20 @@ class GdState:
 
 # The first 2^6 points of a Sobol set are a balanced net of their own.
 COARSE_NODES = 64
+# A coarse step that moves every mean by less than this many posterior sds,
+# and every marginal variance by less than this share of itself, ends the
+# coarse stage. It is ten times below the 64-node set's own error in the fit
+# (2.9e-2). A step moves about rho times the distance left, so at 1e-2 the
+# stage ended early at rates 0.1 and 0.2, before it had settled.
+SWITCH_TOL = 1e-3
 
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Inner-loop settings; rho is the mirror rate or the GD step size. The
-    first `coarse_steps` steps read only the first COARSE_NODES nodes of the
-    draw set, the rest all of it."""
+    """Inner-loop settings; rho is the mirror rate or the GD step size. A
+    coarse stage of at most `coarse_steps` steps reads only the first
+    COARSE_NODES nodes of the draw set and ends early once it settles; then
+    steps - coarse_steps steps read all of it, so `steps` is a cap."""
 
     rho: float = 1.0
     steps: int = 3
@@ -180,6 +188,12 @@ def _site_scale(beta: np.ndarray) -> np.ndarray:
 def _site_b(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     """B = I + W K W for every class."""
     return np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
+
+
+def _moved(m: np.ndarray, v: np.ndarray, m0: np.ndarray, v0: np.ndarray) -> float:
+    """max(|m - m0| / sqrt(v), |v - v0| / v): how far a step from (m0, v0)
+    to (m, v) moved the posterior, in its own sds and variances."""
+    return float(max(np.max(np.abs(m - m0) / np.sqrt(v)), np.max(np.abs(v - v0) / v)))
 
 
 def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
@@ -262,19 +276,24 @@ def elbo(state, Y: np.ndarray, lik) -> float:
 
 
 def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):
-    """Yield the prior state, then the state after each of `steps` updates.
+    """Yield the prior state, then the state after each update: `steps` of
+    them, or fewer when a coarse stage settles early.
 
     The labels are checked once, before the prior state. Every step reads one
     draw set, of seed derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS), drawn at
     step 1 (so a loop of no steps draws nothing): the loop is a deterministic
-    fixed-point iteration on one sample-average surrogate of the ELBO. The
-    first cfg.coarse_steps steps read only its first COARSE_NODES nodes, a
-    cheaper surrogate whose fixed point lies near the full set's, so the steps
-    after them start close to where they converge. A step that fails
-    numerically or leaves a non-finite mean or a marginal variance outside
-    (0, inf) raises NumericalError naming the method and the step; numpy's
-    floating-point warnings are silenced inside the step, since this check
-    reports the failure.
+    fixed-point iteration on one sample-average surrogate of the ELBO. A
+    coarse stage of at most cfg.coarse_steps steps reads only its first
+    COARSE_NODES nodes, a cheaper surrogate whose fixed point lies near the
+    full set's. It ends at its first step that moves every mean by less than
+    SWITCH_TOL posterior sds and every marginal variance by less than
+    SWITCH_TOL of itself (`_moved`), or at its cap; exactly steps -
+    coarse_steps steps on the whole set follow, from close to where they
+    converge. With coarse_steps = 0 every step reads the whole set. A step
+    that fails numerically or leaves a non-finite mean or a marginal variance
+    outside (0, inf) raises NumericalError naming the method and the step;
+    numpy's floating-point warnings are silenced inside the step, since this
+    check reports the failure.
     """
     method = method.upper()
     if method not in ("MD", "GD"):
@@ -285,16 +304,23 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
     Y = _validate_labels(Y, n, c)
     yield state
     lik = None
-    for t in range(1, cfg.steps + 1):
+    coarse_end, last = min(cfg.coarse_steps, cfg.steps), cfg.steps  # the last coarse step
+    t = 0
+    while t < last:
+        t += 1
         with named_failures(f"{method} step {t}"):
             if lik is None:
                 step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS))
                 lik = SoftmaxLikelihood.from_seed(step_mc, c)
                 coarse = SoftmaxLikelihood(lik.eps[:COARSE_NODES])
-            state = step_fn(state, Y, cfg.rho, coarse if t <= cfg.coarse_steps else lik)
-            v = state.v
-            if not (np.isfinite(state.m).all() and ((0.0 < v) & (v < np.inf)).all()):
+            before = (state.m, state.v) if t <= coarse_end else None
+            state = step_fn(state, Y, cfg.rho, lik if before is None else coarse)
+            m, v = state.m, state.v
+            if not (np.isfinite(m).all() and ((0.0 < v) & (v < np.inf)).all()):
                 raise NumericalError("non-finite posterior mean or variance outside (0, inf)")
+            if before is not None and _moved(m, v, *before) < SWITCH_TOL:
+                last -= coarse_end - t  # the coarse steps not taken
+                coarse_end = t
         yield state
 
 

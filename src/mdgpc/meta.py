@@ -297,6 +297,7 @@ class EvalResult:
     accuracies: np.ndarray  # per-episode query accuracy
     probs: np.ndarray  # all query probabilities, stacked
     y_true: np.ndarray  # all query labels, stacked
+    steps: np.ndarray  # per-episode inner steps taken
 
     @property
     def accuracy_mean(self) -> float:
@@ -312,13 +313,16 @@ def evaluate(
     seed: int = 0,
     n_jobs: int = 1,
 ) -> EvalResult:
-    """Fit and predict on held-out episodes; aggregates raw predictions.
+    """Fit and predict on held-out episodes; aggregates raw predictions and
+    the inner steps each fit took.
 
-    The first half of each fit's steps read only the first COARSE_NODES nodes
-    of its draw set (`InnerConfig.coarse_steps`); the second half converge
-    from there on the whole set, to its fixed point. Episode i is
-    draw(task seed), its task seed and draws derived from seed and i alone;
-    n_jobs is the map's thread count, and the results do not depend on it.
+    Each fit's coarse stage reads only the first COARSE_NODES nodes of its
+    draw set, for at most half of inner_cfg.steps (`InnerConfig.coarse_steps`)
+    and less once a coarse step no longer moves the posterior; the other half
+    of the steps converge from there on the whole set, to its fixed point.
+    So inner_cfg.steps is a cap. Episode i is draw(task seed), its task seed
+    and draws derived from seed and i alone; n_jobs is the map's thread
+    count, and the results do not depend on it.
     """
     inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
@@ -329,11 +333,12 @@ def evaluate(
         with named_failures(f"MD episode {i}"):
             fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
             probs, y_idx = _query_probs(fit, episode, eval_mc)
-        return metrics.accuracy(probs, y_idx), probs, y_idx
+        return metrics.accuracy(probs, y_idx), probs, y_idx, fit.steps
 
     results = _by_index(eval_one, n_episodes, n_jobs)
     return EvalResult(
         accuracies=np.array([r[0] for r in results]),
         probs=np.concatenate([r[1] for r in results], axis=0),
         y_true=np.concatenate([r[2] for r in results], axis=0),
+        steps=np.array([r[3] for r in results]),
     )

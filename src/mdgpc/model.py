@@ -44,6 +44,7 @@ class FittedEpisode:
     features: np.ndarray  # support features Z
     cache: kernels.ForwardCache
     terms: tuple  # (u, core) = (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1}), stacked by class
+    steps: int  # the inner steps the loop took, at most cfg.steps
 
 
 def fit_episode(
@@ -54,7 +55,7 @@ def fit_episode(
     method: str = "MD",
 ) -> FittedEpisode:
     """Extract features, build the stacked Grams, run the inner loop and keep
-    the final posterior's per-class (u, core) terms."""
+    the final posterior's per-class (u, core) terms and the steps it took."""
     support_y = np.asarray(support_y, dtype=float)
     if support_y.ndim != 2 or support_y.shape[1] != kernel.base.n_classes:
         raise InputError(
@@ -63,7 +64,7 @@ def fit_episode(
         )
     Z, cache = kernels.extract(kernel.extractor, support_x)
     grams = kernels.gram(kernel.base, Z)
-    for state in inference.inner_states(method, grams, support_y, cfg):
+    for steps, state in enumerate(inference.inner_states(method, grams, support_y, cfg)):
         pass
     return FittedEpisode(
         kernel=kernel,
@@ -72,6 +73,7 @@ def fit_episode(
         features=Z,
         cache=cache,
         terms=state.kinv_terms(),
+        steps=steps,
     )
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgpc import cli, meta, seeding, tasks
+from mdgpc import cli, meta, seeding, tasks, verify
 from mdgpc.errors import InputError
 from mdgpc.seeding import derive_seed
 
@@ -323,6 +323,17 @@ class TestCompare:
         assert len(lines) == 1 + 2 * 2 * (3 + 1)  # methods x episodes x (steps+1)
         assert run("compare-inner", cfg_path, out) == 0
         assert (out / "inner_trace.csv").read_bytes() == body
+
+    def test_compare_inner_full_rate_keeps_every_step(self, tmp_path):
+        # the comparison takes every step of both methods: no stop rule ends
+        # a loop early (at rate 1 GD fails at its third step, so two steps)
+        out = tmp_path / "out"
+        argv = ("--set", "compare_inner.rate=1", "--set", "compare_inner.steps=2")
+        assert run("compare-inner", write_cfg(tmp_path), out, *argv) == 0
+        rows = [line.split(",") for line in (out / "inner_trace.csv").read_text().splitlines()[1:]]
+        for method in ("MD", "GD"):
+            steps = [(int(r[1]), int(r[2])) for r in rows if r[0] == method]
+            assert steps == [(ep, t) for ep in (1, 2) for t in range(3)]
 
     def test_compare_outer_rows(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
@@ -730,15 +741,18 @@ class TestExitCodes:
             ("eval", "evaluate", "calibration.csv"),
             ("compare-inner", "compare_inner", "inner_trace.csv"),
             ("compare-outer", "compare_outer", "outer_compare.csv"),
+            ("verify", "run", "verification.json"),
         ],
     )
     def test_unwritable_artifact_fails_before_the_run(
         self, tmp_path, monkeypatch, capsys, cmd, entry, artifact
     ):
-        def not_called(*args, **kwargs):
-            pytest.fail(f"meta.{entry} ran before the artifact paths were checked")
+        module = verify if cmd == "verify" else meta
 
-        monkeypatch.setattr(meta, entry, not_called)
+        def not_called(*args, **kwargs):
+            pytest.fail(f"{module.__name__}.{entry} ran before the artifact paths were checked")
+
+        monkeypatch.setattr(module, entry, not_called)
         cfg_path = write_cfg(tmp_path)
         cfg = cli.load_config(cfg_path)
         ckpt = tmp_path / "checkpoint.json"
@@ -830,6 +844,20 @@ def base_checkpoint(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("base_train")
     assert run("train", write_cfg(tmp), tmp / "o") == 0
     return tmp / "o" / "checkpoint.json"
+
+
+@pytest.mark.parametrize("steps", [3, 40])
+def test_eval_prints_its_inner_steps(tmp_path, capsys, base_checkpoint, steps):
+    # the steps each episode's inner loop took, against the cap; at 40 steps
+    # every coarse stage settles before its 20th step, at 3 its cap is 1
+    argv = ("--checkpoint", str(base_checkpoint), "--set", f"eval_inner.steps={steps}",
+            "--set", "eval_inner.mc_samples=512")
+    assert run("eval", write_cfg(tmp_path), tmp_path / "o", *argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    found = re.fullmatch(r"inner steps per episode: mean (\S+), min (\d+), max (\d+) of at most (\d+)", line)
+    mean, low, high, cap = float(found[1]), int(found[2]), int(found[3]), int(found[4])
+    assert cap == steps and low <= mean <= high
+    assert (high == 3) if steps == 3 else (high < 40)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

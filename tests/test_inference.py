@@ -499,7 +499,7 @@ class TestEvalNodeCount:
 
     @classmethod
     def eval_fit(cls, samples: int):
-        # as meta.evaluate fits: the first half of the steps on the coarse nodes
+        # as meta.evaluate fits: a coarse stage of at most half of the steps
         return cls.fixed_point(samples, mdgpc.cli.default_config()["eval_inner"]["steps"] // 2)
 
     def test_default_fit_is_near_the_reference(self):
@@ -511,8 +511,9 @@ class TestEvalNodeCount:
         assert np.max(np.abs(got.v - ref.v) / ref.v) <= 1.5e-2
 
     def test_coarse_steps_end_at_the_fixed_point_of_the_whole_set(self):
-        # the coarse first half moves eval's fit by much less than the node
-        # count does. Measured: 7.9e-6 in m and 3.0e-6 in v (every step
+        # the coarse stage moves eval's fit by much less than the node count
+        # does. Measured: 5.4e-6 in m and 2.3e-6 in v, after 14 coarse steps
+        # (the stage run to its cap of 25: 7.9e-6 and 3.0e-6; every step
         # coarse: 2.9e-2 and 3.9e-2; coarse nodes 8 instead of 64: 3.3e-5
         # and 1.3e-5; both fail)
         samples = mdgpc.cli.default_config()["eval_inner"]["mc_samples"]
@@ -531,6 +532,64 @@ class TestEvalNodeCount:
             want = md_step(want, Y, 0.5, lik)
             np.testing.assert_array_equal(states[t].m, want.m)
             np.testing.assert_array_equal(states[t].v, want.v)
+
+
+class TestCoarseStage:
+    """The coarse stage ends at its first step that moves every mean by less
+    than SWITCH_TOL posterior sds and every marginal variance by less than
+    SWITCH_TOL of itself, or at its cap; the full-set steps keep their count."""
+
+    @staticmethod
+    def hand_driven(grams, Y, cfg: InnerConfig, coarse_steps: int) -> list:
+        # k coarse steps, then steps - coarse_steps full-set steps, by md_step
+        full = seeded_lik(cfg.mc, 1, Y.shape[1])
+        coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
+        states = [md_init(grams)]
+        for lik in [coarse] * coarse_steps + [full] * (cfg.steps - cfg.coarse_steps):
+            states.append(md_step(states[-1], Y, cfg.rho, lik))
+        return states
+
+    @staticmethod
+    def moved(a, b) -> float:
+        return max(np.max(np.abs(b.m - a.m) / np.sqrt(b.v)), np.max(np.abs(b.v - a.v) / b.v))
+
+    def assert_same_states(self, got: list, want: list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.m, w.m)
+            np.testing.assert_array_equal(g.v, w.v)
+
+    def test_settled_stage_switches_early(self):
+        # eval's default rate, steps and node count
+        ev = mdgpc.cli.default_config()["eval_inner"]
+        grams, Y = episode_grams(132)
+        cfg = InnerConfig(ev["rho"], ev["steps"], McConfig(ev["mc_samples"], 5), ev["steps"] // 2)
+        got = list(inner_states("MD", grams, Y, cfg))
+        k = len(got) - 1 - (cfg.steps - cfg.coarse_steps)
+        assert 0 < k < cfg.coarse_steps
+        want = self.hand_driven(grams, Y, cfg, k)
+        self.assert_same_states(got, want)
+        moved = [self.moved(a, b) for a, b in zip(want[:k], want[1:k + 1])]
+        assert moved[-1] < inference.SWITCH_TOL <= min(moved[:-1])
+
+    def test_unsettled_stage_keeps_the_fixed_schedule(self):
+        # at rate 0.1 no coarse step moves the fit that little: the loop takes
+        # the cap, then the full-set steps, as a loop without the test does
+        ev = mdgpc.cli.default_config()["eval_inner"]
+        grams, Y = episode_grams(133)
+        cfg = InnerConfig(0.1, ev["steps"], McConfig(ev["mc_samples"], 6), ev["steps"] // 2)
+        got = list(inner_states("MD", grams, Y, cfg))
+        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, cfg.coarse_steps))
+
+    def test_full_set_steps_keep_their_count(self):
+        # a loop without a coarse stage takes every step, though its last
+        # steps move the fit by far less than SWITCH_TOL
+        grams, Y = episode_grams(134)
+        cfg = InnerConfig(0.5, 60, McConfig(128, 7))
+        got = list(inner_states("MD", grams, Y, cfg))
+        assert len(got) == cfg.steps + 1
+        assert self.moved(got[-2], got[-1]) < inference.SWITCH_TOL
+        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 0))
 
 
 class TestNgdEquivalence:

@@ -235,6 +235,19 @@ class TestEvaluate:
         meta.evaluate(small_kernel(22), small_source, 2, inner, McConfig(32, 0))
         assert [(cfg.steps, cfg.coarse_steps, cfg.mc.samples) for cfg in seen] == [(5, 2, 128)] * 2
 
+    def test_steps_are_each_fits_steps(self, monkeypatch):
+        fit_episode, fits = model.fit_episode, []
+
+        def record(*args):
+            fits.append(fit_episode(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(model, "fit_episode", record)
+        inner = InnerConfig(rho=0.5, steps=40, mc=McConfig(512, 0))
+        res = meta.evaluate(small_kernel(23), small_source, 3, inner, McConfig(32, 0))
+        assert res.steps.tolist() == [fit.steps for fit in fits]
+        assert len(fits) == 3 and max(res.steps) < 40  # every coarse stage settled early
+
 
 class TestCompareOuter:
     def test_row_structure_and_determinism(self):

@@ -124,6 +124,17 @@ class TestFitOptions:
         np.testing.assert_array_equal(fit.state.alpha, state.alpha)
         np.testing.assert_array_equal(fit.state.beta, state.beta)
 
+    @pytest.mark.parametrize("coarse_steps", [0, 20])
+    def test_fit_records_the_steps_its_loop_took(self, coarse_steps):
+        # a settled coarse stage ends early, so the loop may take fewer steps
+        kern = make_kernel()
+        ep = make_episode(32)
+        cfg = InnerConfig(rho=0.5, steps=40, mc=McConfig(512, 4), coarse_steps=coarse_steps)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+        grams = kernels.gram(kern.base, kernels.extract(kern.extractor, ep.support_x)[0])
+        assert fit.steps == len(list(inference.inner_states("MD", grams, ep.support_y, cfg))) - 1
+        assert (fit.steps == cfg.steps) == (coarse_steps == 0)
+
     def test_label_shape_mismatch_rejected(self):
         kern = make_kernel()
         ep = make_episode(31)

@@ -87,9 +87,18 @@ def test_odd_s_block_sets_every_sample_count(tool):
     from mdgpc import cli
 
     runs = dict(tool.run_set())
-    assert len(runs) == 37
+    assert len(runs) == 38
     counts = {key for key, _, _ in cli._TABLE if key.endswith("samples")}
     for name in ("train", "eval-p1", "compare-inner"):
         args = runs[f"base-odd-s-{name}"]
         sets = {args[i + 1] for i, arg in enumerate(args) if arg == "--set"}
         assert {f"{key}=33" for key in counts} <= sets
+
+
+def test_defaults_block_has_an_eval_whose_coarse_stage_runs_to_its_cap(tool):
+    runs = dict(tool.run_set())
+    args = runs["defaults-eval-rho01"]
+    assert args[:3] == ["eval", "--checkpoint", "out/defaults-train/checkpoint.json"]
+    assert "eval_inner.rho=0.1" in args
+    names = list(runs)
+    assert names.index("defaults-train") < names.index("defaults-eval-rho01")

@@ -10,24 +10,26 @@ into the checkout and two checkouts give comparable output. The run set is
 every subcommand at the default config (compare-outer at ``seeds=1``,
 ``iterations=5``) and at the ``BASE`` config of ``tests/test_cli.py``, with
 eval at ``--parallel-episodes`` 1 and 2 (on the checkpoint of the same
-config's train run) and verify at seeds 0 and 7: 16 runs. Then ``BASE`` with
-``task.C=10`` runs train, eval at ``--parallel-episodes`` 1 and 2 and
-compare-inner, so the class sums of 8 or more terms are covered too, and
-the threads are pinned at the class count where they pay: 20 runs. Then
-``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and eval
-at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
+config's train run) and verify at seeds 0 and 7, plus eval at the default
+config with ``eval_inner.rho=0.1``, where every coarse stage of the inner
+loop runs to its cap, so the fixed schedule is pinned too: 17 runs. Then
+``BASE`` with ``task.C=10`` runs train, eval at ``--parallel-episodes`` 1
+and 2 and compare-inner, so the class sums of 8 or more terms are covered
+too, and the threads are pinned at the class count where they pay: 21 runs.
+Then ``BASE`` with ``kernel.kind`` COS, POL2 and POL1 each runs train and
+eval at ``--parallel-episodes`` 1 on that checkpoint, so the COS and POL
 branches of the Gram, its diagonal and its backward pass are covered too,
-POL1's degree-1 power ``P ** 0`` included: 26 runs. Then compare-inner at
+POL1's degree-1 power ``P ** 0`` included: 27 runs. Then compare-inner at
 the default config with ``kernel.kind`` POL1, POL2 and COS, whose GD
 baseline fails on a singular prior (POL1, COS) or an ill-conditioned one
-(POL2), so the step and message of each failure are pinned too: 29 runs.
+(POL2), so the step and message of each failure are pinned too: 30 runs.
 Then gen-data at ``BASE`` writes a pool, and train, eval at
 ``--parallel-episodes`` 1, compare-inner and compare-outer sample it with
 ``data.path`` set and classes 0-2 for training, 3-5 for testing, so the
-data-file branch of the episode sources is covered too: 34 runs. Last,
+data-file branch of the episode sources is covered too: 35 runs. Last,
 ``BASE`` with every Monte Carlo sample count set to 33 runs train, eval at
 ``--parallel-episodes`` 1 and compare-inner, so the softmax's batched
-logits product is pinned at a node count that is not a power of two: 37
+logits product is pinned at a node count that is not a power of two: 38
 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
@@ -82,6 +84,8 @@ def run_set() -> list[tuple[str, list[str]]]:
         ckpt = f"out/{label}-train/checkpoint.json"
         for jobs in (1, 2):
             add(f"eval-p{jobs}", "eval", "--checkpoint", ckpt, "--parallel-episodes", str(jobs))
+        if label == "defaults":  # a coarse stage that runs to its cap
+            add("eval-rho01", "eval", "--checkpoint", ckpt, "--set", "eval_inner.rho=0.1")
         add("compare-inner", "compare-inner")
         outer = ["--set", "compare_outer.seeds=1", "--set", "compare_outer.iterations=5"]
         add("compare-outer", "compare-outer", *(outer if label == "defaults" else []))

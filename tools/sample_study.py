@@ -9,7 +9,8 @@ Usage, from the root of a checkout:
 The `--set` values apply to every run. The script trains one checkpoint at
 that config, then runs `mdgpc eval` on it with `eval_inner.mc_samples` at the
 reference node count (4096) and at each of 64, 128, 256 and 512; every eval
-fits the first half of its steps on the first 64 nodes of its set. For each
+fits a coarse stage on the first 64 nodes of its set, of at most half of its
+steps and ended once a step no longer moves the posterior. For each
 node count it prints accuracy, nll, ece and mce, how far nll, ece and mce are
 from the reference, and the wall time of the eval process. Every run is a
 fresh interpreter on the `src/` of this checkout with OPENBLAS_NUM_THREADS=1,
