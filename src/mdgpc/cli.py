@@ -38,7 +38,6 @@ import numpy as np
 from . import kernels, meta, metrics, seeding, tasks, verify
 from .errors import InputError, NumericalError
 from .inference import InnerConfig
-from .likelihood import McConfig
 from .seeding import derive_seed
 
 __all__ = ["main", "default_config", "load_config", "apply_overrides"]
@@ -435,8 +434,8 @@ def cmd_train(cfg: dict) -> int:
         episodes=o["epochs"] * o["episodes_per_epoch"],
         lr_net=o["lr_net"],
         lr_kernel=o["lr_kernel"],
-        inner=InnerConfig(inn["rho"], inn["steps"], McConfig(inn["mc_samples"])),
-        pred_mc=McConfig(samples=cfg["eval"]["pred_samples"], seed=0),
+        inner=InnerConfig(inn["rho"], inn["steps"], inn["mc_samples"]),
+        pred_samples=cfg["eval"]["pred_samples"],
         seed=cfg["seed"],
     )
     out = _prepare_output(cfg, "outer_trace.csv", "checkpoint.json")
@@ -477,11 +476,10 @@ def cmd_eval(cfg: dict, checkpoint_path, n_jobs: int) -> int:
             f"{ev['episodes']}"
         )
     draw = _episode_sources(cfg, "test")[0]
-    inner = InnerConfig(einn["rho"], einn["steps"], McConfig(einn["mc_samples"]))
-    pred_mc = McConfig(samples=ev["pred_samples"], seed=0)
+    inner = InnerConfig(einn["rho"], einn["steps"], einn["mc_samples"])
     out = _prepare_output(cfg, "metrics.json", "calibration.csv")
     result = meta.evaluate(
-        kern, draw, ev["episodes"], inner, pred_mc, seed=cfg["seed"], n_jobs=n_jobs
+        kern, draw, ev["episodes"], inner, ev["pred_samples"], seed=cfg["seed"], n_jobs=n_jobs
     )
     groups = result.accuracies.reshape(ev["batches"], -1).mean(axis=1)
     if ev["batches"] > 1:
@@ -529,7 +527,7 @@ def cmd_compare_inner(cfg: dict) -> int:
     ci = cfg["compare_inner"]
     _check_net_dims(cfg)
     draw = _episode_sources(cfg, "train")[0]
-    inner = InnerConfig(ci["rate"], ci["steps"], McConfig(ci["mc_samples"]))
+    inner = InnerConfig(ci["rate"], ci["steps"], ci["mc_samples"])
     out = _prepare_output(cfg, "inner_trace.csv")
     new_kernel = lambda seed: _build_kernel(cfg, seed)
     traces = meta.compare_inner(new_kernel, draw, inner, ci["episodes"], cfg["seed"])
@@ -554,8 +552,8 @@ def cmd_compare_outer(cfg: dict) -> int:
         episodes=co["iterations"],
         lr_net=co["outer_lr"],
         lr_kernel=co["outer_lr"],
-        inner=InnerConfig(co["inner_rate"], co["inner_steps"], McConfig(co["mc_samples"])),
-        pred_mc=McConfig(co["pred_samples"]),
+        inner=InnerConfig(co["inner_rate"], co["inner_steps"], co["mc_samples"]),
+        pred_samples=co["pred_samples"],
         seed=cfg["seed"],
     )
     out = _prepare_output(cfg, "outer_compare.csv")

@@ -47,11 +47,11 @@ Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
 first state, and drives every step with one likelihood on one draw set (seed
-derive_seed(mc.seed, STREAM_STEP_DRAWS)), or on its first COARSE_NODES nodes
-in a coarse stage of at most ``coarse_steps`` steps that ends once a step
-moves the posterior by less than SWITCH_TOL, so the draw schedule and the
-step count are written only there.
-`run_inner` scores every state with one fixed draw set.
+derive_seed(seed, STREAM_STEP_DRAWS) of its draw seed argument), or on its
+first COARSE_NODES nodes in a coarse stage of at most ``coarse_steps`` steps
+that ends once a step moves the posterior by less than SWITCH_TOL, so the
+draw schedule and the step count are written only there.
+`run_inner` scores every state with one fixed draw set, of seed ``seed``.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes the stacked K + jitter I and its Cholesky factors once, as one
@@ -72,7 +72,7 @@ import numpy as np
 from .errors import InputError, NumericalError, named_failures
 from .expfam import gaussian_kl, spd_cholesky
 from .kernels import GramResult
-from .likelihood import McConfig, SoftmaxLikelihood
+from .likelihood import SoftmaxLikelihood
 from .seeding import STREAM_STEP_DRAWS, derive_seed
 
 __all__ = [
@@ -149,14 +149,15 @@ SWITCH_TOL = 1e-3
 
 @dataclass(frozen=True)
 class InnerConfig:
-    """Inner-loop settings; rho is the mirror rate or the GD step size. A
-    coarse stage of at most `coarse_steps` steps reads only the first
-    COARSE_NODES nodes of the draw set and ends early once it settles; then
-    steps - coarse_steps steps read all of it, so `steps` is a cap."""
+    """Inner-loop settings; rho is the mirror rate or the GD step size, and
+    every draw set has `samples` nodes. A coarse stage of at most
+    `coarse_steps` steps reads only the first COARSE_NODES nodes of the draw
+    set and ends early once it settles; then steps - coarse_steps steps read
+    all of it, so `steps` is a cap. The draw seed is an argument, not a setting."""
 
     rho: float = 1.0
     steps: int = 3
-    mc: McConfig = McConfig()
+    samples: int = 64
     coarse_steps: int = 0
 
     def __post_init__(self):
@@ -164,6 +165,8 @@ class InnerConfig:
             raise InputError(f"rho must be in (0, 1], got {self.rho}")
         if self.steps < 0:
             raise InputError(f"steps must be >= 0, got {self.steps}")
+        if self.samples < 1:
+            raise InputError(f"samples must be >= 1, got {self.samples}")
 
 
 def _validate_labels(Y: np.ndarray, n_points: int, n_classes: int) -> np.ndarray:
@@ -275,19 +278,19 @@ def elbo(state, Y: np.ndarray, lik) -> float:
     return float(lik.expected_loglik(state.m, state.v, Y) - np.sum(state.kl))
 
 
-def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):
+def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, seed: int):
     """Yield the prior state, then the state after each update: `steps` of
     them, or fewer when a coarse stage settles early.
 
     The labels are checked once, before the prior state. Every step reads one
-    draw set, of seed derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS), drawn at
-    step 1 (so a loop of no steps draws nothing): the loop is a deterministic
-    fixed-point iteration on one sample-average surrogate of the ELBO. A
-    coarse stage of at most cfg.coarse_steps steps reads only its first
-    COARSE_NODES nodes, a cheaper surrogate whose fixed point lies near the
-    full set's. It ends at its first step that moves every mean by less than
-    SWITCH_TOL posterior sds and every marginal variance by less than
-    SWITCH_TOL of itself (`_moved`), or at its cap; exactly steps -
+    draw set, the cfg.samples nodes of seed derive_seed(seed,
+    STREAM_STEP_DRAWS), drawn at step 1 (so a loop of no steps draws nothing):
+    the loop is a deterministic fixed-point iteration on one sample-average
+    surrogate of the ELBO. A coarse stage of at most cfg.coarse_steps steps
+    reads only its first COARSE_NODES nodes, a cheaper surrogate whose fixed
+    point lies near the full set's. It ends at its first step that moves every
+    mean by less than SWITCH_TOL posterior sds and every marginal variance by
+    less than SWITCH_TOL of itself (`_moved`), or at its cap; exactly steps -
     coarse_steps steps on the whole set follow, from close to where they
     converge. With coarse_steps = 0 every step reads the whole set. A step
     that fails numerically or leaves a non-finite mean or a marginal variance
@@ -310,8 +313,8 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
         t += 1
         with named_failures(f"{method} step {t}"):
             if lik is None:
-                step_mc = McConfig(cfg.mc.samples, derive_seed(cfg.mc.seed, STREAM_STEP_DRAWS))
-                lik = SoftmaxLikelihood.from_seed(step_mc, c)
+                step_seed = derive_seed(seed, STREAM_STEP_DRAWS)
+                lik = SoftmaxLikelihood.from_seed(step_seed, cfg.samples, c)
                 coarse = SoftmaxLikelihood(lik.eps[:COARSE_NODES])
             before = (state.m, state.v) if t <= coarse_end else None
             state = step_fn(state, Y, cfg.rho, lik if before is None else coarse)
@@ -324,17 +327,17 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
         yield state
 
 
-def run_inner(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig):
+def run_inner(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, seed: int):
     """Run the inner loop, recording the ELBO of every state it visits.
 
-    The ELBO is evaluated with one fixed draw set (seed cfg.mc.seed) so
-    successive values are comparable; a failure while scoring the state of
-    step t names the method and t, as `inner_states` does for the step.
+    The ELBO is evaluated with one fixed draw set (the cfg.samples nodes of
+    `seed`) so successive values are comparable; a failure while scoring the
+    state of step t names the method and t, as `inner_states` does for the step.
     Returns (final_state, elbos) with steps + 1 values, the first at the prior.
     """
-    eval_lik = SoftmaxLikelihood.from_seed(cfg.mc, len(prior.K))
+    eval_lik = SoftmaxLikelihood.from_seed(seed, cfg.samples, len(prior.K))
     elbos = []
-    for t, state in enumerate(inner_states(method, prior, Y, cfg)):
+    for t, state in enumerate(inner_states(method, prior, Y, cfg, seed)):
         with named_failures(f"{method.upper()} step {t}"):
             elbos.append(elbo(state, Y, eval_lik))
     return state, elbos

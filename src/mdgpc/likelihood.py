@@ -52,7 +52,6 @@ bit.
 import functools
 import threading
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,24 +60,11 @@ import scipy
 from .errors import InputError
 
 __all__ = [
-    "McConfig",
     "batch_expected_loglik",
     "batch_grads_mv",
     "normal_draws",
     "SoftmaxLikelihood",
 ]
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Monte Carlo settings: S nodes of the node set of a seed."""
-
-    samples: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise InputError(f"samples must be >= 1, got {self.samples}")
 
 
 # Joe & Kuo's primitive polynomials and initial direction numbers, as scipy
@@ -193,10 +179,12 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     The cached net's dimensions are each XORed with a 52-bit mask from
     ``np.random.default_rng(seed)`` (a digital shift), and each integer x is
     mapped to u = (x + 1/2) 2^-52, never 0 or 1, and on to its normal
-    quantile. More than the 21201 dimensions of the direction-number table
-    raise InputError.
+    quantile. Fewer than one node, or more than the 21201 dimensions of the
+    direction-number table, raise InputError.
     """
     n, dim = (int(x) for x in shape)
+    if n < 1:
+        raise InputError(f"samples must be >= 1, got {n}")
     shift = np.random.default_rng(seed).integers(1 << _BITS, size=dim, dtype=np.uint64)
     with _NET_LOCK:
         net = _sobol_net(n, dim)
@@ -296,9 +284,9 @@ class SoftmaxLikelihood:
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
 
     @classmethod
-    def from_seed(cls, mc: McConfig, n_classes: int):
-        """Bound to the node set of mc, shared by all points."""
-        return cls(normal_draws(mc.seed, (mc.samples, n_classes)))
+    def from_seed(cls, seed: int, samples: int, n_classes: int):
+        """Bound to the `samples`-node set of `seed`, shared by all points."""
+        return cls(normal_draws(seed, (samples, n_classes)))
 
     def expected_loglik(self, m, v, Y) -> float:
         return batch_expected_loglik(m, v, Y, self.eps, self.weights)

@@ -16,7 +16,8 @@ network weights and base-kernel parameters.
 Evaluation and the two MD/GD comparisons each map `_by_index` over units
 seeded by their index alone. This module alone derives every experiment seed:
 each extractor seed, each episode's task seed and each draw seed comes from
-the run seed through a `seeding.STREAM_*` tag. Callers pass a kernel factory
+the run seed through a `seeding.STREAM_*` tag and is passed as an argument;
+no config holds a seed but the run seed. Callers pass a kernel factory
 new_kernel(extractor seed) and an episode source draw(task seed) -> Episode.
 """
 
@@ -29,8 +30,8 @@ from . import inference, kernels, metrics, model, seeding
 from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
 from .kernels import DeepKernel, FeatureExtractor
-from .likelihood import McConfig, SoftmaxLikelihood
-from .seeding import derive_seed, with_draw_seed
+from .likelihood import SoftmaxLikelihood
+from .seeding import derive_seed
 
 __all__ = [
     "AdamState",
@@ -127,7 +128,7 @@ class TrainConfig:
     lr_net: float = 1e-3
     lr_kernel: float = 1e-4
     inner: InnerConfig = InnerConfig(rho=1.0, steps=3)
-    pred_mc: McConfig = McConfig(samples=512, seed=0)
+    pred_samples: int = 512
     seed: int = 0
 
     def __post_init__(self):
@@ -136,10 +137,12 @@ class TrainConfig:
         for name in ("lr_net", "lr_kernel"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.pred_samples < 1:
+            raise InputError(f"pred_samples must be >= 1, got {self.pred_samples}")
 
-    def inner_at(self, it: int) -> InnerConfig:
-        """Inner-loop settings of training episode `it`, with its own draws."""
-        return with_draw_seed(self.inner, self.seed, seeding.STREAM_INNER_MC, it)
+    def inner_at(self, it: int) -> int:
+        """The inner-loop draw seed of training episode `it`."""
+        return derive_seed(self.seed, seeding.STREAM_INNER_MC, it)
 
 
 def adam_step(
@@ -157,9 +160,9 @@ def adam_step(
     return new, AdamState(m=m, v=v, t=t)
 
 
-def _query_probs(fit: model.FittedEpisode, episode, pred_mc: McConfig):
+def _query_probs(fit: model.FittedEpisode, episode, samples: int, seed: int):
     """(class probabilities, true label indices) of the episode's queries."""
-    probs = model.predict_labels(fit, episode.query_x, pred_mc)
+    probs = model.predict_labels(fit, episode.query_x, samples, seed)
     if not np.isfinite(probs).all():
         raise NumericalError("non-finite query probabilities")
     return probs, np.argmax(episode.query_y, axis=1)
@@ -169,8 +172,8 @@ def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method:
     """The outer loop: yield (it, episode, fit, updated kernel) per episode.
 
     For it = 1..cfg.episodes: fit draw(derive_seed(cfg.seed, stream, it))
-    with the `method` inner loop and cfg.inner_at(it), then take one Adam
-    step along the outer gradient. A failed fit, or a step to non-finite
+    with the `method` inner loop at draw seed cfg.inner_at(it), then take one
+    Adam step along the outer gradient. A failed fit, or a step to non-finite
     hyperparameters, raises NumericalError naming the method and the episode.
     """
     flat = flatten_hypers(kernel)
@@ -178,9 +181,11 @@ def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method:
     lr = np.full(flat.shape[0], cfg.lr_kernel)
     lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
     for it in range(1, cfg.episodes + 1):
-        episode, inner = draw(derive_seed(cfg.seed, stream, it)), cfg.inner_at(it)
+        episode, inner_seed = draw(derive_seed(cfg.seed, stream, it)), cfg.inner_at(it)
         with named_failures(f"{method} episode {it}"):
-            fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner, method)
+            fit = model.fit_episode(
+                kernel, episode.support_x, episode.support_y, cfg.inner, inner_seed, method
+            )
             flat, st = adam_step(flat, outer_grad(fit), st, lr)
             if not np.isfinite(flat).all():
                 raise NumericalError("outer step left non-finite hyperparameters")
@@ -199,12 +204,12 @@ def train(new_kernel, draw, cfg: TrainConfig):
     kernel = new_kernel(derive_seed(cfg.seed, seeding.STREAM_TRAIN_EXTRACTOR))
     history = []
     for it, episode, fit, kernel in outer_steps(kernel, draw, seeding.STREAM_TRAIN_EP, cfg, "MD"):
-        pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_TRAIN_PRED, it)
+        pred_seed = derive_seed(cfg.seed, seeding.STREAM_TRAIN_PRED, it)
         Y = episode.support_y
         with named_failures(f"MD episode {it}"):
-            lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it).mc, Y.shape[1])
+            lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it), cfg.inner.samples, Y.shape[1])
             objective = inference.elbo(fit.state, Y, lik)
-            probs, y_idx = _query_probs(fit, episode, pred_mc)
+            probs, y_idx = _query_probs(fit, episode, cfg.pred_samples, pred_seed)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
         history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})
     return kernel, history
@@ -231,27 +236,37 @@ def compare_inner(new_kernel, draw, inner: InnerConfig, n_episodes: int, seed: i
     def unit(i: int) -> dict:
         kern = new_kernel(derive_seed(seed, seeding.STREAM_EXTRACTOR, i))
         ep = draw(derive_seed(seed, seeding.STREAM_COMPARE_EP, i))
-        cfg = with_draw_seed(inner, seed, seeding.STREAM_COMPARE_MC, i)
+        mc_seed = derive_seed(seed, seeding.STREAM_COMPARE_MC, i)
         with named_failures(f"episode {i}"):
             Z, _ = kernels.extract(kern.extractor, ep.support_x)
             prior = kernels.gram(kern.base, Z)
-            return {m: inference.run_inner(m, prior, ep.support_y, cfg)[1] for m in ("MD", "GD")}
+            Y = ep.support_y
+            return {m: inference.run_inner(m, prior, Y, inner, mc_seed)[1] for m in ("MD", "GD")}
 
     return _by_index(unit, n_episodes)
 
 
 def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_monitor: int):
     """The rows of one seed of `compare_outer`, at run seed cfg.seed."""
+    # (episode, inner draw seed, prediction draw seed) per monitor episode,
+    # built once per run and refitted by both methods at every iteration
+    bank = [
+        (
+            draw_monitor(derive_seed(cfg.seed, seeding.STREAM_MONITOR_EP, j)),
+            derive_seed(cfg.seed, seeding.STREAM_MONITOR_INNER, j),
+            derive_seed(cfg.seed, seeding.STREAM_MONITOR_PRED, j),
+        )
+        for j in range(1, n_monitor + 1)
+    ]
 
     def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
-        for j in range(1, n_monitor + 1):
-            ep = draw_monitor(derive_seed(cfg.seed, seeding.STREAM_MONITOR_EP, j))
-            inner = with_draw_seed(cfg.inner, cfg.seed, seeding.STREAM_MONITOR_INNER, j)
-            pred_mc = with_draw_seed(cfg.pred_mc, cfg.seed, seeding.STREAM_MONITOR_PRED, j)
+        for j, (ep, inner_seed, pred_seed) in enumerate(bank, 1):
             with named_failures(f"{method} iteration {it}, monitor episode {j}"):
-                fit = model.fit_episode(kern, ep.support_x, ep.support_y, inner, method)
-                probs, y_idx = _query_probs(fit, ep, pred_mc)
+                fit = model.fit_episode(
+                    kern, ep.support_x, ep.support_y, cfg.inner, inner_seed, method
+                )
+                probs, y_idx = _query_probs(fit, ep, cfg.pred_samples, pred_seed)
             ces.append(metrics.nll(probs, y_idx))
             accs.append(metrics.accuracy(probs, y_idx))
         ce, acc = float(np.mean(ces)), float(np.mean(accs))
@@ -309,12 +324,12 @@ def evaluate(
     draw,
     n_episodes: int,
     inner_cfg: InnerConfig,
-    pred_mc: McConfig,
+    pred_samples: int,
     seed: int = 0,
     n_jobs: int = 1,
 ) -> EvalResult:
     """Fit and predict on held-out episodes; aggregates raw predictions and
-    the inner steps each fit took.
+    the inner steps each fit took, each query predicted on `pred_samples` nodes.
 
     Each fit's coarse stage reads only the first COARSE_NODES nodes of its
     draw set, for at most half of inner_cfg.steps (`InnerConfig.coarse_steps`)
@@ -327,12 +342,12 @@ def evaluate(
     inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
     def eval_one(i: int):
-        episode = draw(derive_seed(seed, seeding.STREAM_EVAL_EP, i))
-        inner = with_draw_seed(inner_cfg, seed, seeding.STREAM_EVAL_INNER, i)
-        eval_mc = with_draw_seed(pred_mc, seed, seeding.STREAM_EVAL_PRED, i)
+        ep = draw(derive_seed(seed, seeding.STREAM_EVAL_EP, i))
+        inner_seed = derive_seed(seed, seeding.STREAM_EVAL_INNER, i)
+        pred_seed = derive_seed(seed, seeding.STREAM_EVAL_PRED, i)
         with named_failures(f"MD episode {i}"):
-            fit = model.fit_episode(kernel, episode.support_x, episode.support_y, inner)
-            probs, y_idx = _query_probs(fit, episode, eval_mc)
+            fit = model.fit_episode(kernel, ep.support_x, ep.support_y, inner_cfg, inner_seed)
+            probs, y_idx = _query_probs(fit, ep, pred_samples, pred_seed)
         return metrics.accuracy(probs, y_idx), probs, y_idx, fit.steps
 
     results = _by_index(eval_one, n_episodes, n_jobs)

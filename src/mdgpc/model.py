@@ -29,7 +29,7 @@ import numpy as np
 from . import inference, kernels
 from .errors import InputError
 from .inference import InnerConfig
-from .likelihood import McConfig, _prepare_batch, _softmax, normal_draws
+from .likelihood import _prepare_batch, _softmax, normal_draws
 
 __all__ = ["FittedEpisode", "fit_episode", "predict_latent", "predict_labels"]
 
@@ -52,10 +52,11 @@ def fit_episode(
     support_x: np.ndarray,
     support_y: np.ndarray,
     cfg: InnerConfig,
+    seed: int,
     method: str = "MD",
 ) -> FittedEpisode:
-    """Extract features, build the stacked Grams, run the inner loop and keep
-    the final posterior's per-class (u, core) terms and the steps it took."""
+    """Extract features, build the stacked Grams, run the inner loop on draw seed
+    `seed` and keep the final posterior's per-class (u, core) terms and its steps."""
     support_y = np.asarray(support_y, dtype=float)
     if support_y.ndim != 2 or support_y.shape[1] != kernel.base.n_classes:
         raise InputError(
@@ -64,7 +65,7 @@ def fit_episode(
         )
     Z, cache = kernels.extract(kernel.extractor, support_x)
     grams = kernels.gram(kernel.base, Z)
-    for steps, state in enumerate(inference.inner_states(method, grams, support_y, cfg)):
+    for steps, state in enumerate(inference.inner_states(method, grams, support_y, cfg, seed)):
         pass
     return FittedEpisode(
         kernel=kernel,
@@ -87,11 +88,11 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     return mu, var
 
 
-def predict_labels(fit: FittedEpisode, query_x: np.ndarray, mc: McConfig) -> np.ndarray:
+def predict_labels(fit: FittedEpisode, query_x: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """Softmax class probabilities from the latent predictive, averaged over
-    the node set of mc, which every query shares; (M, C) rows summing to 1,
-    the one transpose of the predictive's (C, M) stacks."""
+    the `samples`-node set of `seed`, which every query shares; (M, C) rows
+    summing to 1, the one transpose of the predictive's (C, M) stacks."""
     mu, var = predict_latent(fit, query_x)
-    eps = normal_draws(mc.seed, (mc.samples, mu.shape[0]))
+    eps = normal_draws(seed, (samples, mu.shape[0]))
     mu, var, nodes = _prepare_batch(mu, np.maximum(var, 0.0), eps)
     return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), nodes), axis=-1).T)

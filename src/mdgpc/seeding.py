@@ -1,11 +1,10 @@
 """Deterministic seed derivation for nested random streams.
 
-Every stochastic component takes an integer seed; independent substreams
-(per step, per episode, per batch) are derived through SeedSequence spawn
-keys so reruns are bit-identical and streams never alias.
+Every stochastic component takes an integer seed as an argument, never
+inside a settings object; independent substreams (per step, per episode,
+per batch) are derived through SeedSequence spawn keys so reruns are
+bit-identical and streams never alias.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,8 +29,9 @@ STREAM_GEN_DATA = 30  # gen-data pool
 STREAM_VERIFY = 40  # verify instances
 STREAM_EXTRACTOR = 99  # compare-inner extractor per episode
 STREAM_TRAIN_EXTRACTOR = 100  # train extractor initialization
-# A key after an inner loop's draw seed (McConfig.seed), not after a run seed,
-# so it may share its value with a tag above.
+# A key after an inner loop's draw seed (the seed argument of
+# inference.inner_states), not after a run seed, so it may share its value
+# with a tag above.
 STREAM_STEP_DRAWS = 1  # the one draw set every inner-loop step reads
 
 
@@ -47,10 +47,3 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
         return np.random.default_rng(derive_seed(seed, *key))
     return np.random.default_rng(int(seed))
 
-
-def with_draw_seed(cfg, seed: int, stream: int, i: int):
-    """cfg (an McConfig, or a config with one as .mc) drawing from substream (stream, i)."""
-    draw_seed = derive_seed(seed, stream, i)
-    if hasattr(cfg, "mc"):
-        return replace(cfg, mc=replace(cfg.mc, seed=draw_seed))
-    return replace(cfg, seed=draw_seed)

@@ -15,7 +15,6 @@ import pytest
 
 from mdgpc import cli, inference, kernels, likelihood, meta, metrics, model, tasks, verify
 from mdgpc.inference import InnerConfig
-from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, random_moments, tiny_instance
 from oracles import dense_moments, dual_coords_to_mean, moments_kl, point_grads, point_loglik
@@ -199,11 +198,11 @@ def test_criterion_06_outer_gradient_matches_finite_differences():
         tasks.TaskGenConfig(n_classes=3, shots=2, queries=2, dim=4), seed=6
     )
 
-    at_prior = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0))
+    at_prior = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0), 0)
     np.testing.assert_array_equal(meta.outer_grad(at_prior), 0.0)
 
-    cfg = InnerConfig(rho=0.8, steps=3, mc=McConfig(64, 5))
-    fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+    cfg = InnerConfig(rho=0.8, steps=3, samples=64)
+    fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 5)
     assert fit.grams.k_eff is fit.grams.K
     grad = meta.outer_grad(fit)
     flat = meta.flatten_hypers(kern)
@@ -295,7 +294,7 @@ def test_criterion_08_predictive_consistency():
     kern = kernels.DeepKernel(extractor=fe, base=base)
     ep = tasks.gen_episode(tasks.TaskGenConfig(), seed=8)
 
-    at_prior = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0))
+    at_prior = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0), 0)
     mu0, var0 = model.predict_latent(at_prior, ep.query_x)
     Zq, _ = kernels.extract(kern.extractor, ep.query_x)
     worst_prior = np.max(np.abs(mu0))
@@ -304,7 +303,7 @@ def test_criterion_08_predictive_consistency():
         worst_prior = max(worst_prior, np.max(np.abs(var0[c] - prior_diag[c])))
 
     fit = model.fit_episode(
-        kern, ep.support_x, ep.support_y, InnerConfig(rho=0.7, steps=4, mc=McConfig(64, 5))
+        kern, ep.support_x, ep.support_y, InnerConfig(rho=0.7, steps=4, samples=64), 5
     )
     mu, var = model.predict_latent(fit, ep.query_x)
     Sigma = dense_moments(fit.state)[1]

@@ -24,7 +24,7 @@ from mdgpc.inference import (
     posterior_from_sites,
     run_inner,
 )
-from mdgpc.likelihood import McConfig, SoftmaxLikelihood
+from mdgpc.likelihood import SoftmaxLikelihood
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, chol_solve, ngd_verify, tiny_instance
 from oracles import dense_moments, scipy_factor_kl, scipy_gd_step, scipy_spd_cholesky, stack_priors
@@ -50,10 +50,10 @@ def episode_grams(seed: int, shots: int = 5, output_scale: float = 4.0):
     return kernels.gram(base, Z), ep.support_y
 
 
-def seeded_lik(mc: McConfig, t: int, c: int) -> SoftmaxLikelihood:
-    """The draw set of seed derive_seed(mc.seed, t). Every step of an
-    `inner_states` loop seeded by mc reads the set of t = 1."""
-    return SoftmaxLikelihood.from_seed(McConfig(mc.samples, derive_seed(mc.seed, t)), c)
+def seeded_lik(samples: int, seed: int, t: int, c: int) -> SoftmaxLikelihood:
+    """The `samples`-node set of seed derive_seed(seed, t). Every step of an
+    `inner_states` loop at draw seed `seed` reads the set of t = 1."""
+    return SoftmaxLikelihood.from_seed(derive_seed(seed, t), samples, c)
 
 
 class TestInitAndCombine:
@@ -74,9 +74,9 @@ class TestInitAndCombine:
         grams = toy_grams(1)
         Y = toy_labels(2, 5, 3)
         state = md_init(grams)
-        cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, 3))
+        cfg = InnerConfig(rho=0.7, steps=1, samples=64)
         for step in range(3):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.samples, 3, step, 3))
         _, core = state.kinv_terms()
         for i, K in enumerate(grams.k_eff):
             prec = np.linalg.inv(K) - 2.0 * np.diag(state.beta[i])
@@ -99,8 +99,8 @@ class TestInitAndCombine:
         # bit for bit what inverting B again gives, and u from that step
         # agrees with a solve with B for K^{-1} m
         grams, Y = episode_grams(123)
-        cfg = InnerConfig(rho=0.7, steps=3, mc=McConfig(64, 5))
-        *_, state = inner_states("MD", grams, Y, cfg)
+        cfg = InnerConfig(rho=0.7, steps=3, samples=64)
+        *_, state = inner_states("MD", grams, Y, cfg, 5)
         W = np.sqrt(-2.0 * state.beta)
         B = np.eye(25) + (W[:, :, None] * state.k_eff) * W[:, None, :]
         calls = []
@@ -116,18 +116,18 @@ class TestInitAndCombine:
         grams = toy_grams(5)
         Y = toy_labels(6, 5, 3)
         state = md_init(grams)
-        cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(32, 7))
+        cfg = InnerConfig(rho=1.0, steps=1, samples=32)
         for step in range(10):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.samples, 7, step, 3))
             assert np.all(state.beta <= 0.0)
 
     def test_refresh_moments_matches_cache(self):
         grams = toy_grams(8)
         Y = toy_labels(9, 5, 3)
         state = md_init(grams)
-        cfg = InnerConfig(rho=0.9, steps=1, mc=McConfig(64, 11))
+        cfg = InnerConfig(rho=0.9, steps=1, samples=64)
         for step in range(4):
-            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 3))
+            state = md_step(state, Y, cfg.rho, seeded_lik(cfg.samples, 11, step, 3))
         m, Sigma = dense_moments(state)
         np.testing.assert_allclose(state.m, m, atol=1e-10)
         np.testing.assert_allclose(state.v, np.diagonal(Sigma, axis1=1, axis2=2), atol=1e-10)
@@ -155,9 +155,9 @@ class TestInitAndCombine:
         if output_scale is None:
             grams, Y = episode_grams(seed)
             state = md_init(grams)
-            cfg = InnerConfig(rho=0.7, steps=1, mc=McConfig(64, seed))
+            cfg = InnerConfig(rho=0.7, steps=1, samples=64)
             for step in range(4):
-                state = md_step(state, Y, cfg.rho, seeded_lik(cfg.mc, step, 5))
+                state = md_step(state, Y, cfg.rho, seeded_lik(cfg.samples, seed, step, 5))
         else:
             grams, Y = episode_grams(seed, output_scale=output_scale)
             rng = np.random.default_rng(seed)
@@ -184,7 +184,7 @@ class TestInitAndCombine:
             kernels.init_extractor([8, 32, 32, 16], seed=1), kernels.BaseKernels.at_scales("RBF", 5)
         )
         ev = mdgpc.cli.default_config()["eval_inner"]
-        cfg = InnerConfig(ev["rho"], ev["steps"], McConfig(ev["mc_samples"]), ev["steps"] // 2)
+        cfg = InnerConfig(ev["rho"], ev["steps"], ev["mc_samples"], ev["steps"] // 2)
         calls = []
         original = inference.spd_cholesky
 
@@ -194,18 +194,18 @@ class TestInitAndCombine:
 
         for module in (inference, kernels):
             monkeypatch.setattr(module, "spd_cholesky", counting)
-        state = md_step(md_init(grams), Y, 0.5, seeded_lik(McConfig(64, 3), 1, 5))
+        state = md_step(md_init(grams), Y, 0.5, seeded_lik(64, 3, 1, 5))
         assert calls == []
         assert state.kl.shape == (5,) and calls == [(5, 25, 25)]
         calls.clear()
-        model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+        model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 0)
         assert calls == [(5, 25, 25)]
 
     def test_gd_step_inverts_solves_and_factors_nothing(self, monkeypatch):
         # Sigma^{-1} L = L^{-T}, so a GD step and the ELBO of its state read
         # no inverse; gd_init inverts the prior factors once, for K^{-1}
         grams, Y = episode_grams(151)
-        lik = seeded_lik(McConfig(64, 3), 1, 5)
+        lik = seeded_lik(64, 3, 1, 5)
         calls = []
         for name in ("inv", "solve", "cholesky"):
             original = getattr(np.linalg, name)
@@ -224,9 +224,13 @@ class TestInitAndCombine:
 
     def test_bad_labels_rejected(self):
         grams = toy_grams(10)
-        cfg = InnerConfig(rho=1.0, steps=1, mc=McConfig(8, 0))
+        cfg = InnerConfig(rho=1.0, steps=1, samples=8)
         with pytest.raises(InputError, match="one-hot"):
-            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg))
+            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg, 0))
+
+    def test_fewer_than_one_sample_rejected(self):
+        with pytest.raises(InputError, match="samples must be >= 1, got 0"):
+            InnerConfig(samples=0)
 
 
 class TestConjugateLimit:
@@ -276,8 +280,8 @@ class TestGdBaseline:
         # the KL that GD reads from its factor L equals the scipy KL of
         # Sigma = L L' factored again
         grams, Y = episode_grams(108)
-        cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 29))
-        *_, state = inner_states("GD", grams, Y, cfg)
+        cfg = InnerConfig(rho=0.05, steps=3, samples=32)
+        *_, state = inner_states("GD", grams, Y, cfg, 29)
         m, Sigma = dense_moments(state)
         for c, L in enumerate(grams.chol):
             want = scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], L)
@@ -302,7 +306,7 @@ class TestGdBaseline:
         # Measured: 2.1e-16 in m, 1.2e-16 in L, 3.6e-15 in the KL
         ci = mdgpc.cli.default_config()["compare_inner"]
         grams, Y = episode_grams(141)
-        lik = seeded_lik(McConfig(ci["mc_samples"], 0), 1, Y.shape[1])
+        lik = seeded_lik(ci["mc_samples"], 0, 1, Y.shape[1])
         state = gd_init(grams)
 
         def rel(got, want):
@@ -367,9 +371,9 @@ class TestGdBaseline:
 class TestRunInner:
     def test_trace_structure(self):
         grams, Y = episode_grams(100)
-        cfg = InnerConfig(rho=0.5, steps=6, mc=McConfig(32, 5))
-        state, elbos = run_inner("MD", grams, Y, cfg)
-        lik = SoftmaxLikelihood.from_seed(cfg.mc, Y.shape[1])
+        cfg = InnerConfig(rho=0.5, steps=6, samples=32)
+        state, elbos = run_inner("MD", grams, Y, cfg, 5)
+        lik = SoftmaxLikelihood.from_seed(5, cfg.samples, Y.shape[1])
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
         prior = md_init(grams)
@@ -378,15 +382,15 @@ class TestRunInner:
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_draw_schedule(self, method):
-        # every step t >= 1 reads the one set of derive_seed(mc.seed, 1); the
-        # ELBOs share the draws of mc
+        # every step t >= 1 reads the one set of derive_seed(seed, 1); the
+        # ELBOs share the draws of seed
         grams, Y = episode_grams(104)
-        cfg = InnerConfig(rho=0.05, steps=4, mc=McConfig(32, 13))
+        cfg, seed = InnerConfig(rho=0.05, steps=4, samples=32), 13
         c = Y.shape[1]
         step_fn = md_step if method == "MD" else gd_step
-        states = list(inner_states(method, grams, Y, cfg))
+        states = list(inner_states(method, grams, Y, cfg, seed))
         assert len(states) == cfg.steps + 1
-        lik = seeded_lik(cfg.mc, 1, c)
+        lik = seeded_lik(cfg.samples, seed, 1, c)
         for t in range(1, cfg.steps + 1):
             want = step_fn(states[t - 1], Y, cfg.rho, lik)
             got = states[t]
@@ -398,19 +402,19 @@ class TestRunInner:
             np.testing.assert_array_equal(got.m, want.m)
             np.testing.assert_array_equal(got.v, want.v)
             np.testing.assert_array_equal(got.kl, want.kl)
-        _, elbos = run_inner(method, grams, Y, cfg)
-        lik = SoftmaxLikelihood.from_seed(cfg.mc, c)
+        _, elbos = run_inner(method, grams, Y, cfg, seed)
+        lik = SoftmaxLikelihood.from_seed(seed, cfg.samples, c)
         assert elbos == [elbo(st, Y, lik) for st in states]
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_first_step_keeps_its_draws(self, method):
-        # step 1 reads the set of seed derive_seed(mc.seed, 1), built here
+        # step 1 reads the set of seed derive_seed(seed, 1), built here
         # without the helper, so the first state after the prior is pinned
         # bit for bit
         grams, Y = episode_grams(106)
-        lik = SoftmaxLikelihood.from_seed(McConfig(64, derive_seed(19, 1)), Y.shape[1])
-        cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(64, 19))
-        prior, first = inner_states(method, grams, Y, cfg)
+        lik = SoftmaxLikelihood.from_seed(derive_seed(19, 1), 64, Y.shape[1])
+        cfg = InnerConfig(rho=0.5, steps=1, samples=64)
+        prior, first = inner_states(method, grams, Y, cfg, 19)
         want = (md_step if method == "MD" else gd_step)(prior, Y, cfg.rho, lik)
         np.testing.assert_array_equal(first.m, want.m)
         np.testing.assert_array_equal(first.v, want.v)
@@ -426,8 +430,8 @@ class TestRunInner:
 
         monkeypatch.setattr(likelihood, "normal_draws", counting_draws)
         grams, Y = episode_grams(107)
-        cfg = InnerConfig(rho=0.5, steps=steps, mc=McConfig(16, 23))
-        assert len(list(inner_states("MD", grams, Y, cfg))) == steps + 1
+        cfg = InnerConfig(rho=0.5, steps=steps, samples=16)
+        assert len(list(inner_states("MD", grams, Y, cfg, 23))) == steps + 1
         assert seeds == ([derive_seed(23, 1)] if steps else [])
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
@@ -435,9 +439,9 @@ class TestRunInner:
         # a step builds fresh arrays; it never writes into the state it read,
         # nor into the prior's zero arrays or stacked factors
         grams, Y = episode_grams(105)
-        cfg = InnerConfig(rho=0.05, steps=3, mc=McConfig(32, 17))
+        cfg = InnerConfig(rho=0.05, steps=3, samples=32)
         names = ("m", "v") + (("alpha", "beta", "kl") if method == "MD" else ("chol",))
-        states = inner_states(method, grams, Y, cfg)
+        states = inner_states(method, grams, Y, cfg, 17)
         earlier = [next(states), next(states)]  # states 0 and 1
         kept = [{name: getattr(st, name).copy() for name in names} for st in earlier]
         assert len(list(states)) == 2  # two more steps
@@ -447,27 +451,26 @@ class TestRunInner:
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_empty_class_list_rejected(self, method):
-        cfg = InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0))
+        cfg = InnerConfig(rho=0.5, steps=1, samples=8)
         with pytest.raises(InputError, match="need at least one class"):
-            next(inner_states(method, toy_grams(0, c=0), np.zeros((5, 0)), cfg))
+            next(inner_states(method, toy_grams(0, c=0), np.zeros((5, 0)), cfg, 0))
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)
         with pytest.raises(InputError, match="unknown inner method"):
-            run_inner("SGD", grams, Y, InnerConfig(rho=0.5, steps=1, mc=McConfig(8, 0)))
+            run_inner("SGD", grams, Y, InnerConfig(rho=0.5, steps=1, samples=8), 0)
 
     def test_deterministic(self):
         grams, Y = episode_grams(102)
-        cfg = InnerConfig(rho=0.5, steps=4, mc=McConfig(32, 9))
-        _, t1 = run_inner("MD", grams, Y, cfg)
-        _, t2 = run_inner("MD", grams, Y, cfg)
+        cfg = InnerConfig(rho=0.5, steps=4, samples=32)
+        _, t1 = run_inner("MD", grams, Y, cfg, 9)
+        _, t2 = run_inner("MD", grams, Y, cfg, 9)
         assert t1 == t2
 
     def test_elbo_at_prior_has_zero_kl(self):
         grams, Y = episode_grams(103)
         state = md_init(grams)
-        mc = McConfig(64, 3)
-        lik = likelihood.SoftmaxLikelihood.from_seed(mc, Y.shape[1])
+        lik = likelihood.SoftmaxLikelihood.from_seed(3, 64, Y.shape[1])
         assert elbo(state, Y, lik) == pytest.approx(
             lik.expected_loglik(state.m, state.v, Y), abs=1e-10
         )
@@ -478,10 +481,8 @@ class TestRunInner:
         ok = 0
         for s in range(20):
             grams, Y = episode_grams(4000 + s)
-            cfg = InnerConfig(
-                rho=0.5, steps=15, mc=McConfig(2048, derive_seed(11, 4000 + s))
-            )
-            _, elbos = run_inner("MD", grams, Y, cfg)
+            cfg = InnerConfig(rho=0.5, steps=15, samples=2048)
+            _, elbos = run_inner("MD", grams, Y, cfg, derive_seed(11, 4000 + s))
             diffs = np.diff(elbos)
             ok += bool(np.all(diffs >= -5e-3))
         assert ok >= 18
@@ -493,8 +494,8 @@ class TestEvalNodeCount:
         # one fixed 5-way 5-shot episode fitted at eval's default rate and steps
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(130)
-        cfg = InnerConfig(ev["rho"], ev["steps"], McConfig(samples, 0), coarse_steps)
-        *_, state = inner_states("MD", grams, Y, cfg)
+        cfg = InnerConfig(ev["rho"], ev["steps"], samples, coarse_steps)
+        *_, state = inner_states("MD", grams, Y, cfg, 0)
         return state
 
     @classmethod
@@ -523,10 +524,9 @@ class TestEvalNodeCount:
 
     def test_coarse_steps_read_the_first_nodes_of_the_set(self):
         grams, Y = episode_grams(131)
-        mc = McConfig(512, 3)
-        full = seeded_lik(mc, 1, 5)
+        full = seeded_lik(512, 3, 1, 5)
         coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
-        states = list(inner_states("MD", grams, Y, InnerConfig(0.5, 3, mc, coarse_steps=2)))
+        states = list(inner_states("MD", grams, Y, InnerConfig(0.5, 3, 512, coarse_steps=2), 3))
         want = md_init(grams)
         for t, lik in enumerate([coarse, coarse, full], start=1):
             want = md_step(want, Y, 0.5, lik)
@@ -540,9 +540,9 @@ class TestCoarseStage:
     SWITCH_TOL of itself, or at its cap; the full-set steps keep their count."""
 
     @staticmethod
-    def hand_driven(grams, Y, cfg: InnerConfig, coarse_steps: int) -> list:
+    def hand_driven(grams, Y, cfg: InnerConfig, seed: int, coarse_steps: int) -> list:
         # k coarse steps, then steps - coarse_steps full-set steps, by md_step
-        full = seeded_lik(cfg.mc, 1, Y.shape[1])
+        full = seeded_lik(cfg.samples, seed, 1, Y.shape[1])
         coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
         states = [md_init(grams)]
         for lik in [coarse] * coarse_steps + [full] * (cfg.steps - cfg.coarse_steps):
@@ -563,11 +563,11 @@ class TestCoarseStage:
         # eval's default rate, steps and node count
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(132)
-        cfg = InnerConfig(ev["rho"], ev["steps"], McConfig(ev["mc_samples"], 5), ev["steps"] // 2)
-        got = list(inner_states("MD", grams, Y, cfg))
+        cfg = InnerConfig(ev["rho"], ev["steps"], ev["mc_samples"], ev["steps"] // 2)
+        got = list(inner_states("MD", grams, Y, cfg, 5))
         k = len(got) - 1 - (cfg.steps - cfg.coarse_steps)
         assert 0 < k < cfg.coarse_steps
-        want = self.hand_driven(grams, Y, cfg, k)
+        want = self.hand_driven(grams, Y, cfg, 5, k)
         self.assert_same_states(got, want)
         moved = [self.moved(a, b) for a, b in zip(want[:k], want[1:k + 1])]
         assert moved[-1] < inference.SWITCH_TOL <= min(moved[:-1])
@@ -577,19 +577,19 @@ class TestCoarseStage:
         # the cap, then the full-set steps, as a loop without the test does
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(133)
-        cfg = InnerConfig(0.1, ev["steps"], McConfig(ev["mc_samples"], 6), ev["steps"] // 2)
-        got = list(inner_states("MD", grams, Y, cfg))
-        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, cfg.coarse_steps))
+        cfg = InnerConfig(0.1, ev["steps"], ev["mc_samples"], ev["steps"] // 2)
+        got = list(inner_states("MD", grams, Y, cfg, 6))
+        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 6, cfg.coarse_steps))
 
     def test_full_set_steps_keep_their_count(self):
         # a loop without a coarse stage takes every step, though its last
         # steps move the fit by far less than SWITCH_TOL
         grams, Y = episode_grams(134)
-        cfg = InnerConfig(0.5, 60, McConfig(128, 7))
-        got = list(inner_states("MD", grams, Y, cfg))
+        cfg = InnerConfig(0.5, 60, 128)
+        got = list(inner_states("MD", grams, Y, cfg, 7))
         assert len(got) == cfg.steps + 1
         assert self.moved(got[-2], got[-1]) < inference.SWITCH_TOL
-        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 0))
+        self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 7, 0))
 
 
 class TestNgdEquivalence:

@@ -19,7 +19,6 @@ from mdgpc import likelihood, model
 from mdgpc.errors import InputError
 from mdgpc.inference import _validate_labels
 from mdgpc.likelihood import (
-    McConfig,
     SoftmaxLikelihood,
     batch_expected_loglik,
     batch_grads_mv,
@@ -96,6 +95,11 @@ class TestDraws:
     def test_too_many_dimensions_rejected(self):
         with pytest.raises(InputError, match="at most 21201 dimensions, got 21202"):
             normal_draws(0, (8, 21202))
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_node_rejected(self, samples):
+        with pytest.raises(InputError, match=f"samples must be >= 1, got {samples}"):
+            normal_draws(0, (samples, 3))
 
     def test_qmc_beats_iid_on_fixed_instance(self):
         # N = 25 points, C = 5, means ~ N(0, 4), variances U(0.3, 4); the
@@ -358,9 +362,8 @@ class TestClassLeadingKernel:
         m, v, _, _ = self.case(c, 7)
         var = v - 0.1  # some negative predictive variances, clamped to 0
         monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m.T, var.T))
-        mc = McConfig(samples=33, seed=4)
-        probs = model.predict_labels(None, None, mc)
-        eps = normal_draws(mc.seed, (mc.samples, c))[:, None, :]
+        probs = model.predict_labels(None, None, 33, 4)
+        eps = normal_draws(4, (33, c))[:, None, :]
         want = oracles.label_probs(m, var, eps)
         np.testing.assert_allclose(probs, want, rtol=0, atol=self.PROBS_ATOL)
 
@@ -445,8 +448,8 @@ class TestLikelihoodObjects:
         m = rng.standard_normal((n, c))
         v = 0.5 + rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        lik1 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
-        lik2 = SoftmaxLikelihood.from_seed(McConfig(32, 13), c)
+        lik1 = SoftmaxLikelihood.from_seed(13, 32, c)
+        lik2 = SoftmaxLikelihood.from_seed(13, 32, c)
         assert lik1.expected_loglik(m.T, v.T, Y) == lik2.expected_loglik(m.T, v.T, Y)
 
     def test_gaussian_site_likelihood(self):

@@ -8,7 +8,6 @@ import pytest
 from mdgpc import kernels, meta, model, tasks
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.inference import InnerConfig
-from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
 from oracles import dense_moments, scipy_gaussian_kl
 
@@ -67,14 +66,14 @@ class TestOuterGrad:
     def test_exactly_zero_at_prior(self):
         kern = small_kernel(4)
         ep = small_source(derive_seed(4, 1))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0))
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0), 0)
         np.testing.assert_array_equal(meta.outer_grad(fit), 0.0)
 
     def test_near_zero_at_prior_gd(self):
         kern = small_kernel(5)
         ep = small_source(derive_seed(5, 1))
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), method="GD"
+            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), 0, method="GD"
         )
         np.testing.assert_allclose(meta.outer_grad(fit), 0.0, atol=1e-8)
 
@@ -82,8 +81,8 @@ class TestOuterGrad:
     def test_matches_finite_differences(self, method):
         kern = small_kernel(6)
         ep = small_source(derive_seed(6, 1))
-        cfg = InnerConfig(rho=0.8 if method == "MD" else 0.05, steps=3, mc=McConfig(64, 5))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, method=method)
+        cfg = InnerConfig(rho=0.8 if method == "MD" else 0.05, steps=3, samples=64)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 5, method=method)
         assert fit.grams.k_eff is fit.grams.K
         grad = meta.outer_grad(fit)
         flat = meta.flatten_hypers(kern)
@@ -142,8 +141,8 @@ class TestTrain:
             episodes=episodes,
             lr_net=lr,
             lr_kernel=lr / 10,
-            inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(32, 0)),
-            pred_mc=McConfig(samples=64, seed=0),
+            inner=InnerConfig(rho=1.0, steps=2, samples=32),
+            pred_samples=64,
             seed=11,
         )
 
@@ -178,8 +177,8 @@ class TestTrain:
             episodes=40,
             lr_net=1e-3,
             lr_kernel=1e-3,
-            inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(64, 0)),
-            pred_mc=McConfig(samples=32, seed=0),
+            inner=InnerConfig(rho=1.0, steps=2, samples=64),
+            pred_samples=32,
             seed=0,
         )
         _, history = meta.train(lambda _: kern, src, cfg)
@@ -190,6 +189,10 @@ class TestTrain:
     def test_negative_episode_count_rejected(self):
         with pytest.raises(InputError, match="episodes must be >= 0"):
             meta.TrainConfig(episodes=-1)
+
+    def test_fewer_than_one_prediction_sample_rejected(self):
+        with pytest.raises(InputError, match="pred_samples must be >= 1, got 0"):
+            meta.TrainConfig(pred_samples=0)
 
     def test_overflowing_adam_rate_names_the_episode(self):
         # a rate near the float maximum moves the hyperparameters by about
@@ -205,23 +208,28 @@ class TestTrain:
 class TestEvaluate:
     def test_parallel_matches_sequential(self):
         kern = small_kernel(20)
-        inner = InnerConfig(rho=1.0, steps=2, mc=McConfig(32, 0))
-        seq = meta.evaluate(kern, small_source, 6, inner, McConfig(64, 0), seed=3, n_jobs=1)
-        par = meta.evaluate(kern, small_source, 6, inner, McConfig(64, 0), seed=3, n_jobs=2)
+        inner = InnerConfig(rho=1.0, steps=2, samples=32)
+        seq = meta.evaluate(kern, small_source, 6, inner, 64, seed=3, n_jobs=1)
+        par = meta.evaluate(kern, small_source, 6, inner, 64, seed=3, n_jobs=2)
         np.testing.assert_array_equal(seq.accuracies, par.accuracies)
         np.testing.assert_array_equal(seq.probs, par.probs)
         np.testing.assert_array_equal(seq.y_true, par.y_true)
 
     def test_aggregates(self):
         kern = small_kernel(21)
-        inner = InnerConfig(rho=1.0, steps=1, mc=McConfig(16, 0))
-        res = meta.evaluate(kern, small_source, 4, inner, McConfig(32, 0))
+        inner = InnerConfig(rho=1.0, steps=1, samples=16)
+        res = meta.evaluate(kern, small_source, 4, inner, 32)
         assert res.accuracies.shape == (4,)
         assert res.probs.shape == (48, 3)  # 4 episodes x (4 queries per class x 3)
         assert res.y_true.shape == (48,)
         assert 0.0 <= res.accuracy_mean <= 1.0
-        single = meta.evaluate(kern, small_source, 1, inner, McConfig(32, 0))
+        single = meta.evaluate(kern, small_source, 1, inner, 32)
         assert single.accuracies.shape == (1,)
+
+    def test_fewer_than_one_prediction_sample_rejected(self):
+        inner = InnerConfig(rho=1.0, steps=1, samples=16)
+        with pytest.raises(InputError, match="samples must be >= 1, got 0"):
+            meta.evaluate(small_kernel(21), small_source, 2, inner, 0)
 
     def test_first_half_of_the_steps_is_coarse(self, monkeypatch):
         fit_episode, seen = model.fit_episode, []
@@ -231,9 +239,9 @@ class TestEvaluate:
             return fit_episode(kernel, x, y, cfg, *args)
 
         monkeypatch.setattr(model, "fit_episode", record)
-        inner = InnerConfig(rho=0.5, steps=5, mc=McConfig(128, 0))
-        meta.evaluate(small_kernel(22), small_source, 2, inner, McConfig(32, 0))
-        assert [(cfg.steps, cfg.coarse_steps, cfg.mc.samples) for cfg in seen] == [(5, 2, 128)] * 2
+        inner = InnerConfig(rho=0.5, steps=5, samples=128)
+        meta.evaluate(small_kernel(22), small_source, 2, inner, 32)
+        assert [(cfg.steps, cfg.coarse_steps, cfg.samples) for cfg in seen] == [(5, 2, 128)] * 2
 
     def test_steps_are_each_fits_steps(self, monkeypatch):
         fit_episode, fits = model.fit_episode, []
@@ -243,8 +251,8 @@ class TestEvaluate:
             return fits[-1]
 
         monkeypatch.setattr(model, "fit_episode", record)
-        inner = InnerConfig(rho=0.5, steps=40, mc=McConfig(512, 0))
-        res = meta.evaluate(small_kernel(23), small_source, 3, inner, McConfig(32, 0))
+        inner = InnerConfig(rho=0.5, steps=40, samples=512)
+        res = meta.evaluate(small_kernel(23), small_source, 3, inner, 32)
         assert res.steps.tolist() == [fit.steps for fit in fits]
         assert len(fits) == 3 and max(res.steps) < 40  # every coarse stage settled early
 
@@ -256,8 +264,8 @@ class TestCompareOuter:
             episodes=2,
             lr_net=1e-3,
             lr_kernel=1e-3,
-            inner=InnerConfig(rho=0.05, steps=2, mc=McConfig(16)),
-            pred_mc=McConfig(32),
+            inner=InnerConfig(rho=0.05, steps=2, samples=16),
+            pred_samples=32,
             seed=5,
         )
         rows = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
@@ -269,6 +277,25 @@ class TestCompareOuter:
         again = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
         assert rows == again
 
+    def test_monitor_bank_is_drawn_once_per_seed(self):
+        # both methods at every iteration refit one bank, drawn once per run
+        seeds = []
+
+        def draw_monitor(seed: int) -> tasks.Episode:
+            seeds.append(seed)
+            return small_source(seed)
+
+        cfg = meta.TrainConfig(
+            episodes=2,
+            lr_net=1e-3,
+            lr_kernel=1e-3,
+            inner=InnerConfig(rho=0.05, steps=1, samples=8),
+            pred_samples=16,
+            seed=5,
+        )
+        meta.compare_outer(small_kernel, small_source, draw_monitor, cfg, 3, 2)
+        assert len(seeds) == 2 * 3 and len(set(seeds)) == 2 * 3
+
     def test_empty_monitor_bank_rejected(self):
         with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
             meta.compare_outer(small_kernel, small_source, small_source, meta.TrainConfig(), 0, 1)
@@ -278,7 +305,7 @@ class TestUnitsDependOnTheirIndexAlone:
     """The first k results of a run of n > k units equal a run of k units."""
 
     def test_compare_inner_episodes(self):
-        inner = InnerConfig(rho=0.05, steps=2, mc=McConfig(16))
+        inner = InnerConfig(rho=0.05, steps=2, samples=16)
         run = lambda n: meta.compare_inner(small_kernel, small_source, inner, n, seed=4)
         assert run(3)[:2] == run(2)
 
@@ -287,16 +314,16 @@ class TestUnitsDependOnTheirIndexAlone:
             episodes=1,
             lr_net=1e-3,
             lr_kernel=1e-3,
-            inner=InnerConfig(rho=0.05, steps=1, mc=McConfig(8)),
-            pred_mc=McConfig(16),
+            inner=InnerConfig(rho=0.05, steps=1, samples=8),
+            pred_samples=16,
             seed=6,
         )
         run = lambda n: meta.compare_outer(small_kernel, small_source, small_source, cfg, 1, n)
         assert run(3)[:2] == run(2)
 
     def test_evaluate_episodes(self):
-        inner = InnerConfig(rho=1.0, steps=2, mc=McConfig(16, 0))
-        run = lambda n: meta.evaluate(small_kernel(23), small_source, n, inner, McConfig(32, 0))
+        inner = InnerConfig(rho=1.0, steps=2, samples=16)
+        run = lambda n: meta.evaluate(small_kernel(23), small_source, n, inner, 32)
         np.testing.assert_array_equal(run(3).accuracies[:2], run(2).accuracies)
 
     def test_train_episodes(self):
@@ -304,8 +331,8 @@ class TestUnitsDependOnTheirIndexAlone:
             episodes=n,
             lr_net=1e-3,
             lr_kernel=1e-4,
-            inner=InnerConfig(rho=1.0, steps=2, mc=McConfig(16)),
-            pred_mc=McConfig(32),
+            inner=InnerConfig(rho=1.0, steps=2, samples=16),
+            pred_samples=32,
             seed=7,
         )
         run = lambda n: meta.train(small_kernel, small_source, cfg(n))[1]

@@ -6,7 +6,6 @@ import pytest
 from mdgpc import inference, kernels, model, tasks
 from mdgpc.errors import InputError
 from mdgpc.inference import InnerConfig
-from mdgpc.likelihood import McConfig
 from mdgpc.seeding import derive_seed
 from oracles import dense_moments
 
@@ -27,7 +26,7 @@ class TestPriorPredictive:
         kern = make_kernel()
         ep = make_episode(1)
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=1.0, steps=0)
+            kern, ep.support_x, ep.support_y, InnerConfig(rho=1.0, steps=0), 0
         )
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -40,7 +39,7 @@ class TestPriorPredictive:
         kern = make_kernel()
         ep = make_episode(2)
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), method="GD"
+            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), 0, method="GD"
         )
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -58,8 +57,8 @@ class TestConditioning:
         kern = make_kernel()
         ep = make_episode(3)
         rho = 0.7 if method == "MD" else 0.05
-        cfg = InnerConfig(rho=rho, steps=4, mc=McConfig(64, 5))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, method=method)
+        cfg = InnerConfig(rho=rho, steps=4, samples=64)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 5, method=method)
         assert not np.allclose(fit.state.m[0], 0.0)
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -82,8 +81,8 @@ class TestConditioning:
         kern = make_kernel()
         for s in range(3):
             ep = make_episode(10 + s)
-            cfg = InnerConfig(rho=1.0, steps=6, mc=McConfig(64, s))
-            fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+            cfg = InnerConfig(rho=1.0, steps=6, samples=64)
+            fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, s)
             _, var = model.predict_latent(fit, ep.query_x)
             assert np.all(var > 0.0)
 
@@ -92,10 +91,17 @@ class TestLabelProbs:
     def test_rows_sum_to_one_and_labels_argmax(self):
         kern = make_kernel()
         ep = make_episode(20)
-        cfg = InnerConfig(rho=1.0, steps=3, mc=McConfig(64, 7))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
-        probs = model.predict_labels(fit, ep.query_x, McConfig(256, 9))
+        cfg = InnerConfig(rho=1.0, steps=3, samples=64)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 7)
+        probs = model.predict_labels(fit, ep.query_x, 256, 9)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_fewer_than_one_sample_rejected(self):
+        kern = make_kernel()
+        ep = make_episode(22)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=1), 7)
+        with pytest.raises(InputError, match="samples must be >= 1, got 0"):
+            model.predict_labels(fit, ep.query_x, 0, 9)
 
     def test_indistinguishable_classes_predict_uniform(self):
         # every class gets the same support rows, so the task carries no
@@ -107,9 +113,9 @@ class TestLabelProbs:
         support_y = np.repeat(np.eye(c), shots, axis=0)
         query_x = rng.standard_normal((6, dim))
         kern = make_kernel(c=c, seed=3, dim=dim)
-        cfg = InnerConfig(rho=0.8, steps=5, mc=McConfig(512, 11))
-        fit = model.fit_episode(kern, support_x, support_y, cfg)
-        probs = model.predict_labels(fit, query_x, McConfig(4096, 13))
+        cfg = InnerConfig(rho=0.8, steps=5, samples=512)
+        fit = model.fit_episode(kern, support_x, support_y, cfg, 11)
+        probs = model.predict_labels(fit, query_x, 4096, 13)
         np.testing.assert_allclose(probs, 1.0 / c, atol=0.05)
 
 
@@ -117,9 +123,9 @@ class TestFitOptions:
     def test_fit_final_state_matches_run_inner(self):
         kern = make_kernel()
         ep = make_episode(30)
-        cfg = InnerConfig(rho=0.6, steps=4, mc=McConfig(32, 3))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
-        state, elbos = inference.run_inner("MD", fit.grams, ep.support_y, cfg)
+        cfg = InnerConfig(rho=0.6, steps=4, samples=32)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 3)
+        state, elbos = inference.run_inner("MD", fit.grams, ep.support_y, cfg, 3)
         assert len(elbos) == 5
         np.testing.assert_array_equal(fit.state.alpha, state.alpha)
         np.testing.assert_array_equal(fit.state.beta, state.beta)
@@ -129,10 +135,10 @@ class TestFitOptions:
         # a settled coarse stage ends early, so the loop may take fewer steps
         kern = make_kernel()
         ep = make_episode(32)
-        cfg = InnerConfig(rho=0.5, steps=40, mc=McConfig(512, 4), coarse_steps=coarse_steps)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg)
+        cfg = InnerConfig(rho=0.5, steps=40, samples=512, coarse_steps=coarse_steps)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 4)
         grams = kernels.gram(kern.base, kernels.extract(kern.extractor, ep.support_x)[0])
-        assert fit.steps == len(list(inference.inner_states("MD", grams, ep.support_y, cfg))) - 1
+        assert fit.steps == len(list(inference.inner_states("MD", grams, ep.support_y, cfg, 4))) - 1
         assert (fit.steps == cfg.steps) == (coarse_steps == 0)
 
     def test_label_shape_mismatch_rejected(self):
@@ -140,5 +146,5 @@ class TestFitOptions:
         ep = make_episode(31)
         with pytest.raises(InputError, match="support labels shape"):
             model.fit_episode(
-                kern, ep.support_x, ep.support_y[:, :3], InnerConfig(steps=0)
+                kern, ep.support_x, ep.support_y[:, :3], InnerConfig(steps=0), 0
             )

@@ -49,6 +49,21 @@ def members(cls: ast.ClassDef):
             yield stmt.name
 
 
+def test_only_the_run_seed_is_a_config_field():
+    """Draw seeds are arguments of the functions that draw, derived by meta
+    from the run seed; no dataclass of a runtime module holds a seed but
+    meta.TrainConfig, whose seed is that run seed."""
+    holders = [
+        f"{stem}.{cls.name}"
+        for stem in RUNTIME
+        for cls in TREES[stem].body
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in reads(d) for d in cls.decorator_list)
+        and "seed" in members(cls)
+    ]
+    assert holders == ["meta.TrainConfig"]
+
+
 def test_runtime_class_members_are_read_outside_verify():
     """Each field, property and method of a class in a runtime module is read
     as an attribute somewhere in src/mdgpc other than verify.py; a member
@@ -77,7 +92,7 @@ def test_cli_is_wiring():
     one thread pool of the package is meta's map."""
     cli = reads(TREES["cli"])
     assert cli & {
-        "run_inner", "inner_states", "extract", "gram", "named_failures", "with_draw_seed"
+        "run_inner", "inner_states", "extract", "gram", "named_failures"
     } == set()
     assert {name for name in cli if name.startswith("STREAM_")} == {"STREAM_GEN_DATA"}
     assert sum(p.read_text().count("ThreadPoolExecutor") for p in SRC.glob("*.py")) == 1
