@@ -46,12 +46,12 @@ Every step has one contract: ``md_step(state, Y, rho, lik)`` and
 ``gd_step(state, Y, lr, lik)`` take checked one-hot labels, a rate and the
 likelihood whose gradients drive the update, and do only the update.
 `inner_states` is the one driver: it checks the labels once, before its
-first state, and drives every step with one likelihood on one draw set (seed
-derive_seed(seed, STREAM_STEP_DRAWS) of its draw seed argument), or on its
-first COARSE_NODES nodes in a coarse stage of at most ``coarse_steps`` steps
-that ends once a step moves the posterior by less than SWITCH_TOL, so the
-draw schedule and the step count are written only there.
-`run_inner` scores every state with one fixed draw set, of seed ``seed``.
+first state, and drives every step with one likelihood on the (S, C) node
+set it is given, or on its first COARSE_NODES nodes in a coarse stage of at
+most ``coarse_steps`` steps that ends once a step moves the posterior by
+less than SWITCH_TOL, so the node schedule and the step count are written
+only there. `run_inner` scores every state on a second set it is given.
+Nothing here draws: :mod:`mdgpc.meta` draws every node set and passes it in.
 
 The prior is fixed for a whole episode, so :func:`mdgpc.kernels.gram`
 computes the stacked K + jitter I and its Cholesky factors once, as one
@@ -73,7 +73,6 @@ from .errors import InputError, NumericalError, named_failures
 from .expfam import gaussian_kl, spd_cholesky
 from .kernels import GramResult
 from .likelihood import SoftmaxLikelihood
-from .seeding import STREAM_STEP_DRAWS, derive_seed
 
 __all__ = [
     "VariationalState", "GdState", "InnerConfig", "md_init", "md_step", "gd_init", "gd_step",
@@ -150,10 +149,11 @@ SWITCH_TOL = 1e-3
 @dataclass(frozen=True)
 class InnerConfig:
     """Inner-loop settings; rho is the mirror rate or the GD step size, and
-    every draw set has `samples` nodes. A coarse stage of at most
-    `coarse_steps` steps reads only the first COARSE_NODES nodes of the draw
-    set and ends early once it settles; then steps - coarse_steps steps read
-    all of it, so `steps` is a cap. The draw seed is an argument, not a setting."""
+    `samples` is the node count of the sets meta draws for the loop. A coarse
+    stage of at most `coarse_steps` steps reads only the first COARSE_NODES
+    nodes of the step set and ends early once it settles; then steps -
+    coarse_steps steps read all of it, so `steps` is a cap. The nodes are an
+    argument, not a setting."""
 
     rho: float = 1.0
     steps: int = 3
@@ -278,16 +278,15 @@ def elbo(state, Y: np.ndarray, lik) -> float:
     return float(lik.expected_loglik(state.m, state.v, Y) - np.sum(state.kl))
 
 
-def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, seed: int):
+def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, nodes):
     """Yield the prior state, then the state after each update: `steps` of
     them, or fewer when a coarse stage settles early.
 
-    The labels are checked once, before the prior state. Every step reads one
-    draw set, the cfg.samples nodes of seed derive_seed(seed,
-    STREAM_STEP_DRAWS), drawn at step 1 (so a loop of no steps draws nothing):
-    the loop is a deterministic fixed-point iteration on one sample-average
-    surrogate of the ELBO. A coarse stage of at most cfg.coarse_steps steps
-    reads only its first COARSE_NODES nodes, a cheaper surrogate whose fixed
+    The labels are checked once, before the prior state. Every step reads the
+    one (S, C) node set `nodes`, which the caller draws: the loop is a
+    deterministic fixed-point iteration on one sample-average surrogate of
+    the ELBO. A coarse stage of at most cfg.coarse_steps steps reads only
+    nodes[:COARSE_NODES], a cheaper surrogate whose fixed
     point lies near the full set's. It ends at its first step that moves every
     mean by less than SWITCH_TOL posterior sds and every marginal variance by
     less than SWITCH_TOL of itself (`_moved`), or at its cap; exactly steps -
@@ -306,16 +305,12 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
     c, n, _ = prior.K.shape
     Y = _validate_labels(Y, n, c)
     yield state
-    lik = None
+    lik, coarse = SoftmaxLikelihood(nodes), SoftmaxLikelihood(nodes[:COARSE_NODES])
     coarse_end, last = min(cfg.coarse_steps, cfg.steps), cfg.steps  # the last coarse step
     t = 0
     while t < last:
         t += 1
         with named_failures(f"{method} step {t}"):
-            if lik is None:
-                step_seed = derive_seed(seed, STREAM_STEP_DRAWS)
-                lik = SoftmaxLikelihood.from_seed(step_seed, cfg.samples, c)
-                coarse = SoftmaxLikelihood(lik.eps[:COARSE_NODES])
             before = (state.m, state.v) if t <= coarse_end else None
             state = step_fn(state, Y, cfg.rho, lik if before is None else coarse)
             m, v = state.m, state.v
@@ -327,17 +322,18 @@ def inner_states(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig
         yield state
 
 
-def run_inner(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, seed: int):
-    """Run the inner loop, recording the ELBO of every state it visits.
+def run_inner(method: str, prior: GramResult, Y: np.ndarray, cfg: InnerConfig, nodes, score_nodes):
+    """Run the inner loop on the step set `nodes`, recording the ELBO of every
+    state it visits.
 
-    The ELBO is evaluated with one fixed draw set (the cfg.samples nodes of
-    `seed`) so successive values are comparable; a failure while scoring the
-    state of step t names the method and t, as `inner_states` does for the step.
+    The ELBO is evaluated on one fixed (S, C) node set, `score_nodes`, so
+    successive values are comparable; a failure while scoring the state of
+    step t names the method and t, as `inner_states` does for the step.
     Returns (final_state, elbos) with steps + 1 values, the first at the prior.
     """
-    eval_lik = SoftmaxLikelihood.from_seed(seed, cfg.samples, len(prior.K))
+    eval_lik = SoftmaxLikelihood(score_nodes)
     elbos = []
-    for t, state in enumerate(inner_states(method, prior, Y, cfg, seed)):
+    for t, state in enumerate(inner_states(method, prior, Y, cfg, nodes)):
         with named_failures(f"{method.upper()} step {t}"):
             elbos.append(elbo(state, Y, eval_lik))
     return state, elbos

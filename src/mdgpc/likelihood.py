@@ -283,11 +283,6 @@ class SoftmaxLikelihood:
         self.eps = np.asarray(eps, dtype=float)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
 
-    @classmethod
-    def from_seed(cls, seed: int, samples: int, n_classes: int):
-        """Bound to the `samples`-node set of `seed`, shared by all points."""
-        return cls(normal_draws(seed, (samples, n_classes)))
-
     def expected_loglik(self, m, v, Y) -> float:
         return batch_expected_loglik(m, v, Y, self.eps, self.weights)
 

@@ -14,11 +14,11 @@ classes), and are applied with Adam, using separate learning rates for
 network weights and base-kernel parameters.
 
 Evaluation and the two MD/GD comparisons each map `_by_index` over units
-seeded by their index alone. This module alone derives every experiment seed:
-each extractor seed, each episode's task seed and each draw seed comes from
-the run seed through a `seeding.STREAM_*` tag and is passed as an argument;
-no config holds a seed but the run seed. Callers pass a kernel factory
-new_kernel(extractor seed) and an episode source draw(task seed) -> Episode.
+seeded by their index alone. This module alone derives every experiment seed
+and draws every node set, each from the run seed through a `seeding.STREAM_*`
+tag, and passes them down as arguments; no config holds a seed but the run
+seed. Callers pass a kernel factory new_kernel(extractor seed) and an
+episode source draw(task seed) -> Episode.
 """
 
 import concurrent.futures
@@ -30,7 +30,7 @@ from . import inference, kernels, metrics, model, seeding
 from .errors import InputError, NumericalError, named_failures
 from .inference import InnerConfig
 from .kernels import DeepKernel, FeatureExtractor
-from .likelihood import SoftmaxLikelihood
+from .likelihood import SoftmaxLikelihood, normal_draws
 from .seeding import derive_seed
 
 __all__ = [
@@ -160,9 +160,14 @@ def adam_step(
     return new, AdamState(m=m, v=v, t=t)
 
 
-def _query_probs(fit: model.FittedEpisode, episode, samples: int, seed: int):
+def _step_nodes(seed: int, inner: InnerConfig, n_classes: int) -> np.ndarray:
+    """The (S, C) node set every step of an inner loop at draw seed `seed` reads."""
+    return normal_draws(derive_seed(seed, seeding.STREAM_STEP_DRAWS), (inner.samples, n_classes))
+
+
+def _query_probs(fit: model.FittedEpisode, episode, nodes: np.ndarray):
     """(class probabilities, true label indices) of the episode's queries."""
-    probs = model.predict_labels(fit, episode.query_x, samples, seed)
+    probs = model.predict_labels(fit, episode.query_x, nodes)
     if not np.isfinite(probs).all():
         raise NumericalError("non-finite query probabilities")
     return probs, np.argmax(episode.query_y, axis=1)
@@ -171,20 +176,21 @@ def _query_probs(fit: model.FittedEpisode, episode, samples: int, seed: int):
 def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method: str):
     """The outer loop: yield (it, episode, fit, updated kernel) per episode.
 
-    For it = 1..cfg.episodes: fit draw(derive_seed(cfg.seed, stream, it))
-    with the `method` inner loop at draw seed cfg.inner_at(it), then take one
-    Adam step along the outer gradient. A failed fit, or a step to non-finite
-    hyperparameters, raises NumericalError naming the method and the episode.
+    For it = 1..cfg.episodes: fit draw(derive_seed(cfg.seed, stream, it)) by
+    the `method` inner loop on the step set of draw seed cfg.inner_at(it), then
+    take one Adam step along the outer gradient. A failed fit, or a step to
+    non-finite hyperparameters, raises NumericalError naming method and episode.
     """
     flat = flatten_hypers(kernel)
     st = AdamState.zeros(flat.shape[0])
     lr = np.full(flat.shape[0], cfg.lr_kernel)
     lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
     for it in range(1, cfg.episodes + 1):
-        episode, inner_seed = draw(derive_seed(cfg.seed, stream, it)), cfg.inner_at(it)
+        episode = draw(derive_seed(cfg.seed, stream, it))
         with named_failures(f"{method} episode {it}"):
+            nodes = _step_nodes(cfg.inner_at(it), cfg.inner, kernel.base.n_classes)
             fit = model.fit_episode(
-                kernel, episode.support_x, episode.support_y, cfg.inner, inner_seed, method
+                kernel, episode.support_x, episode.support_y, cfg.inner, nodes, method
             )
             flat, st = adam_step(flat, outer_grad(fit), st, lr)
             if not np.isfinite(flat).all():
@@ -205,11 +211,12 @@ def train(new_kernel, draw, cfg: TrainConfig):
     history = []
     for it, episode, fit, kernel in outer_steps(kernel, draw, seeding.STREAM_TRAIN_EP, cfg, "MD"):
         pred_seed = derive_seed(cfg.seed, seeding.STREAM_TRAIN_PRED, it)
-        Y = episode.support_y
+        Y, c = episode.support_y, kernel.base.n_classes
         with named_failures(f"MD episode {it}"):
-            lik = SoftmaxLikelihood.from_seed(cfg.inner_at(it), cfg.inner.samples, Y.shape[1])
+            lik = SoftmaxLikelihood(normal_draws(cfg.inner_at(it), (cfg.inner.samples, c)))
             objective = inference.elbo(fit.state, Y, lik)
-            probs, y_idx = _query_probs(fit, episode, cfg.pred_samples, pred_seed)
+            pred_nodes = normal_draws(pred_seed, (cfg.pred_samples, c))
+            probs, y_idx = _query_probs(fit, episode, pred_nodes)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
         history.append({"iter": it, "objective": objective, "query_ce": ce, "query_acc": acc})
     return kernel, history
@@ -229,44 +236,44 @@ def compare_inner(new_kernel, draw, inner: InnerConfig, n_episodes: int, seed: i
 
     Episode i builds its kernel new_kernel(extractor seed), then its task
     draw(task seed), and fits it with both methods from the prior at the
-    same settings and draws. Returns per episode each method's ELBO before
-    and after every step, {"MD": [...], "GD": [...]}.
+    same settings on one step set and one scoring set. Returns per episode
+    each method's ELBO before and after every step, {"MD": [...], "GD": [...]}.
     """
 
     def unit(i: int) -> dict:
         kern = new_kernel(derive_seed(seed, seeding.STREAM_EXTRACTOR, i))
         ep = draw(derive_seed(seed, seeding.STREAM_COMPARE_EP, i))
-        mc_seed = derive_seed(seed, seeding.STREAM_COMPARE_MC, i)
+        mc_seed, c = derive_seed(seed, seeding.STREAM_COMPARE_MC, i), kern.base.n_classes
         with named_failures(f"episode {i}"):
             Z, _ = kernels.extract(kern.extractor, ep.support_x)
             prior = kernels.gram(kern.base, Z)
+            sets = _step_nodes(mc_seed, inner, c), normal_draws(mc_seed, (inner.samples, c))
             Y = ep.support_y
-            return {m: inference.run_inner(m, prior, Y, inner, mc_seed)[1] for m in ("MD", "GD")}
+            return {m: inference.run_inner(m, prior, Y, inner, *sets)[1] for m in ("MD", "GD")}
 
     return _by_index(unit, n_episodes)
 
 
 def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_monitor: int):
     """The rows of one seed of `compare_outer`, at run seed cfg.seed."""
-    # (episode, inner draw seed, prediction draw seed) per monitor episode,
-    # built once per run and refitted by both methods at every iteration
+    # (episode, step nodes, prediction nodes) per monitor episode, drawn
+    # once per run and refitted by both methods at every iteration
+    seed, c = cfg.seed, kernel.base.n_classes
     bank = [
         (
-            draw_monitor(derive_seed(cfg.seed, seeding.STREAM_MONITOR_EP, j)),
-            derive_seed(cfg.seed, seeding.STREAM_MONITOR_INNER, j),
-            derive_seed(cfg.seed, seeding.STREAM_MONITOR_PRED, j),
+            draw_monitor(derive_seed(seed, seeding.STREAM_MONITOR_EP, j)),
+            _step_nodes(derive_seed(seed, seeding.STREAM_MONITOR_INNER, j), cfg.inner, c),
+            normal_draws(derive_seed(seed, seeding.STREAM_MONITOR_PRED, j), (cfg.pred_samples, c)),
         )
         for j in range(1, n_monitor + 1)
     ]
 
     def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
-        for j, (ep, inner_seed, pred_seed) in enumerate(bank, 1):
+        for j, (ep, nodes, pred_nodes) in enumerate(bank, 1):
             with named_failures(f"{method} iteration {it}, monitor episode {j}"):
-                fit = model.fit_episode(
-                    kern, ep.support_x, ep.support_y, cfg.inner, inner_seed, method
-                )
-                probs, y_idx = _query_probs(fit, ep, cfg.pred_samples, pred_seed)
+                fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg.inner, nodes, method)
+                probs, y_idx = _query_probs(fit, ep, pred_nodes)
             ces.append(metrics.nll(probs, y_idx))
             accs.append(metrics.accuracy(probs, y_idx))
         ce, acc = float(np.mean(ces)), float(np.mean(accs))
@@ -287,14 +294,15 @@ def compare_outer(
 
     Seed s derives a run seed from cfg.seed and s, and from it the kernel
     new_kernel(extractor seed), the episodes draw(task seed), the monitor
-    bank draw_monitor(task seed) and all draws. Both
-    variants see the same episode sequence, the same inner-loop draw seeds
-    and the same Adam rates, so the only difference is the inner update
-    rule. Progress is monitored with the predictive-likelihood loss: refit a
-    fixed bank of `monitor_episodes` held-out episodes with the current
-    hyperparameters (same inner settings as training) and average the query
-    cross-entropy and accuracy. Returns per seed one row per variant per
-    iteration, including iteration 0 at the shared initialization.
+    bank draw_monitor(task seed) and all node sets. Both variants see the
+    same episode sequence, the same inner-loop node sets and the same Adam
+    rates, so the only difference is the inner update rule. Progress is
+    monitored with the predictive-likelihood loss: refit a fixed bank of
+    `monitor_episodes` held-out episodes, each with its step and prediction
+    node sets drawn once per run, with the current hyperparameters (same
+    inner settings as training) and average the query cross-entropy and
+    accuracy. Returns per seed one row per variant per iteration, including
+    iteration 0 at the shared initialization.
     """
     if monitor_episodes < 1:
         raise InputError(f"monitor_episodes must be >= 1, got {monitor_episodes}")
@@ -342,12 +350,13 @@ def evaluate(
     inner_cfg = replace(inner_cfg, coarse_steps=inner_cfg.steps // 2)
 
     def eval_one(i: int):
-        ep = draw(derive_seed(seed, seeding.STREAM_EVAL_EP, i))
+        ep, c = draw(derive_seed(seed, seeding.STREAM_EVAL_EP, i)), kernel.base.n_classes
         inner_seed = derive_seed(seed, seeding.STREAM_EVAL_INNER, i)
         pred_seed = derive_seed(seed, seeding.STREAM_EVAL_PRED, i)
         with named_failures(f"MD episode {i}"):
-            fit = model.fit_episode(kernel, ep.support_x, ep.support_y, inner_cfg, inner_seed)
-            probs, y_idx = _query_probs(fit, ep, pred_samples, pred_seed)
+            nodes = _step_nodes(inner_seed, inner_cfg, c)
+            fit = model.fit_episode(kernel, ep.support_x, ep.support_y, inner_cfg, nodes)
+            probs, y_idx = _query_probs(fit, ep, normal_draws(pred_seed, (pred_samples, c)))
         return metrics.accuracy(probs, y_idx), probs, y_idx, fit.steps
 
     results = _by_index(eval_one, n_episodes, n_jobs)

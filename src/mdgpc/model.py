@@ -18,8 +18,9 @@ reached. The GP posterior at a query point x* is then
 for all classes at once, as (C, M) stacks from the (C, M, N) stack of
 cross-covariances, and zero sites (core = 0) give back the prior predictive
 exactly. Class label probabilities average the softmax over independent
-per-class predictive normals, on one randomized Sobol node set (S, C) that
-every query shares, as (M, C) rows.
+per-class predictive normals, on one node set (S, C) that every query
+shares, as (M, C) rows. The caller draws both the inner loop's node set and
+that one, so nothing here draws.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 from . import inference, kernels
 from .errors import InputError
 from .inference import InnerConfig
-from .likelihood import _prepare_batch, _softmax, normal_draws
+from .likelihood import _prepare_batch, _softmax
 
 __all__ = ["FittedEpisode", "fit_episode", "predict_latent", "predict_labels"]
 
@@ -52,11 +53,12 @@ def fit_episode(
     support_x: np.ndarray,
     support_y: np.ndarray,
     cfg: InnerConfig,
-    seed: int,
+    nodes: np.ndarray,
     method: str = "MD",
 ) -> FittedEpisode:
-    """Extract features, build the stacked Grams, run the inner loop on draw seed
-    `seed` and keep the final posterior's per-class (u, core) terms and its steps."""
+    """Extract features, build the stacked Grams, run the inner loop on the
+    (S, C) step set `nodes` and keep the final posterior's per-class (u, core)
+    terms and its steps."""
     support_y = np.asarray(support_y, dtype=float)
     if support_y.ndim != 2 or support_y.shape[1] != kernel.base.n_classes:
         raise InputError(
@@ -65,7 +67,7 @@ def fit_episode(
         )
     Z, cache = kernels.extract(kernel.extractor, support_x)
     grams = kernels.gram(kernel.base, Z)
-    for steps, state in enumerate(inference.inner_states(method, grams, support_y, cfg, seed)):
+    for steps, state in enumerate(inference.inner_states(method, grams, support_y, cfg, nodes)):
         pass
     return FittedEpisode(
         kernel=kernel,
@@ -88,11 +90,10 @@ def predict_latent(fit: FittedEpisode, query_x: np.ndarray):
     return mu, var
 
 
-def predict_labels(fit: FittedEpisode, query_x: np.ndarray, samples: int, seed: int) -> np.ndarray:
+def predict_labels(fit: FittedEpisode, query_x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Softmax class probabilities from the latent predictive, averaged over
-    the `samples`-node set of `seed`, which every query shares; (M, C) rows
+    the (S, C) node set `nodes`, which every query shares; (M, C) rows
     summing to 1, the one transpose of the predictive's (C, M) stacks."""
     mu, var = predict_latent(fit, query_x)
-    eps = normal_draws(seed, (samples, mu.shape[0]))
-    mu, var, nodes = _prepare_batch(mu, np.maximum(var, 0.0), eps)
+    mu, var, nodes = _prepare_batch(mu, np.maximum(var, 0.0), nodes)
     return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), nodes), axis=-1).T)

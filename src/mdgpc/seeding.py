@@ -29,10 +29,9 @@ STREAM_GEN_DATA = 30  # gen-data pool
 STREAM_VERIFY = 40  # verify instances
 STREAM_EXTRACTOR = 99  # compare-inner extractor per episode
 STREAM_TRAIN_EXTRACTOR = 100  # train extractor initialization
-# A key after an inner loop's draw seed (the seed argument of
-# inference.inner_states), not after a run seed, so it may share its value
-# with a tag above.
-STREAM_STEP_DRAWS = 1  # the one draw set every inner-loop step reads
+# A key after an inner loop's draw seed, not after a run seed, so it may
+# share its value with a tag above; meta derives it to draw the step set.
+STREAM_STEP_DRAWS = 1  # the one node set every inner-loop step reads
 
 
 def derive_seed(seed: int, *key: int) -> int:

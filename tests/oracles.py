@@ -19,7 +19,9 @@ those solves, one class at a time: K^{-1} m by a solve with the prior factor
 and Sigma^{-1} by a solve with L. `iid_draws` gives tests their own
 independent normal draws of any shape; the package's estimators take one
 node set (S, C) for all points, and only the last-axis formulas here also
-take per-point draws (S, N, C).
+take per-point draws (S, N, C). `step_nodes` is the step set that
+:mod:`mdgpc.meta` draws for an inner loop at a draw seed, for tests that
+drive the loop at that seed without meta.
 
 `OneKernel` is one class's base kernel alone, its raws as floats, and
 `one_gram`, `one_gram_backward`, `one_cross_gram` and `one_gram_diag` are
@@ -40,12 +42,19 @@ from mdgpc.errors import InputError, NumericalError
 from mdgpc.expfam import JITTER_INITIAL, JITTER_MAX, gaussian_kl, spd_cholesky
 from mdgpc.inference import VariationalState
 from mdgpc.kernels import GramResult, _cos_normalize, _pairwise_sqdist, _sigmoid, softplus
+from mdgpc.seeding import derive_seed
 from mdgpc.verify import chol_logdet, chol_solve
 
 
 def iid_draws(seed: int, shape: tuple) -> np.ndarray:
     """Independent standard normal draws of any shape from a seeded generator."""
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def step_nodes(seed: int, samples: int, n_classes: int) -> np.ndarray:
+    """The (S, C) node set that every step of an inner loop at draw seed
+    `seed` reads: the set of seed derive_seed(seed, 1)."""
+    return likelihood.normal_draws(derive_seed(seed, 1), (samples, n_classes))
 
 
 def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import mdgpc
 import mdgpc.cli
-from mdgpc import inference, kernels, likelihood, model, tasks
+from mdgpc import inference, kernels, model, tasks
 from mdgpc.errors import InputError
 from mdgpc.inference import (
     InnerConfig,
@@ -24,10 +24,17 @@ from mdgpc.inference import (
     posterior_from_sites,
     run_inner,
 )
-from mdgpc.likelihood import SoftmaxLikelihood
+from mdgpc.likelihood import SoftmaxLikelihood, normal_draws
 from mdgpc.seeding import derive_seed
 from mdgpc.verify import GaussianSiteLikelihood, chol_solve, ngd_verify, tiny_instance
-from oracles import dense_moments, scipy_factor_kl, scipy_gd_step, scipy_spd_cholesky, stack_priors
+from oracles import (
+    dense_moments,
+    scipy_factor_kl,
+    scipy_gd_step,
+    scipy_spd_cholesky,
+    stack_priors,
+    step_nodes,
+)
 
 
 def toy_grams(seed: int, n: int = 5, c: int = 3, kind: str = "RBF"):
@@ -52,8 +59,16 @@ def episode_grams(seed: int, shots: int = 5, output_scale: float = 4.0):
 
 def seeded_lik(samples: int, seed: int, t: int, c: int) -> SoftmaxLikelihood:
     """The `samples`-node set of seed derive_seed(seed, t). Every step of an
-    `inner_states` loop at draw seed `seed` reads the set of t = 1."""
-    return SoftmaxLikelihood.from_seed(derive_seed(seed, t), samples, c)
+    inner loop at draw seed `seed` reads the set of t = 1 (`step_nodes`)."""
+    return SoftmaxLikelihood(normal_draws(derive_seed(seed, t), (samples, c)))
+
+
+def run_seeded(method: str, grams, Y: np.ndarray, cfg: InnerConfig, seed: int):
+    """run_inner on the step set and the scoring set of draw seed `seed`, as
+    meta.compare_inner draws them."""
+    c = Y.shape[1]
+    score_nodes = normal_draws(seed, (cfg.samples, c))
+    return run_inner(method, grams, Y, cfg, step_nodes(seed, cfg.samples, c), score_nodes)
 
 
 class TestInitAndCombine:
@@ -100,7 +115,7 @@ class TestInitAndCombine:
         # agrees with a solve with B for K^{-1} m
         grams, Y = episode_grams(123)
         cfg = InnerConfig(rho=0.7, steps=3, samples=64)
-        *_, state = inner_states("MD", grams, Y, cfg, 5)
+        *_, state = inner_states("MD", grams, Y, cfg, step_nodes(5, cfg.samples, 5))
         W = np.sqrt(-2.0 * state.beta)
         B = np.eye(25) + (W[:, :, None] * state.k_eff) * W[:, None, :]
         calls = []
@@ -198,7 +213,7 @@ class TestInitAndCombine:
         assert calls == []
         assert state.kl.shape == (5,) and calls == [(5, 25, 25)]
         calls.clear()
-        model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 0)
+        model.fit_episode(kern, ep.support_x, ep.support_y, cfg, step_nodes(0, cfg.samples, 5))
         assert calls == [(5, 25, 25)]
 
     def test_gd_step_inverts_solves_and_factors_nothing(self, monkeypatch):
@@ -226,7 +241,7 @@ class TestInitAndCombine:
         grams = toy_grams(10)
         cfg = InnerConfig(rho=1.0, steps=1, samples=8)
         with pytest.raises(InputError, match="one-hot"):
-            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg, 0))
+            next(inner_states("MD", grams, np.full((5, 3), 0.5), cfg, step_nodes(0, 8, 3)))
 
     def test_fewer_than_one_sample_rejected(self):
         with pytest.raises(InputError, match="samples must be >= 1, got 0"):
@@ -281,7 +296,7 @@ class TestGdBaseline:
         # Sigma = L L' factored again
         grams, Y = episode_grams(108)
         cfg = InnerConfig(rho=0.05, steps=3, samples=32)
-        *_, state = inner_states("GD", grams, Y, cfg, 29)
+        *_, state = inner_states("GD", grams, Y, cfg, step_nodes(29, cfg.samples, 5))
         m, Sigma = dense_moments(state)
         for c, L in enumerate(grams.chol):
             want = scipy_factor_kl(m[c], scipy_spd_cholesky(Sigma[c])[0], L)
@@ -372,8 +387,8 @@ class TestRunInner:
     def test_trace_structure(self):
         grams, Y = episode_grams(100)
         cfg = InnerConfig(rho=0.5, steps=6, samples=32)
-        state, elbos = run_inner("MD", grams, Y, cfg, 5)
-        lik = SoftmaxLikelihood.from_seed(5, cfg.samples, Y.shape[1])
+        state, elbos = run_seeded("MD", grams, Y, cfg, 5)
+        lik = SoftmaxLikelihood(normal_draws(5, (cfg.samples, Y.shape[1])))
         assert len(elbos) == 7
         assert all(isinstance(v, float) and np.isfinite(v) for v in elbos)
         prior = md_init(grams)
@@ -382,13 +397,13 @@ class TestRunInner:
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_draw_schedule(self, method):
-        # every step t >= 1 reads the one set of derive_seed(seed, 1); the
-        # ELBOs share the draws of seed
+        # every step t >= 1 reads the one step set it is given, that of
+        # derive_seed(seed, 1); the ELBOs share the scoring set, that of seed
         grams, Y = episode_grams(104)
         cfg, seed = InnerConfig(rho=0.05, steps=4, samples=32), 13
         c = Y.shape[1]
         step_fn = md_step if method == "MD" else gd_step
-        states = list(inner_states(method, grams, Y, cfg, seed))
+        states = list(inner_states(method, grams, Y, cfg, step_nodes(seed, cfg.samples, c)))
         assert len(states) == cfg.steps + 1
         lik = seeded_lik(cfg.samples, seed, 1, c)
         for t in range(1, cfg.steps + 1):
@@ -402,37 +417,23 @@ class TestRunInner:
             np.testing.assert_array_equal(got.m, want.m)
             np.testing.assert_array_equal(got.v, want.v)
             np.testing.assert_array_equal(got.kl, want.kl)
-        _, elbos = run_inner(method, grams, Y, cfg, seed)
-        lik = SoftmaxLikelihood.from_seed(seed, cfg.samples, c)
+        _, elbos = run_seeded(method, grams, Y, cfg, seed)
+        lik = SoftmaxLikelihood(normal_draws(seed, (cfg.samples, c)))
         assert elbos == [elbo(st, Y, lik) for st in states]
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_first_step_keeps_its_draws(self, method):
-        # step 1 reads the set of seed derive_seed(seed, 1), built here
-        # without the helper, so the first state after the prior is pinned
-        # bit for bit
+        # step 1 reads the step set it is given, that of seed
+        # derive_seed(seed, 1), built here without the helper, so the first
+        # state after the prior is pinned bit for bit
         grams, Y = episode_grams(106)
-        lik = SoftmaxLikelihood.from_seed(derive_seed(19, 1), 64, Y.shape[1])
+        nodes = normal_draws(derive_seed(19, 1), (64, Y.shape[1]))
+        lik = SoftmaxLikelihood(nodes)
         cfg = InnerConfig(rho=0.5, steps=1, samples=64)
-        prior, first = inner_states(method, grams, Y, cfg, 19)
+        prior, first = inner_states(method, grams, Y, cfg, nodes)
         want = (md_step if method == "MD" else gd_step)(prior, Y, cfg.rho, lik)
         np.testing.assert_array_equal(first.m, want.m)
         np.testing.assert_array_equal(first.v, want.v)
-
-    @pytest.mark.parametrize("steps", [0, 1, 5])
-    def test_one_draw_per_loop(self, monkeypatch, steps):
-        # a loop draws one set for all its steps, and none without a step
-        seeds, draws = [], likelihood.normal_draws
-
-        def counting_draws(seed, shape):
-            seeds.append(seed)
-            return draws(seed, shape)
-
-        monkeypatch.setattr(likelihood, "normal_draws", counting_draws)
-        grams, Y = episode_grams(107)
-        cfg = InnerConfig(rho=0.5, steps=steps, samples=16)
-        assert len(list(inner_states("MD", grams, Y, cfg, 23))) == steps + 1
-        assert seeds == ([derive_seed(23, 1)] if steps else [])
 
     @pytest.mark.parametrize("method", ["MD", "GD"])
     def test_steps_leave_earlier_states_unchanged(self, method):
@@ -441,7 +442,7 @@ class TestRunInner:
         grams, Y = episode_grams(105)
         cfg = InnerConfig(rho=0.05, steps=3, samples=32)
         names = ("m", "v") + (("alpha", "beta", "kl") if method == "MD" else ("chol",))
-        states = inner_states(method, grams, Y, cfg, 17)
+        states = inner_states(method, grams, Y, cfg, step_nodes(17, cfg.samples, 5))
         earlier = [next(states), next(states)]  # states 0 and 1
         kept = [{name: getattr(st, name).copy() for name in names} for st in earlier]
         assert len(list(states)) == 2  # two more steps
@@ -453,24 +454,24 @@ class TestRunInner:
     def test_empty_class_list_rejected(self, method):
         cfg = InnerConfig(rho=0.5, steps=1, samples=8)
         with pytest.raises(InputError, match="need at least one class"):
-            next(inner_states(method, toy_grams(0, c=0), np.zeros((5, 0)), cfg, 0))
+            next(inner_states(method, toy_grams(0, c=0), np.zeros((5, 0)), cfg, np.zeros((8, 0))))
 
     def test_unknown_method(self):
         grams, Y = episode_grams(101)
         with pytest.raises(InputError, match="unknown inner method"):
-            run_inner("SGD", grams, Y, InnerConfig(rho=0.5, steps=1, samples=8), 0)
+            run_seeded("SGD", grams, Y, InnerConfig(rho=0.5, steps=1, samples=8), 0)
 
     def test_deterministic(self):
         grams, Y = episode_grams(102)
         cfg = InnerConfig(rho=0.5, steps=4, samples=32)
-        _, t1 = run_inner("MD", grams, Y, cfg, 9)
-        _, t2 = run_inner("MD", grams, Y, cfg, 9)
+        _, t1 = run_seeded("MD", grams, Y, cfg, 9)
+        _, t2 = run_seeded("MD", grams, Y, cfg, 9)
         assert t1 == t2
 
     def test_elbo_at_prior_has_zero_kl(self):
         grams, Y = episode_grams(103)
         state = md_init(grams)
-        lik = likelihood.SoftmaxLikelihood.from_seed(3, 64, Y.shape[1])
+        lik = SoftmaxLikelihood(normal_draws(3, (64, Y.shape[1])))
         assert elbo(state, Y, lik) == pytest.approx(
             lik.expected_loglik(state.m, state.v, Y), abs=1e-10
         )
@@ -482,7 +483,7 @@ class TestRunInner:
         for s in range(20):
             grams, Y = episode_grams(4000 + s)
             cfg = InnerConfig(rho=0.5, steps=15, samples=2048)
-            _, elbos = run_inner("MD", grams, Y, cfg, derive_seed(11, 4000 + s))
+            _, elbos = run_seeded("MD", grams, Y, cfg, derive_seed(11, 4000 + s))
             diffs = np.diff(elbos)
             ok += bool(np.all(diffs >= -5e-3))
         assert ok >= 18
@@ -495,7 +496,7 @@ class TestEvalNodeCount:
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(130)
         cfg = InnerConfig(ev["rho"], ev["steps"], samples, coarse_steps)
-        *_, state = inner_states("MD", grams, Y, cfg, 0)
+        *_, state = inner_states("MD", grams, Y, cfg, step_nodes(0, samples, 5))
         return state
 
     @classmethod
@@ -526,7 +527,8 @@ class TestEvalNodeCount:
         grams, Y = episode_grams(131)
         full = seeded_lik(512, 3, 1, 5)
         coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
-        states = list(inner_states("MD", grams, Y, InnerConfig(0.5, 3, 512, coarse_steps=2), 3))
+        cfg = InnerConfig(0.5, 3, 512, coarse_steps=2)
+        states = list(inner_states("MD", grams, Y, cfg, step_nodes(3, 512, 5)))
         want = md_init(grams)
         for t, lik in enumerate([coarse, coarse, full], start=1):
             want = md_step(want, Y, 0.5, lik)
@@ -564,7 +566,7 @@ class TestCoarseStage:
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(132)
         cfg = InnerConfig(ev["rho"], ev["steps"], ev["mc_samples"], ev["steps"] // 2)
-        got = list(inner_states("MD", grams, Y, cfg, 5))
+        got = list(inner_states("MD", grams, Y, cfg, step_nodes(5, cfg.samples, 5)))
         k = len(got) - 1 - (cfg.steps - cfg.coarse_steps)
         assert 0 < k < cfg.coarse_steps
         want = self.hand_driven(grams, Y, cfg, 5, k)
@@ -578,7 +580,7 @@ class TestCoarseStage:
         ev = mdgpc.cli.default_config()["eval_inner"]
         grams, Y = episode_grams(133)
         cfg = InnerConfig(0.1, ev["steps"], ev["mc_samples"], ev["steps"] // 2)
-        got = list(inner_states("MD", grams, Y, cfg, 6))
+        got = list(inner_states("MD", grams, Y, cfg, step_nodes(6, cfg.samples, 5)))
         self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 6, cfg.coarse_steps))
 
     def test_full_set_steps_keep_their_count(self):
@@ -586,7 +588,7 @@ class TestCoarseStage:
         # steps move the fit by far less than SWITCH_TOL
         grams, Y = episode_grams(134)
         cfg = InnerConfig(0.5, 60, 128)
-        got = list(inner_states("MD", grams, Y, cfg, 7))
+        got = list(inner_states("MD", grams, Y, cfg, step_nodes(7, cfg.samples, 5)))
         assert len(got) == cfg.steps + 1
         assert self.moved(got[-2], got[-1]) < inference.SWITCH_TOL
         self.assert_same_states(got, self.hand_driven(grams, Y, cfg, 7, 0))

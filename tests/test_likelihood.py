@@ -362,7 +362,7 @@ class TestClassLeadingKernel:
         m, v, _, _ = self.case(c, 7)
         var = v - 0.1  # some negative predictive variances, clamped to 0
         monkeypatch.setattr(model, "predict_latent", lambda fit, x: (m.T, var.T))
-        probs = model.predict_labels(None, None, 33, 4)
+        probs = model.predict_labels(None, None, normal_draws(4, (33, c)))
         eps = normal_draws(4, (33, c))[:, None, :]
         want = oracles.label_probs(m, var, eps)
         np.testing.assert_allclose(probs, want, rtol=0, atol=self.PROBS_ATOL)
@@ -448,8 +448,8 @@ class TestLikelihoodObjects:
         m = rng.standard_normal((n, c))
         v = 0.5 + rng.random((n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
-        lik1 = SoftmaxLikelihood.from_seed(13, 32, c)
-        lik2 = SoftmaxLikelihood.from_seed(13, 32, c)
+        lik1 = SoftmaxLikelihood(normal_draws(13, (32, c)))
+        lik2 = SoftmaxLikelihood(normal_draws(13, (32, c)))
         assert lik1.expected_loglik(m.T, v.T, Y) == lik2.expected_loglik(m.T, v.T, Y)
 
     def test_gaussian_site_likelihood(self):

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mdgpc import kernels, meta, model, tasks
+from mdgpc import kernels, likelihood, meta, model, seeding, tasks
 from mdgpc.errors import InputError, NumericalError
 from mdgpc.inference import InnerConfig
 from mdgpc.seeding import derive_seed
-from oracles import dense_moments, scipy_gaussian_kl
+from oracles import dense_moments, scipy_gaussian_kl, step_nodes
 
 ADAM_EPS = 1e-8
 
@@ -24,6 +24,19 @@ def small_source(seed: int) -> tasks.Episode:
     """A draw(seed) episode source: a 3-way, 2-shot, 4-query task."""
     cfg = tasks.TaskGenConfig(n_classes=3, shots=2, queries=4, dim=4)
     return tasks.gen_episode(cfg, seed)
+
+
+def record_draws(monkeypatch) -> list:
+    """Record (seed, shape) of every node set drawn from here on, in order."""
+    drawn, draws = [], likelihood.normal_draws
+
+    def recording(seed, shape):
+        drawn.append((seed, shape))
+        return draws(seed, shape)
+
+    for module in (likelihood, meta):
+        monkeypatch.setattr(module, "normal_draws", recording)
+    return drawn
 
 
 def prior_term(flat, template, support_x, m, Sigma):
@@ -66,14 +79,21 @@ class TestOuterGrad:
     def test_exactly_zero_at_prior(self):
         kern = small_kernel(4)
         ep = small_source(derive_seed(4, 1))
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=0), 0)
+        fit = model.fit_episode(
+            kern, ep.support_x, ep.support_y, InnerConfig(steps=0), step_nodes(0, 64, 3)
+        )
         np.testing.assert_array_equal(meta.outer_grad(fit), 0.0)
 
     def test_near_zero_at_prior_gd(self):
         kern = small_kernel(5)
         ep = small_source(derive_seed(5, 1))
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), 0, method="GD"
+            kern,
+            ep.support_x,
+            ep.support_y,
+            InnerConfig(rho=0.1, steps=0),
+            step_nodes(0, 64, 3),
+            method="GD",
         )
         np.testing.assert_allclose(meta.outer_grad(fit), 0.0, atol=1e-8)
 
@@ -82,7 +102,9 @@ class TestOuterGrad:
         kern = small_kernel(6)
         ep = small_source(derive_seed(6, 1))
         cfg = InnerConfig(rho=0.8 if method == "MD" else 0.05, steps=3, samples=64)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 5, method=method)
+        fit = model.fit_episode(
+            kern, ep.support_x, ep.support_y, cfg, step_nodes(5, 64, 3), method=method
+        )
         assert fit.grams.k_eff is fit.grams.K
         grad = meta.outer_grad(fit)
         flat = meta.flatten_hypers(kern)
@@ -296,9 +318,54 @@ class TestCompareOuter:
         meta.compare_outer(small_kernel, small_source, draw_monitor, cfg, 3, 2)
         assert len(seeds) == 2 * 3 and len(set(seeds)) == 2 * 3
 
+    def test_each_node_set_is_drawn_once(self, monkeypatch):
+        # the bank's step and prediction sets are drawn once per run, and
+        # each training fit of either method draws its step set
+        drawn = record_draws(monkeypatch)
+        cfg = meta.TrainConfig(
+            episodes=2,
+            lr_net=1e-3,
+            lr_kernel=1e-3,
+            inner=InnerConfig(rho=0.05, steps=2, samples=16),
+            pred_samples=32,
+            seed=5,
+        )
+        meta.compare_outer(small_kernel, small_source, small_source, cfg, 3, 1)
+        assert len(drawn) == 2 * 3 + 2 * cfg.episodes
+
     def test_empty_monitor_bank_rejected(self):
         with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
             meta.compare_outer(small_kernel, small_source, small_source, meta.TrainConfig(), 0, 1)
+
+
+class TestNodeSets:
+    """meta draws every node set, at the seeds it derives, and passes it down."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_one_draw_per_loop(self, monkeypatch, steps):
+        # a loop's steps read one step set, of seed derive_seed(draw seed, 1),
+        # drawn once, also for a loop of no steps, which does not read it;
+        # each prediction or scoring set is the set of its draw seed
+        inner = InnerConfig(rho=0.05, steps=steps, samples=16)
+        drawn = record_draws(monkeypatch)
+
+        def step_set(seed: int) -> tuple:
+            return derive_seed(seed, 1), (16, 3)
+
+        meta.evaluate(small_kernel(24), small_source, 1, inner, 32, seed=3)
+        ev_inner = derive_seed(3, seeding.STREAM_EVAL_INNER, 1)
+        ev_pred = derive_seed(3, seeding.STREAM_EVAL_PRED, 1)
+        assert drawn == [step_set(ev_inner), (ev_pred, (32, 3))]
+        drawn.clear()
+        cfg = meta.TrainConfig(episodes=1, inner=inner, pred_samples=32, seed=11)
+        meta.train(small_kernel, small_source, cfg)
+        tr_inner = derive_seed(11, seeding.STREAM_INNER_MC, 1)
+        tr_pred = derive_seed(11, seeding.STREAM_TRAIN_PRED, 1)
+        assert drawn == [step_set(tr_inner), (tr_inner, (16, 3)), (tr_pred, (32, 3))]
+        drawn.clear()
+        meta.compare_inner(small_kernel, small_source, inner, 1, seed=4)
+        mc = derive_seed(4, seeding.STREAM_COMPARE_MC, 1)
+        assert drawn == [step_set(mc), (mc, (16, 3))]
 
 
 class TestUnitsDependOnTheirIndexAlone:

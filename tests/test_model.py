@@ -7,7 +7,8 @@ from mdgpc import inference, kernels, model, tasks
 from mdgpc.errors import InputError
 from mdgpc.inference import InnerConfig
 from mdgpc.seeding import derive_seed
-from oracles import dense_moments
+from mdgpc.likelihood import normal_draws
+from oracles import dense_moments, step_nodes
 
 
 def make_kernel(c: int = 5, seed: int = 0, dim: int = 8) -> kernels.DeepKernel:
@@ -26,7 +27,7 @@ class TestPriorPredictive:
         kern = make_kernel()
         ep = make_episode(1)
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=1.0, steps=0), 0
+            kern, ep.support_x, ep.support_y, InnerConfig(rho=1.0, steps=0), step_nodes(0, 64, 5)
         )
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -39,7 +40,12 @@ class TestPriorPredictive:
         kern = make_kernel()
         ep = make_episode(2)
         fit = model.fit_episode(
-            kern, ep.support_x, ep.support_y, InnerConfig(rho=0.1, steps=0), 0, method="GD"
+            kern,
+            ep.support_x,
+            ep.support_y,
+            InnerConfig(rho=0.1, steps=0),
+            step_nodes(0, 64, 5),
+            method="GD",
         )
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -58,7 +64,9 @@ class TestConditioning:
         ep = make_episode(3)
         rho = 0.7 if method == "MD" else 0.05
         cfg = InnerConfig(rho=rho, steps=4, samples=64)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 5, method=method)
+        fit = model.fit_episode(
+            kern, ep.support_x, ep.support_y, cfg, step_nodes(5, cfg.samples, 5), method=method
+        )
         assert not np.allclose(fit.state.m[0], 0.0)
         mu, var = model.predict_latent(fit, ep.query_x)
         Zq, _ = kernels.extract(kern.extractor, ep.query_x)
@@ -82,7 +90,7 @@ class TestConditioning:
         for s in range(3):
             ep = make_episode(10 + s)
             cfg = InnerConfig(rho=1.0, steps=6, samples=64)
-            fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, s)
+            fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, step_nodes(s, 64, 5))
             _, var = model.predict_latent(fit, ep.query_x)
             assert np.all(var > 0.0)
 
@@ -92,16 +100,17 @@ class TestLabelProbs:
         kern = make_kernel()
         ep = make_episode(20)
         cfg = InnerConfig(rho=1.0, steps=3, samples=64)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 7)
-        probs = model.predict_labels(fit, ep.query_x, 256, 9)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, step_nodes(7, 64, 5))
+        probs = model.predict_labels(fit, ep.query_x, normal_draws(9, (256, 5)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_fewer_than_one_sample_rejected(self):
         kern = make_kernel()
         ep = make_episode(22)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, InnerConfig(steps=1), 7)
+        cfg = InnerConfig(steps=1)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, step_nodes(7, 64, 5))
         with pytest.raises(InputError, match="samples must be >= 1, got 0"):
-            model.predict_labels(fit, ep.query_x, 0, 9)
+            model.predict_labels(fit, ep.query_x, normal_draws(9, (0, 5)))
 
     def test_indistinguishable_classes_predict_uniform(self):
         # every class gets the same support rows, so the task carries no
@@ -114,8 +123,8 @@ class TestLabelProbs:
         query_x = rng.standard_normal((6, dim))
         kern = make_kernel(c=c, seed=3, dim=dim)
         cfg = InnerConfig(rho=0.8, steps=5, samples=512)
-        fit = model.fit_episode(kern, support_x, support_y, cfg, 11)
-        probs = model.predict_labels(fit, query_x, 4096, 13)
+        fit = model.fit_episode(kern, support_x, support_y, cfg, step_nodes(11, 512, c))
+        probs = model.predict_labels(fit, query_x, normal_draws(13, (4096, c)))
         np.testing.assert_allclose(probs, 1.0 / c, atol=0.05)
 
 
@@ -124,8 +133,11 @@ class TestFitOptions:
         kern = make_kernel()
         ep = make_episode(30)
         cfg = InnerConfig(rho=0.6, steps=4, samples=32)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 3)
-        state, elbos = inference.run_inner("MD", fit.grams, ep.support_y, cfg, 3)
+        nodes = step_nodes(3, 32, 5)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, nodes)
+        state, elbos = inference.run_inner(
+            "MD", fit.grams, ep.support_y, cfg, nodes, normal_draws(3, (32, 5))
+        )
         assert len(elbos) == 5
         np.testing.assert_array_equal(fit.state.alpha, state.alpha)
         np.testing.assert_array_equal(fit.state.beta, state.beta)
@@ -136,9 +148,11 @@ class TestFitOptions:
         kern = make_kernel()
         ep = make_episode(32)
         cfg = InnerConfig(rho=0.5, steps=40, samples=512, coarse_steps=coarse_steps)
-        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, 4)
+        nodes = step_nodes(4, 512, 5)
+        fit = model.fit_episode(kern, ep.support_x, ep.support_y, cfg, nodes)
         grams = kernels.gram(kern.base, kernels.extract(kern.extractor, ep.support_x)[0])
-        assert fit.steps == len(list(inference.inner_states("MD", grams, ep.support_y, cfg, 4))) - 1
+        states = inference.inner_states("MD", grams, ep.support_y, cfg, nodes)
+        assert fit.steps == len(list(states)) - 1
         assert (fit.steps == cfg.steps) == (coarse_steps == 0)
 
     def test_label_shape_mismatch_rejected(self):
@@ -146,5 +160,5 @@ class TestFitOptions:
         ep = make_episode(31)
         with pytest.raises(InputError, match="support labels shape"):
             model.fit_episode(
-                kern, ep.support_x, ep.support_y[:, :3], InnerConfig(steps=0), 0
+                kern, ep.support_x, ep.support_y[:, :3], InnerConfig(steps=0), step_nodes(0, 64, 5)
             )

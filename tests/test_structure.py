@@ -96,3 +96,36 @@ def test_cli_is_wiring():
     } == set()
     assert {name for name in cli if name.startswith("STREAM_")} == {"STREAM_GEN_DATA"}
     assert sum(p.read_text().count("ThreadPoolExecutor") for p in SRC.glob("*.py")) == 1
+
+
+def test_meta_alone_draws():
+    """meta draws every node set and derives every seed, and passes them
+    down: no other module of src/mdgpc but verify.py calls normal_draws or
+    derive_seed, except seeding's own rng_for and the CLI's one gen-data
+    pool seed, and inference and model import nothing from seeding."""
+    calls = [
+        (stem, name)
+        for stem, tree in TREES.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        for name in reads(n.func) & {"normal_draws", "derive_seed"}
+    ]
+    assert {call for call in calls if call[0] == "meta"} == {
+        ("meta", "normal_draws"), ("meta", "derive_seed")
+    }
+    assert sorted(call for call in calls if call[0] != "meta") == [
+        ("cli", "derive_seed"), ("seeding", "derive_seed")
+    ]
+    gen_data = [
+        n for n in ast.walk(TREES["cli"])
+        if isinstance(n, ast.Call) and "derive_seed" in reads(n.func)
+    ]
+    assert "STREAM_GEN_DATA" in reads(gen_data[0])
+    for stem in ("inference", "model"):
+        imported = {
+            alias.name if isinstance(n, ast.Import) else f"{n.module}.{alias.name}"
+            for n in ast.walk(TREES[stem])
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for alias in n.names
+        }
+        assert not any("seeding" in name for name in imported), stem
