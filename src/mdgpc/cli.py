@@ -436,10 +436,9 @@ def cmd_train(cfg: dict) -> int:
         lr_kernel=o["lr_kernel"],
         inner=InnerConfig(inn["rho"], inn["steps"], inn["mc_samples"]),
         pred_samples=cfg["eval"]["pred_samples"],
-        seed=cfg["seed"],
     )
     out = _prepare_output(cfg, "outer_trace.csv", "checkpoint.json")
-    kern, history = meta.train(lambda seed: _build_kernel(cfg, seed), draw, train_cfg)
+    kern, history = meta.train(lambda seed: _build_kernel(cfg, seed), draw, train_cfg, cfg["seed"])
     _write_csv(
         out / "outer_trace.csv",
         ["iter", "objective", "query_ce", "query_acc"],
@@ -449,9 +448,8 @@ def cmd_train(cfg: dict) -> int:
         ],
     )
     _write_json(out / "checkpoint.json", _checkpoint_dict(kern, cfg))
-    n = len(history)
-    tail = history[-1]["query_acc"] if history else float("nan")
-    print(f"trained {n} episodes; final episode query accuracy {tail:.4f}")
+    acc = f"; final episode query accuracy {history[-1]['query_acc']:.4f}" if history else ""
+    print(f"trained {len(history)} episodes{acc}")
     print(f"wrote {out / 'outer_trace.csv'} and {out / 'checkpoint.json'}")
     return 0
 
@@ -554,11 +552,11 @@ def cmd_compare_outer(cfg: dict) -> int:
         lr_kernel=co["outer_lr"],
         inner=InnerConfig(co["inner_rate"], co["inner_steps"], co["mc_samples"]),
         pred_samples=co["pred_samples"],
-        seed=cfg["seed"],
     )
     out = _prepare_output(cfg, "outer_compare.csv")
     new_kernel = lambda seed: _build_kernel(cfg, seed)
-    runs = meta.compare_outer(new_kernel, *sources, train_cfg, co["monitor_episodes"], co["seeds"])
+    n_monitor, seeds = co["monitor_episodes"], co["seeds"]
+    runs = meta.compare_outer(new_kernel, *sources, train_cfg, n_monitor, seeds, cfg["seed"])
     rows = [
         [r["method"], s, r["iter"], float(r["query_ce"]), float(r["query_acc"])]
         for s, run in enumerate(runs, 1)
@@ -570,7 +568,7 @@ def cmd_compare_outer(cfg: dict) -> int:
     wins = sum(f["MD"] <= f["GD"] for f in finals)
     print(
         f"final cross-entropy: mirror-descent inner <= gradient-descent inner "
-        f"on {wins}/{co['seeds']} seeds"
+        f"on {wins}/{seeds} seeds"
     )
     print(f"wrote {out / 'outer_compare.csv'}")
     return 0

@@ -16,9 +16,10 @@ network weights and base-kernel parameters.
 Evaluation and the two MD/GD comparisons each map `_by_index` over units
 seeded by their index alone. This module alone derives every experiment seed
 and draws every node set, each from the run seed through a `seeding.STREAM_*`
-tag, and passes them down as arguments; no config holds a seed but the run
-seed. Callers pass a kernel factory new_kernel(extractor seed) and an
-episode source draw(task seed) -> Episode.
+tag, and passes them down as arguments; every public function takes the run
+seed as an argument, and no config holds a seed. Callers pass a kernel
+factory new_kernel(extractor seed) and an episode source
+draw(task seed) -> Episode.
 """
 
 import concurrent.futures
@@ -122,14 +123,13 @@ class AdamState:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings of the outer loop: one Adam step per training episode."""
+    """Outer-loop settings (one Adam step per episode); the run seed is an argument."""
 
     episodes: int = 100
     lr_net: float = 1e-3
     lr_kernel: float = 1e-4
     inner: InnerConfig = InnerConfig(rho=1.0, steps=3)
     pred_samples: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if self.episodes < 0:
@@ -139,10 +139,6 @@ class TrainConfig:
                 raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.pred_samples < 1:
             raise InputError(f"pred_samples must be >= 1, got {self.pred_samples}")
-
-    def inner_at(self, it: int) -> int:
-        """The inner-loop draw seed of training episode `it`."""
-        return derive_seed(self.seed, seeding.STREAM_INNER_MC, it)
 
 
 def adam_step(
@@ -173,22 +169,28 @@ def _query_probs(fit: model.FittedEpisode, episode, nodes: np.ndarray):
     return probs, np.argmax(episode.query_y, axis=1)
 
 
-def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method: str):
-    """The outer loop: yield (it, episode, fit, updated kernel) per episode.
+def _training_draws(draw, seed: int, stream: int, cfg: TrainConfig, n_classes: int):
+    """Lazily yield (episode, inner draw seed, step set) per training episode."""
+    for it in range(1, cfg.episodes + 1):
+        inner_seed = derive_seed(seed, seeding.STREAM_INNER_MC, it)
+        episode = draw(derive_seed(seed, stream, it))
+        yield episode, inner_seed, _step_nodes(inner_seed, cfg.inner, n_classes)
 
-    For it = 1..cfg.episodes: fit draw(derive_seed(cfg.seed, stream, it)) by
-    the `method` inner loop on the step set of draw seed cfg.inner_at(it), then
-    take one Adam step along the outer gradient. A failed fit, or a step to
-    non-finite hyperparameters, raises NumericalError naming method and episode.
+
+def outer_steps(kernel: DeepKernel, draws, cfg: TrainConfig, method: str):
+    """The outer loop: yield (it, episode, inner draw seed, fit, updated kernel).
+
+    For the items (episode, inner draw seed, step set) of `draws`, it = 1, 2, ...,
+    fit the episode by the `method` inner loop on its step set, then take one
+    Adam step along the outer gradient; it draws nothing. A failed fit, or a step
+    to non-finite hyperparameters, raises NumericalError naming method and episode.
     """
     flat = flatten_hypers(kernel)
     st = AdamState.zeros(flat.shape[0])
     lr = np.full(flat.shape[0], cfg.lr_kernel)
     lr[: net_param_count(kernel.extractor)] = cfg.lr_net  # network weights come first
-    for it in range(1, cfg.episodes + 1):
-        episode = draw(derive_seed(cfg.seed, stream, it))
+    for it, (episode, inner_seed, nodes) in enumerate(draws, 1):
         with named_failures(f"{method} episode {it}"):
-            nodes = _step_nodes(cfg.inner_at(it), cfg.inner, kernel.base.n_classes)
             fit = model.fit_episode(
                 kernel, episode.support_x, episode.support_y, cfg.inner, nodes, method
             )
@@ -196,25 +198,26 @@ def outer_steps(kernel: DeepKernel, draw, stream: int, cfg: TrainConfig, method:
             if not np.isfinite(flat).all():
                 raise NumericalError("outer step left non-finite hyperparameters")
         kernel = unflatten_hypers(flat, kernel)
-        yield it, episode, fit, kernel
+        yield it, episode, inner_seed, fit, kernel
 
 
-def train(new_kernel, draw, cfg: TrainConfig):
+def train(new_kernel, draw, cfg: TrainConfig, seed: int):
     """Meta-train with the mirror-descent inner loop.
 
     The kernel starts as new_kernel(extractor seed) and trains on the
-    episodes draw(task seed), both seeds derived from cfg.seed. Returns the
-    trained kernel and one history row per episode with the outer objective
-    (episode ELBO at the fitted posterior) and query monitoring metrics.
+    episodes draw(task seed), both seeds derived from the run seed; each
+    episode is drawn once the one before it is fitted. Returns the trained
+    kernel and one history row per episode with the outer objective (episode
+    ELBO at the fitted posterior) and query monitoring metrics.
     """
-    kernel = new_kernel(derive_seed(cfg.seed, seeding.STREAM_TRAIN_EXTRACTOR))
-    history = []
-    for it, episode, fit, kernel in outer_steps(kernel, draw, seeding.STREAM_TRAIN_EP, cfg, "MD"):
-        pred_seed = derive_seed(cfg.seed, seeding.STREAM_TRAIN_PRED, it)
-        Y, c = episode.support_y, kernel.base.n_classes
+    kernel = new_kernel(derive_seed(seed, seeding.STREAM_TRAIN_EXTRACTOR))
+    c = kernel.base.n_classes
+    history, draws = [], _training_draws(draw, seed, seeding.STREAM_TRAIN_EP, cfg, c)
+    for it, episode, inner_seed, fit, kernel in outer_steps(kernel, draws, cfg, "MD"):
         with named_failures(f"MD episode {it}"):
-            lik = SoftmaxLikelihood(normal_draws(cfg.inner_at(it), (cfg.inner.samples, c)))
-            objective = inference.elbo(fit.state, Y, lik)
+            lik = SoftmaxLikelihood(normal_draws(inner_seed, (cfg.inner.samples, c)))
+            objective = inference.elbo(fit.state, episode.support_y, lik)
+            pred_seed = derive_seed(seed, seeding.STREAM_TRAIN_PRED, it)
             pred_nodes = normal_draws(pred_seed, (cfg.pred_samples, c))
             probs, y_idx = _query_probs(fit, episode, pred_nodes)
         ce, acc = metrics.nll(probs, y_idx), metrics.accuracy(probs, y_idx)
@@ -254,19 +257,18 @@ def compare_inner(new_kernel, draw, inner: InnerConfig, n_episodes: int, seed: i
     return _by_index(unit, n_episodes)
 
 
-def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_monitor: int):
-    """The rows of one seed of `compare_outer`, at run seed cfg.seed."""
-    # (episode, step nodes, prediction nodes) per monitor episode, drawn
-    # once per run and refitted by both methods at every iteration
-    seed, c = cfg.seed, kernel.base.n_classes
+def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_mon: int, seed: int):
+    """The rows of one seed of `compare_outer`, at run seed `seed`."""
+    c = kernel.base.n_classes
     bank = [
         (
             draw_monitor(derive_seed(seed, seeding.STREAM_MONITOR_EP, j)),
             _step_nodes(derive_seed(seed, seeding.STREAM_MONITOR_INNER, j), cfg.inner, c),
             normal_draws(derive_seed(seed, seeding.STREAM_MONITOR_PRED, j), (cfg.pred_samples, c)),
         )
-        for j in range(1, n_monitor + 1)
+        for j in range(1, n_mon + 1)
     ]
+    draws = list(_training_draws(draw, seed, seeding.STREAM_COMPARE_OUTER_EP, cfg, c))
 
     def monitor(kern: DeepKernel, method: str, it: int) -> dict:
         ces, accs = [], []
@@ -282,21 +284,21 @@ def _compare_run(kernel: DeepKernel, draw, draw_monitor, cfg: TrainConfig, n_mon
     rows = []
     for method in ("MD", "GD"):
         rows.append(monitor(kernel, method, 0))
-        steps = outer_steps(kernel, draw, seeding.STREAM_COMPARE_OUTER_EP, cfg, method)
-        rows.extend(monitor(kern, method, it) for it, _, _, kern in steps)
+        steps = outer_steps(kernel, draws, cfg, method)
+        rows.extend(monitor(kern, method, it) for it, *_, kern in steps)
     return rows
 
 
 def compare_outer(
-    new_kernel, draw, draw_monitor, cfg: TrainConfig, monitor_episodes: int, seeds: int
+    new_kernel, draw, draw_monitor, cfg: TrainConfig, monitor_episodes: int, seeds: int, seed: int
 ) -> list:
     """Meta-train twice per seed from one initialization, inner loop MD then GD.
 
-    Seed s derives a run seed from cfg.seed and s, and from it the kernel
+    Seed s derives a run seed from `seed` and s, and from it the kernel
     new_kernel(extractor seed), the episodes draw(task seed), the monitor
-    bank draw_monitor(task seed) and all node sets. Both variants see the
-    same episode sequence, the same inner-loop node sets and the same Adam
-    rates, so the only difference is the inner update rule. Progress is
+    bank draw_monitor(task seed) and all node sets. Both variants read one
+    list of training episodes and step sets, drawn once per run, at the same
+    Adam rates, so the only difference is the inner update rule. Progress is
     monitored with the predictive-likelihood loss: refit a fixed bank of
     `monitor_episodes` held-out episodes, each with its step and prediction
     node sets drawn once per run, with the current hyperparameters (same
@@ -308,9 +310,9 @@ def compare_outer(
         raise InputError(f"monitor_episodes must be >= 1, got {monitor_episodes}")
 
     def unit(s: int) -> list:
-        run_seed = derive_seed(cfg.seed, seeding.STREAM_COMPARE_OUTER, s)
+        run_seed = derive_seed(seed, seeding.STREAM_COMPARE_OUTER, s)
         kern = new_kernel(derive_seed(run_seed, seeding.STREAM_COMPARE_OUTER_EXTRACTOR))
-        return _compare_run(kern, draw, draw_monitor, replace(cfg, seed=run_seed), monitor_episodes)
+        return _compare_run(kern, draw, draw_monitor, cfg, monitor_episodes, run_seed)
 
     return _by_index(unit, seeds)
 

@@ -291,6 +291,13 @@ class TestTrain:
         trace = (out / "outer_trace.csv").read_text().splitlines()
         assert len(trace) == 1
 
+    def test_zero_epochs_print_no_accuracy(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", write_cfg(tmp_path), out, "--set", "outer.epochs=0") == 0
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[0] == "trained 0 episodes"
+        assert "nan" not in printed
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "out"

@@ -165,12 +165,11 @@ class TestTrain:
             lr_kernel=lr / 10,
             inner=InnerConfig(rho=1.0, steps=2, samples=32),
             pred_samples=64,
-            seed=11,
         )
 
     def test_deterministic(self):
-        k1, h1 = meta.train(small_kernel, small_source, self.cfg())
-        k2, h2 = meta.train(small_kernel, small_source, self.cfg())
+        k1, h1 = meta.train(small_kernel, small_source, self.cfg(), seed=11)
+        k2, h2 = meta.train(small_kernel, small_source, self.cfg(), seed=11)
         np.testing.assert_array_equal(
             meta.flatten_hypers(k1), meta.flatten_hypers(k2)
         )
@@ -178,14 +177,14 @@ class TestTrain:
 
     def test_zero_epochs_leaves_kernel_unchanged(self):
         kern = small_kernel(11)
-        trained, history = meta.train(lambda _: kern, small_source, self.cfg(episodes=0))
+        trained, history = meta.train(lambda _: kern, small_source, self.cfg(episodes=0), seed=11)
         np.testing.assert_array_equal(
             meta.flatten_hypers(trained), meta.flatten_hypers(kern)
         )
         assert history == []
 
     def test_history_rows_and_keys(self):
-        _, history = meta.train(small_kernel, small_source, self.cfg(episodes=6))
+        _, history = meta.train(small_kernel, small_source, self.cfg(episodes=6), seed=11)
         assert len(history) == 6
         assert [row["iter"] for row in history] == [1, 2, 3, 4, 5, 6]
         assert set(history[0]) == {"iter", "objective", "query_ce", "query_acc"}
@@ -201,9 +200,8 @@ class TestTrain:
             lr_kernel=1e-3,
             inner=InnerConfig(rho=1.0, steps=2, samples=64),
             pred_samples=32,
-            seed=0,
         )
-        _, history = meta.train(lambda _: kern, src, cfg)
+        _, history = meta.train(lambda _: kern, src, cfg, seed=0)
         first = np.mean([r["objective"] for r in history[:5]])
         last = np.mean([r["objective"] for r in history[-5:]])
         assert last > first
@@ -216,6 +214,23 @@ class TestTrain:
         with pytest.raises(InputError, match="pred_samples must be >= 1, got 0"):
             meta.TrainConfig(pred_samples=0)
 
+    def test_draws_each_episode_after_fitting_the_one_before(self, monkeypatch):
+        # train holds one training episode at a time: episode it + 1 is drawn
+        # only once episode it is fitted
+        calls, fit_episode = [], model.fit_episode
+
+        def draw(seed: int) -> tasks.Episode:
+            calls.append("draw")
+            return small_source(seed)
+
+        def fit(*args):
+            calls.append("fit")
+            return fit_episode(*args)
+
+        monkeypatch.setattr(model, "fit_episode", fit)
+        meta.train(small_kernel, draw, self.cfg(episodes=3), seed=11)
+        assert calls == ["draw", "fit"] * 3
+
     def test_overflowing_adam_rate_names_the_episode(self):
         # a rate near the float maximum moves the hyperparameters by about
         # 1e308 in the first step, so the fit of episode 2 overflows; the
@@ -223,7 +238,7 @@ class TestTrain:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericalError, match="^MD episode 2: "):
-                meta.train(small_kernel, small_source, self.cfg(lr=1e308))
+                meta.train(small_kernel, small_source, self.cfg(lr=1e308), seed=11)
         assert not caught
 
 
@@ -288,15 +303,14 @@ class TestCompareOuter:
             lr_kernel=1e-3,
             inner=InnerConfig(rho=0.05, steps=2, samples=16),
             pred_samples=32,
-            seed=5,
         )
-        rows = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
+        rows = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1, seed=5)[0]
         assert len(rows) == 2 * (cfg.episodes + 1)
         assert [r["method"] for r in rows] == ["MD"] * 3 + ["GD"] * 3
         assert [r["iter"] for r in rows] == [0, 1, 2, 0, 1, 2]
         # both variants start from the same initialization but monitor with
         # method-specific refits, so iter-0 rows can differ between methods
-        again = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1)[0]
+        again = meta.compare_outer(lambda _: kern, small_source, small_source, cfg, 2, 1, seed=5)[0]
         assert rows == again
 
     def test_monitor_bank_is_drawn_once_per_seed(self):
@@ -313,14 +327,32 @@ class TestCompareOuter:
             lr_kernel=1e-3,
             inner=InnerConfig(rho=0.05, steps=1, samples=8),
             pred_samples=16,
-            seed=5,
         )
-        meta.compare_outer(small_kernel, small_source, draw_monitor, cfg, 3, 2)
+        meta.compare_outer(small_kernel, small_source, draw_monitor, cfg, 3, 2, seed=5)
         assert len(seeds) == 2 * 3 and len(set(seeds)) == 2 * 3
 
+    def test_each_task_is_drawn_once(self):
+        # the monitor bank and the training episodes are each drawn once per
+        # run, and both methods read them
+        seeds = []
+
+        def draw(seed: int) -> tasks.Episode:
+            seeds.append(seed)
+            return small_source(seed)
+
+        cfg = meta.TrainConfig(
+            episodes=2,
+            lr_net=1e-3,
+            lr_kernel=1e-3,
+            inner=InnerConfig(rho=0.05, steps=1, samples=8),
+            pred_samples=16,
+        )
+        meta.compare_outer(small_kernel, draw, draw, cfg, 3, 1, seed=5)
+        assert len(seeds) == 3 + cfg.episodes and len(set(seeds)) == len(seeds)
+
     def test_each_node_set_is_drawn_once(self, monkeypatch):
-        # the bank's step and prediction sets are drawn once per run, and
-        # each training fit of either method draws its step set
+        # the bank's step and prediction sets and each training episode's
+        # step set are drawn once per run, and both methods read them
         drawn = record_draws(monkeypatch)
         cfg = meta.TrainConfig(
             episodes=2,
@@ -328,14 +360,14 @@ class TestCompareOuter:
             lr_kernel=1e-3,
             inner=InnerConfig(rho=0.05, steps=2, samples=16),
             pred_samples=32,
-            seed=5,
         )
-        meta.compare_outer(small_kernel, small_source, small_source, cfg, 3, 1)
-        assert len(drawn) == 2 * 3 + 2 * cfg.episodes
+        meta.compare_outer(small_kernel, small_source, small_source, cfg, 3, 1, seed=5)
+        assert len(drawn) == 2 * 3 + cfg.episodes
 
     def test_empty_monitor_bank_rejected(self):
+        cfg = meta.TrainConfig()
         with pytest.raises(InputError, match="monitor_episodes must be >= 1"):
-            meta.compare_outer(small_kernel, small_source, small_source, meta.TrainConfig(), 0, 1)
+            meta.compare_outer(small_kernel, small_source, small_source, cfg, 0, 1, seed=0)
 
 
 class TestNodeSets:
@@ -357,8 +389,8 @@ class TestNodeSets:
         ev_pred = derive_seed(3, seeding.STREAM_EVAL_PRED, 1)
         assert drawn == [step_set(ev_inner), (ev_pred, (32, 3))]
         drawn.clear()
-        cfg = meta.TrainConfig(episodes=1, inner=inner, pred_samples=32, seed=11)
-        meta.train(small_kernel, small_source, cfg)
+        cfg = meta.TrainConfig(episodes=1, inner=inner, pred_samples=32)
+        meta.train(small_kernel, small_source, cfg, seed=11)
         tr_inner = derive_seed(11, seeding.STREAM_INNER_MC, 1)
         tr_pred = derive_seed(11, seeding.STREAM_TRAIN_PRED, 1)
         assert drawn == [step_set(tr_inner), (tr_inner, (16, 3)), (tr_pred, (32, 3))]
@@ -383,9 +415,8 @@ class TestUnitsDependOnTheirIndexAlone:
             lr_kernel=1e-3,
             inner=InnerConfig(rho=0.05, steps=1, samples=8),
             pred_samples=16,
-            seed=6,
         )
-        run = lambda n: meta.compare_outer(small_kernel, small_source, small_source, cfg, 1, n)
+        run = lambda n: meta.compare_outer(small_kernel, small_source, small_source, cfg, 1, n, 6)
         assert run(3)[:2] == run(2)
 
     def test_evaluate_episodes(self):
@@ -400,7 +431,6 @@ class TestUnitsDependOnTheirIndexAlone:
             lr_kernel=1e-4,
             inner=InnerConfig(rho=1.0, steps=2, samples=16),
             pred_samples=32,
-            seed=7,
         )
-        run = lambda n: meta.train(small_kernel, small_source, cfg(n))[1]
+        run = lambda n: meta.train(small_kernel, small_source, cfg(n), seed=7)[1]
         assert run(3)[:2] == run(2)
