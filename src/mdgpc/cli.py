@@ -536,8 +536,11 @@ def cmd_compare_inner(cfg: dict) -> int:
         for step, value in enumerate(elbos)
     ]
     _write_csv(out / "inner_trace.csv", ["method", "episode", "step", "elbo"], rows)
-    wins = sum(trace["MD"][-1] >= trace["GD"][-1] for trace in traces)
-    print(f"final ELBO: mirror descent >= gradient descent on {wins}/{ci['episodes']} episodes")
+    if ci["steps"] == 0:
+        print("final ELBO: no inner step taken (compare_inner.steps = 0), both methods at the prior")
+    else:
+        wins = sum(trace["MD"][-1] >= trace["GD"][-1] for trace in traces)
+        print(f"final ELBO: mirror descent >= gradient descent on {wins}/{ci['episodes']} episodes")
     print(f"wrote {out / 'inner_trace.csv'}")
     return 0
 

@@ -33,10 +33,12 @@ Every state gives the same three things: means ``m`` and marginal variances
 ``kl`` (C,), and the per-class terms (K^{-1} m, K^{-1} - K^{-1} Sigma K^{-1})
 that prediction and the outer gradient use, from ``kinv_terms``. The
 mirror-descent state holds its (C, N) site naturals ``alpha`` and ``beta``,
-and the ``u`` and inverse ``binv`` of B its last step computed, so
-``kinv_terms`` is the elementwise product W B^{-1} W and neither factors
-nor solves; the gradient-ascent state holds its (C, N, N) Cholesky factors
-``chol``. Each state derives ``kl`` when it is read, from what it holds.
+and the ``u``, ``b`` = B and inverse ``binv`` of B its last step computed,
+so ``kinv_terms`` is the elementwise product W B^{-1} W and neither factors
+nor solves, and ``kl`` factors the kept B without building it again; the
+gradient-ascent state holds its (C, N, N) Cholesky factors ``chol`` and
+its marginal variances ``v``, the row sums of L o L, computed once when the
+state is made. Each state derives ``kl`` when it is read, from what it holds.
 ``elbo(state, Y, lik)`` reads only ``m``, ``v`` and ``kl``; it and the steps
 hand ``m`` and ``v`` to the likelihood in this layout, untransposed. The step
 arithmetic is written once for all classes, with batched ``@`` on the
@@ -65,7 +67,7 @@ eigenvalues are at least 1, so a mirror step inverts B itself and factors
 nothing; a gradient-ascent step inverts, solves and factors nothing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,15 +91,16 @@ class VariationalState:
     m: np.ndarray  # (C, N) posterior means
     v: np.ndarray  # (C, N) posterior marginal variances
     u: np.ndarray  # (C, N) K^{-1} m
-    binv: np.ndarray  # (C, N, N) inverses of B = I + W K W
+    b: np.ndarray  # (C, N, N) B = I + W K W
+    binv: np.ndarray  # (C, N, N) inverses of B
     k_eff: np.ndarray  # (C, N, N) prior covariances, from the prior's GramResult
 
     @property
     def kl(self) -> np.ndarray:
         """(C,) KL(q^c || prior^c), 1/2 (m' u - sum_i W_i X_ii) + sum log diag L_B,
-        with X_ii from the kept inverse of B and L_B from B factored here."""
+        with X_ii from the kept inverse of B and L_B from the kept B factored here."""
         W = _site_scale(self.beta)
-        LB, _ = spd_cholesky(_site_b(self.k_eff, W))
+        LB, _ = spd_cholesky(self.b)
         wx = W * np.einsum("cij,cij->ci", self.binv, self.k_eff * W[:, None, :])
         half_logdet_b = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
         return 0.5 * np.sum(self.m * self.u - wx, axis=1) + half_logdet_b
@@ -119,11 +122,11 @@ class GdState:
     chol: np.ndarray  # (C, N, N) lower-triangular factors
     prior_chol_inv: np.ndarray  # (C, N, N) inverses of the prior factors, from gd_init
     kinv: np.ndarray  # (C, N, N) symmetric prior inverses, from gd_init
+    v: np.ndarray = field(init=False)  # (C, N) marginal variances diag(L L')
 
-    @property
-    def v(self) -> np.ndarray:
-        """(C, N) marginal variances diag(L L'), the row sums of L o L."""
-        return np.sum(self.chol * self.chol, axis=2)
+    def __post_init__(self):
+        # the row sums of L o L, once per state: replace() builds a new state
+        self.v = np.sum(self.chol * self.chol, axis=2)
 
     @property
     def kl(self) -> np.ndarray:
@@ -188,11 +191,6 @@ def _site_scale(beta: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.minimum(beta, 0.0))
 
 
-def _site_b(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """B = I + W K W for every class."""
-    return np.eye(K.shape[1]) + (W[:, :, None] * K) * W[:, None, :]
-
-
 def _moved(m: np.ndarray, v: np.ndarray, m0: np.ndarray, v0: np.ndarray) -> float:
     """max(|m - m0| / sqrt(v), |v - v0| / v): how far a step from (m0, v0)
     to (m, v) moved the posterior, in its own sds and variances."""
@@ -200,29 +198,35 @@ def _moved(m: np.ndarray, v: np.ndarray, m0: np.ndarray, v0: np.ndarray) -> floa
 
 
 def posterior_from_sites(K: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """(m, v, u, binv): the means and marginal variances of the posterior
+    """(m, v, u, b, binv): the means and marginal variances of the posterior
     N((K^{-1} - 2 diag(beta))^{-1} alpha, same inverse) under the prior
     N(0, K), stacked by class, from the inverse binv of B = I + W K W alone,
-    with W = sqrt(-2 beta) and X = B^{-1} W K. B's eigenvalues are at least
-    1, so the inverse is well conditioned; u = K^{-1} m and binv are kept
-    for `kinv_terms` and the state's KL. Nothing is factored.
+    with W = sqrt(-2 beta) and X = B^{-1} W K. B is (W K) W with 1 added to
+    its diagonal in place. B's eigenvalues are at least 1, so the inverse is
+    well conditioned; u = K^{-1} m, B and binv are kept for `kinv_terms` and
+    the state's KL. Nothing is factored.
     """
+    c, n, _ = K.shape
     W = _site_scale(beta)
-    binv = np.linalg.inv(_site_b(K, W))
+    b = (W[:, :, None] * K) * W[:, None, :]
+    b.reshape(c, n * n)[:, :: n + 1] += 1.0  # the diagonals, through a view
+    binv = np.linalg.inv(b)
     KW = K * W[:, None, :]
     X = binv @ KW.swapaxes(1, 2)
     u = alpha - W * _matvec(X, alpha)  # K^{-1} m
     m = _matvec(K, u)
     v = np.diagonal(K, axis1=1, axis2=2) - np.einsum("cij,cji->ci", KW, X)
-    return m, v, u, binv
+    return m, v, u, b, binv
 
 
 def md_init(prior: GramResult) -> VariationalState:
-    """Zero sites; the posterior starts at the prior, where B = I and u = 0."""
+    """Zero sites; the posterior starts at the prior, where B = B^{-1} = I and u = 0."""
     k_eff = prior.k_eff
     zeros, v = np.zeros(k_eff.shape[:2]), np.diagonal(k_eff, axis1=1, axis2=2)
-    binv = np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
-    return VariationalState(alpha=zeros, beta=zeros, m=zeros, v=v, u=zeros, binv=binv, k_eff=k_eff)
+    eye = np.broadcast_to(np.eye(k_eff.shape[1]), k_eff.shape)
+    return VariationalState(
+        alpha=zeros, beta=zeros, m=zeros, v=v, u=zeros, b=eye, binv=eye, k_eff=k_eff
+    )
 
 
 def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> VariationalState:
@@ -234,8 +238,8 @@ def md_step(state: VariationalState, Y: np.ndarray, rho: float, lik) -> Variatio
     # toward the mean-parameter gradients (g_m - 2 g_v m, g_v)
     alpha = (1.0 - rho) * state.alpha + rho * (g_m - 2.0 * g_v * state.m)
     beta = np.minimum((1.0 - rho) * state.beta + rho * g_v, 0.0)
-    m, v, u, binv = posterior_from_sites(state.k_eff, alpha, beta)
-    return replace(state, alpha=alpha, beta=beta, m=m, v=v, u=u, binv=binv)
+    m, v, u, b, binv = posterior_from_sites(state.k_eff, alpha, beta)
+    return replace(state, alpha=alpha, beta=beta, m=m, v=v, u=u, b=b, binv=binv)
 
 
 def gd_init(prior: GramResult) -> GdState:

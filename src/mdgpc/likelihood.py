@@ -18,10 +18,10 @@ mean parameters (mu1, mu2) = (m, v + m^2) gives
 
     d_mu1 = g_m - 2 g_v * m,      d_mu2 = g_v.
 
-Estimators accept explicit draws ``eps`` and optional ``weights`` so tests
-and the checks of :mod:`mdgpc.verify` can substitute deterministic weighted
-node sets (its Gauss-Hermite rule) for seeded draws; both then evaluate the
-same functional on common numbers.
+A `SoftmaxLikelihood` takes explicit draws ``eps`` and optional
+``weights``, so tests and the checks of :mod:`mdgpc.verify` can substitute
+deterministic weighted node sets (its Gauss-Hermite rule) for seeded draws;
+both then evaluate the same functional on common numbers.
 
 Each expectation is only C-dimensional, so the seeded draws are one
 randomized quasi-Monte Carlo node set of shape (S, C) that every point
@@ -29,16 +29,25 @@ shares (Buchholz, Wenzel & Mandt, "Quasi-Monte Carlo Variational
 Inference", ICML 2018): the first S points of the Sobol sequence, with Joe
 & Kuo's direction numbers (SIAM J. Sci. Comput. 2008) as scipy ships them,
 digitally shifted by a seeded 52-bit mask per dimension and mapped through
-the standard normal quantile (Wichura's AS241). The unshifted net is built
-once per (S, C) and cached, under a lock, so threads that ask for one net
-at once read the table once; a power-of-two S keeps it balanced.
+the standard normal quantile (Wichura's AS241). The quantile's central
+and near-tail rationals run on every node, and the far-tail one only when
+some node lies beyond r = 5; each numerator and denominator is one Horner
+pass in place, with scalar coefficients, so every node takes the same
+floating-point operations as when all three rationals ran on every node.
+The unshifted net is built once per (S, C) and cached, under a lock, so
+threads that ask for one net at once read the table once; a power-of-two S
+keeps it balanced.
 
 The marginals m, v and the gradients are (C, N), as every inner-loop state
 holds them; the labels Y are (N, C) one-hot rows, as episodes give them.
 Every Monte Carlo softmax (these estimators and the label probabilities of
 :func:`~mdgpc.model.predict_labels`) lays the logits out (C, N, S), nodes
 innermost and contiguous, from one node set (S, C) for all points, laid out
-(C, 2, S): each class's nodes, then a row of ones. The logits are one
+(C, 2, S): each class's nodes, then a row of ones. A `SoftmaxLikelihood`
+checks its set and lays it out once, at construction, and its estimators
+pass that layout to `batch_grads_mv` and `batch_expected_loglik`, so an
+inner loop lays out each of its sets once however many steps it takes,
+and each call checks only the marginals. The logits are one
 batched product f = [sd, m] @ [eps; 1], (C, N, 2) @ (C, 2, S), written
 straight into their buffer; with two terms it rounds sd * eps and then the
 sum, as m + sd * eps does. The class max and the class sum are then
@@ -103,22 +112,36 @@ _AS241 = (
 )
 
 
-def _rational(coeffs, r):
-    """num(r) / den(r) for one AS241 pair, each by Horner's rule as written."""
-    num, den = (np.full_like(r, c[0]) for c in coeffs)
-    for a, b in zip(*(c[1:] for c in coeffs)):
-        num = num * r + a
-        den = den * r + b
-    return num / den
+def _horner(coeffs, r):
+    """coeffs[0] r^7 + ... + coeffs[7] by Horner's rule as written,
+    (coeffs[0] r + coeffs[1]) r + ..., in place on one buffer."""
+    acc = r * coeffs[0]
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _rational(pair, r):
+    """num(r) / den(r) for one AS241 pair."""
+    num, den = (_horner(coeffs, r) for coeffs in pair)
+    num /= den
+    return num
 
 
 def _norm_quantile(p: np.ndarray) -> np.ndarray:
     """Standard normal quantiles of p in (0, 1), by AS241 (Wichura, Applied
-    Statistics 37, 1988), the method of ``statistics.NormalDist.inv_cdf``."""
+    Statistics 37, 1988), the method of ``statistics.NormalDist.inv_cdf``.
+    The central and near-tail rationals are evaluated on every node, and the
+    far-tail one only when some node has r > 5."""
     q = p - 0.5
     central = q * _rational(_AS241[0], 0.180625 - q * q)
     r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-    tail = np.where(r <= 5.0, _rational(_AS241[1], r - 1.6), _rational(_AS241[2], r - 5.0))
+    near = r <= 5.0
+    tail = _rational(_AS241[1], r - 1.6)
+    if not near.all():
+        tail = np.where(near, tail, _rational(_AS241[2], r - 5.0))
     return np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
 
 
@@ -191,10 +214,21 @@ def normal_draws(seed: int, shape: tuple) -> np.ndarray:
     return _norm_quantile(((net ^ shift) + 0.5) * 2.0**-_BITS)
 
 
-def _prepare_batch(m, v, eps):
-    """Checked (C, N) marginals and the node set (S, C) that all points
-    share, laid out as contiguous (C, 2, S) rows: each class's nodes, then a
-    row of ones, the right factor of `_stable_logits`' product."""
+def _node_layout(eps):
+    """The node set (S, C) that all points share, checked and laid out as
+    contiguous (C, 2, S) rows: each class's nodes, then a row of ones, the
+    right factor of `_stable_logits`' product."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 2:
+        raise InputError(f"draws must be an (S, C) array, got shape {eps.shape}")
+    nodes = np.ones((eps.shape[1], 2, eps.shape[0]))
+    nodes[:, 0, :] = eps.T
+    return nodes
+
+
+def _checked_marginals(m, v, nodes):
+    """(C, N) marginals, checked against each other and against the classes
+    of the (C, 2, S) node layout `nodes`."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2:
@@ -203,18 +237,16 @@ def _prepare_batch(m, v, eps):
         )
     if np.any(v < 0.0):
         raise InputError("negative marginal variance")
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 2 or eps.shape[1] != m.shape[0]:
-        raise InputError(f"draws shape {eps.shape} incompatible with {m.shape}")
-    nodes = np.ones((m.shape[0], 2, eps.shape[0]))
-    nodes[:, 0, :] = eps.T
-    return m, v, nodes
+    if nodes.shape[0] != m.shape[0]:
+        draws = (nodes.shape[2], nodes.shape[0])
+        raise InputError(f"draws shape {draws} incompatible with {m.shape}")
+    return m, v
 
 
 def _stable_logits(m, sd, nodes):
     """f - max_c f for f = m + sd * eps, in one fresh C-ordered (C, N, S) buffer.
 
-    m, sd: (C, N); nodes: (C, 2, S) from `_prepare_batch`. f is the batched
+    m, sd: (C, N); nodes: (C, 2, S) from `_node_layout`. f is the batched
     product [sd, m] @ [eps; 1], (C, N, 2) @ (C, 2, S), which rounds
     sd * eps and then its sum with m, as the elementwise form does (bit for
     bit, but where N or S is 1 and the matrix-vector kernel may fuse the
@@ -245,13 +277,14 @@ def _node_mean(x, weights):
     return x @ np.asarray(weights, dtype=float)
 
 
-def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
+def batch_expected_loglik(m, v, Y, nodes, weights=None) -> float:
     """Sum over points of the estimated E[log p(y_n | f_n)].
 
-    m, v: (C, N); Y: (N, C); eps: (S, C), one node set for all points;
-    weights: (S,) or None (uniform), else the estimate is sum_s w_s log p(y | f^(s)).
+    m, v: (C, N); Y: (N, C); nodes: one (S, C) node set for all points, laid
+    out (C, 2, S) by `SoftmaxLikelihood`; weights: (S,) or None (uniform),
+    else the estimate is sum_s w_s log p(y | f^(s)).
     """
-    m, v, nodes = _prepare_batch(m, v, eps)
+    m, v = _checked_marginals(m, v, nodes)
     stable = _stable_logits(m, np.sqrt(v), nodes)
     # y . (f - max) - log sum_c exp(f - max), for one-hot y
     ll = np.einsum("cn,cns->ns", np.asarray(Y, dtype=float).T, stable)
@@ -260,9 +293,10 @@ def batch_expected_loglik(m, v, Y, eps, weights=None) -> float:
     return float(np.sum(_node_mean(ll, weights)))
 
 
-def batch_grads_mv(m, v, Y, eps, weights=None):
-    """Estimated (g_m, g_v) for every point at once, each (C, N) like m and v."""
-    m, v, nodes = _prepare_batch(m, v, eps)
+def batch_grads_mv(m, v, Y, nodes, weights=None):
+    """Estimated (g_m, g_v) for every point at once, each (C, N) like m and
+    v, on a node layout as `batch_expected_loglik` takes it."""
+    m, v = _checked_marginals(m, v, nodes)
     p = _softmax(m, np.sqrt(v), nodes)
     p_bar = _node_mean(p, weights)
     g_m = np.asarray(Y, dtype=float).T - p_bar
@@ -276,15 +310,16 @@ class SoftmaxLikelihood:
 
     Bundling the draws makes the object a deterministic functional of the
     marginals, which is what both the inner-loop steps and the
-    finite-difference checks evaluate.
+    finite-difference checks evaluate. The (S, C) set is checked and laid
+    out (C, 2, S) once, here, and every evaluation reads that layout.
     """
 
     def __init__(self, eps: np.ndarray, weights=None):
-        self.eps = np.asarray(eps, dtype=float)
+        self.nodes = _node_layout(eps)
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
 
     def expected_loglik(self, m, v, Y) -> float:
-        return batch_expected_loglik(m, v, Y, self.eps, self.weights)
+        return batch_expected_loglik(m, v, Y, self.nodes, self.weights)
 
     def grads_mv(self, m, v, Y):
-        return batch_grads_mv(m, v, Y, self.eps, self.weights)
+        return batch_grads_mv(m, v, Y, self.nodes, self.weights)

@@ -30,7 +30,7 @@ import numpy as np
 from . import inference, kernels
 from .errors import InputError
 from .inference import InnerConfig
-from .likelihood import _prepare_batch, _softmax
+from .likelihood import _checked_marginals, _node_layout, _softmax
 
 __all__ = ["FittedEpisode", "fit_episode", "predict_latent", "predict_labels"]
 
@@ -95,5 +95,6 @@ def predict_labels(fit: FittedEpisode, query_x: np.ndarray, nodes: np.ndarray) -
     the (S, C) node set `nodes`, which every query shares; (M, C) rows
     summing to 1, the one transpose of the predictive's (C, M) stacks."""
     mu, var = predict_latent(fit, query_x)
-    mu, var, nodes = _prepare_batch(mu, np.maximum(var, 0.0), nodes)
+    nodes = _node_layout(nodes)
+    mu, var = _checked_marginals(mu, np.maximum(var, 0.0), nodes)
     return np.ascontiguousarray(np.mean(_softmax(mu, np.sqrt(var), nodes), axis=-1).T)

@@ -60,7 +60,7 @@ from . import kernels, seeding, tasks
 from .errors import InputError, NumericalError, named_failures
 from .expfam import _check_finite, gaussian_kl, spd_cholesky
 from .inference import _validate_labels, md_init, md_step
-from .likelihood import SoftmaxLikelihood, batch_expected_loglik, batch_grads_mv
+from .likelihood import SoftmaxLikelihood
 from .seeding import derive_seed, rng_for
 
 __all__ = [
@@ -411,14 +411,14 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
     v = 0.5 + rng.random(c)
     Y = np.zeros((1, c))
     Y[0, 0] = 1.0
-    eps, weights = gauss_hermite_draws(16, c)
+    lik = SoftmaxLikelihood(*gauss_hermite_draws(16, c))
 
     def marginals(mm, vv):
         """The point's (C, 1) mean and variance, the variance taken back from
         the mean parameter mu2 = v + m^2."""
         return mm[:, None], ((vv + mm * mm) - mm**2)[:, None]
 
-    g_m, g_v = batch_grads_mv(*marginals(m, v), Y, eps, weights)
+    g_m, g_v = lik.grads_mv(*marginals(m, v), Y)
     worst = 0.0
     for j in range(c):
         for which in ("m", "v"):
@@ -429,7 +429,7 @@ def _check_likelihood_grads(seed: int, fd_step: float) -> float:
                     mm[j] = m[j] + sgn * fd_step
                 else:
                     vv[j] = v[j] + sgn * fd_step
-                vals.append(batch_expected_loglik(*marginals(mm, vv), Y, eps, weights))
+                vals.append(lik.expected_loglik(*marginals(mm, vv), Y))
             fd = (vals[0] - vals[1]) / (2.0 * fd_step)
             exact = g_m[j, 0] if which == "m" else g_v[j, 0]
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))

@@ -19,7 +19,10 @@ those solves, one class at a time: K^{-1} m by a solve with the prior factor
 and Sigma^{-1} by a solve with L. `iid_draws` gives tests their own
 independent normal draws of any shape; the package's estimators take one
 node set (S, C) for all points, and only the last-axis formulas here also
-take per-point draws (S, N, C). `step_nodes` is the step set that
+take per-point draws (S, N, C). `as241_quantile` is the package's AS241
+normal quantile as it was first written, all three rationals on every node,
+each numerator and denominator a Horner loop of its own, which the package
+must match bit for bit. `step_nodes` is the step set that
 :mod:`mdgpc.meta` draws for an inner loop at a draw seed, for tests that
 drive the loop at that seed without meta.
 
@@ -55,6 +58,28 @@ def step_nodes(seed: int, samples: int, n_classes: int) -> np.ndarray:
     """The (S, C) node set that every step of an inner loop at draw seed
     `seed` reads: the set of seed derive_seed(seed, 1)."""
     return likelihood.normal_draws(derive_seed(seed, 1), (samples, n_classes))
+
+
+def _as241_rational(coeffs, r):
+    """num(r) / den(r) for one AS241 pair, each by Horner's rule as written."""
+    num, den = (np.full_like(r, c[0]) for c in coeffs)
+    for a, b in zip(*(c[1:] for c in coeffs)):
+        num = num * r + a
+        den = den * r + b
+    return num / den
+
+
+def as241_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of p in (0, 1) by AS241, on the package's
+    coefficient table, every rational evaluated on every node."""
+    rational = likelihood._AS241
+    q = p - 0.5
+    central = q * _as241_rational(rational[0], 0.180625 - q * q)
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    tail = np.where(
+        r <= 5.0, _as241_rational(rational[1], r - 1.6), _as241_rational(rational[2], r - 5.0)
+    )
+    return np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
 
 
 def last_axis_log_softmax(f: np.ndarray) -> np.ndarray:
@@ -110,12 +135,12 @@ def label_probs(mu, var, eps) -> np.ndarray:
 def point_loglik(m, v, y, eps, weights=None) -> float:
     """The package's estimate of E[log p(y | f)] at one point with (C,)
     marginal means m and variances v, over an (S, C) node set."""
-    return likelihood.batch_expected_loglik(m[:, None], v[:, None], y[None], eps, weights)
+    return likelihood.SoftmaxLikelihood(eps, weights).expected_loglik(m[:, None], v[:, None], y[None])
 
 
 def point_grads(m, v, y, eps, weights=None):
     """The package's (g_m, g_v) at one point, each of shape (C,)."""
-    g_m, g_v = likelihood.batch_grads_mv(m[:, None], v[:, None], y[None], eps, weights)
+    g_m, g_v = likelihood.SoftmaxLikelihood(eps, weights).grads_mv(m[:, None], v[:, None], y[None])
     return g_m[:, 0], g_v[:, 0]
 
 

@@ -79,7 +79,7 @@ def test_criterion_03_likelihood_gradient_identities():
         v = rng.gamma(2.0, 1.0, (n, c))
         Y = np.eye(c)[rng.integers(0, c, size=n)]
         eps = rng.standard_normal((8, c))  # one node set for all points
-        g_m, g_v = likelihood.batch_grads_mv(m.T, v.T, Y, eps)
+        g_m, g_v = likelihood.SoftmaxLikelihood(eps).grads_mv(m.T, v.T, Y)
         assert np.all(g_m >= -1.0) and np.all(g_m <= 1.0)
         assert np.all(g_v >= -0.125) and np.all(g_v <= 0.0)
         checked += n

@@ -342,6 +342,21 @@ class TestCompare:
             steps = [(int(r[1]), int(r[2])) for r in rows if r[0] == method]
             assert steps == [(ep, t) for ep in (1, 2) for t in range(3)]
 
+    def test_compare_inner_without_steps_names_no_winner(self, tmp_path, capsys):
+        # at zero steps both methods score the prior, so no win count is printed
+        out = tmp_path / "out"
+        argv = ("--set", "compare_inner.steps=0")
+        assert run("compare-inner", write_cfg(tmp_path), out, *argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == (
+            "final ELBO: no inner step taken (compare_inner.steps = 0), both methods at the prior"
+        )
+        assert len(printed) == 2 and printed[1].startswith("wrote ")
+        rows = [line.split(",") for line in (out / "inner_trace.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (method, str(ep), "0") for ep in (1, 2) for method in ("MD", "GD")
+        ]
+
     def test_compare_outer_rows(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         out = tmp_path / "out"

@@ -11,8 +11,9 @@ import pytest
 
 import mdgpc
 import mdgpc.cli
-from mdgpc import inference, kernels, model, tasks
+from mdgpc import inference, kernels, likelihood, model, tasks
 from mdgpc.errors import InputError
+from mdgpc.expfam import spd_cholesky
 from mdgpc.inference import (
     InnerConfig,
     elbo,
@@ -102,10 +103,11 @@ class TestInitAndCombine:
 
     def test_posterior_from_sites_zero_sites(self):
         K = toy_grams(4).k_eff
-        m, v, u, binv = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
+        m, v, u, b, binv = posterior_from_sites(K, np.zeros((3, 5)), np.zeros((3, 5)))
         np.testing.assert_allclose(v, np.diagonal(K, axis1=1, axis2=2), atol=1e-12)
         np.testing.assert_array_equal(m, np.zeros((3, 5)))
         np.testing.assert_array_equal(u, np.zeros((3, 5)))
+        np.testing.assert_array_equal(b, np.broadcast_to(np.eye(5), (3, 5, 5)))
         np.testing.assert_array_equal(binv, np.broadcast_to(np.eye(5), (3, 5, 5)))
 
     def test_kinv_terms_reads_the_last_factor(self, monkeypatch):
@@ -246,6 +248,72 @@ class TestInitAndCombine:
     def test_fewer_than_one_sample_rejected(self):
         with pytest.raises(InputError, match="samples must be >= 1, got 0"):
             InnerConfig(samples=0)
+
+
+class TestOncePerSetAndState:
+    """What a loop reads many times is built once: a likelihood lays its node
+    set out at construction, an MD state keeps the B its step built, and a GD
+    state computes its marginal variances when it is made."""
+
+    @pytest.mark.parametrize("method", ["MD", "GD"])
+    def test_one_layout_per_likelihood(self, method, monkeypatch):
+        # compare-inner's loop: 30 steps, each state scored; the loop builds
+        # a likelihood on the step set and on its coarse head, run_inner one
+        # on the scoring set, and each lays its nodes out once
+        layouts, liks = [], []
+        original = likelihood._node_layout
+
+        def counting(eps):
+            layouts.append(np.shape(eps))
+            return original(eps)
+
+        class Counted(SoftmaxLikelihood):
+            def __init__(self, *args, **kwargs):
+                liks.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "_node_layout", counting)
+        monkeypatch.setattr(inference, "SoftmaxLikelihood", Counted)
+        ci = mdgpc.cli.default_config()["compare_inner"]
+        cfg = InnerConfig(ci["rate"], ci["steps"], ci["mc_samples"])
+        grams, Y = episode_grams(160)
+        _, elbos = run_seeded(method, grams, Y, cfg, 21)
+        assert cfg.steps == 30 and len(elbos) == 31
+        assert len(liks) == 3 and len(layouts) == 3
+
+    def test_gd_variances_follow_every_new_state(self):
+        # v is a field set when a state is made: after each step and each
+        # replace it is the row sums of L o L of that state's L
+        grams, Y = episode_grams(161)
+        lik = seeded_lik(64, 5, 1, 5)
+
+        def check(state):
+            assert np.array_equal(state.v, np.sum(state.chol * state.chol, axis=2))
+
+        state = gd_init(grams)
+        check(state)
+        for _ in range(30):
+            state = gd_step(state, Y, 0.005, lik)
+            check(state)
+            check(dataclasses.replace(state, chol=1.5 * state.chol))
+            check(dataclasses.replace(state, m=state.m + 1.0))
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_md_kl_reads_the_kept_b(self, rho):
+        # each state's KL equals the KL from B = I + W K W rebuilt from its
+        # sites and factored again, bit for bit, and the kept B is that B
+        grams, Y = episode_grams(162)
+        cfg = InnerConfig(rho, 10, 64)
+        n = Y.shape[0]
+        for state in inner_states("MD", grams, Y, cfg, step_nodes(8, cfg.samples, 5)):
+            W = np.sqrt(-2.0 * np.minimum(state.beta, 0.0))
+            B = np.eye(n) + (W[:, :, None] * state.k_eff) * W[:, None, :]
+            LB, _ = spd_cholesky(B)
+            wx = W * np.einsum("cij,cij->ci", state.binv, state.k_eff * W[:, None, :])
+            half_logdet = np.sum(np.log(np.diagonal(LB, axis1=1, axis2=2)), axis=1)
+            want = 0.5 * np.sum(state.m * state.u - wx, axis=1) + half_logdet
+            assert np.array_equal(state.b, B)
+            assert np.array_equal(state.kl, want)
 
 
 class TestConjugateLimit:
@@ -526,7 +594,7 @@ class TestEvalNodeCount:
     def test_coarse_steps_read_the_first_nodes_of_the_set(self):
         grams, Y = episode_grams(131)
         full = seeded_lik(512, 3, 1, 5)
-        coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
+        coarse = SoftmaxLikelihood(step_nodes(3, 512, 5)[: inference.COARSE_NODES])
         cfg = InnerConfig(0.5, 3, 512, coarse_steps=2)
         states = list(inner_states("MD", grams, Y, cfg, step_nodes(3, 512, 5)))
         want = md_init(grams)
@@ -544,8 +612,8 @@ class TestCoarseStage:
     @staticmethod
     def hand_driven(grams, Y, cfg: InnerConfig, seed: int, coarse_steps: int) -> list:
         # k coarse steps, then steps - coarse_steps full-set steps, by md_step
-        full = seeded_lik(cfg.samples, seed, 1, Y.shape[1])
-        coarse = SoftmaxLikelihood(full.eps[: inference.COARSE_NODES])
+        nodes = step_nodes(seed, cfg.samples, Y.shape[1])
+        full, coarse = SoftmaxLikelihood(nodes), SoftmaxLikelihood(nodes[: inference.COARSE_NODES])
         states = [md_init(grams)]
         for lik in [coarse] * coarse_steps + [full] * (cfg.steps - cfg.coarse_steps):
             states.append(md_step(states[-1], Y, cfg.rho, lik))

@@ -87,7 +87,7 @@ def test_odd_s_block_sets_every_sample_count(tool):
     from mdgpc import cli
 
     runs = dict(tool.run_set())
-    assert len(runs) == 38
+    assert len(runs) == 39
     counts = {key for key, _, _ in cli._TABLE if key.endswith("samples")}
     for name in ("train", "eval-p1", "compare-inner"):
         args = runs[f"base-odd-s-{name}"]
@@ -102,3 +102,10 @@ def test_defaults_block_has_an_eval_whose_coarse_stage_runs_to_its_cap(tool):
     assert "eval_inner.rho=0.1" in args
     names = list(runs)
     assert names.index("defaults-train") < names.index("defaults-eval-rho01")
+
+
+def test_last_run_is_compare_inner_without_steps(tool):
+    name, args = tool.run_set()[-1]
+    assert name == "defaults-compare-inner-steps0"
+    assert args[0] == "compare-inner" and "compare_inner.steps=0" in args
+    assert "--config" not in args

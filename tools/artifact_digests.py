@@ -30,7 +30,9 @@ data-file branch of the episode sources is covered too: 35 runs. Last,
 ``BASE`` with every Monte Carlo sample count set to 33 runs train, eval at
 ``--parallel-episodes`` 1 and compare-inner, so the softmax's batched
 logits product is pinned at a node count that is not a power of two: 38
-runs.
+runs. Last, compare-inner at the default config with
+``compare_inner.steps=0``, where both methods stay at the prior, so the line
+it prints in place of a win count is pinned too: 39 runs.
 
 For each run the output holds one ``sha256  run/file`` line per file the run
 wrote, then its exit code, stdout and stderr. A refactor that must not move
@@ -124,6 +126,10 @@ def run_set() -> list[tuple[str, list[str]]]:
                 f"{label}-{name}",
                 [*args[name], *config, *sets, "--set", f"output_dir=out/{label}-{name}"],
             ))
+    name = "defaults-compare-inner-steps0"
+    runs.append((name, [
+        "compare-inner", "--set", "compare_inner.steps=0", "--set", f"output_dir=out/{name}"
+    ]))
     return runs
 
 
